@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .field import is_prime, mk_field
 from .periodic import (ConditionsUnmet, NotCoprime, PeriodTooLong,
-                       analyze_case, decompose_base_q, decompose_coprime,
-                       decompose_ramified, prime_power_split)
+                       analyze_case, decompose_base_q, periodic_split,
+                       prime_power_split)
 from .roots import rth_root
 
 log = logging.getLogger(__name__)
@@ -126,12 +126,6 @@ def _row_delta(fld, r: int, seed: int, p: int, d: int, m: int):
     return fld.pow(gamma, r)
 
 
-def _timed_root(fld, delta, r, seed, path):
-    t0 = time.perf_counter_ns()
-    outcome = rth_root(fld, delta, r, seed=seed, path=path)
-    return outcome, time.perf_counter_ns() - t0
-
-
 def run_sweep(triples, seed: int = 0) -> list[BenchRow]:
     """One or two BenchRows per runnable triple; unrunnable triples are
     logged and skipped.  Every emitted row is verified; a failed
@@ -149,10 +143,8 @@ def run_sweep(triples, seed: int = 0) -> list[BenchRow]:
 
         n = n_prime = period = None
         if case.gcd_tag in ("coprime", "ramified_exact"):
-            decompose = (decompose_coprime if case.gcd_tag == "coprime"
-                         else decompose_ramified)
             try:
-                pe = decompose(p, d * m, r)
+                pe = periodic_split(p, d * m, r, case.k, case.alpha)
                 n_prime = pe.n
                 period = pe.period
             except PeriodTooLong:
@@ -175,7 +167,9 @@ def run_sweep(triples, seed: int = 0) -> list[BenchRow]:
             runs = ["periodic", "naive"]
         for path in runs:
             try:
-                outcome, wall = _timed_root(fld, delta, r, seed, path)
+                t0 = time.perf_counter_ns()
+                outcome = rth_root(fld, delta, r, seed=seed, path=path)
+                wall = time.perf_counter_ns() - t0
             except (PeriodTooLong, ValueError) as exc:
                 log.warning("skipping path %s for (q=%d, m=%d, r=%d): %s",
                             path, q, m, r, exc)

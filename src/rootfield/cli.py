@@ -19,21 +19,22 @@ import sys
 from .bench import load_sweep, parse_sweep, run_sweep, write_csv
 from .field import OpCounter, format_elem, format_field, mk_field, parse_elem
 from .oracle import brute_root
-from .periodic import (analyze_case, decompose_coprime, decompose_ramified,
-                       mult_order)
+from .periodic import analyze_case, periodic_split
 from .roots import is_rth_residue, rth_root
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("ROOTFIELD_SEED", "0"))
-
-
-def _parse_modulus(text):
-    return [int(c) for c in text.split(",")]
+    text = os.environ.get("ROOTFIELD_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"ROOTFIELD_SEED must be an integer, got {text!r}") from None
 
 
 def _make_field(args):
-    modulus = _parse_modulus(args.modulus) if args.modulus else None
+    modulus = ([int(c) for c in args.modulus.split(",")] if args.modulus
+               else None)
     return mk_field(args.p, args.m, modulus)
 
 
@@ -78,17 +79,14 @@ def _cmd_residue(args) -> int:
 
 def _cmd_decompose(args) -> int:
     case = analyze_case(args.p, args.m, args.r)
-    if case.gcd_tag == "coprime":
-        pe = decompose_coprime(args.p, args.m, args.r)
-    elif case.gcd_tag == "ramified_exact":
-        pe = decompose_ramified(args.p, args.m, args.r)
-    else:
+    if case.gcd_tag == "higher_power":
         print("error: no single-exponent decomposition when r^2 divides "
               "the group order", file=sys.stderr)
         return 1
-    k = mult_order(args.p, args.r)
-    print(f"case={pe.case_tag} k={k} u={case.u} v={pe.v} a={pe.a} b={pe.b} "
-          f"period={pe.period} n={pe.n} modulus={pe.congruence_modulus}")
+    pe = periodic_split(args.p, args.m, args.r, case.k, case.alpha)
+    print(f"case={pe.case_tag} k={case.k} u={case.u} v={pe.v} a={pe.a} "
+          f"b={pe.b} period={pe.period} n={pe.n} "
+          f"modulus={pe.congruence_modulus}")
     return 0
 
 
@@ -170,13 +168,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv) -> int:
     """Run one invocation; returns the exit code instead of raising."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,9 +1,9 @@
 """Arithmetic in F_{p^m} on a polynomial basis, with explicit operation counts.
 
 Elements are length-m tuples of integers in [0, p), constant term first.
-A Field instance carries the prime p, the extension degree m, a monic
-irreducible modulus polynomial (length m+1 coefficient tuple) and a
-precomputed matrix for the p-power Frobenius map.
+A Field instance carries the prime p, the extension degree m and a monic
+irreducible modulus polynomial (length m+1 coefficient tuple), and
+precomputes the packed matrix of the p-power Frobenius map.
 
 Cost model: full multiplications, squarings, Frobenius applications and
 inversions are tallied in a caller-supplied OpCounter.  Additions,
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+
+from .periodic import factorize
 
 
 class NotPrime(ValueError):
@@ -160,20 +162,6 @@ def _poly_gcd(a, b, p):
     return a
 
 
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _frob_columns(f, p):
     """Matrix of c -> c^p on Z_p[x]/(f): column j holds x^{j*p} mod f.
 
@@ -230,7 +218,7 @@ def is_irreducible(f, p) -> bool:
         powers.append(w)
     if powers[m] != x_vec:
         return False
-    for ell in _prime_factors(m):
+    for ell, _ in factorize(m):
         diff = [(a - b) % p for a, b in zip(powers[m // ell], x_vec)]
         g = _poly_gcd(diff, f, p)
         if len(g) != 1:
@@ -273,7 +261,6 @@ class Field:
     p: int
     m: int
     modulus: tuple[int, ...]
-    frob_matrix: tuple[tuple[int, ...], ...]
     order_minus_one: int
 
     def __post_init__(self):
@@ -295,8 +282,8 @@ class Field:
             rows.append(row)
         object.__setattr__(self, "_packed_reduce",
                            tuple(self._pack(r) for r in rows))
-        object.__setattr__(self, "_packed_frob",
-                           tuple(self._pack(col) for col in self.frob_matrix))
+        object.__setattr__(self, "_packed_frob", tuple(
+            self._pack(col) for col in _frob_columns(list(self.modulus), p)))
         object.__setattr__(self, "_hash", hash((p, m, self.modulus)))
 
     def __hash__(self):
@@ -462,8 +449,7 @@ def mk_field(p: int, m: int, modulus=None) -> Field:
             raise DegreeMismatch("modulus must be monic")
         if not is_irreducible(list(f), p):
             raise ReducibleModulus(f"modulus {list(f)} is reducible over Z_{p}")
-    cols = tuple(tuple(c) for c in _frob_columns(list(f), p))
-    return Field(p, m, f, cols, p ** m - 1)
+    return Field(p, m, f, p ** m - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,40 +14,7 @@ tracks separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .field import Field, OpCounter
-
-
-@dataclass(frozen=True)
-class PhiPlan:
-    """Doubling chain for a term count: replaying the moves from 1
-    reaches term_count; doubles cost one multiplication, double-plus-one
-    moves cost two."""
-
-    term_count: int
-    step: int
-    chain: tuple[str, ...]
-
-    @classmethod
-    def for_term_count(cls, term_count: int, step: int) -> "PhiPlan":
-        if term_count < 1:
-            raise ValueError("term count must be >= 1")
-        if step < 1:
-            raise ValueError("step must be >= 1")
-        moves = []
-        for bit in bin(term_count)[3:]:
-            moves.append("double_plus_one" if bit == "1" else "double")
-        return cls(term_count, step, tuple(moves))
-
-    def replay(self) -> int:
-        t = 1
-        for move in self.chain:
-            t = 2 * t + (1 if move == "double_plus_one" else 0)
-        return t
-
-    def mult_cost(self) -> int:
-        return sum(2 if move == "double_plus_one" else 1 for move in self.chain)
 
 
 def phi_map(fld: Field, y, e: int, n: int,
@@ -58,13 +25,12 @@ def phi_map(fld: Field, y, e: int, n: int,
         raise ValueError("e must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    plan = PhiPlan.for_term_count(n + 1, e)
     t = 1
     acc = y
-    for move in plan.chain:
+    for bit in bin(n + 1)[3:]:
         acc = fld.mul(acc, fld.frobenius(acc, t * e, counter), counter)
         t *= 2
-        if move == "double_plus_one":
+        if bit == "1":
             acc = fld.mul(acc, fld.frobenius(y, t * e, counter), counter)
             t += 1
     return acc

@@ -29,42 +29,21 @@ class OracleReport:
     group_order: int
 
 
-def _check_size(fld: Field):
-    if fld.order_minus_one + 1 > ENUMERATION_BOUND:
-        raise FieldTooLarge(
-            f"field has {fld.order_minus_one + 1} elements, oracle cap is 2^20")
-
-
 def brute_root(fld: Field, delta, r: int) -> OracleReport:
-    """Collect every gamma with gamma^r = delta by full enumeration."""
-    _check_size(fld)
-    order = fld.order_minus_one
-    roots = []
-    residues = set()
-    for gamma in fld.elements():
-        power = fld.pow(gamma, r)
-        if any(gamma):
-            residues.add(power)
-        if power == delta:
-            roots.append(gamma)
-    return OracleReport(frozenset(roots), len(residues), order)
-
-
-def enumerate_residues(fld: Field, r: int) -> set:
-    """Image of the r-th power map on nonzero elements."""
-    _check_size(fld)
-    out = set()
-    for gamma in fld.elements():
-        if any(gamma):
-            out.add(fld.pow(gamma, r))
-    return out
+    """Every gamma with gamma^r = delta, read off the full root table."""
+    table = root_table(fld, r)
+    residues = table.keys() - {fld.zero()}
+    return OracleReport(frozenset(table.get(delta, ())), len(residues),
+                        fld.order_minus_one)
 
 
 def root_table(fld: Field, r: int) -> dict:
     """All roots of every delta at once: one enumeration pass instead of
     p^m of them.  Returns {delta: [gamma, ...]} with every list sorted in
     base-p counting order."""
-    _check_size(fld)
+    if fld.order_minus_one + 1 > ENUMERATION_BOUND:
+        raise FieldTooLarge(
+            f"field has {fld.order_minus_one + 1} elements, oracle cap is 2^20")
     table: dict = {}
     for gamma in fld.elements():
         table.setdefault(fld.pow(gamma, r), []).append(gamma)
@@ -72,5 +51,5 @@ def root_table(fld: Field, r: int) -> dict:
 
 
 def residue_count_formula(fld: Field, r: int) -> int:
-    """What enumerate_residues must return, counted without enumerating."""
+    """Number of nonzero r-th powers, counted without enumerating."""
     return fld.order_minus_one // gcd(r, fld.order_minus_one)

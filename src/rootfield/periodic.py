@@ -1,9 +1,10 @@
 """Periodic base-p decompositions of inverted root exponents.
 
 For extracting an r-th root in F_{p^m} one wants an exponent v with
-r*v = 1 modulo the group order (or modulo order/r in the ramified case).
-When the extension degree m is large compared to the multiplicative
-order k of p mod r, v splits as
+r*v = 1 modulo (p^m - 1)/r^alpha, alpha the multiplicity of r in the
+group order: 0 in the coprime case, 1 in the ramified case.  When the
+extension degree m is large compared to the period k*r^alpha, k the
+multiplicative order of p mod r, v splits as
 
     v = a + b * (1 + p^l + p^{2l} + ... + p^{(n-1)l})
 
@@ -15,7 +16,7 @@ no field elements appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 
@@ -28,7 +29,8 @@ class PeriodTooLong(ValueError):
 
 
 class NotCoprimeCase(ValueError):
-    """r shares a factor with the group order; the coprime path is out."""
+    """r shares a factor with the modulus its inverse is taken in; in the
+    coprime case that modulus is the group order."""
 
 
 class NotRamifiedCase(ValueError):
@@ -72,19 +74,20 @@ class CaseAnalysis:
     alpha: int
 
 
-def mult_order(base: int, r: int) -> int:
-    """Least k >= 1 with base^k = 1 mod r.  Plain iteration; the orders
-    met here are tiny, so no factoring of phi(r) is warranted."""
+def mult_order(base: int, r: int, limit: int | None = None) -> int | None:
+    """Least k >= 1 with base^k = 1 mod r.  Plain iteration, so the
+    search can take about r steps; with a limit it stops after at most
+    limit steps and returns None when the order exceeds the limit."""
     if r < 2:
         raise ValueError("modulus must be >= 2")
     if gcd(base, r) != 1:
         raise NotCoprime(f"{base} and {r} are not coprime")
-    k = 1
-    acc = base % r
-    while acc != 1:
+    acc = 1
+    for k in range(1, (r if limit is None else limit) + 1):
         acc = acc * base % r
-        k += 1
-    return k
+        if acc == 1:
+            return k
+    return None
 
 
 def geometric_sum(p: int, period: int, n: int) -> int:
@@ -124,21 +127,15 @@ def prime_power_split(q: int) -> tuple[int, int]:
     """Write q = p^d with p prime, or raise ValueError."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    d = 0
-    t = q
-    while t % p == 0:
-        t //= p
-        d += 1
-    if t != 1:
+    factors = factorize(q)
+    if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    return p, d
+    return factors[0]
+
+
+def _multiplier(modulus: int, r: int) -> int:
+    """u in [1, r) with u * modulus = -1 (mod r)."""
+    return (-pow(modulus % r, -1, r)) % r
 
 
 def analyze_case(p: int, m: int, r: int) -> CaseAnalysis:
@@ -150,72 +147,69 @@ def analyze_case(p: int, m: int, r: int) -> CaseAnalysis:
     order = p ** m - 1
     k = mult_order(p, r)
     alpha = exact_power(r, order)
-    if alpha == 0:
-        if gcd(r, order) != 1:
-            raise ValueError(
-                f"r={r} shares a factor with the group order without dividing it")
-        u = (-pow(order % r, -1, r)) % r
-        return CaseAnalysis(r, "coprime", k, u, 0)
-    if alpha == 1:
-        cofactor = (order // r) % r
-        if gcd(cofactor, r) != 1:
-            raise ValueError(
-                f"r={r} divides the group order once but its cofactor is entangled")
-        u = (-pow(cofactor, -1, r)) % r
-        return CaseAnalysis(r, "ramified_exact", k, u, 1)
-    return CaseAnalysis(r, "higher_power", k, None, alpha)
+    if alpha > 1:
+        return CaseAnalysis(r, "higher_power", k, None, alpha)
+    cofactor = order // r ** alpha
+    if gcd(cofactor, r) != 1:
+        raise ValueError(
+            f"r={r} shares a factor with (p^m - 1)/r^{alpha}, so no single "
+            "exponent inverts it")
+    return CaseAnalysis(r, ("coprime", "ramified_exact")[alpha], k,
+                        _multiplier(cofactor, r), alpha)
 
 
-def _split_periodic(v, p, u, rdiv, period, m, modulus, tag):
-    """Shared tail of both decompositions.
+def periodic_split(q: int, m: int, r: int, k: int,
+                   alpha: int) -> PeriodicExponent:
+    """Split v = r^{-1} mod M, M = (q^m - 1)/r^alpha, along base-q digits.
 
-    z = u*(p^period - 1)/rdiv must be exactly integral; the top digit
+    alpha is the multiplicity of r in q^m - 1: 0 in the coprime case, 1
+    in the ramified case.  k is the order of q mod r, and the period is
+    k*r^alpha, because only q^{k*r^alpha} - 1 carries the factor
+    r^{alpha+1} that keeps the block z = u*(q^period - 1)/r^{alpha+1}
+    integral; u in [1, r) satisfies u*M = -1 (mod r).  The top digit
     block b is z shifted to the leading end, and a is whatever remains
-    after the geometric part is taken out.  Bounds a, b < p^{2*period}
-    are part of the contract, so they are asserted here rather than
-    trusted.
+    after the geometric part is taken out.  Bounds a, b < q^{2*period}
+    are part of the contract, so they are asserted rather than trusted.
+    Requires m > period and gcd(M, r) = 1, checked in that order.
     """
-    z_num = u * (p ** period - 1)
+    period = k * r ** alpha
+    if m <= period:
+        raise PeriodTooLong(f"need m > period, got m={m}, period={period}")
+    modulus = (q ** m - 1) // r ** alpha
+    if gcd(modulus, r) != 1:
+        raise NotCoprimeCase(
+            f"gcd(r, (q^m - 1)/r^alpha) = {gcd(modulus, r)}")
+    rdiv = r ** (alpha + 1)
+    z_num = _multiplier(modulus, r) * (q ** period - 1)
     assert z_num % rdiv == 0, "periodic block is not integral"
-    z = z_num // rdiv
     n = m // period
-    b = p ** (m - n * period) * z
-    a = v - b * geometric_sum(p, period, n)
-    bound = p ** (2 * period)
+    b = q ** (m - n * period) * (z_num // rdiv)
+    v = pow(r, -1, modulus)
+    a = v - b * geometric_sum(q, period, n)
+    bound = q ** (2 * period)
     assert 0 <= a < bound, "constant part out of range"
     assert 0 <= b < bound, "periodic part out of range"
-    return PeriodicExponent(a, b, period, n, v, modulus, tag)
+    return PeriodicExponent(a, b, period, n, v, modulus,
+                            ("coprime", "ramified")[alpha])
 
 
 def decompose_coprime(p: int, m: int, r: int) -> PeriodicExponent:
-    """Decomposition for gcd(r, p^m - 1) = 1.
+    """Decomposition for gcd(r, p^m - 1) = 1, modulo the group order.
 
-    u in [1, r) satisfies u*(p^m - 1) = -1 (mod r), which makes
-    v = floor(p^m * u / r) the inverse of r modulo the group order.
-    Requires m > k, k the order of p mod r; the period is k.
+    Requires m > k, k the order of p mod r; the period is k.  The period
+    gate fires before the gcd gate.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
-    order = p ** m - 1
-    k = mult_order(p, r)
-    if m <= k:
-        raise PeriodTooLong(f"need m > k, got m={m}, k={k}")
-    if gcd(r, order) != 1:
-        raise NotCoprimeCase(f"gcd(r, p^m - 1) = {gcd(r, order)}")
-    u = (-pow(order % r, -1, r)) % r
-    v = p ** m * u // r
-    pe = _split_periodic(v, p, u, r, k, m, order, "coprime")
-    assert r * pe.v % order == 1
-    return pe
+    return periodic_split(p, m, r, mult_order(p, r), 0)
 
 
 def decompose_ramified(p: int, m: int, r: int) -> PeriodicExponent:
-    """Decomposition for r dividing p^m - 1 exactly once.
+    """Decomposition for r dividing p^m - 1 exactly once, modulo
+    (p^m - 1)/r.
 
-    u in [1, r) satisfies u*(p^m - 1)/r = -1 (mod r) and
-    v = ceil(p^m * u / r^2) gives r*v = 1 (mod (p^m - 1)/r).  The period
-    stretches to k*r because only p^{kr} - 1 picks up the factor r^2
-    needed to keep the block z integral.  Requires m > k*r.
+    The cofactor must be coprime to r, and m > k*r is required; the
+    period is k*r.  The case gate fires before the period gate.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
@@ -223,16 +217,7 @@ def decompose_ramified(p: int, m: int, r: int) -> PeriodicExponent:
     if order % r != 0 or gcd(order // r, r) != 1:
         raise NotRamifiedCase(
             f"r={r} does not divide p^m - 1 exactly once with coprime cofactor")
-    k = mult_order(p, r)
-    period = k * r
-    if m <= period:
-        raise PeriodTooLong(f"need m > k*r, got m={m}, k*r={period}")
-    u = (-pow((order // r) % r, -1, r)) % r
-    v = -(-(p ** m * u) // (r * r))
-    modulus = order // r
-    pe = _split_periodic(v, p, u, r * r, period, m, modulus, "ramified")
-    assert r * pe.v % modulus == 1
-    return pe
+    return periodic_split(p, m, r, mult_order(p, r), 1)
 
 
 @dataclass(frozen=True)
@@ -257,47 +242,30 @@ class BaseQDecomposition:
 def decompose_base_q(q: int, m: int, r: int) -> BaseQDecomposition:
     """Decompose the inverted exponent for F_{q^m} working base q.
 
-    Coprime variant: gcd(q*(q-1), r) = 1, order k of q mod r exceeds 1,
-    gcd(m, k) = 1.  Ramified variant: r divides q - 1 exactly once and
-    gcd(m, r) = 1.  Anything else raises ConditionsUnmet.  The returned
-    record carries the periodic exponent with its period converted to
-    base-p digits of the flattened field F_{p^{md}}.
+    Coprime variant: gcd(q*(q-1), r) = 1 and gcd(m, k) = 1, k the order
+    of q mod r (k > 1 follows, since r does not divide q - 1).  Ramified
+    variant: r divides q - 1 exactly once and gcd(m, r) = 1.  Anything
+    else raises ConditionsUnmet.  The returned record carries the
+    periodic exponent with its period converted to base-p digits of the
+    flattened field F_{p^{md}}.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
     p, d = prime_power_split(q)
-    order = q ** m - 1
     if gcd(q * (q - 1), r) == 1:
         k = mult_order(q, r)
         if gcd(m, k) != 1:
             raise ConditionsUnmet(f"gcd(m, k) = {gcd(m, k)} with k={k}")
-        if k == 1:
-            raise ConditionsUnmet("order of q mod r must exceed 1")
-        if m <= k:
-            raise PeriodTooLong(f"need m > k, got m={m}, k={k}")
-        if gcd(r, order) != 1:
-            raise ConditionsUnmet("r unexpectedly divides q^m - 1")
-        u = (-pow(order % r, -1, r)) % r
-        v = q ** m * u // r
-        pe_q = _split_periodic(v, q, u, r, k, m, order, "coprime")
-        assert r * v % order == 1
-        k_prime = mult_order(p, r)
-        n_prime = m * d // k_prime
+        alpha = 0
     elif (q - 1) % r == 0 and gcd((q - 1) // r, r) == 1 and gcd(m, r) == 1:
-        if m <= r:
-            raise PeriodTooLong(f"need m > r, got m={m}, r={r}")
-        u = (-pow((order // r) % r, -1, r)) % r
-        v = -(-(q ** m * u) // (r * r))
-        modulus = order // r
-        pe_q = _split_periodic(v, q, u, r * r, r, m, modulus, "ramified")
-        assert r * v % modulus == 1
-        k = mult_order(q, r)  # always 1 here
-        k_prime = mult_order(p, r)
-        n_prime = m * d // (k_prime * r)
+        k = 1
+        alpha = 1
     else:
         raise ConditionsUnmet(f"no base-q variant applies to q={q}, m={m}, r={r}")
+    pe_q = periodic_split(q, m, r, k, alpha)
+    k_prime = mult_order(p, r)
+    n_prime = m * d // (k_prime * r ** alpha)
     # express the period in base-p digits so the record is comparable
     # with a base-p decomposition of the same flattened field
-    pe = PeriodicExponent(pe_q.a, pe_q.b, pe_q.period * d, pe_q.n, pe_q.v,
-                          pe_q.congruence_modulus, pe_q.case_tag)
+    pe = replace(pe_q, period=pe_q.period * d)
     return BaseQDecomposition(q, p, d, m, r, pe, k, k_prime, pe.n, n_prime)

@@ -1,14 +1,16 @@
 """r-th root extraction in F_{p^m}.
 
-Three ways in, picked by how r meets the group order N = p^m - 1:
+Two ways in, picked by alpha, the multiplicity of r in the group order
+N = p^m - 1:
 
-  * gcd(r, N) = 1: the r-th power map is a bijection; invert the
-    exponent.  With a long extension the inverted exponent has a
+  * alpha <= 1, with N/r^alpha coprime to r: one exponentiation by
+    v = r^{-1} mod N/r^alpha, followed by verification.  For alpha = 0
+    the r-th power map is a bijection and the candidate is always the
+    root; for alpha = 1 the verification doubles as the residue test.
+    When m exceeds the period k*r^alpha, k the order of p mod r, v has a
     periodic base-p expansion and most of the powering collapses into
-    Frobenius maps (coprime_fast), otherwise plain powering does it
-    (naive_fallback).
-  * r divides N exactly once: same exponent trick modulo N/r, followed
-    by a residue check, since non-residues exist here (ramified_fast).
+    Frobenius maps (coprime_fast, ramified_fast); otherwise plain
+    powering does it (naive_fallback).
   * r^2 divides N: digit-correction search over a precomputed table of
     r-th roots of unity (Adleman-Manders-Miller), path tag "amm".
 
@@ -26,10 +28,7 @@ from math import gcd
 from .field import Field, OpCounter, is_prime
 from .frobpow import apply_periodic
 from .periodic import (NotCoprimeCase, NotRamifiedCase, PeriodTooLong,
-                       decompose_coprime, decompose_ramified, exact_power,
-                       factorize, mult_order)
-
-DEBUG_CHECKS = False  # enable per-stage subgroup assertions in the digit loop
+                       exact_power, factorize, mult_order, periodic_split)
 
 
 class RNotDividingOrder(ValueError):
@@ -42,6 +41,11 @@ class ZeroElement(ValueError):
 
 class RTooSmall(ValueError):
     """Root degrees start at 2."""
+
+
+class NoSingleExponent(NotCoprimeCase, NotRamifiedCase):
+    """r is neither coprime to the group order nor an exact divisor of
+    it with a cofactor coprime to r, so no single exponent applies."""
 
 
 @dataclass
@@ -74,15 +78,18 @@ class AmmContext:
     k_index: dict
 
 
+def _require_divisor(fld: Field, r: int) -> None:
+    if r < 2 or fld.order_minus_one % r != 0:
+        raise RNotDividingOrder(f"r={r} does not divide the group order")
+
+
 def is_rth_residue(fld: Field, delta, r: int,
                    counter: OpCounter | None = None) -> bool:
     """Euler-style criterion: delta^{N/r} = 1."""
-    order = fld.order_minus_one
-    if r < 2 or order % r != 0:
-        raise RNotDividingOrder(f"r={r} does not divide the group order")
+    _require_divisor(fld, r)
     if not any(delta):
         raise ZeroElement("residue test is for nonzero elements")
-    return fld.pow(delta, order // r, counter) == fld.one()
+    return fld.pow(delta, fld.order_minus_one // r, counter) == fld.one()
 
 
 def find_nonresidue(fld: Field, r: int, seed: int = 0) -> tuple:
@@ -91,15 +98,13 @@ def find_nonresidue(fld: Field, r: int, seed: int = 0) -> tuple:
     128 pseudorandom draws, then canonical enumeration; non-residues
     make up a 1 - 1/r share of the group, so the fallback is for
     determinism, not for hope."""
-    order = fld.order_minus_one
-    if r < 2 or order % r != 0:
-        raise RNotDividingOrder(f"r={r} does not divide the group order")
+    _require_divisor(fld, r)
     rng = random.Random(seed)
     for _ in range(128):
         cand = fld.random_elem(rng)
         if any(cand) and not is_rth_residue(fld, cand, r):
             return cand
-    for idx in range(1, order + 1):
+    for idx in range(1, fld.order_minus_one + 1):
         cand = fld.elem_from_index(idx)
         if not is_rth_residue(fld, cand, r):
             return cand
@@ -108,9 +113,8 @@ def find_nonresidue(fld: Field, r: int, seed: int = 0) -> tuple:
 
 def build_amm_context(fld: Field, r: int, seed: int = 0,
                       rho: tuple | None = None) -> AmmContext:
+    _require_divisor(fld, r)
     order = fld.order_minus_one
-    if r < 2 or order % r != 0:
-        raise RNotDividingOrder(f"r={r} does not divide the group order")
     t = exact_power(r, order)
     s = order // r ** t
     alpha = 0 if s == 1 else pow(r, -1, s)
@@ -118,7 +122,9 @@ def build_amm_context(fld: Field, r: int, seed: int = 0,
         rho = find_nonresidue(fld, r, seed)
     rho_s = fld.pow(rho, s)
     g = fld.pow(rho, order // r)
-    assert g != fld.one(), "rho is not a non-residue"
+    if g == fld.one():
+        raise ValueError(f"rho={rho} is an r-th residue for r={r}; the "
+                         "unity table needs a non-residue")
     k_powers = [fld.one()]
     for _ in range(1, r):
         k_powers.append(fld._raw_mul(k_powers[-1], g))
@@ -143,16 +149,14 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
     it.  Collecting the digits j_i gives the correction exponent J, and
     delta^alpha * (rho^s)^J is an exact r-th root.  Table construction
     is amortized across calls and not counted."""
+    _require_divisor(fld, r)
     order = fld.order_minus_one
-    if r < 2 or order % r != 0:
-        raise RNotDividingOrder(f"r={r} does not divide the group order")
     if not any(delta):
         raise ZeroElement("amm_root is for nonzero elements")
     if counter is None:
         counter = OpCounter()
     amm = context or _cached_amm_context(fld, r, seed, rho)
-    one = fld.one()
-    if fld.pow(delta, order // r, counter) != one:
+    if not is_rth_residue(fld, delta, r, counter):
         return RootOutcome("non_residue", None, True, counter, "amm")
     if amm.t == 1:
         root = fld.pow(delta, amm.alpha, counter)
@@ -171,8 +175,6 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
                 corr = fld.pow(amm.rho_s, j * r ** i, counter)
                 acc = fld.mul(acc, corr, counter)
                 j_total += j * r ** (i - 1)
-            if DEBUG_CHECKS:
-                assert fld.pow(acc, r ** (amm.t - 1 - i)) == one
         root = fld.mul(fld.pow(delta, amm.alpha, counter),
                        fld.pow(amm.rho_s, j_total, counter), counter)
     if fld.pow(root, r, counter) != delta:
@@ -180,80 +182,58 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
     return RootOutcome("root_found", root, True, counter, "amm")
 
 
-def root_coprime(fld: Field, delta, r: int,
-                 counter: OpCounter | None = None,
-                 mode: str = "auto") -> RootOutcome:
-    """Root extraction for gcd(r, N) = 1; always succeeds.
+def single_exponent_root(fld: Field, delta, r: int,
+                         counter: OpCounter | None = None,
+                         mode: str = "auto") -> RootOutcome:
+    """Root extraction for r coprime to N, or dividing N exactly once
+    with a cofactor coprime to r: one exponentiation by
+    v = r^{-1} mod N/r^alpha, alpha the multiplicity of r in N.
 
-    mode "auto" takes the periodic fast path when m > k and falls back
-    to plain powering otherwise; "fast" and "naive" force a path."""
+    The verification doubles as the residue test (for alpha = 0 it
+    always passes) and its cost stays in the counters.  mode "auto"
+    takes the periodic fast path when m > k*r^alpha, k the order of p
+    mod r, so the order search stops after m steps; "fast" and "naive"
+    force a path."""
     if r < 2:
         raise RTooSmall("r must be >= 2")
     order = fld.order_minus_one
-    if gcd(r, order) != 1:
-        raise NotCoprimeCase(f"gcd(r, p^m - 1) = {gcd(r, order)}")
+    alpha = exact_power(r, order)
+    modulus = order // r ** alpha
+    if alpha > 1 or gcd(modulus, r) != 1:
+        raise NoSingleExponent(
+            f"no single-exponent path for r={r}: r must be coprime to "
+            "p^m - 1 or divide it exactly once with a cofactor coprime to r")
     if counter is None:
         counter = OpCounter()
-    k = mult_order(fld.p, r) if gcd(fld.p, r) == 1 else None
-    fast_ok = k is not None and fld.m > k
-    if mode == "fast" and not fast_ok:
-        raise PeriodTooLong(f"no periodic split for m={fld.m}, k={k}")
-    use_fast = fast_ok if mode == "auto" else mode == "fast"
-    tag = "coprime_fast" if use_fast else "naive_fallback"
+    k = (mult_order(fld.p, r, (fld.m - 1) // r ** alpha)
+         if gcd(fld.p, r) == 1 else None)
+    if mode == "fast" and k is None:
+        raise PeriodTooLong(f"no periodic split for m={fld.m}, r={r}")
+    use_fast = k is not None if mode == "auto" else mode == "fast"
+    tag = (("coprime_fast", "ramified_fast")[alpha] if use_fast
+           else "naive_fallback")
     if not any(delta):
         root = fld.zero()
     elif use_fast:
-        pe = decompose_coprime(fld.p, fld.m, r)
+        pe = periodic_split(fld.p, fld.m, r, k, alpha)
         root = apply_periodic(fld, delta, pe, counter)
     else:
-        root = fld.pow(delta, pow(r, -1, order), counter)
-    if fld.pow(root, r, counter) != delta:
-        raise RuntimeError("coprime root failed verification; map not bijective?")
-    return RootOutcome("root_found", root, True, counter, tag)
-
-
-def root_ramified(fld: Field, delta, r: int,
-                  counter: OpCounter | None = None,
-                  mode: str = "auto") -> RootOutcome:
-    """Root extraction for r dividing N exactly once.
-
-    One exponentiation modulo N/r, then a residue check: the candidate
-    is a root exactly when delta was an r-th power, so the verification
-    doubles as the residue test and its cost stays in the counters."""
-    if r < 2:
-        raise RTooSmall("r must be >= 2")
-    order = fld.order_minus_one
-    if order % r != 0 or gcd(order // r, r) != 1:
-        raise NotRamifiedCase(
-            f"r={r} does not divide p^m - 1 exactly once with coprime cofactor")
-    if counter is None:
-        counter = OpCounter()
-    k = mult_order(fld.p, r)
-    fast_ok = fld.m > k * r
-    if mode == "fast" and not fast_ok:
-        raise PeriodTooLong(f"no periodic split for m={fld.m}, k*r={k * r}")
-    use_fast = fast_ok if mode == "auto" else mode == "fast"
-    tag = "ramified_fast" if use_fast else "naive_fallback"
-    if not any(delta):
-        root = fld.zero()
-    elif use_fast:
-        pe = decompose_ramified(fld.p, fld.m, r)
-        root = apply_periodic(fld, delta, pe, counter)
-    else:
-        root = fld.pow(delta, pow(r, -1, order // r), counter)
+        root = fld.pow(delta, pow(r, -1, modulus), counter)
     if fld.pow(root, r, counter) == delta:
         return RootOutcome("root_found", root, True, counter, tag)
+    if alpha == 0:
+        raise RuntimeError("coprime root failed verification; map not bijective?")
     return RootOutcome("non_residue", None, True, counter, tag)
 
 
-def _stage_root(fld, delta, ell, t, seed, counter):
-    if t == 0:
-        return root_coprime(fld, delta, ell, counter)
-    if t == 1:
-        return root_ramified(fld, delta, ell, counter)
-    if not any(delta):
-        return RootOutcome("root_found", fld.zero(), True, counter, "amm")
-    return amm_root(fld, delta, ell, seed=seed, counter=counter)
+def _stage_root(fld, delta, ell, seed, counter, path="auto"):
+    if path == "amm" or (path == "auto"
+                         and exact_power(ell, fld.order_minus_one) > 1):
+        if not any(delta):
+            return RootOutcome("root_found", fld.zero(), True, counter, "amm")
+        return amm_root(fld, delta, ell, seed=seed, counter=counter)
+    mode = "fast" if path == "periodic" else path
+    return single_exponent_root(fld, delta, ell, counter, mode)
 
 
 def rth_root(fld: Field, delta, r: int, seed: int = 0,
@@ -271,7 +251,6 @@ def rth_root(fld: Field, delta, r: int, seed: int = 0,
     """
     if r < 2:
         raise RTooSmall("r must be >= 2")
-    order = fld.order_minus_one
     counter = OpCounter()
 
     if path != "auto":
@@ -279,18 +258,7 @@ def rth_root(fld: Field, delta, r: int, seed: int = 0,
             raise ValueError(f"unknown path {path!r}")
         if not is_prime(r):
             raise ValueError("forced paths require prime r")
-        if path == "amm":
-            if not any(delta):
-                return RootOutcome("root_found", fld.zero(), True, counter,
-                                   "amm")
-            return amm_root(fld, delta, r, seed=seed, counter=counter)
-        mode = "fast" if path == "periodic" else "naive"
-        t = exact_power(r, order)
-        if t == 0:
-            return root_coprime(fld, delta, r, counter, mode)
-        if t == 1:
-            return root_ramified(fld, delta, r, counter, mode)
-        raise ValueError("no single-exponent path once r^2 divides the order")
+        return _stage_root(fld, delta, r, seed, counter, path)
 
     p_mult = exact_power(fld.p, r)
     stages = factorize(r // fld.p ** p_mult)
@@ -301,9 +269,8 @@ def rth_root(fld: Field, delta, r: int, seed: int = 0,
         current = fld.frobenius(current, (-p_mult) % fld.m, counter)
     last = None
     for ell, e in stages:
-        t = exact_power(ell, order)
         for _ in range(e):
-            last = _stage_root(fld, current, ell, t, seed, counter)
+            last = _stage_root(fld, current, ell, seed, counter)
             if last.status == "non_residue":
                 tag = last.path_tag if single else "composite_chain"
                 return RootOutcome("non_residue", None, True, counter, tag)

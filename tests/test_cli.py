@@ -191,6 +191,15 @@ def test_seed_env_default(capsys, monkeypatch):
     assert env_run == explicit
 
 
+def test_seed_env_invalid(capsys, monkeypatch):
+    monkeypatch.setenv("ROOTFIELD_SEED", "abc")
+    code, out, err = run(capsys, "field", "--p", "3", "--m", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert "ROOTFIELD_SEED" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "rootfield", "field", "--p", "2", "--m", "3"],

@@ -60,9 +60,10 @@ def test_explicit_modulus_accepted(f8):
 
 
 def test_frobenius_matrix_columns(f9):
-    # column j is x^{jp} mod modulus; for F_9, x^3 = -x = 2x
-    assert f9.frob_matrix[0] == (1, 0)
-    assert f9.frob_matrix[1] == (0, 2)
+    # column j is the image x^{jp} mod modulus of the basis element x^j;
+    # for F_9, x^3 = -x = 2x
+    assert f9.frobenius((1, 0), 1) == (1, 0)
+    assert f9.frobenius((0, 1), 1) == (0, 2)
 
 
 def test_elem_validation(f8):

@@ -6,41 +6,11 @@ from hypothesis import strategies as st
 
 from rootfield import OpCounter, apply_periodic, decompose_coprime, \
     decompose_ramified, mk_field, phi_map
-from rootfield.frobpow import PhiPlan
 from rootfield.periodic import PeriodicExponent, geometric_sum
 
 
 def ceil_log2(n):
     return (n - 1).bit_length()
-
-
-# -- chain planning -------------------------------------------------------------
-
-def test_plan_trivial():
-    plan = PhiPlan.for_term_count(1, 3)
-    assert plan.chain == ()
-    assert plan.replay() == 1
-    assert plan.mult_cost() == 0
-
-
-def test_plan_small_counts():
-    assert PhiPlan.for_term_count(2, 1).chain == ("double",)
-    assert PhiPlan.for_term_count(3, 1).chain == ("double_plus_one",)
-    assert PhiPlan.for_term_count(6, 1).chain == ("double_plus_one", "double")
-
-
-def test_plan_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        PhiPlan.for_term_count(0, 1)
-    with pytest.raises(ValueError):
-        PhiPlan.for_term_count(4, 0)
-
-
-@given(st.integers(1, 4096))
-def test_plan_replay_and_cost(n):
-    plan = PhiPlan.for_term_count(n, 2)
-    assert plan.replay() == n
-    assert plan.mult_cost() <= 2 * ceil_log2(n + 1)
 
 
 # -- phi_map --------------------------------------------------------------------
@@ -84,8 +54,19 @@ def test_phi_map_matches_plain_powering(p, m):
         assert counter.inversions == 0
 
 
+@given(st.integers(0, 4095))
+def test_phi_map_chain_cost(f8, n):
+    # the chain reads the bits of the term count n + 1 after the leading
+    # one: one product per bit, one more per set bit
+    counter = OpCounter()
+    phi_map(f8, (0, 1, 0), 2, n, counter)
+    bits = bin(n + 1)[3:]
+    assert counter.mults == len(bits) + bits.count("1")
+    assert counter.mults <= 2 * ceil_log2(n + 2)
+
+
 def test_phi_map_mult_count_exact(f8):
-    # term count 6 plans double_plus_one then double: 2 + 1 products
+    # term count 6 = 0b110: bits 1, 0 after the leading one, 2 + 1 products
     counter = OpCounter()
     phi_map(f8, (0, 1, 0), 1, 5, counter)
     assert counter.mults == 3

@@ -31,6 +31,15 @@ def test_mult_order_values():
     assert mult_order(2, 7) == 3
 
 
+def test_mult_order_limit():
+    assert mult_order(3, 5, 4) == 4
+    assert mult_order(3, 5, 3) is None
+    assert mult_order(7, 2, 0) is None
+    # the order of 3 mod 2^31 - 1 is far beyond the limit; the search
+    # stops after the limit instead of walking the whole cycle
+    assert mult_order(3, 2 ** 31 - 1, 60) is None
+
+
 def test_mult_order_errors():
     with pytest.raises(NotCoprime):
         mult_order(6, 3)

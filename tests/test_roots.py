@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from rootfield import (NotCoprimeCase, NotRamifiedCase, OpCounter,
                        PeriodTooLong, RNotDividingOrder, RTooSmall,
                        ZeroElement, amm_root, build_amm_context,
-                       find_nonresidue, is_rth_residue, mk_field,
-                       root_coprime, root_ramified, rth_root)
+                       find_nonresidue, is_rth_residue, mk_field, rth_root,
+                       single_exponent_root)
+from rootfield.cli import dispatch
 
 QR_13 = {(1,), (3,), (4,), (9,), (10,), (12,)}
 
@@ -92,6 +94,13 @@ def test_amm_non_residue(f13):
     assert out.verification
 
 
+def test_amm_rejects_residue_rho():
+    # 4 = 2^2 is a square, so it cannot seed the table of square roots
+    # of unity; the caller hears about rho, not about a failed lookup
+    with pytest.raises(ValueError, match="rho"):
+        amm_root(mk_field(13, 1), (4,), 2, rho=(4,))
+
+
 def test_amm_rejects_zero(f13):
     with pytest.raises(ZeroElement):
         amm_root(f13, (0,), 2)
@@ -135,7 +144,7 @@ def test_coprime_is_a_bijection(f13):
     roots = set()
     for i in range(13):
         delta = f13.elem_from_index(i)
-        out = root_coprime(f13, delta, 5)
+        out = single_exponent_root(f13, delta, 5)
         assert out.status == "root_found"
         assert f13.pow(out.root, 5) == delta
         roots.add(out.root)
@@ -144,9 +153,9 @@ def test_coprime_is_a_bijection(f13):
 
 def test_coprime_fast_path_tag(f39):
     delta = f39.random_elem(random.Random(1))
-    auto = root_coprime(f39, delta, 5)
-    fast = root_coprime(f39, delta, 5, mode="fast")
-    naive = root_coprime(f39, delta, 5, mode="naive")
+    auto = single_exponent_root(f39, delta, 5)
+    fast = single_exponent_root(f39, delta, 5, mode="fast")
+    naive = single_exponent_root(f39, delta, 5, mode="naive")
     assert auto.path_tag == "coprime_fast"  # m = 9 > k = 4
     assert fast.path_tag == "coprime_fast"
     assert naive.path_tag == "naive_fallback"
@@ -155,21 +164,21 @@ def test_coprime_fast_path_tag(f39):
 
 def test_coprime_forced_fast_needs_long_extension(f13):
     with pytest.raises(PeriodTooLong):
-        root_coprime(f13, (3,), 5, mode="fast")
+        single_exponent_root(f13, (3,), 5, mode="fast")
 
 
 def test_coprime_rejects_shared_factor(f13):
     with pytest.raises(NotCoprimeCase):
-        root_coprime(f13, (3,), 2)
+        single_exponent_root(f13, (3,), 2)
 
 
 def test_coprime_r_too_small(f13):
     with pytest.raises(RTooSmall):
-        root_coprime(f13, (3,), 1)
+        single_exponent_root(f13, (3,), 1)
 
 
 def test_coprime_zero(f39):
-    out = root_coprime(f39, f39.zero(), 5)
+    out = single_exponent_root(f39, f39.zero(), 5)
     assert out.root == f39.zero()
     assert out.status == "root_found"
 
@@ -183,7 +192,7 @@ def test_ramified_square_root_f75(f75):
         if not any(gamma):
             continue
         delta = f75.pow(gamma, 2)
-        out = root_ramified(f75, delta, 2)
+        out = single_exponent_root(f75, delta, 2)
         assert out.status == "root_found"
         assert out.path_tag == "ramified_fast"  # m = 5 > k*r = 2
         assert out.root in (gamma, f75.neg(gamma))
@@ -191,26 +200,26 @@ def test_ramified_square_root_f75(f75):
 
 def test_ramified_non_residue_f75(f75):
     rho = find_nonresidue(f75, 2)
-    out = root_ramified(f75, rho, 2)
+    out = single_exponent_root(f75, rho, 2)
     assert (out.status, out.root) == ("non_residue", None)
 
 
 def test_ramified_naive_small_extension(f7):
     # k*r = 2 >= m = 1 forces plain powering; 6 = 2 * 3 so r = 2 ramifies
-    out = root_ramified(f7, (2,), 2)
+    out = single_exponent_root(f7, (2,), 2)
     assert out.path_tag == "naive_fallback"
     assert f7.pow(out.root, 2) == (2,)
     with pytest.raises(PeriodTooLong):
-        root_ramified(f7, (2,), 2, mode="fast")
+        single_exponent_root(f7, (2,), 2, mode="fast")
 
 
 def test_ramified_rejects_higher_power(f13):
     with pytest.raises(NotRamifiedCase):
-        root_ramified(f13, (4,), 2)
+        single_exponent_root(f13, (4,), 2)
 
 
 def test_ramified_zero(f75):
-    out = root_ramified(f75, f75.zero(), 2)
+    out = single_exponent_root(f75, f75.zero(), 2)
     assert out.root == f75.zero()
 
 
@@ -218,10 +227,10 @@ def test_ramified_counter_pinned_f75(f75):
     # exponents are fixed by (p, m, r), so the tallies are too:
     # a = 2, b = 84, one chain product, one combine, one verify square
     delta = f75.pow(f75.random_elem(random.Random(4)), 2)
-    fast = root_ramified(f75, delta, 2, mode="fast")
+    fast = single_exponent_root(f75, delta, 2, mode="fast")
     assert (fast.counters.mults, fast.counters.squarings,
             fast.counters.frobenius) == (4, 8, 2)
-    naive = root_ramified(f75, delta, 2, mode="naive")
+    naive = single_exponent_root(f75, delta, 2, mode="naive")
     assert (naive.counters.mults, naive.counters.squarings,
             naive.counters.frobenius) == (4, 13, 0)
 
@@ -314,6 +323,23 @@ def test_rth_root_forced_path_errors(f13):
         rth_root(f13, (4,), 2, path="periodic")
     with pytest.raises(ValueError, match="single-exponent"):
         rth_root(f13, (4,), 2, path="naive")
+
+
+def test_large_prime_r_finishes_fast():
+    # the order of 3 mod 2^31 - 1 is close to r; only whether it stays
+    # below m matters, so neither the library nor the CLI may walk it
+    r = 2 ** 31 - 1
+    start = time.monotonic()
+    fld = mk_field(3, 61)
+    delta = fld.random_elem(random.Random(10))
+    out = rth_root(fld, delta, r)
+    assert out.path_tag == "naive_fallback"
+    assert out.status == "root_found"
+    assert fld.pow(out.root, r) == delta
+    argv = ["root", "--p", "3", "--m", "61", "--r", str(r),
+            "--delta", ",".join(map(str, delta))]
+    assert dispatch(argv) == 0
+    assert time.monotonic() - start < 5
 
 
 def test_rth_root_r_too_small(f13):
