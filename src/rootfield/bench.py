@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .field import is_prime, mk_field
 from .periodic import (ConditionsUnmet, NotCoprime, PeriodTooLong,
-                       analyze_case, decompose_base_q, periodic_split,
+                       analyze_case, decompose, decompose_base_q,
                        prime_power_split)
 from .roots import rth_root
 
@@ -144,7 +144,7 @@ def run_sweep(triples, seed: int = 0) -> list[BenchRow]:
         n = n_prime = period = None
         if case.gcd_tag in ("coprime", "ramified_exact"):
             try:
-                pe = periodic_split(p, d * m, r, case.k, case.alpha)
+                pe = decompose(p, d * m, r, case.k, case.alpha)
                 n_prime = pe.n
                 period = pe.period
             except PeriodTooLong:

@@ -19,7 +19,7 @@ import sys
 from .bench import load_sweep, parse_sweep, run_sweep, write_csv
 from .field import OpCounter, format_elem, format_field, mk_field, parse_elem
 from .oracle import brute_root
-from .periodic import analyze_case, periodic_split
+from .periodic import analyze_case, decompose
 from .roots import is_rth_residue, rth_root
 
 
@@ -83,7 +83,7 @@ def _cmd_decompose(args) -> int:
         print("error: no single-exponent decomposition when r^2 divides "
               "the group order", file=sys.stderr)
         return 1
-    pe = periodic_split(args.p, args.m, args.r, case.k, case.alpha)
+    pe = decompose(args.p, args.m, args.r, case.k, case.alpha)
     print(f"case={pe.case_tag} k={case.k} u={case.u} v={pe.v} a={pe.a} "
           f"b={pe.b} period={pe.period} n={pe.n} "
           f"modulus={pe.congruence_modulus}")

@@ -158,8 +158,7 @@ def analyze_case(p: int, m: int, r: int) -> CaseAnalysis:
                         _multiplier(cofactor, r), alpha)
 
 
-def periodic_split(q: int, m: int, r: int, k: int,
-                   alpha: int) -> PeriodicExponent:
+def decompose(q: int, m: int, r: int, k: int, alpha: int) -> PeriodicExponent:
     """Split v = r^{-1} mod M, M = (q^m - 1)/r^alpha, along base-q digits.
 
     alpha is the multiplicity of r in q^m - 1: 0 in the coprime case, 1
@@ -201,7 +200,7 @@ def decompose_coprime(p: int, m: int, r: int) -> PeriodicExponent:
     """
     if r < 2:
         raise ValueError("r must be >= 2")
-    return periodic_split(p, m, r, mult_order(p, r), 0)
+    return decompose(p, m, r, mult_order(p, r), 0)
 
 
 def decompose_ramified(p: int, m: int, r: int) -> PeriodicExponent:
@@ -217,7 +216,7 @@ def decompose_ramified(p: int, m: int, r: int) -> PeriodicExponent:
     if order % r != 0 or gcd(order // r, r) != 1:
         raise NotRamifiedCase(
             f"r={r} does not divide p^m - 1 exactly once with coprime cofactor")
-    return periodic_split(p, m, r, mult_order(p, r), 1)
+    return decompose(p, m, r, mult_order(p, r), 1)
 
 
 @dataclass(frozen=True)
@@ -262,7 +261,7 @@ def decompose_base_q(q: int, m: int, r: int) -> BaseQDecomposition:
         alpha = 1
     else:
         raise ConditionsUnmet(f"no base-q variant applies to q={q}, m={m}, r={r}")
-    pe_q = periodic_split(q, m, r, k, alpha)
+    pe_q = decompose(q, m, r, k, alpha)
     k_prime = mult_order(p, r)
     n_prime = m * d // (k_prime * r ** alpha)
     # express the period in base-p digits so the record is comparable

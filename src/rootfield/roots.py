@@ -28,7 +28,7 @@ from math import gcd
 from .field import Field, OpCounter, is_prime
 from .frobpow import apply_periodic
 from .periodic import (NotCoprimeCase, NotRamifiedCase, PeriodTooLong,
-                       exact_power, factorize, mult_order, periodic_split)
+                       decompose, exact_power, factorize, mult_order)
 
 
 class RNotDividingOrder(ValueError):
@@ -215,7 +215,7 @@ def single_exponent_root(fld: Field, delta, r: int,
     if not any(delta):
         root = fld.zero()
     elif use_fast:
-        pe = periodic_split(fld.p, fld.m, r, k, alpha)
+        pe = decompose(fld.p, fld.m, r, k, alpha)
         root = apply_periodic(fld, delta, pe, counter)
     else:
         root = fld.pow(delta, pow(r, -1, modulus), counter)
