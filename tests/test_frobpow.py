@@ -13,6 +13,54 @@ def ceil_log2(n):
     return (n - 1).bit_length()
 
 
+# -- the doubling chain phi_map walks ------------------------------------------
+#
+# phi_map reads the bits of the term count n + 1 after the leading one: a 0
+# doubles the count (one product), a 1 doubles it and adds one (two products).
+
+def chain_products(term_count):
+    bits = bin(term_count)[3:]
+    return len(bits) + bits.count("1")
+
+
+def test_plan_trivial(f8):
+    # term count 1: an empty chain, no products, y itself
+    counter = OpCounter()
+    assert phi_map(f8, (1, 1, 0), 3, 0, counter) == (1, 1, 0)
+    assert counter.mults == 0
+    assert chain_products(1) == 0
+
+
+def test_plan_small_counts(f8):
+    # 2 = double, 3 = double_plus_one, 6 = double_plus_one then double
+    for term_count, mults in [(2, 1), (3, 2), (6, 3)]:
+        counter = OpCounter()
+        phi_map(f8, (0, 1, 0), 1, term_count - 1, counter)
+        assert counter.mults == mults == chain_products(term_count)
+
+
+def test_plan_rejects_bad_arguments(f8):
+    # a term count below 1 (n < 0) and a step below 1 (e < 1)
+    with pytest.raises(ValueError):
+        phi_map(f8, (0, 1, 0), 1, -1)
+    with pytest.raises(ValueError):
+        phi_map(f8, (0, 1, 0), 0, 3)
+
+
+@given(st.integers(1, 4096))
+def test_plan_replay_and_cost(term_count):
+    # replaying the chain reaches the term count: the result is y^B for the
+    # full geometric sum B, at exactly the chain's product count
+    fld = mk_field(2, 3)
+    y = (0, 1, 0)
+    counter = OpCounter()
+    got = phi_map(fld, y, 2, term_count - 1, counter)
+    exponent = geometric_sum(2, 2, term_count) % fld.order_minus_one
+    assert got == fld.pow(y, exponent)
+    assert counter.mults == chain_products(term_count)
+    assert counter.mults <= 2 * ceil_log2(term_count + 1)
+
+
 # -- phi_map --------------------------------------------------------------------
 
 def test_phi_map_single_term(f8):
@@ -52,17 +100,6 @@ def test_phi_map_matches_plain_powering(p, m):
         assert phi_map(fld, y, e, n, counter) == expected
         assert counter.mults <= 2 * ceil_log2(n + 2)
         assert counter.inversions == 0
-
-
-@given(st.integers(0, 4095))
-def test_phi_map_chain_cost(f8, n):
-    # the chain reads the bits of the term count n + 1 after the leading
-    # one: one product per bit, one more per set bit
-    counter = OpCounter()
-    phi_map(f8, (0, 1, 0), 2, n, counter)
-    bits = bin(n + 1)[3:]
-    assert counter.mults == len(bits) + bits.count("1")
-    assert counter.mults <= 2 * ceil_log2(n + 2)
 
 
 def test_phi_map_mult_count_exact(f8):
