@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from rootfield import (DegreeMismatch, NotPrime, OpCounter, ReducibleModulus,
                        ZeroInverse, format_elem, format_field, is_prime,
-                       mk_field, parse_elem, parse_field)
+                       mk_field, parse_elem, parse_field, rth_root)
 from rootfield.field import _poly_mul, _poly_rem
 
 
@@ -222,6 +222,20 @@ def test_packed_mul_matches_schoolbook(f125, data):
     raw = _poly_rem(_poly_mul(list(a), list(b), p), list(f125.modulus), p)
     expect = tuple(raw + [0] * (f125.m - len(raw)))
     assert f125.mul(a, b) == expect
+
+
+def test_wide_digit_field():
+    # p^2 * 6 needs 67 bits, so one packed digit is wider than a machine
+    # word and packing cannot go through a fixed-width array
+    p = 4294967311
+    fld = mk_field(p, 3)
+    assert fld.modulus == (2, 0, 0, 1)  # x^3 + 2
+    a = fld.random_elem(random.Random(5))
+    assert fld.frobenius(a, 1) == fld.pow(a, p)
+    delta = fld.pow(a, 3)
+    out = rth_root(fld, delta, 3)
+    assert out.status == "root_found"
+    assert fld.pow(out.root, 3) == delta
 
 
 def test_random_elem_is_seeded(f75):
