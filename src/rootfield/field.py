@@ -7,19 +7,34 @@ precomputes the packed matrix of the p-power Frobenius map.
 
 Cost model: full multiplications, squarings, Frobenius applications and
 inversions are tallied in a caller-supplied OpCounter.  Additions,
-subtractions, negations and scalar work in Z_p are free.
+subtractions, negations and scalar work in Z_p are free.  frobenius(a, j)
+counts j applications of the p-power map, whatever it costs to compute.
 
 Coefficient vectors are packed into single Python integers for the inner
 multiplication, so one field multiplication costs one bigint multiply
-plus O(m) bookkeeping instead of an O(m^2) interpreted loop.
+plus O(m) bookkeeping instead of an O(m^2) interpreted loop.  A packed
+digit is 1, 2, 4 or 8 bytes wide, the smallest that holds 2*m*p^2, so
+packing and unpacking go through array and memoryview.cast at C speed.
+Where p^2 needs more than 8 bytes per digit (p >= 2^32), digits are
+sliced from the bytes one by one instead.
+
+Frobenius powers use a doubling ladder (iterated Frobenius by
+composition, von zur Gathen & Shoup 1992): entry i holds the packed
+columns of the p^(2^i)-power map, and entry i+1 is entry i applied to
+its own columns.  frobenius(a, j) applies one entry per set bit of
+j mod m, at most (m-1).bit_length() matrix applications instead of j.
+Entries are built on first use and kept with the field; there are never
+more than (m-1).bit_length() of them.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 
-from .periodic import factorize
+from .periodic import factorize, is_prime
 
 
 class NotPrime(ValueError):
@@ -38,41 +53,8 @@ class ZeroInverse(ZeroDivisionError):
     """Inverse of the zero element requested."""
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
-
-def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test.
-
-    Deterministic below 2^64 via a fixed witness set; above that, 40
-    rounds with bases derived from n keep the error probability under
-    2^-80 while staying reproducible between runs.
-    """
-    if n < 2:
-        return False
-    for q in _SMALL_PRIMES:
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    if n < 1 << 64:
-        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    else:
-        rng = random.Random(n)
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(40))
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+# array type codes by item size, for packing digits of 1, 2, 4 or 8 bytes
+_WORD_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +248,18 @@ class Field:
     def __post_init__(self):
         p, m = self.p, self.m
         # one packed digit must hold any convolution or reduction
-        # accumulation: at most m terms of size (p-1)^2 plus one carry-in
+        # accumulation: a product digit sums at most m terms below p^2,
+        # and the reduction adds at most m - 1 more
         bound = 2 * m * p * p + 1
         digit_bytes = (bound.bit_length() + 7) // 8
+        digit_bytes = next((w for w in (1, 2, 4, 8) if w >= digit_bytes),
+                           digit_bytes)
+        code = (_WORD_CODES.get(digit_bytes) if sys.byteorder == "little"
+                else None)
         object.__setattr__(self, "_digit_bytes", digit_bytes)
+        object.__setattr__(self, "_digit_code", code)
+        object.__setattr__(self, "_low_bits", 8 * digit_bytes * m)
+        object.__setattr__(self, "_low_mask", (1 << 8 * digit_bytes * m) - 1)
         rows = []
         row = [(-c) % p for c in self.modulus[:m]]  # x^m mod modulus
         rows.append(row)
@@ -282,8 +272,10 @@ class Field:
             rows.append(row)
         object.__setattr__(self, "_packed_reduce",
                            tuple(self._pack(r) for r in rows))
-        object.__setattr__(self, "_packed_frob", tuple(
-            self._pack(col) for col in _frob_columns(list(self.modulus), p)))
+        # the Frobenius ladder; frobenius() extends it by replacing the
+        # tuple, so a concurrent caller never sees a half-built entry
+        object.__setattr__(self, "_frob_ladder", (tuple(
+            self._pack(col) for col in _frob_columns(list(self.modulus), p)),))
         object.__setattr__(self, "_hash", hash((p, m, self.modulus)))
 
     def __hash__(self):
@@ -331,6 +323,9 @@ class Field:
     # -- packing helpers -----------------------------------------------------
 
     def _pack(self, vec) -> int:
+        code = self._digit_code
+        if code:
+            return int.from_bytes(array(code, vec).tobytes(), "little")
         db = self._digit_bytes
         return int.from_bytes(
             b"".join(c.to_bytes(db, "little") for c in vec), "little")
@@ -338,6 +333,9 @@ class Field:
     def _unpack(self, x: int, count: int):
         db = self._digit_bytes
         raw = x.to_bytes(db * count, "little")
+        code = self._digit_code
+        if code:
+            return memoryview(raw).cast(code).tolist()
         return [int.from_bytes(raw[i * db:(i + 1) * db], "little")
                 for i in range(count)]
 
@@ -360,13 +358,12 @@ class Field:
         if m == 1:
             return (a[0] * b[0] % p,)
         prod = self._pack(a) * self._pack(b)
-        digits = self._unpack(prod, 2 * m - 1)
-        acc = self._pack([c % p for c in digits[:m]])
-        rows = self._packed_reduce
-        for i in range(m, 2 * m - 1):
-            c = digits[i] % p
+        acc = prod & self._low_mask
+        high = self._unpack(prod >> self._low_bits, m - 1)
+        for c, row in zip(high, self._packed_reduce):
+            c %= p
             if c:
-                acc += c * rows[i - m]
+                acc += c * row
         return tuple(c % p for c in self._unpack(acc, m))
 
     def mul(self, a, b, counter: OpCounter | None = None) -> tuple:
@@ -412,19 +409,32 @@ class Field:
         return tuple(_fixed([x * c % p for x in s0], self.m))
 
     def frobenius(self, a, j: int, counter: OpCounter | None = None) -> tuple:
-        """Apply the p-power map j times; j is reduced mod m first."""
+        """Apply the p-power map j times; j is reduced mod m first.
+
+        The counter is charged j applications; the work is one matrix
+        application per set bit of j, through the (p^(2^i))-power maps."""
         j %= self.m
         if counter is not None:
             counter.frobenius += j
-        p, m = self.p, self.m
-        cols = self._packed_frob
-        for _ in range(j):
-            acc = 0
-            for coeff, col in zip(a, cols):
-                if coeff:
-                    acc += coeff * col
-            a = tuple(c % p for c in self._unpack(acc, m))
+        ladder = self._frob_ladder
+        while j >> len(ladder):
+            top = ladder[-1]
+            cols = (self._apply(top, self._unpack(col, self.m)) for col in top)
+            ladder += (tuple(map(self._pack, cols)),)
+            object.__setattr__(self, "_frob_ladder", ladder)
+        for i, cols in enumerate(ladder):
+            if j >> i & 1:
+                a = self._apply(cols, a)
         return a
+
+    def _apply(self, cols, a) -> tuple:
+        """The linear map with packed columns cols, applied to a."""
+        acc = 0
+        for coeff, col in zip(a, cols):
+            if coeff:
+                acc += coeff * col
+        p = self.p
+        return tuple(c % p for c in self._unpack(acc, self.m))
 
 
 def mk_field(p: int, m: int, modulus=None) -> Field:

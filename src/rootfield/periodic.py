@@ -16,6 +16,7 @@ no field elements appear.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 from math import gcd
 
@@ -74,20 +75,74 @@ class CaseAnalysis:
     alpha: int
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin primality test.
+
+    Deterministic below 2^64 via a fixed witness set; above that, 40
+    rounds with bases derived from n keep the error probability under
+    2^-80 while staying reproducible between runs.
+    """
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    if n < 1 << 64:
+        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    else:
+        rng = random.Random(n)
+        bases = tuple(rng.randrange(2, n - 1) for _ in range(40))
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def mult_order(base: int, r: int, limit: int | None = None) -> int | None:
-    """Least k >= 1 with base^k = 1 mod r.  Plain iteration, so the
-    search can take about r steps; with a limit it stops after at most
-    limit steps and returns None when the order exceeds the limit."""
+    """Least k >= 1 with base^k = 1 mod r, or None when a limit is
+    given and k exceeds it.
+
+    The order divides the Carmichael function lambda(r), so k starts at
+    lambda(r) and loses each prime factor q while base^(k/q) = 1 still
+    holds.  The cost is trial division of r (skipped for prime r) and
+    of lambda(r) < r: O(sqrt(r)) steps, where walking the powers takes
+    up to r."""
     if r < 2:
         raise ValueError("modulus must be >= 2")
     if gcd(base, r) != 1:
         raise NotCoprime(f"{base} and {r} are not coprime")
-    acc = 1
-    for k in range(1, (r if limit is None else limit) + 1):
-        acc = acc * base % r
-        if acc == 1:
-            return k
-    return None
+    k = _carmichael(r)
+    for q, _ in factorize(k):
+        while k % q == 0 and pow(base, k // q, r) == 1:
+            k //= q
+    return k if limit is None or k <= limit else None
+
+
+def _carmichael(r: int) -> int:
+    """lambda(r), the exponent of the unit group mod r."""
+    if is_prime(r):
+        return r - 1
+    lam = 1
+    for q, e in factorize(r):
+        part = q ** (e - 1) * (q - 1)
+        if q == 2 and e >= 3:
+            part //= 2
+        lam = lam * part // gcd(lam, part)
+    return lam
 
 
 def geometric_sum(p: int, period: int, n: int) -> int:

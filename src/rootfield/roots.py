@@ -192,8 +192,8 @@ def single_exponent_root(fld: Field, delta, r: int,
     The verification doubles as the residue test (for alpha = 0 it
     always passes) and its cost stays in the counters.  mode "auto"
     takes the periodic fast path when m > k*r^alpha, k the order of p
-    mod r, so the order search stops after m steps; "fast" and "naive"
-    force a path."""
+    mod r, so the order is only asked for up to that bound; "fast" and
+    "naive" force a path."""
     if r < 2:
         raise RTooSmall("r must be >= 2")
     order = fld.order_minus_one

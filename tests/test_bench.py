@@ -1,5 +1,9 @@
 import io
+import json
 import logging
+import runpy
+import time
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,20 @@ def test_short_extension_drops_to_naive(caplog):
                for rec in caplog.records)
 
 
+def test_large_prime_r_sweep_fails_fast(caplog):
+    # no periodic split exists, so the sweep logs the typed refusal and
+    # keeps the naive row; the order search must not walk up to r
+    start = time.monotonic()
+    with caplog.at_level(logging.WARNING, logger="rootfield.bench"):
+        rows = run_sweep([(3, 61, 2 ** 31 - 1)])
+    assert time.monotonic() - start < 5
+    assert [(r.path_tag, r.k, r.period) for r in rows] == [
+        ("naive_fallback", 715827882, None)]
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "skipping path periodic for (q=3, m=61, r=2147483647): "
+        "no periodic split for m=61, r=2147483647"]
+
+
 def test_unrunnable_triples_are_logged(caplog):
     with caplog.at_level(logging.WARNING, logger="rootfield.bench"):
         assert run_sweep([(12, 2, 5)]) == []  # 12 is not a prime power
@@ -147,3 +165,25 @@ def test_optional_cells_render_empty():
                    1, None, True, 12345)
     assert row.cells() == ["13", "1", "1", "2", "higher_power", "amm", "4",
                            "7", "0", "", "", "1", "", "true", "12345"]
+
+
+# -- per-layer timing script ---------------------------------------------------
+
+def test_bench_layers_smoke(tmp_path):
+    script = Path(__file__).parents[1] / "scripts" / "bench_layers.py"
+    main = runpy.run_path(str(script), run_name="bench_layers")["main"]
+    out = tmp_path / "bench.json"
+    for label in ("a", "b"):
+        assert main(["--field", "3,9", "--repeats", "1", "--label", label,
+                     "--out", str(out)]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert sorted(runs) == ["a", "b"]
+    (fld,) = runs["b"]["fields"]
+    assert (fld["p"], fld["m"]) == (3, 9)
+    ops = fld["ops"]
+    assert (ops["mul"]["mults"], ops["sqr"]["squarings"]) == (1, 1)
+    assert ops["frobenius_m-1"]["frobenius"] == 8
+    assert all(op["us"] > 0 for op in ops.values())
+    # 3^9 - 1 = 2 * 13 * 757: r = 2 ramifies, r = 5 is coprime with k = 4
+    assert {row["path"]: row["r"] for row in fld["roots"]} == {
+        "coprime_fast": 5, "naive_fallback": 2, "ramified_fast": 2}

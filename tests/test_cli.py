@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -102,6 +103,16 @@ def test_decompose_entangled_cofactor(capsys):
     code, _, err = run(capsys, "decompose", "--p", "3", "--m", "10", "--r", "4")
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_decompose_large_prime_r_fails_fast(capsys):
+    # the order of 3 mod 2^31 - 1 is about 7 * 10^8, far beyond m = 61
+    start = time.monotonic()
+    code, out, err = run(capsys, "decompose", "--p", "3", "--m", "61",
+                         "--r", str(2 ** 31 - 1))
+    assert time.monotonic() - start < 5
+    assert (code, out) == (1, "")
+    assert err == "error: need m > period, got m=61, period=715827882\n"
 
 
 def test_oracle_golden(capsys):

@@ -238,6 +238,57 @@ def test_wide_digit_field():
     assert fld.pow(out.root, 3) == delta
 
 
+# -- Frobenius ladder and digit packing -----------------------------------------
+
+# one field per packed digit width: 1, 2, 4, 8 and 9 bytes
+WIDTH_FIELDS = {1: (2, 7), 2: (3, 61), 4: (257, 3), 8: (2 ** 31 - 1, 2),
+                9: (4294967311, 3)}
+
+
+@pytest.fixture(params=sorted(WIDTH_FIELDS), ids=lambda w: f"{w}byte")
+def width_field(request):
+    """A fresh field, so its Frobenius ladder starts with one entry."""
+    fld = mk_field(*WIDTH_FIELDS[request.param])
+    assert fld._digit_bytes == request.param
+    return fld
+
+
+def test_frobenius_ladder_matches_pow(width_field):
+    fld = width_field
+    m = fld.m
+    a = fld.random_elem(random.Random(m))
+    expect = a
+    for j in range(2 * m):
+        c = OpCounter()
+        assert fld.frobenius(a, j, c) == expect, j
+        assert c.frobenius == j % m
+        assert len(fld._frob_ladder) <= (m - 1).bit_length()
+        expect = fld.pow(expect, fld.p)
+
+
+def test_frobenius_ladder_order_independent(width_field):
+    # a fresh field walked down must agree with one walked up, so no
+    # ladder entry depends on which exponents were asked for first
+    fld = width_field
+    down = mk_field(fld.p, fld.m)
+    a = fld.random_elem(random.Random(7))
+    js = range(2 * fld.m)
+    up_results = [fld.frobenius(a, j) for j in js]
+    down_results = [down.frobenius(a, j) for j in reversed(js)][::-1]
+    assert up_results == down_results
+    assert fld._frob_ladder == down._frob_ladder
+    assert len(fld._frob_ladder) == (fld.m - 1).bit_length()
+
+
+def test_pack_roundtrip(width_field):
+    fld = width_field
+    top = (1 << 8 * fld._digit_bytes) - 1
+    rng = random.Random(fld.p)
+    for vec in ([0] * fld.m, [top] * fld.m,
+                [rng.randrange(top + 1) for _ in range(fld.m)]):
+        assert fld._unpack(fld._pack(vec), fld.m) == vec
+
+
 def test_random_elem_is_seeded(f75):
     assert f75.random_elem(random.Random(42)) == f75.random_elem(
         random.Random(42))

@@ -9,8 +9,8 @@ from rootfield import (ConditionsUnmet, NotCoprime, NotCoprimeCase,
                        NotRamifiedCase, PeriodTooLong, analyze_case,
                        decompose_base_q, decompose_coprime, decompose_ramified,
                        mult_order)
-from rootfield.periodic import (exact_power, factorize, geometric_sum,
-                                prime_power_split)
+from rootfield.periodic import (_carmichael, exact_power, factorize,
+                                geometric_sum, prime_power_split)
 
 
 def check_invariants(pe, p, r):
@@ -35,9 +35,28 @@ def test_mult_order_limit():
     assert mult_order(3, 5, 4) == 4
     assert mult_order(3, 5, 3) is None
     assert mult_order(7, 2, 0) is None
-    # the order of 3 mod 2^31 - 1 is far beyond the limit; the search
-    # stops after the limit instead of walking the whole cycle
+    # the order of 3 mod 2^31 - 1 is far beyond the limit
     assert mult_order(3, 2 ** 31 - 1, 60) is None
+    assert mult_order(3, 2 ** 31 - 1) == 715827882
+
+
+def test_carmichael_values():
+    # the exponent of (Z/r)^*: lcm over prime powers, halved for 2^e, e >= 3
+    assert [_carmichael(r) for r in (2, 4, 8, 16, 15, 21, 24, 31, 49)] == [
+        1, 2, 2, 4, 4, 6, 2, 30, 42]
+
+
+def test_mult_order_matches_iteration():
+    # against the definition: the first power of base that reaches 1
+    for r in range(2, 2000):
+        for base in range(50):
+            if gcd(base, r) != 1:
+                continue
+            acc, k = base % r, 1
+            while acc != 1:
+                acc = acc * base % r
+                k += 1
+            assert mult_order(base, r) == k, (base, r)
 
 
 def test_mult_order_errors():
