@@ -7,7 +7,12 @@ the exponent layer (phi_map) and extraction (rth_root once per path),
 and records each as the median over --repeats repeats of the time per
 call.  Each repeat runs a batch of calls sized to take about 10 ms.
 Every extraction is checked: a constructed residue must come back as a
-verified root.
+verified root.  The fields of a second grid, slow to build before the
+modulus search used Ben-Or's test, get mk_field rows alone, each with
+the number of irreducibility tests one build runs.
+
+Each timed call, or batch of calls, runs under a --timeout deadline
+(SIGALRM); a row that overruns it records "timeout" in place of a time.
 
 The results go under --label in the JSON file --out, so runs of two
 source trees can share one file:
@@ -25,32 +30,63 @@ import json
 import os
 import platform
 import random
+import signal
 import statistics
 import sys
 import time
 
-from rootfield import OpCounter, mk_field, rth_root
+from rootfield import OpCounter, field, mk_field, rth_root
 from rootfield.frobpow import phi_map
 from rootfield.periodic import PeriodTooLong, analyze_case
 
 GRID = ((3, 61), (2, 127), (3, 97), (5, 61), (13, 31), (29, 23))
+BUILD_GRID = ((3, 101), (11, 41), (7, 41), (37, 19), (3, 163), (5, 101),
+              (1000003, 17), (2, 521))
 ROOT_DEGREES = (2, 3, 5, 7, 11, 13)
 BATCH_S = 0.01
 
 
-def median_us(fn, repeats: int) -> float:
-    """Median over repeats of the mean time of one fn() call, in us."""
-    t0 = time.perf_counter()
-    fn()
-    once = time.perf_counter() - t0
-    batch = max(1, min(1000, int(BATCH_S / max(once, 1e-9))))
-    samples = []
-    for _ in range(repeats):
+class Timeout(Exception):
+    """A timed call or batch ran past its deadline."""
+
+
+def _raise_timeout(_signum, _frame):
+    raise Timeout
+
+
+def within(seconds: float, fn):
+    """fn() under a deadline of seconds; raises Timeout past it."""
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def median_us(fn, repeats: int, timeout: float):
+    """Median over repeats of the mean time of one fn() call, in us, or
+    "timeout" when a call or a batch ran past timeout seconds."""
+
+    def run(batch):
         t0 = time.perf_counter()
         for _ in range(batch):
             fn()
-        samples.append((time.perf_counter() - t0) / batch)
+        return (time.perf_counter() - t0) / batch
+
+    try:
+        once = within(timeout, lambda: run(1))
+        batch = max(1, min(1000, int(BATCH_S / max(once, 1e-9))))
+        samples = [within(timeout, lambda: run(batch))
+                   for _ in range(repeats)]
+    except Timeout:
+        return "timeout"
     return round(statistics.median(samples) * 1e6, 2)
+
+
+def to_ms(us):
+    return us if us == "timeout" else round(us / 1e3, 3)
 
 
 def counted(fn) -> dict:
@@ -60,8 +96,30 @@ def counted(fn) -> dict:
             "frobenius": c.frobenius, "inversions": c.inversions}
 
 
-def bench_field(p: int, m: int, repeats: int) -> dict:
-    mk_us = median_us(lambda: mk_field(p, m), repeats)
+def bench_build(p: int, m: int, repeats: int, timeout: float) -> dict:
+    """mk_field's time, and the irreducibility tests that one build runs
+    (counted on an untimed build, through the module global the modulus
+    search calls)."""
+    tests = []
+    test = field.is_irreducible
+    field.is_irreducible = lambda f, q: tests.append(f) or test(f, q)
+    try:
+        within(timeout, lambda: mk_field(p, m))
+    except Timeout:
+        return {"p": p, "m": m, "mk_field_ms": "timeout",
+                "irreducible_tests": "timeout"}
+    finally:
+        field.is_irreducible = test
+    return {"p": p, "m": m,
+            "mk_field_ms": to_ms(median_us(lambda: mk_field(p, m), repeats,
+                                           timeout)),
+            "irreducible_tests": len(tests)}
+
+
+def bench_field(p: int, m: int, repeats: int, timeout: float) -> dict:
+    mk_us = median_us(lambda: mk_field(p, m), repeats, timeout)
+    if mk_us == "timeout":
+        return {"p": p, "m": m, "mk_field_ms": mk_us}
     fld = mk_field(p, m)
     rng = random.Random(p * 1000 + m)
     a, b = fld.random_elem(rng), fld.random_elem(rng)
@@ -74,14 +132,15 @@ def bench_field(p: int, m: int, repeats: int) -> dict:
         "pow_N-1": lambda c=None: fld.pow(a, exponent, c),
         "phi_map_norm": lambda c=None: phi_map(fld, a, 1, m - 1, c),
     }
-    out = {"p": p, "m": m, "mk_field_ms": round(mk_us / 1e3, 3), "ops": {}}
+    out = {"p": p, "m": m, "mk_field_ms": to_ms(mk_us), "ops": {}}
     for name, fn in ops.items():
-        out["ops"][name] = {"us": median_us(fn, repeats), **counted(fn)}
-    out["roots"] = bench_roots(fld, rng, repeats)
+        out["ops"][name] = {"us": median_us(fn, repeats, timeout),
+                            **counted(fn)}
+    out["roots"] = bench_roots(fld, rng, repeats, timeout)
     return out
 
 
-def bench_roots(fld, rng, repeats: int) -> list:
+def bench_roots(fld, rng, repeats: int, timeout: float) -> list:
     """One row per path tag: the first root degree that takes it."""
     rows = {}
     for r in ROOT_DEGREES:
@@ -108,7 +167,7 @@ def bench_roots(fld, rng, repeats: int) -> list:
             rows[out.path_tag] = {
                 "r": r, "path": out.path_tag,
                 "us": median_us(lambda: rth_root(fld, delta, r, path=path),
-                                repeats),
+                                repeats, timeout),
                 "mults": c.mults, "squarings": c.squarings,
                 "frobenius": c.frobenius}
     return sorted(rows.values(), key=lambda row: row["path"])
@@ -125,6 +184,11 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--field", action="append", type=parse_field,
                     help="p,m; repeatable (default: the fixed grid)")
+    ap.add_argument("--build", action="append", type=parse_field,
+                    help="p,m for an mk_field row alone; repeatable "
+                         "(default: the grid of slow builds)")
+    ap.add_argument("--timeout", type=float, default=60.0,
+                    help="seconds one timed call or batch may take")
     ap.add_argument("--label", default="run",
                     help="key of this run in the output file")
     ap.add_argument("--out", default="-",
@@ -132,11 +196,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be >= 1")
+    if args.timeout <= 0:
+        ap.error("--timeout must be > 0")
 
     run = {"python": platform.python_version(),
            "repeats": args.repeats,
-           "fields": [bench_field(p, m, args.repeats)
-                      for p, m in args.field or GRID]}
+           "timeout_s": args.timeout,
+           "fields": [bench_field(p, m, args.repeats, args.timeout)
+                      for p, m in args.field or GRID],
+           "builds": [bench_build(p, m, args.repeats, args.timeout)
+                      for p, m in args.build or BUILD_GRID]}
     doc = {}
     if args.out != "-" and os.path.exists(args.out):
         with open(args.out) as fh:

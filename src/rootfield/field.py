@@ -5,6 +5,14 @@ A Field instance carries the prime p, the extension degree m and a monic
 irreducible modulus polynomial (length m+1 coefficient tuple), and
 precomputes the packed matrix of the p-power Frobenius map.
 
+Construction: without an explicit modulus, mk_field searches candidates
+in a fixed order (see _canonical_modulus) with Ben-Or's irreducibility
+test, which rejects most reducible candidates after two or three powers
+x^{p^i} mod f.  The test and the first Frobenius matrix both compute
+with packed products reduced top-down by the packed -f (_Residues), on
+the same digit packing as field elements.  An explicit modulus goes
+through the same test.  None of this is counted.
+
 Cost model: full multiplications, squarings, Frobenius applications and
 inversions are tallied in a caller-supplied OpCounter.  Additions,
 subtractions, negations and scalar work in Z_p are free.  frobenius(a, j)
@@ -33,6 +41,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
+from operator import sub
 
 from .periodic import factorize, is_prime
 
@@ -58,7 +67,7 @@ _WORD_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
 
 # ---------------------------------------------------------------------------
-# plain list-based polynomial helpers, used at construction time only
+# plain list-based polynomial helpers: inversion, and schoolbook references
 
 def _trim(a):
     while a and a[-1] == 0:
@@ -95,19 +104,6 @@ def _fixed(a, m):
     return list(a) + [0] * (m - len(a))
 
 
-def _poly_powmod(base, e, f, p):
-    df = len(f) - 1
-    result = [1]
-    base = _poly_rem(list(base), f, p)
-    while e:
-        if e & 1:
-            result = _poly_rem(_poly_mul(result, base, p), f, p)
-        e >>= 1
-        if e:
-            base = _poly_rem(_poly_mul(base, base, p), f, p)
-    return _fixed(result, df)
-
-
 def _poly_divmod(a, b, p):
     a = _trim([c % p for c in a])
     b = _trim([c % p for c in b])
@@ -136,44 +132,129 @@ def _poly_sub(a, b, p):
 
 
 def _poly_gcd(a, b, p):
-    a = _trim([c % p for c in a])
-    b = _trim([c % p for c in b])
+    """Monic gcd over Z_p of the coefficient lists a and b, constant term
+    first; b's last coefficient must be nonzero mod p.  Both lists are
+    consumed.
+
+    Each division works in place on a and leaves its coefficients
+    unreduced; they are reduced mod p once, when the remainder is made
+    monic to divide the next step."""
     while b:
-        _, r = _poly_divmod(a, b, p)
-        a, b = b, r
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        n = len(b) - 1
+        if n == 0:
+            return b
+        low = b[:n]
+        for top in range(len(a) - 1, n - 1, -1):
+            c = a[top] % p
+            if c:
+                s = top - n
+                a[s:top] = map(sub, a[s:top], map(c.__mul__, low))
+        del a[n:]
+        while a and a[-1] % p == 0:
+            a.pop()
+        a, b = b, a
     return a
 
 
-def _frob_columns(f, p):
-    """Matrix of c -> c^p on Z_p[x]/(f): column j holds x^{j*p} mod f.
+# ---------------------------------------------------------------------------
+# packed polynomial arithmetic
 
-    The map is additive in characteristic p whether or not f is
-    irreducible, which is what makes the irreducibility test below work.
-    """
-    m = len(f) - 1
-    xp = _fixed(_poly_powmod([0, 1], p, f, p), m)
-    cols = [[1] + [0] * (m - 1)]
-    cur = cols[0]
-    for _ in range(1, m):
-        cur = _fixed(_poly_rem(_poly_mul(cur, xp, p), f, p), m)
-        cols.append(cur)
-    return cols
+def _digit_format(p, m):
+    """Bytes per packed digit over Z_p for degree m, and the array type
+    code that packs them (None: slice the bytes one digit at a time).
+
+    One digit must hold any convolution or reduction accumulation: a
+    product digit sums at most m terms below p^2, and the reduction adds
+    at most m more."""
+    bound = 2 * m * p * p + 1
+    digit_bytes = (bound.bit_length() + 7) // 8
+    digit_bytes = next((w for w in (1, 2, 4, 8) if w >= digit_bytes),
+                       digit_bytes)
+    code = _WORD_CODES.get(digit_bytes) if sys.byteorder == "little" else None
+    return digit_bytes, code
 
 
-def _mat_apply(cols, vec, p):
-    m = len(vec)
-    out = [0] * m
-    for j, vj in enumerate(vec):
-        if vj:
-            col = cols[j]
-            for i in range(m):
-                out[i] += vj * col[i]
-    return [c % p for c in out]
+class _Packing:
+    """Coefficient vectors packed into one integer, one digit per
+    coefficient, constant term in the lowest digit; subclasses set
+    _digit_bytes and _digit_code from _digit_format."""
+
+    def _pack(self, vec) -> int:
+        code = self._digit_code
+        if code:
+            return int.from_bytes(array(code, vec).tobytes(), "little")
+        db = self._digit_bytes
+        return int.from_bytes(
+            b"".join(c.to_bytes(db, "little") for c in vec), "little")
+
+    def _unpack(self, x: int, count: int):
+        db = self._digit_bytes
+        raw = x.to_bytes(db * count, "little")
+        code = self._digit_code
+        if code:
+            return memoryview(raw).cast(code).tolist()
+        return [int.from_bytes(raw[i * db:(i + 1) * db], "little")
+                for i in range(count)]
+
+
+class _Residues(_Packing):
+    """Z_p[x]/(f) for a monic f of degree m, irreducible or not, on packed
+    integers whose digits lie in [0, p).  Construction-time arithmetic: the
+    irreducibility test and a field's first Frobenius matrix.
+
+    A product is reduced top-down with the packed -f: x^m = -f_low, so a
+    block of m - deg(f_low) high digits, reduced mod p, folds below itself
+    in one bigint product.  The canonical moduli are sparse, and two
+    blocks reduce a product; a dense f takes one digit per block.  The
+    attribute x holds the residue of x, for m >= 2."""
+
+    def __init__(self, p, f):
+        m = len(f) - 1
+        self.p, self.m = p, m
+        self._digit_bytes, self._digit_code = _digit_format(p, m)
+        self._bits = 8 * self._digit_bytes
+        neg_low = _trim([(-c) % p for c in f[:m]])
+        self._neg_low = self._pack(neg_low)
+        self._block = m - max(len(neg_low) - 1, 0)
+        self.x = 1 << self._bits
+
+    def mul(self, a: int, b: int) -> int:
+        p, m, bits = self.p, self.m, self._bits
+        acc = a * b
+        top = 2 * m - 1  # acc has no digit at or above top
+        while top > m:
+            lo = max(top - self._block, m)
+            high = [c % p for c in self._unpack(acc >> lo * bits, top - lo)]
+            acc = ((acc & ((1 << lo * bits) - 1))
+                   + (self._pack(high) * self._neg_low << (lo - m) * bits))
+            top = lo
+        return self._pack([c % p for c in self._unpack(acc, m)])
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e for e >= 1, left-to-right square and multiply."""
+        acc = a
+        for bit in bin(e)[3:]:
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, a)
+        return acc
+
+
+def _has_root(f, p):
+    """Whether f vanishes at some point of Z_p: Horner at all p at once."""
+    values = [1] * p
+    for c in reversed(f[:-1]):
+        values = [(v * a + c) % p for v, a in zip(values, range(p))]
+    return 0 in values
 
 
 def is_irreducible(f, p) -> bool:
-    """Rabin's criterion: x^{p^m} = x mod f and, for every prime l | m,
-    gcd(x^{p^{m/l}} - x, f) = 1.
+    """Ben-Or's test (Ben-Or 1981; Gao & Panario 1997): a monic f of
+    degree m is irreducible iff gcd(x^{p^i} - x, f) = 1 for every
+    i <= m/2, since a reducible f has an irreducible factor of some degree
+    i <= m/2, which divides x^{p^i} - x.  Most reducible f fail at i <= 3.
     """
     f = [c % p for c in f]
     m = len(f) - 1
@@ -183,35 +264,32 @@ def is_irreducible(f, p) -> bool:
         return True
     if f[0] == 0:
         return False
-    if p <= 64:
-        # cheap pre-filter: no roots means no linear factors
-        for a in range(p):
-            acc = 0
-            for c in reversed(f):
-                acc = (acc * a + c) % p
-            if acc == 0:
-                return False
-    cols = _frob_columns(f, p)
-    x_vec = _fixed([0, 1], m)
-    powers = [x_vec]
-    w = x_vec
-    for _ in range(m):
-        w = _mat_apply(cols, w, p)
-        powers.append(w)
-    if powers[m] != x_vec:
+    # step 1 asks whether f has a root in Z_p; for small p, evaluating f
+    # at every point answers it faster than the gcd
+    roots_checked = p <= 64
+    if roots_checked and _has_root(f, p):
         return False
-    for ell, _ in factorize(m):
-        diff = [(a - b) % p for a, b in zip(powers[m // ell], x_vec)]
-        g = _poly_gcd(diff, f, p)
-        if len(g) != 1:
+    ring = _Residues(p, f)
+    h = ring.x
+    for i in range(1, m // 2 + 1):
+        h = ring.pow(h, p)
+        if i == 1 and roots_checked:
+            continue
+        g = ring._unpack(h, m)
+        g[1] = (g[1] - 1) % p
+        if len(_poly_gcd(f[:], _trim(g), p)) != 1:
             return False
     return True
 
 
 def _canonical_modulus(p, m):
     # smallest monic irreducible of degree m, candidates ordered by the
-    # base-p integer value of their non-leading coefficients
-    c = 0
+    # base-p integer value of their non-leading coefficients.  The first
+    # p candidates are the binomials x^m - a, and x^m - a is irreducible
+    # only if every prime dividing m divides the order of a, a divisor of
+    # p - 1 (Lidl & Niederreiter, Thm 3.75): when some prime factor of m
+    # does not divide p - 1, none of them is tested.
+    c = p if any((p - 1) % ell for ell, _ in factorize(m)) else 0
     while True:
         digits = []
         t = c
@@ -237,7 +315,7 @@ class OpCounter:
 
 
 @dataclass(frozen=True)
-class Field:
+class Field(_Packing):
     """Immutable context for F_{p^m}; all element operations live here."""
 
     p: int
@@ -247,17 +325,10 @@ class Field:
 
     def __post_init__(self):
         p, m = self.p, self.m
-        # one packed digit must hold any convolution or reduction
-        # accumulation: a product digit sums at most m terms below p^2,
-        # and the reduction adds at most m - 1 more
-        bound = 2 * m * p * p + 1
-        digit_bytes = (bound.bit_length() + 7) // 8
-        digit_bytes = next((w for w in (1, 2, 4, 8) if w >= digit_bytes),
-                           digit_bytes)
-        code = (_WORD_CODES.get(digit_bytes) if sys.byteorder == "little"
-                else None)
+        ring = _Residues(p, self.modulus)
+        digit_bytes = ring._digit_bytes
         object.__setattr__(self, "_digit_bytes", digit_bytes)
-        object.__setattr__(self, "_digit_code", code)
+        object.__setattr__(self, "_digit_code", ring._digit_code)
         object.__setattr__(self, "_low_bits", 8 * digit_bytes * m)
         object.__setattr__(self, "_low_mask", (1 << 8 * digit_bytes * m) - 1)
         rows = []
@@ -272,10 +343,16 @@ class Field:
             rows.append(row)
         object.__setattr__(self, "_packed_reduce",
                            tuple(self._pack(r) for r in rows))
+        # column j of the p-power map is x^{j*p}: each is the one before
+        # it times x^p
+        cols = [1]
+        if m > 1:
+            xp = ring.pow(ring.x, p)
+            for _ in range(1, m):
+                cols.append(ring.mul(cols[-1], xp))
         # the Frobenius ladder; frobenius() extends it by replacing the
         # tuple, so a concurrent caller never sees a half-built entry
-        object.__setattr__(self, "_frob_ladder", (tuple(
-            self._pack(col) for col in _frob_columns(list(self.modulus), p)),))
+        object.__setattr__(self, "_frob_ladder", (tuple(cols),))
         object.__setattr__(self, "_hash", hash((p, m, self.modulus)))
 
     def __hash__(self):
@@ -319,25 +396,6 @@ class Field:
 
     def random_elem(self, rng: random.Random) -> tuple:
         return tuple(rng.randrange(self.p) for _ in range(self.m))
-
-    # -- packing helpers -----------------------------------------------------
-
-    def _pack(self, vec) -> int:
-        code = self._digit_code
-        if code:
-            return int.from_bytes(array(code, vec).tobytes(), "little")
-        db = self._digit_bytes
-        return int.from_bytes(
-            b"".join(c.to_bytes(db, "little") for c in vec), "little")
-
-    def _unpack(self, x: int, count: int):
-        db = self._digit_bytes
-        raw = x.to_bytes(db * count, "little")
-        code = self._digit_code
-        if code:
-            return memoryview(raw).cast(code).tolist()
-        return [int.from_bytes(raw[i * db:(i + 1) * db], "little")
-                for i in range(count)]
 
     # -- arithmetic ----------------------------------------------------------
 

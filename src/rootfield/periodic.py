@@ -153,16 +153,23 @@ def geometric_sum(p: int, period: int, n: int) -> int:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Trial-division factorization as (prime, exponent) pairs, ascending."""
+    """Trial-division factorization as (prime, exponent) pairs, ascending.
+
+    Division stops once the cofactor left is prime, tested at the start
+    and after each prime stripped, so a prime n or a smooth part times a
+    large prime costs no more than the smooth part.  A product of two
+    large primes still costs O(sqrt(n)) steps."""
     out = []
     d = 2
-    while d * d <= n:
+    done = is_prime(n)
+    while not done and d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
             out.append((d, e))
+            done = is_prime(n)
         d += 1
     if n > 1:
         out.append((n, 1))

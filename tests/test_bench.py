@@ -174,10 +174,15 @@ def test_bench_layers_smoke(tmp_path):
     main = runpy.run_path(str(script), run_name="bench_layers")["main"]
     out = tmp_path / "bench.json"
     for label in ("a", "b"):
-        assert main(["--field", "3,9", "--repeats", "1", "--label", label,
-                     "--out", str(out)]) == 0
+        assert main(["--field", "3,9", "--build", "2,17", "--repeats", "1",
+                     "--label", label, "--out", str(out)]) == 0
     runs = json.loads(out.read_text())["runs"]
     assert sorted(runs) == ["a", "b"]
+    # x^17 + x^3 + 1: candidates x^17 + x .. x^17 + x^3 + 1, the two
+    # binomials skipped
+    (build,) = runs["b"]["builds"]
+    assert (build["p"], build["m"], build["irreducible_tests"]) == (2, 17, 8)
+    assert build["mk_field_ms"] > 0
     (fld,) = runs["b"]["fields"]
     assert (fld["p"], fld["m"]) == (3, 9)
     ops = fld["ops"]
@@ -187,3 +192,18 @@ def test_bench_layers_smoke(tmp_path):
     # 3^9 - 1 = 2 * 13 * 757: r = 2 ramifies, r = 5 is coprime with k = 4
     assert {row["path"]: row["r"] for row in fld["roots"]} == {
         "coprime_fast": 5, "naive_fallback": 2, "ramified_fast": 2}
+
+
+def test_bench_layers_timeout(tmp_path):
+    # a build past the deadline records "timeout" instead of hanging
+    script = Path(__file__).parents[1] / "scripts" / "bench_layers.py"
+    main = runpy.run_path(str(script), run_name="bench_layers")["main"]
+    out = tmp_path / "bench.json"
+    start = time.monotonic()
+    assert main(["--field", "3,163", "--build", "3,163", "--repeats", "1",
+                 "--timeout", "0.001", "--out", str(out)]) == 0
+    assert time.monotonic() - start < 5
+    run = json.loads(out.read_text())["runs"]["run"]
+    assert run["fields"] == [{"p": 3, "m": 163, "mk_field_ms": "timeout"}]
+    assert run["builds"] == [{"p": 3, "m": 163, "mk_field_ms": "timeout",
+                              "irreducible_tests": "timeout"}]

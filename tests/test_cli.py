@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from rootfield import mk_field, parse_elem
 from rootfield.cli import dispatch
 
 GOLDEN_ROOT = ("status=root_found root=11 path=amm "
@@ -113,6 +114,33 @@ def test_decompose_large_prime_r_fails_fast(capsys):
     assert time.monotonic() - start < 5
     assert (code, out) == (1, "")
     assert err == "error: need m > period, got m=61, period=715827882\n"
+
+
+def test_root_prime_r_beyond_trial_division(capsys):
+    # r = 2^61 - 1 is prime: trial division up to sqrt(r) never finished
+    r = 2 ** 61 - 1
+    start = time.monotonic()
+    code, out, _ = run(capsys, "root", "--p", "3", "--m", "61", "--r", str(r),
+                       "--delta", "1,2")
+    assert time.monotonic() - start < 5
+    assert code == 0
+    fields = dict(tok.split("=") for tok in out.split())
+    assert fields["status"] == "root_found"
+    fld = mk_field(3, 61)
+    root = parse_elem(fld, fields["root"])
+    assert fld.pow(root, r) == fld.elem([1, 2])
+
+
+def test_decompose_safe_prime_r_fails_fast(capsys):
+    # r is a safe prime near 2^51: lambda(r) = r - 1 = 2 * 1125899906843669,
+    # and trial division of r - 1 stops once the cofactor is prime
+    start = time.monotonic()
+    code, out, err = run(capsys, "decompose", "--p", "3", "--m", "61",
+                         "--r", "2251799813687339")
+    assert time.monotonic() - start < 2
+    assert (code, out) == (1, "")
+    assert err == ("error: need m > period, got m=61, "
+                   "period=1125899906843669\n")
 
 
 def test_oracle_golden(capsys):

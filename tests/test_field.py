@@ -1,4 +1,8 @@
+import itertools
 import random
+import runpy
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -7,7 +11,14 @@ from hypothesis import strategies as st
 from rootfield import (DegreeMismatch, NotPrime, OpCounter, ReducibleModulus,
                        ZeroInverse, format_elem, format_field, is_prime,
                        mk_field, parse_elem, parse_field, rth_root)
-from rootfield.field import _poly_mul, _poly_rem
+from rootfield import field
+from rootfield.field import _poly_mul, _poly_rem, is_irreducible
+from rootfield.periodic import factorize
+
+# the benchmark's checker: Rabin's test on repeated p-th powers, with
+# Z_p[x] arithmetic written apart from rootfield.field
+CHECKER = runpy.run_path(
+    str(Path(__file__).parents[1] / "perfbench" / "checker.py"))
 
 
 def elems(fld):
@@ -64,6 +75,101 @@ def test_frobenius_matrix_columns(f9):
     # for F_9, x^3 = -x = 2x
     assert f9.frobenius((1, 0), 1) == (1, 0)
     assert f9.frobenius((0, 1), 1) == (0, 2)
+
+
+def _monic(p, m, rng):
+    return [rng.randrange(p) for _ in range(m)] + [1]
+
+
+def _mobius(n):
+    factors = factorize(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return (-1) ** len(factors)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_irreducible_count_matches_gauss(m):
+    # for every p with p^m <= 5000, the monic irreducibles of degree m
+    # number (1/m) * sum over d | m of mu(d) * p^(m/d)
+    for p in filter(is_prime, range(2, int(5000 ** (1 / m)) + 2)):
+        if p ** m > 5000:
+            continue
+        expect = sum(_mobius(d) * p ** (m // d)
+                     for d in range(1, m + 1) if m % d == 0) // m
+        found = sum(is_irreducible(list(low) + [1], p)
+                    for low in itertools.product(range(p), repeat=m))
+        assert found == expect, (p, m)
+
+
+def test_irreducible_agrees_with_checker_on_products():
+    # g * h with g irreducible of degree m // 2 is caught only at Ben-Or's
+    # last step, i = m // 2; a second, random factorisation for each m
+    rng = random.Random(2024)
+    for m in range(2, 61):
+        p = (2, 3, 5, 7, 13)[m % 5]
+        d = m // 2
+        g = _monic(p, d, rng)
+        while not is_irreducible(g, p):
+            g = _monic(p, d, rng)
+        h = _monic(p, m - d, rng)
+        while not is_irreducible(h, p):
+            h = _monic(p, m - d, rng)
+        e = rng.randrange(1, m)
+        for f in (_poly_mul(g, h, p),
+                  _poly_mul(_monic(p, e, rng), _monic(p, m - e, rng), p)):
+            assert len(f) == m + 1
+            assert is_irreducible(f, p) is False, (p, f)
+            assert CHECKER["is_irreducible"](p, f) is False, (p, f)
+
+
+def test_dense_explicit_modulus():
+    # a modulus with every coefficient nonzero reduces one digit at a time
+    rng = random.Random(8)
+    p, m = 5, 9
+    f = [rng.randrange(1, p) for _ in range(m)] + [1]
+    while not is_irreducible(f, p):
+        f = [rng.randrange(1, p) for _ in range(m)] + [1]
+    assert CHECKER["is_irreducible"](p, f)
+    fld = mk_field(p, m, f)
+    for _ in range(5):
+        a = fld.random_elem(rng)
+        assert fld.frobenius(a, 1) == fld.pow(a, p)
+        assert fld.frobenius(a, 3) == fld.pow(a, p ** 3)
+
+
+def test_binomial_block_skipped(monkeypatch):
+    # 17 does not divide p - 1, so no x^17 - a is irreducible over F_p
+    # (Lidl & Niederreiter, Thm 3.75) and the search starts at x^17 + x;
+    # testing the 10^6 binomials one by one took minutes
+    p, m = 1000003, 17
+    tested = []
+    monkeypatch.setattr(field, "is_irreducible",
+                        lambda f, q: tested.append(list(f)) or
+                        is_irreducible(f, q))
+    start = time.monotonic()
+    fld = mk_field(p, m)
+    assert time.monotonic() - start < 5
+    assert fld.modulus == (14, 1) + (0,) * 15 + (1,)  # x^17 + x + 14
+    assert len(tested) == 15
+    assert tested[0] == [0, 1] + [0] * 15 + [1]
+    for f in tested[:-1]:
+        assert not CHECKER["is_irreducible"](p, f)
+    assert CHECKER["is_irreducible"](p, tested[-1])
+
+
+def test_skipped_binomials_are_reducible():
+    # wherever the search skips the binomial block, none of it is
+    # irreducible
+    skipped = 0
+    for p in filter(is_prime, range(2, 32)):
+        for m in range(2, 13):
+            if all((p - 1) % ell == 0 for ell, _ in factorize(m)):
+                continue
+            skipped += 1
+            for c in range(p):
+                assert not is_irreducible([c] + [0] * (m - 1) + [1], p)
+    assert skipped > 50
 
 
 def test_elem_validation(f8):

@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -70,6 +71,30 @@ def test_factorize():
     assert factorize(1) == []
     assert factorize(12) == [(2, 2), (3, 1)]
     assert factorize(59048) == [(2, 3), (11, 2), (61, 1)]
+
+
+def _trial_division(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return out + [(n, 1)] * (n > 1)
+
+
+def test_factorize_stops_at_prime_cofactor():
+    q = 2 ** 61 - 1  # prime; trial division to sqrt(q) takes hours
+    start = time.monotonic()
+    assert factorize(q) == [(q, 1)]
+    assert factorize(2 ** 5 * 3 ** 2 * 11 * q) == [(2, 5), (3, 2), (11, 1),
+                                                   (q, 1)]
+    assert time.monotonic() - start < 2
+    assert all(factorize(n) == _trial_division(n) for n in range(20000))
 
 
 def test_exact_power():
