@@ -7,9 +7,10 @@ the exponent layer (phi_map) and extraction (rth_root once per path),
 and records each as the median over --repeats repeats of the time per
 call.  Each repeat runs a batch of calls sized to take about 10 ms.
 Every extraction is checked: a constructed residue must come back as a
-verified root.  The fields of a second grid, slow to build before the
-modulus search used Ben-Or's test, get mk_field rows alone, each with
-the number of irreducibility tests one build runs.
+verified root.  A second grid, of fields with long modulus searches
+(each took seconds to minutes under Rabin's test, the one used before
+Ben-Or's), gets mk_field rows alone, each with the number of
+irreducibility tests one build runs.
 
 Each timed call, or batch of calls, runs under a --timeout deadline
 (SIGALRM); a row that overruns it records "timeout" in place of a time.
