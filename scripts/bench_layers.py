@@ -12,8 +12,9 @@ verified root.  A second grid, of fields with long modulus searches
 Ben-Or's), gets mk_field rows alone, each with the number of
 irreducibility tests one build runs.
 
-Each timed call, or batch of calls, runs under a --timeout deadline
-(SIGALRM); a row that overruns it records "timeout" in place of a time.
+Each timed call, or batch of calls, runs under a deadline of TIMEOUT_S
+seconds (SIGALRM); a row that overruns it records "timeout" in place of
+a time.
 
 The results go under --label in the JSON file --out, so runs of two
 source trees can share one file:
@@ -45,6 +46,7 @@ BUILD_GRID = ((3, 101), (11, 41), (7, 41), (37, 19), (3, 163), (5, 101),
               (1000003, 17), (2, 521))
 ROOT_DEGREES = (2, 3, 5, 7, 11, 13)
 BATCH_S = 0.01
+TIMEOUT_S = 30
 
 
 class Timeout(Exception):
@@ -55,10 +57,10 @@ def _raise_timeout(_signum, _frame):
     raise Timeout
 
 
-def within(seconds: float, fn):
-    """fn() under a deadline of seconds; raises Timeout past it."""
+def within(fn):
+    """fn() under a deadline of TIMEOUT_S seconds; raises Timeout past it."""
     previous = signal.signal(signal.SIGALRM, _raise_timeout)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
     try:
         return fn()
     finally:
@@ -66,9 +68,9 @@ def within(seconds: float, fn):
         signal.signal(signal.SIGALRM, previous)
 
 
-def median_us(fn, repeats: int, timeout: float):
+def median_us(fn, repeats: int):
     """Median over repeats of the mean time of one fn() call, in us, or
-    "timeout" when a call or a batch ran past timeout seconds."""
+    "timeout" when a call or a batch ran past TIMEOUT_S seconds."""
 
     def run(batch):
         t0 = time.perf_counter()
@@ -77,9 +79,9 @@ def median_us(fn, repeats: int, timeout: float):
         return (time.perf_counter() - t0) / batch
 
     try:
-        once = within(timeout, lambda: run(1))
+        once = within(lambda: run(1))
         batch = max(1, min(1000, int(BATCH_S / max(once, 1e-9))))
-        samples = [within(timeout, lambda: run(batch))
+        samples = [within(lambda: run(batch))
                    for _ in range(repeats)]
     except Timeout:
         return "timeout"
@@ -97,7 +99,7 @@ def counted(fn) -> dict:
             "frobenius": c.frobenius, "inversions": c.inversions}
 
 
-def bench_build(p: int, m: int, repeats: int, timeout: float) -> dict:
+def bench_build(p: int, m: int, repeats: int) -> dict:
     """mk_field's time, and the irreducibility tests that one build runs
     (counted on an untimed build, through the module global the modulus
     search calls)."""
@@ -105,20 +107,19 @@ def bench_build(p: int, m: int, repeats: int, timeout: float) -> dict:
     test = field.is_irreducible
     field.is_irreducible = lambda f, q: tests.append(f) or test(f, q)
     try:
-        within(timeout, lambda: mk_field(p, m))
+        within(lambda: mk_field(p, m))
     except Timeout:
         return {"p": p, "m": m, "mk_field_ms": "timeout",
                 "irreducible_tests": "timeout"}
     finally:
         field.is_irreducible = test
     return {"p": p, "m": m,
-            "mk_field_ms": to_ms(median_us(lambda: mk_field(p, m), repeats,
-                                           timeout)),
+            "mk_field_ms": to_ms(median_us(lambda: mk_field(p, m), repeats)),
             "irreducible_tests": len(tests)}
 
 
-def bench_field(p: int, m: int, repeats: int, timeout: float) -> dict:
-    mk_us = median_us(lambda: mk_field(p, m), repeats, timeout)
+def bench_field(p: int, m: int, repeats: int) -> dict:
+    mk_us = median_us(lambda: mk_field(p, m), repeats)
     if mk_us == "timeout":
         return {"p": p, "m": m, "mk_field_ms": mk_us}
     fld = mk_field(p, m)
@@ -135,13 +136,13 @@ def bench_field(p: int, m: int, repeats: int, timeout: float) -> dict:
     }
     out = {"p": p, "m": m, "mk_field_ms": to_ms(mk_us), "ops": {}}
     for name, fn in ops.items():
-        out["ops"][name] = {"us": median_us(fn, repeats, timeout),
+        out["ops"][name] = {"us": median_us(fn, repeats),
                             **counted(fn)}
-    out["roots"] = bench_roots(fld, rng, repeats, timeout)
+    out["roots"] = bench_roots(fld, rng, repeats)
     return out
 
 
-def bench_roots(fld, rng, repeats: int, timeout: float) -> list:
+def bench_roots(fld, rng, repeats: int) -> list:
     """One row per path tag: the first root degree that takes it."""
     rows = {}
     for r in ROOT_DEGREES:
@@ -168,7 +169,7 @@ def bench_roots(fld, rng, repeats: int, timeout: float) -> list:
             rows[out.path_tag] = {
                 "r": r, "path": out.path_tag,
                 "us": median_us(lambda: rth_root(fld, delta, r, path=path),
-                                repeats, timeout),
+                                repeats),
                 "mults": c.mults, "squarings": c.squarings,
                 "frobenius": c.frobenius}
     return sorted(rows.values(), key=lambda row: row["path"])
@@ -188,8 +189,6 @@ def main(argv=None) -> int:
     ap.add_argument("--build", action="append", type=parse_field,
                     help="p,m for an mk_field row alone; repeatable "
                          "(default: the grid of slow builds)")
-    ap.add_argument("--timeout", type=float, default=60.0,
-                    help="seconds one timed call or batch may take")
     ap.add_argument("--label", default="run",
                     help="key of this run in the output file")
     ap.add_argument("--out", default="-",
@@ -197,15 +196,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be >= 1")
-    if args.timeout <= 0:
-        ap.error("--timeout must be > 0")
 
     run = {"python": platform.python_version(),
            "repeats": args.repeats,
-           "timeout_s": args.timeout,
-           "fields": [bench_field(p, m, args.repeats, args.timeout)
+           "timeout_s": TIMEOUT_S,
+           "fields": [bench_field(p, m, args.repeats)
                       for p, m in args.field or GRID],
-           "builds": [bench_build(p, m, args.repeats, args.timeout)
+           "builds": [bench_build(p, m, args.repeats)
                       for p, m in args.build or BUILD_GRID]}
     doc = {}
     if args.out != "-" and os.path.exists(args.out):

@@ -194,14 +194,15 @@ def test_bench_layers_smoke(tmp_path):
         "coprime_fast": 5, "naive_fallback": 2, "ramified_fast": 2}
 
 
-def test_bench_layers_timeout(tmp_path):
+def test_bench_layers_timeout(tmp_path, monkeypatch):
     # a build past the deadline records "timeout" instead of hanging
     script = Path(__file__).parents[1] / "scripts" / "bench_layers.py"
     main = runpy.run_path(str(script), run_name="bench_layers")["main"]
+    monkeypatch.setitem(main.__globals__, "TIMEOUT_S", 0.001)
     out = tmp_path / "bench.json"
     start = time.monotonic()
     assert main(["--field", "3,163", "--build", "3,163", "--repeats", "1",
-                 "--timeout", "0.001", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     assert time.monotonic() - start < 5
     run = json.loads(out.read_text())["runs"]["run"]
     assert run["fields"] == [{"p": 3, "m": 163, "mk_field_ms": "timeout"}]
