@@ -2,7 +2,8 @@
 """Per-layer wall times of rootfield, with the operation counts alongside.
 
 For each field of the grid this times field construction (mk_field),
-the element layer (mul, sqr, frobenius(a, 1), frobenius(a, m-1), pow),
+the element layer (mul, sqr, frobenius(a, 1), frobenius(a, m-1), inv,
+pow),
 the exponent layer (phi_map) and extraction (rth_root once per path),
 and records each as the median over --repeats repeats of the time per
 call.  Each repeat runs a batch of calls sized to take about 10 ms.
@@ -17,7 +18,8 @@ seconds (SIGALRM); a row that overruns it records "timeout" in place of
 a time.
 
 The results go under --label in the JSON file --out, so runs of two
-source trees can share one file:
+source trees can share one file; its "side_by_side" table puts the
+element-layer rows of every run in it next to each other:
 
     PYTHONPATH=<parent>/src python scripts/bench_layers.py --label parent --out BENCH.json
     PYTHONPATH=src python scripts/bench_layers.py --label change --out BENCH.json
@@ -45,6 +47,8 @@ GRID = ((3, 61), (2, 127), (3, 97), (5, 61), (13, 31), (29, 23))
 BUILD_GRID = ((3, 101), (11, 41), (7, 41), (37, 19), (3, 163), (5, 101),
               (1000003, 17), (2, 521))
 ROOT_DEGREES = (2, 3, 5, 7, 11, 13)
+SIDE_BY_SIDE = ("mul", "sqr", "frobenius_1", "frobenius_m-1", "inv",
+                "pow_N-1")
 BATCH_S = 0.01
 TIMEOUT_S = 30
 
@@ -131,6 +135,7 @@ def bench_field(p: int, m: int, repeats: int) -> dict:
         "sqr": lambda c=None: fld.sqr(a, c),
         "frobenius_1": lambda c=None: fld.frobenius(a, 1, c),
         "frobenius_m-1": lambda c=None: fld.frobenius(a, m - 1, c),
+        "inv": lambda c=None: fld.inv(a, c),
         "pow_N-1": lambda c=None: fld.pow(a, exponent, c),
         "phi_map_norm": lambda c=None: phi_map(fld, a, 1, m - 1, c),
     }
@@ -175,6 +180,19 @@ def bench_roots(fld, rng, repeats: int) -> list:
     return sorted(rows.values(), key=lambda row: row["path"])
 
 
+def side_by_side(runs: dict) -> dict:
+    """Microseconds per call of the SIDE_BY_SIDE rows, by field and row,
+    one entry per run label."""
+    table = {}
+    for label, run in runs.items():
+        for row in run["fields"]:
+            for op, timing in row.get("ops", {}).items():
+                if op in SIDE_BY_SIDE:
+                    table.setdefault(f"{row['p']},{row['m']}", {}).setdefault(
+                        op, {})[label] = timing["us"]
+    return table
+
+
 def parse_field(text: str) -> tuple:
     p, _, m = text.partition(",")
     return int(p), int(m)
@@ -209,6 +227,7 @@ def main(argv=None) -> int:
         with open(args.out) as fh:
             doc = json.load(fh)
     doc.setdefault("runs", {})[args.label] = run
+    doc["side_by_side"] = side_by_side(doc["runs"])
     text = json.dumps(doc, indent=1) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

@@ -7,11 +7,12 @@ precomputes the packed matrix of the p-power Frobenius map.
 
 Construction: without an explicit modulus, mk_field searches candidates
 in a fixed order (see _canonical_modulus) with Ben-Or's irreducibility
-test, which rejects most reducible candidates after two or three powers
-x^{p^i} mod f.  The test and the first Frobenius matrix both compute
-with packed products reduced by the ring of the candidate modulus
-(_Residues), the one field multiplication uses.  An explicit modulus
-goes through the same test.  None of this is counted.
+test, which rejects most reducible candidates after one or two powers
+x^{p^i} mod f and takes one gcd per batch of later steps.  The test and
+the first Frobenius matrix both compute with packed products reduced by
+the ring of the candidate modulus (_Residues), the one field
+multiplication uses.  An explicit modulus goes through the same test.
+None of this is counted.
 
 Cost model: full multiplications, squarings, Frobenius applications and
 inversions are tallied in a caller-supplied OpCounter.  Additions,
@@ -19,13 +20,16 @@ subtractions, negations and scalar work in Z_p are free.  frobenius(a, j)
 counts j applications of the p-power map, whatever it costs to compute.
 
 Coefficient vectors are packed into single Python integers for the inner
-multiplication, so one field multiplication costs one bigint multiply
-and, on a sparse modulus, one or two bigint folds by the packed -f
-(_Residues) instead of an O(m^2) interpreted loop.  A packed
-digit is 1, 2, 4 or 8 bytes wide, the smallest that holds 2*m*p^2, so
-packing and unpacking go through array and memoryview.cast at C speed.
-Where p^2 needs more than 8 bytes per digit (p >= 2^32), digits are
-sliced from the bytes one by one instead.
+multiplication, so one field multiplication costs one bigint multiply,
+on a sparse modulus one or two bigint folds by the packed -f, and a
+reduction of every digit mod p at once by Barrett's method in parallel
+lanes (_Residues), instead of an O(m^2) interpreted loop or a loop over
+the digits.  pow packs its base once and stays packed until the end.  A
+packed digit is 1, 2, 4 or 8 bytes wide, the smallest that holds
+2*m*p^2, so packing and unpacking go through array and memoryview.cast
+at C speed.  Where p^2 needs more than 8 bytes per digit (p >= 2^32),
+digits are sliced from the bytes one by one instead; the reduction is
+the same for every width.
 
 Frobenius powers use a doubling ladder (iterated Frobenius by
 composition, von zur Gathen & Shoup 1992): entry i holds the packed
@@ -208,11 +212,14 @@ class _Residues(_Packing):
     A product is reduced top-down with the packed -f: x^m = -f_low, so a
     block of m - deg(f_low) high digits, reduced mod p, folds below itself
     in one bigint product.  The canonical moduli are sparse, and one or two
-    folds reduce a product; a one-digit fold needs no unpacking.  A dense
-    explicit modulus takes one fold per digit, up to 1.6x the time of
-    adding one precomputed row x^{m+k} mod f per high digit on small
-    fields (F_{13^31}); on sparse moduli the folds were 2-30 % faster than
-    those rows.  The attribute x holds the residue of x, for m >= 2."""
+    folds reduce a product; a dense explicit modulus takes one fold per
+    digit.  The attribute x holds the residue of x, for m >= 2.
+
+    Digits are reduced mod p in every digit at once (_mod_p): the even and
+    the odd digits each sit in lanes of two digit widths, where Barrett's
+    quotient (Barrett 1986) fits without spilling into the next lane, as in
+    Harvey's multipoint Kronecker substitution (2009).  A few bigint
+    operations replace a Python loop over the digits."""
 
     def __init__(self, p, f):
         m = len(f) - 1
@@ -233,30 +240,54 @@ class _Residues(_Packing):
             top = lo
         self._folds = tuple(folds)
         self.x = 1 << bits
+        # Barrett in 2*bits-bit lanes, one per even (or odd) digit of at
+        # most m digits: every digit y is below 2^s, so y * mu < 2^(2s)
+        # stays inside its lane, q = y * mu >> s is floor(y/p) or one
+        # less, and y - q*p < 2p needs one conditional subtract, flagged
+        # by the top digit bit of y - q*p + 2^(bits-1) - p
+        s = (2 * m * p * p).bit_length()
+        lane = 2 * bits
+        ones = ((1 << lane * ((m + 1) // 2)) - 1) // ((1 << lane) - 1)
+        self._lanes = (bits, ones * (self.x - 1), s, (1 << s) // p,
+                       ones * ((1 << bits - 1) - p), ones)
 
-    def reduce(self, acc: int) -> list:
-        """The m coefficients in [0, p) of acc mod f, for a packed acc of
-        at most 2m - 1 digits, each at most m(p - 1)^2."""
+    def _mod_p(self, y: int) -> int:
+        """y with each of its at most m digits, all below 2mp^2, reduced
+        into [0, p)."""
+        bits, low, s, mu, bias, ones = self._lanes
+        p = self.p
+        even = y & low
+        even -= (even * mu >> s & low) * p
+        even -= (even + bias >> bits - 1 & ones) * p
+        odd = y >> bits & low
+        odd -= (odd * mu >> s & low) * p
+        odd -= (odd + bias >> bits - 1 & ones) * p
+        return even | odd << bits
+
+    def reduce_packed(self, acc: int) -> int:
+        """acc mod f, packed with digits in [0, p), for a packed acc of at
+        most 2m - 1 digits, each at most m(p - 1)^2."""
         p, neg_low = self.p, self._neg_low
         for lo_bits, count, mask, shift in self._folds:
             high = acc >> lo_bits
-            if count == 1:
-                high %= p
-            else:
-                high = self._pack([c % p for c in self._unpack(high, count)])
+            high = high % p if count == 1 else self._mod_p(high)
             acc = (acc & mask) + (high * neg_low << shift)
-        return [c % p for c in self._unpack(acc, self.m)]
+        return self._mod_p(acc)
+
+    def reduce(self, acc: int) -> list:
+        """The m coefficients of reduce_packed(acc)."""
+        return self._unpack(self.reduce_packed(acc), self.m)
 
     def mul(self, a: int, b: int) -> int:
-        return self._pack(self.reduce(a * b))
+        return self.reduce_packed(a * b)
 
     def pow(self, a: int, e: int) -> int:
         """a^e for e >= 1, left-to-right square and multiply."""
         acc = a
         for bit in bin(e)[3:]:
-            acc = self.mul(acc, acc)
+            acc = self.reduce_packed(acc * acc)
             if bit == "1":
-                acc = self.mul(acc, a)
+                acc = self.reduce_packed(acc * a)
         return acc
 
 
@@ -264,7 +295,13 @@ def is_irreducible(f, p) -> bool:
     """Ben-Or's test (Ben-Or 1981; Gao & Panario 1997): a monic f of
     degree m is irreducible iff gcd(x^{p^i} - x, f) = 1 for every
     i <= m/2, since a reducible f has an irreducible factor of some degree
-    i <= m/2, which divides x^{p^i} - x.  Most reducible f fail at i <= 3.
+    i <= m/2, which divides x^{p^i} - x.
+
+    Steps 1 and 2 take one gcd each; most reducible f fail there.  Later
+    steps multiply their x^{p^i} - x mod f over batches of 2, 4, 8, ...
+    steps and take one gcd per batch, since the product is prime to f iff
+    every factor is.  A product that is 0 mod f has gcd f, so the verdict
+    is the same, but a reducible f is rejected at the end of its batch.
     """
     f = [c % p for c in f]
     m = len(f) - 1
@@ -275,13 +312,20 @@ def is_irreducible(f, p) -> bool:
     if f[0] == 0:
         return False
     ring = _Residues(p, f)
-    h = ring.x
-    for _ in range(m // 2):
-        h = ring.pow(h, p)
-        g = ring._unpack(h, m)
-        g[1] = (g[1] - 1) % p
-        if len(_poly_gcd(f[:], _trim(g), p)) != 1:
+    x, bits = ring.x, 8 * ring._digit_bytes
+    h, done, batch = x, 0, 1
+    while done < m // 2:
+        prod = None
+        for _ in range(min(batch, m // 2 - done)):
+            h = ring.pow(h, p)
+            # h - x, digit 1 kept in [0, p)
+            g = h - x if h >> bits & x - 1 else h + (p - 1) * x
+            prod = g if prod is None else ring.mul(prod, g)
+            done += 1
+        if len(_poly_gcd(f[:], _trim(ring._unpack(prod, m)), p)) != 1:
             return False
+        if done >= 2:
+            batch *= 2
     return True
 
 
@@ -416,19 +460,23 @@ class Field(_Packing):
         return self._raw_mul(a, a)
 
     def pow(self, a, e: int, counter: OpCounter | None = None) -> tuple:
-        """Left-to-right square and multiply; 0^0 is defined as 1."""
+        """Left-to-right square and multiply on the packed element, which
+        is unpacked once at the end; 0^0 is defined as 1.
+
+        The counter is charged what the chain of sqr and mul calls would
+        cost: one squaring per bit of e after the first, and one
+        multiplication per set bit after the first."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
         if e == 0:
             return self.one()
-        if counter is None and self.m == 1:
+        if counter is not None:
+            counter.squarings += e.bit_length() - 1
+            counter.mults += e.bit_count() - 1
+        if self.m == 1:
             return (pow(a[0], e, self.p),)
-        acc = a
-        for bit in bin(e)[3:]:
-            acc = self.sqr(acc, counter)
-            if bit == "1":
-                acc = self.mul(acc, a, counter)
-        return acc
+        ring = self._ring
+        return tuple(ring._unpack(ring.pow(self._pack(a), e), self.m))
 
     def inv(self, a, counter: OpCounter | None = None) -> tuple:
         if not any(a):
@@ -458,22 +506,21 @@ class Field(_Packing):
         ladder = self._frob_ladder
         while j >> len(ladder):
             top = ladder[-1]
-            cols = (self._apply(top, self._unpack(col, self.m)) for col in top)
-            ladder += (tuple(map(self._pack, cols)),)
+            ladder += (tuple(self._apply(top, self._unpack(col, self.m))
+                             for col in top),)
             object.__setattr__(self, "_frob_ladder", ladder)
         for i, cols in enumerate(ladder):
             if j >> i & 1:
-                a = self._apply(cols, a)
-        return a
+                a = self._unpack(self._apply(cols, a), self.m)
+        return tuple(a)
 
-    def _apply(self, cols, a) -> tuple:
-        """The linear map with packed columns cols, applied to a."""
+    def _apply(self, cols, a) -> int:
+        """The linear map with packed columns cols, applied to a; packed."""
         acc = 0
         for coeff, col in zip(a, cols):
             if coeff:
                 acc += coeff * col
-        p = self.p
-        return tuple(c % p for c in self._unpack(acc, self.m))
+        return self._ring._mod_p(acc)
 
 
 def mk_field(p: int, m: int, modulus=None) -> Field:

@@ -153,16 +153,17 @@ def geometric_sum(p: int, period: int, n: int) -> int:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Trial-division factorization as (prime, exponent) pairs, ascending.
+    """Factorization as (prime, exponent) pairs, ascending.
 
-    Division stops once the cofactor left is prime, tested at the start
-    and after each prime stripped, so a prime n or a smooth part times a
-    large prime costs no more than the smooth part.  A product of two
-    large primes still costs O(sqrt(n)) steps."""
+    Trial division by d < _TRIAL_LIMIT, stopping once the cofactor left
+    is prime, tested at the start and after each prime stripped; a
+    composite cofactor left after that has only prime factors of at least
+    _TRIAL_LIMIT and is split by Pollard's rho (_rho_split), about n^(1/4)
+    steps per split instead of up to sqrt(n) divisions."""
     out = []
     d = 2
     done = is_prime(n)
-    while not done and d * d <= n:
+    while not done and d < _TRIAL_LIMIT and d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -171,9 +172,54 @@ def factorize(n: int) -> list[tuple[int, int]]:
             out.append((d, e))
             done = is_prime(n)
         d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+    if done or d * d > n:
+        return out + [(n, 1)] if n > 1 else out
+    found = {}
+    stack = [n]
+    while stack:
+        k = stack.pop()
+        if is_prime(k):
+            found[k] = found.get(k, 0) + 1
+        else:
+            f = _rho_split(k)
+            stack += [f, k // f]
+    return out + sorted(found.items())
+
+
+_TRIAL_LIMIT = 1 << 10
+
+
+def _rho_split(n: int) -> int:
+    """A factor 1 < f < n of the odd composite n.
+
+    Brent's variant of Pollard's rho (Brent 1980): the walk y -> y^2 + c
+    mod n from y = 2, with c = 1, 2, ... until a walk splits n, and the
+    differences multiplied together in runs of 128 between gcds.  Every
+    constant is fixed, so the factor found is the same on every run."""
+    c = 0
+    while True:
+        c += 1
+        y, run, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(run):
+                y = (y * y + c) % n
+            k = 0
+            while k < run and g == 1:
+                saved = y
+                for _ in range(min(128, run - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            run *= 2
+        if g == n:  # the run overshot: walk it again one gcd at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(abs(x - saved), n)
+        if g != n:
+            return g
 
 
 def exact_power(r: int, n: int) -> int:

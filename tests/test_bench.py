@@ -188,7 +188,12 @@ def test_bench_layers_smoke(tmp_path):
     ops = fld["ops"]
     assert (ops["mul"]["mults"], ops["sqr"]["squarings"]) == (1, 1)
     assert ops["frobenius_m-1"]["frobenius"] == 8
+    assert ops["inv"]["inversions"] == 1
     assert all(op["us"] > 0 for op in ops.values())
+    table = json.loads(out.read_text())["side_by_side"]["3,9"]
+    assert sorted(table) == sorted(["mul", "sqr", "frobenius_1",
+                                    "frobenius_m-1", "inv", "pow_N-1"])
+    assert all(sorted(row) == ["a", "b"] for row in table.values())
     # 3^9 - 1 = 2 * 13 * 757: r = 2 ramifies, r = 5 is coprime with k = 4
     assert {row["path"]: row["r"] for row in fld["roots"]} == {
         "coprime_fast": 5, "naive_fallback": 2, "ramified_fast": 2}

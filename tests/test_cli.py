@@ -131,6 +131,23 @@ def test_root_prime_r_beyond_trial_division(capsys):
     assert fld.pow(root, r) == fld.elem([1, 2])
 
 
+def test_root_r_with_two_large_prime_factors(capsys):
+    # r = (2^31 - 1)(2^31 + 11): trial division needs about 2^31 steps to
+    # reach the smaller factor; Pollard's rho splits it in about 2^16
+    r = (2 ** 31 - 1) * (2 ** 31 + 11)
+    assert r == 4611686039902224373
+    start = time.monotonic()
+    code, out, _ = run(capsys, "root", "--p", "3", "--m", "61", "--r", str(r),
+                       "--delta", "1,2")
+    assert time.monotonic() - start < 5
+    assert code == 0
+    fields = dict(tok.split("=") for tok in out.split())
+    assert fields["status"] == "root_found"
+    fld = mk_field(3, 61)
+    root = parse_elem(fld, fields["root"])
+    assert fld.pow(root, r) == fld.elem([1, 2])
+
+
 def test_decompose_safe_prime_r_fails_fast(capsys):
     # r is a safe prime near 2^51: lambda(r) = r - 1 = 2 * 1125899906843669,
     # and trial division of r - 1 stops once the cofactor is prime

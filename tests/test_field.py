@@ -395,6 +395,76 @@ def test_pack_roundtrip(width_field):
         assert fld._unpack(fld._pack(vec), fld.m) == vec
 
 
+# -- lane-parallel reduction mod p ----------------------------------------------
+
+# m = 2 fields beside the width fields: 1, 2, 4, 8 and 9 bytes per digit
+REDUCE_FIELDS = sorted(WIDTH_FIELDS.values()) + [(2, 2), (3, 2), (251, 2)]
+
+
+def _dense_monic(p, m, rng):
+    # every coefficient nonzero: one digit per fold; need not be irreducible
+    return [rng.randrange(1, p) for _ in range(m)] + [1]
+
+
+@pytest.mark.parametrize("p,m", REDUCE_FIELDS)
+def test_reduce_matches_per_digit_reference(p, m):
+    rng = random.Random(p * m)
+    canonical = list(mk_field(p, m).modulus)
+    for f in (canonical, _dense_monic(p, m, rng), [1] + [0] * (m - 1) + [1]):
+        ring = field._Residues(p, f)
+        top = [p - 1] * m
+        pairs = [(top, top), (top, [1] + [0] * (m - 1)), ([0] * m, top)]
+        pairs += [([rng.randrange(p) for _ in range(m)],
+                   [rng.randrange(p) for _ in range(m)]) for _ in range(40)]
+        for a, b in pairs:
+            acc = ring._pack(a) * ring._pack(b)
+            raw = _poly_rem(_poly_mul(a, b, p), f, p)
+            expect = raw + [0] * (m - len(raw))
+            assert ring.reduce(acc) == expect, (f, a, b)
+            assert ring.reduce_packed(acc) == ring._pack(expect)
+
+
+@pytest.mark.parametrize("p,m", REDUCE_FIELDS)
+def test_lane_reduction_worst_digits(p, m):
+    # every digit value the reduction may meet, up to 2mp^2 and past it to
+    # the Barrett bound 2^s, where the quotient estimate is one short
+    ring = field._Residues(p, [1] + [0] * (m - 1) + [1])
+    bound = 2 * m * p * p
+    edges = [0, 1, p - 1, p, 2 * p - 1, 2 * p, (p - 1) ** 2, m * (p - 1) ** 2,
+             bound - 1, (1 << bound.bit_length()) - 1]
+    rng = random.Random(p + m)
+    for _ in range(60):
+        digits = [rng.choice(edges) if rng.random() < 0.5
+                  else rng.randrange(bound) for _ in range(m)]
+        assert ring._unpack(ring._mod_p(ring._pack(digits)), m) == [
+            d % p for d in digits], digits
+    for d in edges:
+        assert ring._unpack(ring._mod_p(ring._pack([d] * m)), m) == [
+            d % p] * m, d
+
+
+@pytest.mark.parametrize("p,m", [(13, 1), (2, 3), (5, 5), (3, 61)])
+def test_pow_counts_match_sqr_mul_chain(p, m):
+    fld = mk_field(p, m)
+    rng = random.Random(m)
+    a = fld.random_elem(rng)
+    while not any(a):
+        a = fld.random_elem(rng)
+    for e in range(301):
+        chain = OpCounter()
+        expect = fld.one()
+        if e:
+            expect = a
+            for bit in bin(e)[3:]:
+                expect = fld.sqr(expect, chain)
+                if bit == "1":
+                    expect = fld.mul(expect, a, chain)
+        c = OpCounter()
+        assert fld.pow(a, e, c) == expect, e
+        assert c == chain, e
+        assert fld.pow(a, e) == expect, e
+
+
 def test_random_elem_is_seeded(f75):
     assert f75.random_elem(random.Random(42)) == f75.random_elem(
         random.Random(42))

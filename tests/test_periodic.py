@@ -97,6 +97,29 @@ def test_factorize_stops_at_prime_cofactor():
     assert all(factorize(n) == _trial_division(n) for n in range(20000))
 
 
+def test_factorize_matches_trial_division():
+    # past trial division, composite cofactors are split by Pollard's rho;
+    # the factorisation must be the same, ascending and with exponents
+    rng = random.Random(1980)
+    cases = [rng.randrange(1, 10 ** 12) for _ in range(100)]
+    for _ in range(100):  # cofactors with only large prime factors
+        a, b = rng.randrange(1000, 10 ** 5), rng.randrange(1000, 10 ** 5)
+        cases.append(a * b * b * rng.randrange(1, 60))
+    for q in (1031, 65537, 999983):  # prime powers past the trial limit
+        cases += [q ** 2, q ** 3, q ** 2 * 1033]
+    for n in cases:
+        assert factorize(n) == _trial_division(n), n
+
+
+def test_factorize_two_large_primes():
+    q1, q2 = 2 ** 31 - 1, 2 ** 31 + 11
+    start = time.monotonic()
+    assert factorize(q1 * q2) == [(q1, 1), (q2, 1)]
+    assert factorize(2 ** 3 * q2 ** 2 * q1) == [(2, 3), (q1, 1), (q2, 2)]
+    assert factorize((2 ** 61 - 1) * q1 ** 2) == [(q1, 2), (2 ** 61 - 1, 1)]
+    assert time.monotonic() - start < 2
+
+
 def test_exact_power():
     assert exact_power(2, 12) == 2
     assert exact_power(5, 12) == 0
