@@ -215,9 +215,9 @@ class _Residues(_Packing):
     folds reduce a product; a dense explicit modulus takes one fold per
     digit.  The attribute x holds the residue of x, for m >= 2.
 
-    Digits are reduced mod p in every digit at once (_mod_p): the even and
-    the odd digits each sit in lanes of two digit widths, where Barrett's
-    quotient (Barrett 1986) fits without spilling into the next lane, as in
+    All digits are reduced mod p at once (_mod_p): the even and the odd
+    digits each sit in lanes two digits wide, where Barrett's quotient
+    (Barrett 1986) fits without spilling into the next lane, as in
     Harvey's multipoint Kronecker substitution (2009).  A few bigint
     operations replace a Python loop over the digits."""
 

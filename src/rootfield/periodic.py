@@ -152,6 +152,9 @@ def geometric_sum(p: int, period: int, n: int) -> int:
     return (p ** (period * n) - 1) // (p ** period - 1)
 
 
+_TRIAL_LIMIT = 1 << 10
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Factorization as (prime, exponent) pairs, ascending.
 
@@ -184,9 +187,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
             f = _rho_split(k)
             stack += [f, k // f]
     return out + sorted(found.items())
-
-
-_TRIAL_LIMIT = 1 << 10
 
 
 def _rho_split(n: int) -> int:

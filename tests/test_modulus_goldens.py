@@ -8,6 +8,8 @@ its coefficients below x^m, constant term first, with trailing zeros
 dropped: (1, 1) on F_{2^3} is x^3 + x + 1.
 """
 
+import time
+
 import pytest
 
 from rootfield import mk_field
@@ -112,3 +114,23 @@ CLI_MODULI = {
 def test_canonical_modulus_golden(pm, low):
     p, m = pm
     assert mk_field(p, m).modulus == low + (0,) * (m - len(low)) + (1,)
+
+
+# the slowest builds of ROADMAP's Baseline, each with a time budget:
+# (2, 521) took 14-15 s with one gcd per Ben-Or step, and Rabin's test
+# had not finished it after 10 minutes
+SLOW_BUILDS = {
+    (3, 163): ((1, 0, 1, 2, 1, 1), 5),
+    (5, 101): ((4, 0, 0, 0, 1), 5),
+    (2, 521): ((1, 1, 0, 1, 0, 1, 1, 0, 0, 1), 10),
+}
+
+
+@pytest.mark.parametrize("pm", sorted(SLOW_BUILDS),
+                         ids=lambda v: ",".join(map(str, v)))
+def test_slow_build_golden_within_budget(pm):
+    (p, m), (low, budget) = pm, SLOW_BUILDS[pm]
+    start = time.monotonic()
+    fld = mk_field(p, m)
+    assert time.monotonic() - start < budget
+    assert fld.modulus == low + (0,) * (m - len(low)) + (1,)
