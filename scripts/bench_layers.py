@@ -11,7 +11,10 @@ Every extraction is checked: a constructed residue must come back as a
 verified root.  A second grid, of fields with long modulus searches
 (each took seconds to minutes under Rabin's test, the one used before
 Ben-Or's), gets mk_field rows alone, each with the number of
-irreducibility tests one build runs.
+irreducibility tests one build runs.  A third grid, the benchmark's
+r^2 | N fields, gets one row per field with the time and counters of
+auto and forced `amm` on a constructed residue and on a non-residue,
+and the time of build_amm_context (uncounted, uncached).
 
 Each timed call, or batch of calls, runs under a deadline of TIMEOUT_S
 seconds (SIGALRM); a row that overruns it records "timeout" in place of
@@ -39,13 +42,15 @@ import statistics
 import sys
 import time
 
-from rootfield import OpCounter, field, mk_field, rth_root
+from rootfield import (OpCounter, build_amm_context, field, find_nonresidue,
+                       mk_field, rth_root)
 from rootfield.frobpow import phi_map
 from rootfield.periodic import PeriodTooLong, analyze_case
 
 GRID = ((3, 61), (2, 127), (3, 97), (5, 61), (13, 31), (29, 23))
 BUILD_GRID = ((3, 101), (11, 41), (7, 41), (37, 19), (3, 163), (5, 101),
               (1000003, 17), (2, 521))
+AMM_GRID = ((5, 61, 2), (13, 31, 2), (17, 21, 2), (29, 23, 2), (19, 21, 3))
 ROOT_DEGREES = (2, 3, 5, 7, 11, 13)
 SIDE_BY_SIDE = ("mul", "sqr", "frobenius_1", "frobenius_m-1", "inv",
                 "pow_N-1")
@@ -180,6 +185,34 @@ def bench_roots(fld, rng, repeats: int) -> list:
     return sorted(rows.values(), key=lambda row: row["path"])
 
 
+def bench_amm(p: int, m: int, r: int, repeats: int) -> dict:
+    """Auto against forced amm on one field, for a constructed residue
+    and a seeded non-residue; each root is checked."""
+    fld = mk_field(p, m)
+    gamma = fld.random_elem(random.Random(f"{p}^{m}/{r}"))
+    residue = fld.pow(gamma, r)
+    out = {"p": p, "m": m, "r": r,
+           "amm_context_us": median_us(lambda: build_amm_context(fld, r),
+                                       repeats)}
+    for name, delta, status in (
+            ("residue", residue, "root_found"),
+            ("non_residue", find_nonresidue(fld, r, 1), "non_residue")):
+        for path in ("auto", "amm"):
+            res = rth_root(fld, delta, r, path=path)
+            if res.status != status or (res.root is not None
+                                        and fld.pow(res.root, r) != delta):
+                raise RuntimeError(f"path={path} failed on the {name}, "
+                                   f"r={r}")
+            c = res.counters
+            out[f"{name}_{path}"] = {
+                "path": res.path_tag,
+                "us": median_us(lambda: rth_root(fld, delta, r, path=path),
+                                repeats),
+                "mults": c.mults, "squarings": c.squarings,
+                "frobenius": c.frobenius}
+    return out
+
+
 def side_by_side(runs: dict) -> dict:
     """Microseconds per call of the SIDE_BY_SIDE rows, by field and row,
     one entry per run label."""
@@ -193,20 +226,29 @@ def side_by_side(runs: dict) -> dict:
     return table
 
 
-def parse_field(text: str) -> tuple:
-    p, _, m = text.partition(",")
-    return int(p), int(m)
+def int_tuple(size: int):
+    """An argparse type: size comma-separated integers."""
+    def parse(text: str) -> tuple:
+        parts = tuple(int(part) for part in text.split(","))
+        if len(parts) != size:
+            raise ValueError(f"expected {size} integers, got {text!r}")
+        return parts
+    return parse
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--field", action="append", type=parse_field,
+    ap.add_argument("--field", action="append", type=int_tuple(2),
                     help="p,m; repeatable (default: the fixed grid)")
-    ap.add_argument("--build", action="append", type=parse_field,
+    ap.add_argument("--build", action="append", type=int_tuple(2),
                     help="p,m for an mk_field row alone; repeatable "
                          "(default: the grid of slow builds)")
+    ap.add_argument("--amm", action="append", type=int_tuple(3),
+                    help="p,m,r for an auto-against-forced amm row; "
+                         "repeatable (default: the benchmark's r^2 | N "
+                         "fields)")
     ap.add_argument("--label", default="run",
                     help="key of this run in the output file")
     ap.add_argument("--out", default="-",
@@ -221,7 +263,9 @@ def main(argv=None) -> int:
            "fields": [bench_field(p, m, args.repeats)
                       for p, m in args.field or GRID],
            "builds": [bench_build(p, m, args.repeats)
-                      for p, m in args.build or BUILD_GRID]}
+                      for p, m in args.build or BUILD_GRID],
+           "amm": [bench_amm(p, m, r, args.repeats)
+                   for p, m, r in args.amm or AMM_GRID]}
     doc = {}
     if args.out != "-" and os.path.exists(args.out):
         with open(args.out) as fh:

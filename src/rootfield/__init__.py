@@ -19,18 +19,18 @@ from .periodic import (BaseQDecomposition, CaseAnalysis, ConditionsUnmet,
                        PeriodicExponent, PeriodTooLong, analyze_case,
                        decompose_base_q, decompose_coprime,
                        decompose_ramified, mult_order)
-from .roots import (AmmContext, NoSingleExponent, RNotDividingOrder,
-                    RootOutcome, RTooSmall, ZeroElement, amm_root,
-                    build_amm_context, find_nonresidue, is_rth_residue,
-                    rth_root, single_exponent_root)
+from .roots import (AmmContext, NoNonResidueFound, NoSingleExponent,
+                    RNotDividingOrder, RootOutcome, RTooSmall, ZeroElement,
+                    amm_root, build_amm_context, find_nonresidue,
+                    is_rth_residue, rth_root, single_exponent_root)
 
 __all__ = [
     "AmmContext", "BaseQDecomposition", "CaseAnalysis", "ConditionsUnmet",
-    "DegreeMismatch", "Field", "FieldTooLarge", "NoSingleExponent",
-    "NotCoprime", "NotCoprimeCase", "NotPrime", "NotRamifiedCase",
-    "OpCounter", "OracleReport", "PeriodTooLong", "PeriodicExponent",
-    "RNotDividingOrder", "ReducibleModulus", "RootOutcome", "RTooSmall",
-    "ZeroElement", "ZeroInverse", "amm_root", "analyze_case",
+    "DegreeMismatch", "Field", "FieldTooLarge", "NoNonResidueFound",
+    "NoSingleExponent", "NotCoprime", "NotCoprimeCase", "NotPrime",
+    "NotRamifiedCase", "OpCounter", "OracleReport", "PeriodTooLong",
+    "PeriodicExponent", "RNotDividingOrder", "ReducibleModulus",
+    "RootOutcome", "RTooSmall", "ZeroElement", "ZeroInverse", "amm_root", "analyze_case",
     "apply_periodic", "brute_root", "build_amm_context", "decompose_base_q",
     "decompose_coprime", "decompose_ramified", "find_nonresidue",
     "format_elem", "format_field", "is_prime", "is_rth_residue", "mk_field",

@@ -2,9 +2,11 @@
 
 For extracting an r-th root in F_{p^m} one wants an exponent v with
 r*v = 1 modulo (p^m - 1)/r^alpha, alpha the multiplicity of r in the
-group order: 0 in the coprime case, 1 in the ramified case.  When the
-extension degree m is large compared to the period k*r^alpha, k the
-multiplicative order of p mod r, v splits as
+group order: 0 in the coprime case, 1 in the ramified case, at least 2
+in the higher-power case, where v is the alpha of Adleman-Manders-Miller
+(AMM).  When the extension degree m is large compared to the period,
+the least k*r^i with r^{alpha+1} | p^{k*r^i} - 1 (k*r^alpha for
+alpha <= 1, k the multiplicative order of p mod r), v splits as
 
     v = a + b * (1 + p^l + p^{2l} + ... + p^{(n-1)l})
 
@@ -47,7 +49,8 @@ class PeriodicExponent:
     """One decomposition v = a + b * sum_{j<n} p^{j*period}.
 
     congruence_modulus is the modulus M with r*v = 1 (mod M); case_tag is
-    "coprime" or "ramified".  The period is measured in base-p digits.
+    "coprime", "ramified" or "higher_power" for alpha = 0, 1 and >= 2.
+    The period is measured in base-p digits.
     """
 
     a: int
@@ -222,6 +225,22 @@ def _rho_split(n: int) -> int:
             return g
 
 
+def lifted_order(q: int, r: int, k: int, e: int) -> int:
+    """Least k*r^i with r^e | q^{k*r^i} - 1, given k >= 1 with
+    q^k = 1 mod r; for prime r and k the order of q mod r, the order of
+    q mod r^e.
+
+    Each factor r raises the multiplicity of r in q^{k*r^i} - 1 by at
+    least one, so i < e and the search takes at most e modular powers."""
+    mod = r ** e
+    order = k
+    for _ in range(e):
+        if pow(q, order, mod) == 1:
+            return order
+        order *= r
+    raise ValueError(f"q^k = {pow(q, k, r)} mod r, not 1")
+
+
 def exact_power(r: int, n: int) -> int:
     """Multiplicity of r in n: largest alpha with r^alpha | n."""
     alpha = 0
@@ -270,16 +289,18 @@ def decompose(q: int, m: int, r: int, k: int, alpha: int) -> PeriodicExponent:
     """Split v = r^{-1} mod M, M = (q^m - 1)/r^alpha, along base-q digits.
 
     alpha is the multiplicity of r in q^m - 1: 0 in the coprime case, 1
-    in the ramified case.  k is the order of q mod r, and the period is
-    k*r^alpha, because only q^{k*r^alpha} - 1 carries the factor
-    r^{alpha+1} that keeps the block z = u*(q^period - 1)/r^{alpha+1}
-    integral; u in [1, r) satisfies u*M = -1 (mod r).  The top digit
-    block b is z shifted to the leading end, and a is whatever remains
-    after the geometric part is taken out.  Bounds a, b < q^{2*period}
-    are part of the contract, so they are asserted rather than trusted.
-    Requires m > period and gcd(M, r) = 1, checked in that order.
+    in the ramified case, at least 2 in the higher-power case.  k is the
+    order of q mod r, and the period is the least k*r^i with
+    r^{alpha+1} | q^period - 1 (lifted_order): only such a period keeps
+    the block z = u*(q^period - 1)/r^{alpha+1} integral, where u in
+    [1, r) satisfies u*M = -1 (mod r).  For alpha <= 1 the period is
+    k*r^alpha.  The top digit block b is z shifted to the leading end,
+    and a is whatever remains after the geometric part is taken out.
+    Bounds a, b < q^{2*period} are part of the contract, so they are
+    asserted rather than trusted.  Requires m > period and
+    gcd(M, r) = 1, checked in that order.
     """
-    period = k * r ** alpha
+    period = lifted_order(q, r, k, alpha + 1)
     if m <= period:
         raise PeriodTooLong(f"need m > period, got m={m}, period={period}")
     modulus = (q ** m - 1) // r ** alpha
@@ -297,7 +318,8 @@ def decompose(q: int, m: int, r: int, k: int, alpha: int) -> PeriodicExponent:
     assert 0 <= a < bound, "constant part out of range"
     assert 0 <= b < bound, "periodic part out of range"
     return PeriodicExponent(a, b, period, n, v, modulus,
-                            ("coprime", "ramified")[alpha])
+                            ("coprime", "ramified", "higher_power")[
+                                min(alpha, 2)])
 
 
 def decompose_coprime(p: int, m: int, r: int) -> PeriodicExponent:

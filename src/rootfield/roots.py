@@ -11,8 +11,15 @@ N = p^m - 1:
     periodic base-p expansion and most of the powering collapses into
     Frobenius maps (coprime_fast, ramified_fast); otherwise plain
     powering does it (naive_fallback).
-  * r^2 divides N: digit-correction search over a precomputed table of
-    r-th roots of unity (Adleman-Manders-Miller), path tag "amm".
+  * r^2 divides N, N = r^t * s with gcd(s, r) = 1: digit-correction
+    search over a precomputed table of r-th roots of unity
+    (Adleman-Manders-Miller, AMM), path tag "amm".  Its three long
+    powers, the residue test delta^{N/r}, delta^s and delta^alpha with
+    alpha = r^{-1} mod s, have periodic base-p expansions.  When m
+    exceeds the period of alpha's split (the least k*r^i with
+    r^{t+1} | p^{k*r^i} - 1) and s > 1, auto dispatch raises all three
+    through Frobenius maps; forced path "amm" keeps plain powering, the
+    baseline the splits are measured against.
 
 rth_root dispatches prime by prime for composite r and peels factors of
 p off r first, since the p-th power map is the Frobenius bijection.
@@ -26,9 +33,10 @@ from functools import lru_cache
 from math import gcd
 
 from .field import Field, OpCounter, is_prime
-from .frobpow import apply_periodic
-from .periodic import (NotCoprimeCase, NotRamifiedCase, PeriodTooLong,
-                       decompose, exact_power, factorize, mult_order)
+from .frobpow import apply_periodic, phi_map
+from .periodic import (NotCoprimeCase, NotRamifiedCase, PeriodicExponent,
+                       PeriodTooLong, decompose, exact_power, factorize,
+                       lifted_order, mult_order)
 
 
 class RNotDividingOrder(ValueError):
@@ -41,6 +49,11 @@ class ZeroElement(ValueError):
 
 class RTooSmall(ValueError):
     """Root degrees start at 2."""
+
+
+class NoNonResidueFound(RuntimeError):
+    """128 seeded draws held no non-residue, which happens with
+    probability at most 2^-128 when r divides the group order."""
 
 
 class NoSingleExponent(NotCoprimeCase, NotRamifiedCase):
@@ -67,7 +80,12 @@ class AmmContext:
     N = r^t * s with gcd(s, r) = 1; alpha is the least nonnegative
     integer with s | r*alpha - 1; rho is a fixed non-residue; k_powers
     holds the r-th roots of unity g^i, g = rho^{N/r}, with a reverse
-    index for the table lookups."""
+    index for the table lookups, and both are empty for t = 1, where
+    the digit loop does not run.
+
+    The periodic splits: k is the order of p mod r and l_t the order of
+    p mod r^t, both None for m = 1 or k >= m; pe splits alpha, and is
+    None unless s > 1 and m exceeds its period."""
 
     t: int
     s: int
@@ -76,6 +94,9 @@ class AmmContext:
     rho_s: tuple
     k_powers: tuple
     k_index: dict
+    k: int | None = None
+    l_t: int | None = None
+    pe: PeriodicExponent | None = None
 
 
 def _require_divisor(fld: Field, r: int) -> None:
@@ -83,54 +104,82 @@ def _require_divisor(fld: Field, r: int) -> None:
         raise RNotDividingOrder(f"r={r} does not divide the group order")
 
 
+def _power_n_over(fld: Field, delta, d: int, period: int | None,
+                  counter: OpCounter | None = None) -> tuple:
+    """delta^{N/d} for d | N.  Given a period l | m with d | p^l - 1,
+    N/d = ((p^l - 1)/d) * (1 + p^l + ... + p^{m-l}): one power below p^l
+    and a phi_map.  period None: one plain power."""
+    if period is None:
+        return fld.pow(delta, fld.order_minus_one // d, counter)
+    head = fld.pow(delta, (fld.p ** period - 1) // d, counter)
+    return phi_map(fld, head, period, fld.m // period - 1, counter)
+
+
+def _order_below_m(fld: Field, r: int) -> int | None:
+    """The order of p mod r when it is below m; no search for m = 1."""
+    return mult_order(fld.p, r, fld.m - 1) if fld.m > 1 else None
+
+
 def is_rth_residue(fld: Field, delta, r: int,
-                   counter: OpCounter | None = None) -> bool:
-    """Euler-style criterion: delta^{N/r} = 1."""
+                   counter: OpCounter | None = None, *,
+                   _period: int | None = None) -> bool:
+    """Euler-style criterion: delta^{N/r} = 1.  _period, the order of p
+    mod r, raises N/r through Frobenius maps (_power_n_over)."""
     _require_divisor(fld, r)
     if not any(delta):
         raise ZeroElement("residue test is for nonzero elements")
-    return fld.pow(delta, fld.order_minus_one // r, counter) == fld.one()
+    return _power_n_over(fld, delta, r, _period, counter) == fld.one()
 
 
 def find_nonresidue(fld: Field, r: int, seed: int = 0) -> tuple:
     """Deterministic seeded search for a non-r-th-residue.
 
-    128 pseudorandom draws, then canonical enumeration; non-residues
-    make up a 1 - 1/r share of the group, so the fallback is for
-    determinism, not for hope."""
+    Non-residues make up a 1 - 1/r share of the group, so all 128
+    pseudorandom draws miss with probability at most 2^-128; then
+    NoNonResidueFound.  The uncounted residue tests take N/r through
+    Frobenius maps when the order of p mod r is below m."""
     _require_divisor(fld, r)
+    k = _order_below_m(fld, r)
     rng = random.Random(seed)
     for _ in range(128):
         cand = fld.random_elem(rng)
-        if any(cand) and not is_rth_residue(fld, cand, r):
+        if any(cand) and not is_rth_residue(fld, cand, r, _period=k):
             return cand
-    for idx in range(1, fld.order_minus_one + 1):
-        cand = fld.elem_from_index(idx)
-        if not is_rth_residue(fld, cand, r):
-            return cand
-    raise RuntimeError("no non-residue found; r cannot divide the group order")
+    raise NoNonResidueFound(f"128 draws held no non-residue for r={r}")
 
 
 def build_amm_context(fld: Field, r: int, seed: int = 0,
                       rho: tuple | None = None) -> AmmContext:
+    """The AmmContext for (fld, r); its powers of rho go through the
+    periodic splits wherever they exist, uncounted."""
     _require_divisor(fld, r)
-    order = fld.order_minus_one
+    p, m, order = fld.p, fld.m, fld.order_minus_one
     t = exact_power(r, order)
     s = order // r ** t
     alpha = 0 if s == 1 else pow(r, -1, s)
+    # the split periods k*r^i divide m for prime r, the r AMM is for;
+    # any other r keeps plain powers
+    k = _order_below_m(fld, r) if is_prime(r) else None
+    l_t = pe = None
+    if k is not None:
+        l_t = lifted_order(p, r, k, t)
+        if s > 1 and lifted_order(p, r, k, t + 1) < m:
+            pe = decompose(p, m, r, k, t)
     if rho is None:
         rho = find_nonresidue(fld, r, seed)
-    rho_s = fld.pow(rho, s)
-    g = fld.pow(rho, order // r)
+    rho_s = _power_n_over(fld, rho, r ** t, l_t)
+    g = _power_n_over(fld, rho, r, k)
     if g == fld.one():
         raise ValueError(f"rho={rho} is an r-th residue for r={r}; the "
                          "unity table needs a non-residue")
-    k_powers = [fld.one()]
-    for _ in range(1, r):
-        k_powers.append(fld._raw_mul(k_powers[-1], g))
-    assert len(set(k_powers)) == r, "roots of unity are not distinct"
+    k_powers = []
+    if t > 1:  # the digit loop's table; for t = 1 nothing reads it
+        k_powers = [fld.one()]
+        for _ in range(1, r):
+            k_powers.append(fld._raw_mul(k_powers[-1], g))
+        assert len(set(k_powers)) == r, "roots of unity are not distinct"
     return AmmContext(t, s, alpha, rho, rho_s, tuple(k_powers),
-                      {w: i for i, w in enumerate(k_powers)})
+                      {w: i for i, w in enumerate(k_powers)}, k, l_t, pe)
 
 
 @lru_cache(maxsize=512)
@@ -140,7 +189,8 @@ def _cached_amm_context(fld, r, seed, rho):
 
 def amm_root(fld: Field, delta, r: int, seed: int = 0,
              rho: tuple | None = None, counter: OpCounter | None = None,
-             context: AmmContext | None = None) -> RootOutcome:
+             context: AmmContext | None = None, *,
+             _periodic: bool = False) -> RootOutcome:
     """Digit-correction root extraction for prime r with r^t | N, t >= 1.
 
     Strategy: delta^{r*alpha - 1} lands in the subgroup of order r^{t-1}.
@@ -148,7 +198,13 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
     unity; the table says which correction (rho^s)^{j_i * r^i} cancels
     it.  Collecting the digits j_i gives the correction exponent J, and
     delta^alpha * (rho^s)^J is an exact r-th root.  Table construction
-    is amortized across calls and not counted."""
+    is amortized across calls and not counted.
+
+    With _periodic (auto dispatch) and a split of alpha in the context,
+    the three long powers go through Frobenius maps: delta^{N/r} and
+    delta^s = delta^{N/r^t} by _power_n_over, delta^{r*alpha - 1} as
+    (delta^s)^c with c = (r*alpha - 1)/s < r, and delta^alpha by
+    apply_periodic.  The root is the same; only the counters move."""
     _require_divisor(fld, r)
     order = fld.order_minus_one
     if not any(delta):
@@ -156,14 +212,20 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
     if counter is None:
         counter = OpCounter()
     amm = context or _cached_amm_context(fld, r, seed, rho)
-    if not is_rth_residue(fld, delta, r, counter):
+    split = _periodic and amm.pe is not None
+    if not is_rth_residue(fld, delta, r, counter,
+                          _period=amm.k if split else None):
         return RootOutcome("non_residue", None, True, counter, "amm")
     if amm.t == 1:
         root = fld.pow(delta, amm.alpha, counter)
     else:
-        # r*alpha - 1 is -1 when s = 1 (alpha = 0); reduce mod the group
-        # order so the exponent stays nonnegative
-        acc = fld.pow(delta, (r * amm.alpha - 1) % order, counter)
+        if split:
+            delta_s = _power_n_over(fld, delta, r ** amm.t, amm.l_t, counter)
+            acc = fld.pow(delta_s, (r * amm.alpha - 1) // amm.s, counter)
+        else:
+            # r*alpha - 1 is -1 when s = 1 (alpha = 0); reduce mod the
+            # group order so the exponent stays nonnegative
+            acc = fld.pow(delta, (r * amm.alpha - 1) % order, counter)
         j_total = 0
         for i in range(1, amm.t):
             w = fld.pow(acc, r ** (amm.t - 1 - i), counter)
@@ -175,8 +237,9 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
                 corr = fld.pow(amm.rho_s, j * r ** i, counter)
                 acc = fld.mul(acc, corr, counter)
                 j_total += j * r ** (i - 1)
-        root = fld.mul(fld.pow(delta, amm.alpha, counter),
-                       fld.pow(amm.rho_s, j_total, counter), counter)
+        head = (apply_periodic(fld, delta, amm.pe, counter) if split
+                else fld.pow(delta, amm.alpha, counter))
+        root = fld.mul(head, fld.pow(amm.rho_s, j_total, counter), counter)
     if fld.pow(root, r, counter) != delta:
         raise RuntimeError("verification failed on a residue; table corrupt?")
     return RootOutcome("root_found", root, True, counter, "amm")
@@ -231,7 +294,8 @@ def _stage_root(fld, delta, ell, seed, counter, path="auto"):
                          and exact_power(ell, fld.order_minus_one) > 1):
         if not any(delta):
             return RootOutcome("root_found", fld.zero(), True, counter, "amm")
-        return amm_root(fld, delta, ell, seed=seed, counter=counter)
+        return amm_root(fld, delta, ell, seed=seed, counter=counter,
+                        _periodic=path == "auto")
     mode = "fast" if path == "periodic" else path
     return single_exponent_root(fld, delta, ell, counter, mode)
 

@@ -199,6 +199,24 @@ def test_bench_layers_smoke(tmp_path):
         "coprime_fast": 5, "naive_fallback": 2, "ramified_fast": 2}
 
 
+def test_bench_layers_amm_rows(tmp_path):
+    script = Path(__file__).parents[1] / "scripts" / "bench_layers.py"
+    main = runpy.run_path(str(script), run_name="bench_layers")["main"]
+    out = tmp_path / "bench.json"
+    assert main(["--field", "3,9", "--build", "2,17", "--amm", "13,3,2",
+                 "--repeats", "1", "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())["runs"]["run"]["amm"]
+    assert (row["p"], row["m"], row["r"]) == (13, 3, 2)
+    assert row["amm_context_us"] > 0
+    # 4 | 13^3 - 1 and 8 | 13^2 - 1: auto takes the periodic splits,
+    # forced amm stays plain
+    for verdict in ("residue", "non_residue"):
+        auto, forced = row[f"{verdict}_auto"], row[f"{verdict}_amm"]
+        assert auto["path"] == forced["path"] == "amm"
+        assert auto["frobenius"] > 0 and forced["frobenius"] == 0
+        assert auto["us"] > 0 and forced["us"] > 0
+
+
 def test_bench_layers_timeout(tmp_path, monkeypatch):
     # a build past the deadline records "timeout" instead of hanging
     script = Path(__file__).parents[1] / "scripts" / "bench_layers.py"

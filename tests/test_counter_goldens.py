@@ -59,6 +59,16 @@ GOLDENS = [
      ("root_found", "amm", 9, 26, 0, 0)),
     ((7, 5, 2, "amm", 2),
      ("non_residue", "amm", 5, 13, 0, 0)),
+    # auto amm with r^2 | N and m past the period of alpha's split: the
+    # long powers run through Frobenius maps
+    ((5, 61, 2, "auto", "residue"),
+     ("root_found", "amm", 30, 6, 372, 0)),
+    ((5, 61, 2, "auto", 2),
+     ("non_residue", "amm", 9, 1, 138, 0)),
+    ((19, 21, 3, "auto", "residue"),
+     ("root_found", "amm", 47, 69, 87, 0)),
+    ((19, 21, 3, "auto", 3),
+     ("non_residue", "amm", 7, 2, 42, 0)),
 ]
 
 _FIELDS = {}

@@ -10,8 +10,9 @@ from rootfield import (ConditionsUnmet, NotCoprime, NotCoprimeCase,
                        NotRamifiedCase, PeriodTooLong, analyze_case,
                        decompose_base_q, decompose_coprime, decompose_ramified,
                        mult_order)
-from rootfield.periodic import (_carmichael, exact_power, factorize,
-                                geometric_sum, prime_power_split)
+from rootfield.periodic import (_carmichael, decompose, exact_power,
+                                factorize, geometric_sum, lifted_order,
+                                prime_power_split)
 
 
 def check_invariants(pe, p, r):
@@ -286,6 +287,96 @@ def test_ramified_invariants_random(data):
     pe = decompose_ramified(p, m, r)
     check_invariants(pe, p, r)
     assert pe.congruence_modulus == order // r
+
+
+# -- the period for every alpha ------------------------------------------------------
+
+def test_lifted_order_is_the_order_mod_r_power():
+    for r in (2, 3, 5, 7):
+        for e in range(1, 5):
+            for q in range(2, 120):
+                if q % r:
+                    assert (lifted_order(q, r, mult_order(q, r), e)
+                            == mult_order(q, r ** e)), (q, r, e)
+
+
+def test_lifted_order_rejects_a_non_order():
+    with pytest.raises(ValueError):
+        lifted_order(3, 5, 2, 2)  # 3^2 = 4 mod 5
+
+
+def _decompose_with_period_k_r_alpha(q, m, r, k, alpha):
+    """(period, a, b, n) of the split with the period fixed at k*r^alpha,
+    the rule decompose followed for alpha <= 1 before it took the least
+    k*r^i with r^{alpha+1} | q^{k*r^i} - 1."""
+    period = k * r ** alpha
+    modulus = (q ** m - 1) // r ** alpha
+    u = (-pow(modulus % r, -1, r)) % r
+    n = m // period
+    b = q ** (m - n * period) * (u * (q ** period - 1) // r ** (alpha + 1))
+    a = pow(r, -1, modulus) - b * geometric_sum(q, period, n)
+    return period, a, b, n
+
+
+def test_period_unchanged_for_alpha_at_most_one():
+    checked = 0
+    for p in PRIMES_97[:12]:
+        for m in range(2, 30):
+            order = p ** m - 1
+            for r in range(2, 30):
+                if gcd(r, p) != 1:
+                    continue
+                alpha = exact_power(r, order)
+                if alpha > 1 or gcd(order // r ** alpha, r) != 1:
+                    continue
+                k = mult_order(p, r)
+                if m <= k * r ** alpha:
+                    with pytest.raises(PeriodTooLong):
+                        decompose(p, m, r, k, alpha)
+                    continue
+                pe = decompose(p, m, r, k, alpha)
+                assert (pe.period, pe.a, pe.b, pe.n) == \
+                    _decompose_with_period_k_r_alpha(p, m, r, k, alpha)
+                checked += 1
+    assert checked > 1000
+
+
+def test_higher_power_invariants():
+    checked = 0
+    for p in PRIMES_97[:17]:
+        for m in range(2, 41):
+            order = p ** m - 1
+            for r in (2, 3, 5, 7, 11, 13):
+                t = exact_power(r, order)
+                if t < 2 or order == r ** t:
+                    continue
+                k = mult_order(p, r)
+                period = lifted_order(p, r, k, t + 1)
+                if m <= period:
+                    with pytest.raises(PeriodTooLong):
+                        decompose(p, m, r, k, t)
+                    continue
+                pe = decompose(p, m, r, k, t)
+                assert pe.case_tag == "higher_power"
+                assert pe.congruence_modulus == order // r ** t
+                assert (pe.period, pe.n) == (period, m // period)
+                # r*v = 1 mod s and a, b < p^{2*period}
+                check_invariants(pe, p, r)
+                checked += 1
+    assert checked > 300
+
+
+def test_higher_power_pinned_periods():
+    # 2^2 | 5^61 - 1 and 8 | 5^2 - 1: period 2
+    pe = decompose(5, 61, 2, 1, 2)
+    assert (pe.period, pe.n) == (2, 30)
+    # 3^3 | 19^21 - 1: k*r^t = 27 exceeds m, but 81 | 19^9 - 1
+    pe = decompose(19, 21, 3, 1, 3)
+    assert (pe.period, pe.n) == (9, 2)
+    # 5^3 exactly divides 31^25 - 1, and 5^4 | 31^l - 1 needs l = 125 > m
+    assert exact_power(5, 31 ** 25 - 1) == 3
+    with pytest.raises(PeriodTooLong, match="period=125"):
+        decompose(31, 25, 5, 1, 3)
 
 
 # -- base-q comparison ------------------------------------------------------------

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootfield import (NotCoprimeCase, NotRamifiedCase, OpCounter,
-                       PeriodTooLong, RNotDividingOrder, RTooSmall,
+from rootfield import (NoNonResidueFound, NotCoprimeCase, NotRamifiedCase,
+                       OpCounter, PeriodTooLong, RNotDividingOrder, RTooSmall,
                        ZeroElement, amm_root, build_amm_context,
-                       find_nonresidue, is_rth_residue, mk_field, rth_root,
-                       single_exponent_root)
+                       find_nonresidue, is_prime, is_rth_residue, mk_field,
+                       root_table, rth_root, single_exponent_root)
+from rootfield import roots
 from rootfield.cli import dispatch
+from rootfield.periodic import exact_power, lifted_order, mult_order
 
 QR_13 = {(1,), (3,), (4,), (9,), (10,), (12,)}
 
@@ -135,6 +137,154 @@ def test_amm_exhaustive_f13_cube(f13):
              if is_rth_residue(f13, (i,), 3)}
     assert len(cubes) == 4
     assert all(f13.pow(w, 3) in cubes for w in found)
+
+
+def test_find_nonresidue_gives_up_after_128_draws(monkeypatch):
+    # with every draw judged a residue the search must stop at the draws,
+    # not walk the 5^61 elements of the field
+    calls = []
+    monkeypatch.setattr(roots, "is_rth_residue",
+                        lambda *args, **kwargs: calls.append(args) or True)
+    with pytest.raises(NoNonResidueFound):
+        find_nonresidue(mk_field(5, 61), 2)
+    assert len(calls) == 128
+
+
+def test_amm_context_t1_has_no_table(f13, f75):
+    # 3 divides 12 and 2 divides 7^5 - 1 = 2 * 8403 exactly once: the
+    # digit loop never runs, so no unity table is built
+    for fld, r in ((f13, 3), (f75, 2)):
+        ctx = build_amm_context(fld, r)
+        assert ctx.t == 1
+        assert (ctx.k_powers, ctx.k_index) == ((), {})
+        delta = fld.pow(fld.random_elem(random.Random(3)), r)
+        out = rth_root(fld, delta, r, path="amm")
+        assert (out.status, fld.pow(out.root, r)) == ("root_found", delta)
+
+
+# -- auto amm: the long powers through Frobenius maps ---------------------------
+
+AMM_SQRT_FIELDS = ((5, 61, 2), (13, 31, 2), (17, 21, 2), (29, 23, 2),
+                   (19, 21, 3))
+
+
+def split_applies(p, m, r):
+    """s > 1 and m exceeds the period of alpha's split."""
+    order = p ** m - 1
+    t = exact_power(r, order)
+    return (t >= 2 and order != r ** t
+            and lifted_order(p, r, mult_order(p, r), t + 1) < m)
+
+
+def assert_auto_matches_forced(fld, r, delta):
+    auto = rth_root(fld, delta, r)
+    forced = rth_root(fld, delta, r, path="amm")
+    assert (auto.status, auto.root, auto.path_tag) == \
+        (forced.status, forced.root, "amm")
+    assert forced.counters.frobenius == 0
+    assert auto.counters.frobenius > 0
+    return auto
+
+
+def test_amm_context_unchanged_by_splits():
+    # the context's powers of rho go through Frobenius maps; rho, rho^s
+    # and the unity table must be those of plain powering
+    for p, m, r in AMM_SQRT_FIELDS:
+        fld = mk_field(p, m)
+        order = fld.order_minus_one
+        ctx = build_amm_context(fld, r)
+        assert ctx.pe is not None
+        rng = random.Random(0)
+        rho = fld.random_elem(rng)
+        while not any(rho) or fld.pow(rho, order // r) == fld.one():
+            rho = fld.random_elem(rng)
+        g = fld.pow(rho, order // r)
+        assert (ctx.rho, ctx.rho_s) == (rho, fld.pow(rho, ctx.s))
+        assert ctx.k_powers == tuple(fld.pow(g, i) for i in range(r))
+
+
+def test_amm_auto_matches_forced_on_bench_fields():
+    for p, m, r in AMM_SQRT_FIELDS:
+        assert split_applies(p, m, r)
+        fld = mk_field(p, m)
+        rng = random.Random(f"{p}^{m}/{r}")
+        for seed in range(4):
+            residue = fld.pow(fld.random_elem(rng), r)
+            out = assert_auto_matches_forced(fld, r, residue)
+            assert out.status == "root_found"
+            out = assert_auto_matches_forced(fld, r,
+                                             find_nonresidue(fld, r, seed))
+            assert out.status == "non_residue"
+
+
+def test_amm_auto_matches_forced_on_a_wide_sample():
+    grid = [(p, m, r) for p in range(2, 60) if is_prime(p)
+            for m in range(2, 41) for r in (2, 3, 5, 7, 11, 13)
+            if p != r and split_applies(p, m, r)]
+    assert len(grid) > 400
+    rng = random.Random(6)
+    for p, m, r in rng.sample(grid, 24):
+        fld = mk_field(p, m)
+        for i in range(4):
+            gamma = fld.random_elem(rng)
+            delta = fld.pow(gamma, r) if i % 2 else gamma
+            if any(delta):
+                assert_auto_matches_forced(fld, r, delta)
+
+
+@pytest.mark.parametrize("p,m,r", [(3, 6, 2), (5, 3, 2), (13, 3, 2)])
+def test_amm_auto_against_root_table(p, m, r):
+    # every field with p^m <= 3000 where the splits apply
+    assert split_applies(p, m, r)
+    fld = mk_field(p, m)
+    table = root_table(fld, r)
+    for i in range(1, fld.order_minus_one + 1):
+        delta = fld.elem_from_index(i)
+        out = assert_auto_matches_forced(fld, r, delta)
+        if delta in table:
+            assert out.status == "root_found"
+            assert out.root in table[delta]
+        else:
+            assert out.status == "non_residue"
+
+
+@pytest.mark.parametrize("p,m,r", [(5, 2, 2), (7, 2, 2), (31, 25, 5)])
+def test_amm_auto_stays_plain_up_to_the_period(p, m, r):
+    # the order of p mod r is below m, but m does not exceed the period
+    # of alpha's split, so auto dispatch counts what plain amm_root does,
+    # plus rth_root's final verification of a root
+    assert mult_order(p, r) < m and not split_applies(p, m, r)
+    fld = mk_field(p, m)
+    assert build_amm_context(fld, r).pe is None
+    for delta in (fld.pow(fld.random_elem(random.Random(1)), r),
+                  find_nonresidue(fld, r, 1)):
+        auto = rth_root(fld, delta, r)
+        plain = amm_root(fld, delta, r)
+        if plain.status == "root_found":
+            fld.pow(plain.root, r, plain.counters)
+        assert auto.counters.frobenius == 0
+        assert (auto.status, auto.root, auto.counters) == \
+            (plain.status, plain.root, plain.counters)
+
+
+def test_amm_composite_r_keeps_plain_powers():
+    # 3^4 - 1 = 16 * 5: for r = 4 the least 2*4^i with 16 | 3^{2*4^i} - 1
+    # is 8, which does not divide m = 4, so no split may be taken
+    fld = mk_field(3, 4)
+    ctx = build_amm_context(fld, 4)
+    assert (ctx.k, ctx.l_t, ctx.pe) == (None, None, None)
+    for i in range(1, 81):
+        delta = fld.pow(fld.elem_from_index(i), 4)
+        out = amm_root(fld, delta, 4, context=ctx)
+        assert (out.status, fld.pow(out.root, 4)) == ("root_found", delta)
+
+
+def test_split_fields_up_to_3000():
+    found = [(p, m, r) for p in range(2, 3000) if is_prime(p)
+             for m in range(1, 12) if p ** m <= 3000
+             for r in range(2, p ** m) if is_prime(r) and r != p
+             and split_applies(p, m, r)]
+    assert found == [(3, 6, 2), (5, 3, 2), (13, 3, 2)]
 
 
 # -- coprime case -----------------------------------------------------------------
