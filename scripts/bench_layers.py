@@ -10,8 +10,9 @@ call.  Each repeat runs a batch of calls sized to take about 10 ms.
 Every extraction is checked: a constructed residue must come back as a
 verified root.  A second grid, of fields with long modulus searches
 (each took seconds to minutes under Rabin's test, the one used before
-Ben-Or's), gets mk_field rows alone, each with the number of
-irreducibility tests one build runs.  A third grid, the benchmark's
+Ben-Or's) and of degree-5 fields on both sides of the cutoff on p of the
+search's linear-factor sieve, gets mk_field rows alone, each with the
+number of irreducibility tests one build runs.  A third grid, the benchmark's
 r^2 | N fields, gets one row per field with the time and counters of
 auto and forced `amm` on a constructed residue and on a non-residue,
 and the time of build_amm_context (uncounted, uncached).
@@ -49,7 +50,7 @@ from rootfield.periodic import PeriodTooLong, analyze_case
 
 GRID = ((3, 61), (2, 127), (3, 97), (5, 61), (13, 31), (29, 23))
 BUILD_GRID = ((3, 101), (11, 41), (7, 41), (37, 19), (3, 163), (5, 101),
-              (1000003, 17), (2, 521))
+              (1000003, 17), (2, 521), (127, 5), (257, 5), (1021, 5))
 AMM_GRID = ((5, 61, 2), (13, 31, 2), (17, 21, 2), (29, 23, 2), (19, 21, 3))
 ROOT_DEGREES = (2, 3, 5, 7, 11, 13)
 SIDE_BY_SIDE = ("mul", "sqr", "frobenius_1", "frobenius_m-1", "inv",

@@ -6,13 +6,15 @@ irreducible modulus polynomial (length m+1 coefficient tuple), and
 precomputes the packed matrix of the p-power Frobenius map.
 
 Construction: without an explicit modulus, mk_field searches candidates
-in a fixed order (see _canonical_modulus) with Ben-Or's irreducibility
-test, which rejects most reducible candidates after one or two powers
-x^{p^i} mod f and takes one gcd per batch of later steps.  The test and
-the first Frobenius matrix both compute with packed products reduced by
-the ring of the candidate modulus (_Residues), the one field
-multiplication uses.  An explicit modulus goes through the same test.
-None of this is counted.
+in a fixed order (see _canonical_modulus).  For p <= _SIEVE_MAX_P it
+first sieves out, per block of p candidates, those with a root in F_p;
+the rest go through Ben-Or's irreducibility test, which rejects most
+reducible candidates after one or two powers x^{p^i} mod f and takes one
+gcd per batch of later steps.  The powers, the gcds (a Euclid on packed
+integers) and the first Frobenius matrix all compute with the ring of
+the candidate modulus (_Residues), the one field multiplication uses.
+An explicit modulus goes through the same test.  None of this is
+counted.
 
 Cost model: full multiplications, squarings, Frobenius applications and
 inversions are tallied in a caller-supplied OpCounter.  Additions,
@@ -33,11 +35,13 @@ the same for every width.
 
 Frobenius powers use a doubling ladder (iterated Frobenius by
 composition, von zur Gathen & Shoup 1992): entry i holds the packed
-columns of the p^(2^i)-power map, and entry i+1 is entry i applied to
-its own columns.  frobenius(a, j) applies one entry per set bit of
-j mod m, at most (m-1).bit_length() matrix applications instead of j.
-Entries are built on first use and kept with the field; there are never
-more than (m-1).bit_length() of them.
+columns of the p^(2^i)-power map, the powers x^{j*p^(2^i)}.  Entry
+i+1 holds the powers of y = x^{p^(2^(i+1))}, which is entry i applied to
+its own column 1, so it costs one matrix application and m - 2 ring
+products.  frobenius(a, j) applies one entry per set bit of j mod m, at
+most (m-1).bit_length() matrix applications instead of j.  Entries are
+built on first use and kept with the field; there are never more than
+(m-1).bit_length() of them.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from operator import sub
+from itertools import count
 
 from .periodic import factorize, is_prime
 
@@ -136,33 +140,6 @@ def _poly_sub(a, b, p):
     return _trim([(x - y) % p for x, y in zip(a, b)])
 
 
-def _poly_gcd(a, b, p):
-    """Monic gcd over Z_p of the coefficient lists a and b, constant term
-    first; b's last coefficient must be nonzero mod p.  Both lists are
-    consumed.
-
-    Each division works in place on a and leaves its coefficients
-    unreduced; they are reduced mod p once, when the remainder is made
-    monic to divide the next step."""
-    while b:
-        inv = pow(b[-1], -1, p)
-        b = [c * inv % p for c in b]
-        n = len(b) - 1
-        if n == 0:
-            return b
-        low = b[:n]
-        for top in range(len(a) - 1, n - 1, -1):
-            c = a[top] % p
-            if c:
-                s = top - n
-                a[s:top] = map(sub, a[s:top], map(c.__mul__, low))
-        del a[n:]
-        while a and a[-1] % p == 0:
-            a.pop()
-        a, b = b, a
-    return a
-
-
 # ---------------------------------------------------------------------------
 # packed polynomial arithmetic
 
@@ -228,6 +205,7 @@ class _Residues(_Packing):
         bits = 8 * self._digit_bytes
         neg_low = _trim([(-c) % p for c in f[:m]])
         self._neg_low = self._pack(neg_low)
+        self._f = self._pack([c % p for c in f])
         block = m - max(len(neg_low) - 1, 0)
         # per fold: bit offset and digit count of the block, mask of the
         # digits below it, and the shift that lands its fold below it
@@ -290,6 +268,36 @@ class _Residues(_Packing):
                 acc = self.reduce_packed(acc * a)
         return acc
 
+    def gcd(self, b: int) -> int:
+        """The monic gcd of f and b, packed, for a packed b of at most m
+        digits in [0, p); b = 0 gives f.
+
+        Euclid on packed integers.  One division step cancels the top
+        digit of the dividend with one multiply-add, a += (p - q) * b
+        shifted under it, and leaves the digits below unreduced; a
+        division adds at most m products below p^2 to a digit, so digits
+        stay below 2mp^2, and one _mod_p reduces the remainder.  Degrees
+        are read from bit_length, which needs reduced digits."""
+        if not b:
+            return self._f
+        p, bits = self.p, 8 * self._digit_bytes
+        digit = (1 << bits) - 1
+        a = self._f
+        while True:
+            db = (b.bit_length() - 1) // bits
+            if db == 0:
+                return 1
+            inv = pow(b >> db * bits, -1, p)
+            neg_inv = p - inv
+            for top in range((a.bit_length() - 1) // bits, db - 1, -1):
+                c = a >> top * bits & digit
+                if c % p:
+                    a += c * neg_inv % p * b << (top - db) * bits
+            rem = self._mod_p(a & (1 << db * bits) - 1)
+            if not rem:
+                return self._mod_p(b * inv)
+            a, b = b, rem
+
 
 def is_irreducible(f, p) -> bool:
     """Ben-Or's test (Ben-Or 1981; Gao & Panario 1997): a monic f of
@@ -302,6 +310,7 @@ def is_irreducible(f, p) -> bool:
     steps and take one gcd per batch, since the product is prime to f iff
     every factor is.  A product that is 0 mod f has gcd f, so the verdict
     is the same, but a reducible f is rejected at the end of its batch.
+    The gcds run on the packed product (_Residues.gcd), never on lists.
     """
     f = [c % p for c in f]
     m = len(f) - 1
@@ -322,33 +331,65 @@ def is_irreducible(f, p) -> bool:
             g = h - x if h >> bits & x - 1 else h + (p - 1) * x
             prod = g if prod is None else ring.mul(prod, g)
             done += 1
-        if len(_poly_gcd(f[:], _trim(ring._unpack(prod, m)), p)) != 1:
+        if ring.gcd(prod) != 1:
             return False
         if done >= 2:
             batch *= 2
     return True
 
 
+# the largest p whose modulus search sieves out linear factors; a block
+# costs p evaluations, which larger p do not earn back
+_SIEVE_MAX_P = 128
+
+
 def _canonical_modulus(p, m):
-    # smallest monic irreducible of degree m, candidates ordered by the
-    # base-p integer value of their non-leading coefficients.  The first
-    # p candidates are the binomials x^m - a, and x^m - a is irreducible
-    # only if every prime dividing m divides the order of a, a divisor of
-    # p - 1 (Lidl & Niederreiter, Thm 3.75): when some prime factor of m
-    # does not divide p - 1, none of them is tested.
-    c = p if any((p - 1) % ell for ell, _ in factorize(m)) else 0
-    while True:
-        digits = []
-        t = c
-        for _ in range(m):
-            digits.append(t % p)
-            t //= p
-        if t:
+    """The smallest monic irreducible of degree m, candidates ordered by
+    the base-p integer value of their non-leading coefficients.
+
+    The candidates come in blocks of p that share c_1 ... c_{m-1} and
+    differ in c_0, so f(a) = s_a + c_0 with s_a = f(a) - c_0.  For m >= 2
+    and p <= _SIEVE_MAX_P, the block evaluates s_a at every a in F_p once
+    and skips each c_0 = -s_a untested: f has the root a.  That removes
+    about 1 - 1/e of the candidates; the rest go through is_irreducible.
+
+    The first block holds the binomials x^m - a, and x^m - a is
+    irreducible only if every prime dividing m divides the order of a, a
+    divisor of p - 1 (Lidl & Niederreiter, Thm 3.75): when some prime
+    factor of m does not divide p - 1, the search starts after it."""
+    first = 1 if any((p - 1) % ell for ell, _ in factorize(m)) else 0
+    sieve = 1 < m and p <= _SIEVE_MAX_P
+    # a^m for every a in F_p: the leading term of each s_a
+    powers = [pow(a, m, p) for a in range(p)] if sieve else ()
+    for block in count(first):
+        upper = []
+        for _ in range(m - 1):
+            upper.append(block % p)
+            block //= p
+        if block:
             raise ReducibleModulus(f"no irreducible of degree {m} found over Z_{p}")
-        f = digits + [1]
-        if is_irreducible(f, p):
-            return tuple(f)
-        c += 1
+        rooted = set()
+        if sieve:
+            high = _trim(upper[:])[::-1]
+            for a, lead in enumerate(powers):
+                s = 0
+                for c in high:
+                    s = (s + c) * a
+                rooted.add(-(s + lead) % p)
+        for c0 in range(p):
+            if c0 not in rooted:
+                f = [c0] + upper + [1]
+                if is_irreducible(f, p):
+                    return tuple(f)
+
+
+def _powers(ring, y, m):
+    """(1, y, y^2, ..., y^(m-1)) for m >= 2, packed: the columns of the
+    ring map that sends x to y."""
+    cols = [1, y]
+    for _ in range(2, m):
+        cols.append(ring.mul(cols[-1], y))
+    return tuple(cols)
 
 
 @dataclass
@@ -376,16 +417,11 @@ class Field(_Packing):
         object.__setattr__(self, "_ring", ring)
         object.__setattr__(self, "_digit_bytes", ring._digit_bytes)
         object.__setattr__(self, "_digit_code", ring._digit_code)
-        # column j of the p-power map is x^{j*p}: each is the one before
-        # it times x^p
-        cols = [1]
-        if m > 1:
-            xp = ring.pow(ring.x, p)
-            for _ in range(1, m):
-                cols.append(ring.mul(cols[-1], xp))
-        # the Frobenius ladder; frobenius() extends it by replacing the
-        # tuple, so a concurrent caller never sees a half-built entry
-        object.__setattr__(self, "_frob_ladder", (tuple(cols),))
+        # the Frobenius ladder, its first entry the columns x^{j*p} of the
+        # p-power map; frobenius() extends it by replacing the tuple, so a
+        # concurrent caller never sees a half-built entry
+        cols = _powers(ring, ring.pow(ring.x, p), m) if m > 1 else (1,)
+        object.__setattr__(self, "_frob_ladder", (cols,))
         object.__setattr__(self, "_hash", hash((p, m, self.modulus)))
 
     def __hash__(self):
@@ -505,9 +541,11 @@ class Field(_Packing):
             counter.frobenius += j
         ladder = self._frob_ladder
         while j >> len(ladder):
+            # the next entry maps x to y = x^{p^(2^(i+1))}, entry i applied
+            # to its own column 1, and its columns are the powers of y
             top = ladder[-1]
-            ladder += (tuple(self._apply(top, self._unpack(col, self.m))
-                             for col in top),)
+            y = self._apply(top, self._unpack(top[1], self.m))
+            ladder += (_powers(self._ring, y, self.m),)
             object.__setattr__(self, "_frob_ladder", ladder)
         for i, cols in enumerate(ladder):
             if j >> i & 1:

@@ -372,6 +372,18 @@ def test_frobenius_ladder_matches_pow(width_field):
         expect = fld.pow(expect, fld.p)
 
 
+def test_frobenius_ladder_matches_matrix_squaring(width_field):
+    # entry i + 1 is entry i applied to each of its own columns
+    fld = width_field
+    m = fld.m
+    fld.frobenius(fld.one(), m - 1)
+    ladder = fld._frob_ladder
+    assert len(ladder) == (m - 1).bit_length()
+    for low, high in zip(ladder, ladder[1:]):
+        assert high == tuple(fld._apply(low, fld._unpack(col, m))
+                             for col in low)
+
+
 def test_frobenius_ladder_order_independent(width_field):
     # a fresh field walked down must agree with one walked up, so no
     # ladder entry depends on which exponents were asked for first
@@ -463,6 +475,124 @@ def test_pow_counts_match_sqr_mul_chain(p, m):
         assert fld.pow(a, e, c) == expect, e
         assert c == chain, e
         assert fld.pow(a, e) == expect, e
+
+
+# -- packed gcd -------------------------------------------------------------------
+
+def _list_gcd(a, b, p):
+    """Monic gcd over Z_p of two coefficient lists, by schoolbook Euclid."""
+    def trim(v):
+        v = [c % p for c in v]
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    a, b = trim(a), trim(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[shift + i] -= c * bc
+            a = trim(a)
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gcd_cases(p, m, rng):
+    """(f, h) pairs with deg h < m: common factors of degree 1, 2, 3 and
+    m - 1 planted, random pairs, h = 0, a constant h, all-(p - 1) digits."""
+    def poly(deg, monic=True):
+        return [rng.randrange(p) for _ in range(deg)] + [
+            1 if monic else rng.randrange(1, p)]
+
+    cases = []
+    for d in sorted({1, 2, 3, m - 1} & set(range(1, m))):
+        g = poly(d)
+        for _ in range(3):
+            f = _poly_mul(g, poly(m - d), p)
+            cofactor = poly(rng.randrange(m - d), monic=False)
+            cases.append((f, _poly_mul(g, cofactor, p)))
+    cases += [(poly(m), poly(rng.randrange(m), monic=False))
+              for _ in range(10)]
+    f = poly(m)
+    cases += [(f, []), (f, [rng.randrange(1, p)]),
+              ([p - 1] * m + [1], [p - 1] * m)]
+    return cases
+
+
+@pytest.mark.parametrize("p,m", REDUCE_FIELDS + [(5, 9), (7, 12)])
+def test_packed_gcd_matches_list_gcd(p, m):
+    rng = random.Random(p + 7 * m)
+    for f, h in _gcd_cases(p, m, rng):
+        assert len(f) == m + 1 and len(h) <= m
+        ring = field._Residues(p, f)
+        expect = _list_gcd(f, h, p)
+        got = ring._unpack(ring.gcd(ring._pack(h + [0] * (m - len(h)))),
+                           m + 1)
+        assert got == expect + [0] * (m + 1 - len(expect)), (f, h)
+        assert CHECKER["_poly_gcd_is_one"](f, h, p) == (expect == [1])
+
+
+def test_split_product_is_reducible():
+    # (x - 1)(x - 2)(x - 3) over F_5 divides x^5 - x, so Ben-Or's first
+    # factor x^5 - x is 0 mod f, and a gcd with 0 must give f, not 1
+    p = 5
+    f = _poly_mul(_poly_mul([-1, 1], [-2, 1], p), [-3, 1], p)
+    ring = field._Residues(p, f)
+    assert ring.pow(ring.x, p) == ring.x
+    assert ring.gcd(0) == ring._pack(f)
+    assert is_irreducible(f, p) is False
+
+
+# -- the linear-factor sieve of the modulus search -------------------------------
+
+SIEVE_PRIMES = (2, 3, 5, 7, 13, 31, 127, 131, 257)
+
+
+def _plain_scan(p, m):
+    """The first candidate, in base-p counting order, that passes
+    is_irreducible."""
+    for c in itertools.count():
+        f = [c // p ** i % p for i in range(m)] + [1]
+        if is_irreducible(f, p):
+            return tuple(f)
+
+
+def test_sieve_cutoff_inside_the_grid():
+    assert SIEVE_PRIMES[0] <= field._SIEVE_MAX_P < SIEVE_PRIMES[-1]
+
+
+@pytest.mark.parametrize("p", SIEVE_PRIMES)
+def test_sieved_search_matches_plain_scan(p):
+    for m in range(1, 8 if p < 100 else 5):
+        assert field._canonical_modulus(p, m) == _plain_scan(p, m), (p, m)
+
+
+@pytest.mark.parametrize("p", [q for q in SIEVE_PRIMES
+                               if q <= field._SIEVE_MAX_P])
+def test_sieve_skips_exactly_the_rooted_candidates(p, monkeypatch):
+    # every candidate up to the canonical modulus, binomials included
+    # unless their block is skipped, is tested iff it has no root in F_p
+    for m in range(2, 9 if p < 100 else 5):
+        tested = []
+        monkeypatch.setattr(field, "is_irreducible",
+                            lambda f, q: tested.append(tuple(f)) or
+                            is_irreducible(f, q))
+        found = field._canonical_modulus(p, m)
+        monkeypatch.undo()
+        skip_binomials = any((p - 1) % ell for ell, _ in factorize(m))
+        candidates = []
+        for c in itertools.count(p if skip_binomials else 0):
+            f = tuple(c // p ** i % p for i in range(m)) + (1,)
+            candidates.append(f)
+            if f == found:
+                break
+        assert tested == [f for f in candidates
+                          if not CHECKER["_has_root"](p, f)], (p, m)
+        assert len(tested) < len(candidates) or len(candidates) == 1
 
 
 def test_random_elem_is_seeded(f75):
