@@ -3,10 +3,11 @@
 
 For each field of the grid this times field construction (mk_field),
 the element layer (mul, sqr, frobenius(a, 1), frobenius(a, m-1), inv,
-pow),
-the exponent layer (phi_map) and extraction (rth_root once per path),
-and records each as the median over --repeats repeats of the time per
-call.  Each repeat runs a batch of calls sized to take about 10 ms.
+pow; mul, sqr, frobenius and pow also on packed elements, the rows
+named *_packed), the exponent layer (phi_map) and extraction (rth_root
+once per path), and records each as the median over --repeats repeats
+of the time per call.  Each repeat runs a batch of calls sized to take
+about 10 ms.
 Every extraction is checked: a constructed residue must come back as a
 verified root.  A second grid, of fields with long modulus searches
 (each took seconds to minutes under Rabin's test, the one used before
@@ -53,8 +54,9 @@ BUILD_GRID = ((3, 101), (11, 41), (7, 41), (37, 19), (3, 163), (5, 101),
               (1000003, 17), (2, 521), (127, 5), (257, 5), (1021, 5))
 AMM_GRID = ((5, 61, 2), (13, 31, 2), (17, 21, 2), (29, 23, 2), (19, 21, 3))
 ROOT_DEGREES = (2, 3, 5, 7, 11, 13)
-SIDE_BY_SIDE = ("mul", "sqr", "frobenius_1", "frobenius_m-1", "inv",
-                "pow_N-1")
+SIDE_BY_SIDE = ("mul", "mul_packed", "sqr", "sqr_packed", "frobenius_1",
+                "frobenius_1_packed", "frobenius_m-1", "frobenius_m-1_packed",
+                "inv", "pow_N-1", "pow_N-1_packed")
 BATCH_S = 0.01
 TIMEOUT_S = 30
 
@@ -135,14 +137,20 @@ def bench_field(p: int, m: int, repeats: int) -> dict:
     fld = mk_field(p, m)
     rng = random.Random(p * 1000 + m)
     a, b = fld.random_elem(rng), fld.random_elem(rng)
+    x, y = fld._pack(a), fld._pack(b)
     exponent = fld.order_minus_one - 1
     ops = {
         "mul": lambda c=None: fld.mul(a, b, c),
+        "mul_packed": lambda c=None: fld.mul(x, y, c),
         "sqr": lambda c=None: fld.sqr(a, c),
+        "sqr_packed": lambda c=None: fld.sqr(x, c),
         "frobenius_1": lambda c=None: fld.frobenius(a, 1, c),
+        "frobenius_1_packed": lambda c=None: fld.frobenius(x, 1, c),
         "frobenius_m-1": lambda c=None: fld.frobenius(a, m - 1, c),
+        "frobenius_m-1_packed": lambda c=None: fld.frobenius(x, m - 1, c),
         "inv": lambda c=None: fld.inv(a, c),
         "pow_N-1": lambda c=None: fld.pow(a, exponent, c),
+        "pow_N-1_packed": lambda c=None: fld.pow(x, exponent, c),
         "phi_map_norm": lambda c=None: phi_map(fld, a, 1, m - 1, c),
     }
     out = {"p": p, "m": m, "mk_field_ms": to_ms(mk_us), "ops": {}}

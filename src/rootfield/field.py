@@ -1,6 +1,16 @@
 """Arithmetic in F_{p^m} on a polynomial basis, with explicit operation counts.
 
-Elements are length-m tuples of integers in [0, p), constant term first.
+An element comes in one of two kinds.  The public kind is a length-m
+tuple of integers in [0, p), constant term first: what callers pass in
+and get back, and what every other method takes.  The packed kind is
+the ring's integer, one digit per coefficient with the constant term
+lowest and every digit in [0, p), the form reduce_packed returns; it is
+canonical, so == compares elements, and the packed one is 1.  mul, sqr,
+pow and frobenius take either kind and return the kind they were given
+(mul raises TypeError on a mix); a tuple costs one pack on the way in
+and one unpack on the way out.  The root layer packs delta once per
+call and stays packed until it unpacks the root.
+
 A Field instance carries the prime p, the extension degree m and a monic
 irreducible modulus polynomial (length m+1 coefficient tuple), and
 precomputes the packed matrix of the p-power Frobenius map.
@@ -21,17 +31,15 @@ inversions are tallied in a caller-supplied OpCounter.  Additions,
 subtractions, negations and scalar work in Z_p are free.  frobenius(a, j)
 counts j applications of the p-power map, whatever it costs to compute.
 
-Coefficient vectors are packed into single Python integers for the inner
-multiplication, so one field multiplication costs one bigint multiply,
-on a sparse modulus one or two bigint folds by the packed -f, and a
-reduction of every digit mod p at once by Barrett's method in parallel
-lanes (_Residues), instead of an O(m^2) interpreted loop or a loop over
-the digits.  pow packs its base once and stays packed until the end.  A
-packed digit is 1, 2, 4 or 8 bytes wide, the smallest that holds
-2*m*p^2, so packing and unpacking go through array and memoryview.cast
-at C speed.  Where p^2 needs more than 8 bytes per digit (p >= 2^32),
-digits are sliced from the bytes one by one instead; the reduction is
-the same for every width.
+Packed, one field multiplication costs one bigint multiply, on a sparse
+modulus one or two bigint folds by the packed -f, and a reduction of
+every digit mod p at once by Barrett's method in parallel lanes
+(_Residues), instead of an O(m^2) interpreted loop or a loop over the
+digits.  A packed digit is 1, 2, 4 or 8 bytes wide, the smallest that
+holds 2*m*p^2, so packing and unpacking go through array and
+memoryview.cast at C speed.  Where p^2 needs more than 8 bytes per digit
+(p >= 2^32), digits are sliced from the bytes one by one instead; the
+reduction is the same for every width.
 
 Frobenius powers use a doubling ladder (iterated Frobenius by
 composition, von zur Gathen & Shoup 1992): entry i holds the packed
@@ -76,7 +84,7 @@ _WORD_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
 
 # ---------------------------------------------------------------------------
-# plain list-based polynomial helpers: inversion, and schoolbook references
+# plain list helpers
 
 def _trim(a):
     while a and a[-1] == 0:
@@ -84,60 +92,8 @@ def _trim(a):
     return a
 
 
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return [c % p for c in out]
-
-
-def _poly_rem(a, f, p):
-    """Remainder of a modulo the monic polynomial f, trimmed."""
-    a = [c % p for c in a]
-    df = len(f) - 1
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j in range(df):
-                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
-    del a[df:]
-    return _trim(a)
-
-
 def _fixed(a, m):
     return list(a) + [0] * (m - len(a))
-
-
-def _poly_divmod(a, b, p):
-    a = _trim([c % p for c in a])
-    b = _trim([c % p for c in b])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    r = a[:]
-    while len(r) >= len(b):
-        c = r[-1] * inv_lead % p
-        if c:
-            dq = len(r) - len(b)
-            q[dq] = c
-            for i, bc in enumerate(b):
-                r[i + dq] = (r[i + dq] - c * bc) % p
-        r.pop()
-        _trim(r)
-    return q, r
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = _fixed(a, n)
-    b = _fixed(b, n)
-    return _trim([(x - y) % p for x, y in zip(a, b)])
 
 
 # ---------------------------------------------------------------------------
@@ -480,41 +436,54 @@ class Field(_Packing):
         p = self.p
         return tuple((-x) % p for x in a)
 
-    def _raw_mul(self, a, b) -> tuple:
+    def _raw_mul(self, a, b):
         if self.m == 1:
+            if a.__class__ is int is b.__class__:
+                return a * b % self.p
             return (a[0] * b[0] % self.p,)
+        if a.__class__ is int is b.__class__:
+            return self._ring.reduce_packed(a * b)
+        # two tuples; with one int among them, _pack raises TypeError
         return tuple(self._ring.reduce(self._pack(a) * self._pack(b)))
 
-    def mul(self, a, b, counter: OpCounter | None = None) -> tuple:
+    def mul(self, a, b, counter: OpCounter | None = None):
         if counter is not None:
             counter.mults += 1
         return self._raw_mul(a, b)
 
-    def sqr(self, a, counter: OpCounter | None = None) -> tuple:
+    def sqr(self, a, counter: OpCounter | None = None):
         if counter is not None:
             counter.squarings += 1
         return self._raw_mul(a, a)
 
-    def pow(self, a, e: int, counter: OpCounter | None = None) -> tuple:
-        """Left-to-right square and multiply on the packed element, which
-        is unpacked once at the end; 0^0 is defined as 1.
+    def pow(self, a, e: int, counter: OpCounter | None = None):
+        """Left-to-right square and multiply on the packed element; a
+        tuple is packed once and unpacked once at the end.  0^0 is defined
+        as 1.
 
         The counter is charged what the chain of sqr and mul calls would
         cost: one squaring per bit of e after the first, and one
         multiplication per set bit after the first."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
+        packed = a.__class__ is int
         if e == 0:
-            return self.one()
+            return 1 if packed else self.one()
         if counter is not None:
             counter.squarings += e.bit_length() - 1
             counter.mults += e.bit_count() - 1
         if self.m == 1:
-            return (pow(a[0], e, self.p),)
-        ring = self._ring
-        return tuple(ring._unpack(ring.pow(self._pack(a), e), self.m))
+            return pow(a, e, self.p) if packed else (pow(a[0], e, self.p),)
+        if packed:
+            return self._ring.pow(a, e)
+        return tuple(self._unpack(self._ring.pow(self._pack(a), e), self.m))
 
     def inv(self, a, counter: OpCounter | None = None) -> tuple:
+        """a^{-1} by Itoh & Tsujii (1988).  With t = (p^m - 1)/(p - 1),
+        a^{t-1} = (a^p)^{1 + p + ... + p^{m-2}} is one phi_map, the norm
+        a^t = a^{t-1} * a lies in F_p, and a^{-1} = a^{t-1} * (a^t)^{-1}
+        needs only a scalar inverse.  The counter is charged one
+        inversion and nothing else."""
         if not any(a):
             raise ZeroInverse("zero has no multiplicative inverse")
         if counter is not None:
@@ -522,20 +491,19 @@ class Field(_Packing):
         p = self.p
         if self.m == 1:
             return (pow(a[0], -1, p),)
-        r0, s0 = list(self.modulus), []
-        r1, s1 = _trim([c % p for c in a]), [1]
-        while r1:
-            q, r = _poly_divmod(r0, r1, p)
-            s = _poly_sub(s0, _poly_mul(q, s1, p), p)
-            r0, s0, r1, s1 = r1, s1, r, s
-        c = pow(r0[0], -1, p)
-        return tuple(_fixed([x * c % p for x in s0], self.m))
+        from .frobpow import phi_map  # frobpow imports this module
+        x = self._pack(a)
+        head = phi_map(self, self.frobenius(x, 1), 1, self.m - 2)
+        scale = pow(self._raw_mul(head, x), -1, p)
+        return tuple(self._unpack(self._ring._mod_p(head * scale), self.m))
 
-    def frobenius(self, a, j: int, counter: OpCounter | None = None) -> tuple:
+    def frobenius(self, a, j: int, counter: OpCounter | None = None):
         """Apply the p-power map j times; j is reduced mod m first.
 
         The counter is charged j applications; the work is one matrix
-        application per set bit of j, through the (p^(2^i))-power maps."""
+        application per set bit of j, through the (p^(2^i))-power maps,
+        each on the digits of the element: a tuple's own for the first,
+        and the unpacked digits of the last result for the others."""
         j %= self.m
         if counter is not None:
             counter.frobenius += j
@@ -547,10 +515,14 @@ class Field(_Packing):
             y = self._apply(top, self._unpack(top[1], self.m))
             ladder += (_powers(self._ring, y, self.m),)
             object.__setattr__(self, "_frob_ladder", ladder)
+        x = a  # a tuple's digits go to the first matrix as they are
         for i, cols in enumerate(ladder):
             if j >> i & 1:
-                a = self._unpack(self._apply(cols, a), self.m)
-        return tuple(a)
+                x = self._apply(cols, self._unpack(x, self.m)
+                                if x.__class__ is int else x)
+        if a.__class__ is int:
+            return x
+        return tuple(self._unpack(x, self.m) if x.__class__ is int else x)
 
     def _apply(self, cols, a) -> int:
         """The linear map with packed columns cols, applied to a; packed."""

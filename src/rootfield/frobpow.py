@@ -18,7 +18,7 @@ from .field import Field, OpCounter
 
 
 def phi_map(fld: Field, y, e: int, n: int,
-            counter: OpCounter | None = None) -> tuple:
+            counter: OpCounter | None = None):
     """y^{1 + s + ... + s^n} with s = p^e, in at most 2*ceil(log2(n+1))
     multiplications."""
     if e < 1:
@@ -37,7 +37,7 @@ def phi_map(fld: Field, y, e: int, n: int,
 
 
 def apply_periodic(fld: Field, delta, pe,
-                   counter: OpCounter | None = None) -> tuple:
+                   counter: OpCounter | None = None):
     """delta^{pe.v} through the split v = a + b*(geometric series).
 
     Two short exponentiations (a and b are below p^{2*period}) and one

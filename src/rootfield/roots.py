@@ -23,6 +23,13 @@ N = p^m - 1:
 
 rth_root dispatches prime by prime for composite r and peels factors of
 p off r first, since the p-th power map is the Frobenius bijection.
+
+Each stage takes and returns tuples but packs delta once on entry and
+works on packed elements (see field) until it unpacks the root: every
+power, product and Frobenius map in between, the comparisons with 1 and
+with delta, and frobpow's chains.  The AMM digit loop packs rho^s once
+per call and unpacks each root of unity it looks up in the table, whose
+entries stay tuples.
 """
 
 from __future__ import annotations
@@ -99,13 +106,17 @@ class AmmContext:
     pe: PeriodicExponent | None = None
 
 
+def _unpacked(fld: Field, x: int) -> tuple:
+    return tuple(fld._unpack(x, fld.m))
+
+
 def _require_divisor(fld: Field, r: int) -> None:
     if r < 2 or fld.order_minus_one % r != 0:
         raise RNotDividingOrder(f"r={r} does not divide the group order")
 
 
 def _power_n_over(fld: Field, delta, d: int, period: int | None,
-                  counter: OpCounter | None = None) -> tuple:
+                  counter: OpCounter | None = None):
     """delta^{N/d} for d | N.  Given a period l | m with d | p^l - 1,
     N/d = ((p^l - 1)/d) * (1 + p^l + ... + p^{m-l}): one power below p^l
     and a phi_map.  period None: one plain power."""
@@ -128,7 +139,7 @@ def is_rth_residue(fld: Field, delta, r: int,
     _require_divisor(fld, r)
     if not any(delta):
         raise ZeroElement("residue test is for nonzero elements")
-    return _power_n_over(fld, delta, r, _period, counter) == fld.one()
+    return _power_n_over(fld, fld._pack(delta), r, _period, counter) == 1
 
 
 def find_nonresidue(fld: Field, r: int, seed: int = 0) -> tuple:
@@ -167,18 +178,21 @@ def build_amm_context(fld: Field, r: int, seed: int = 0,
             pe = decompose(p, m, r, k, t)
     if rho is None:
         rho = find_nonresidue(fld, r, seed)
-    rho_s = _power_n_over(fld, rho, r ** t, l_t)
-    g = _power_n_over(fld, rho, r, k)
-    if g == fld.one():
+    packed_rho = fld._pack(rho)
+    rho_s = _power_n_over(fld, packed_rho, r ** t, l_t)
+    g = _power_n_over(fld, packed_rho, r, k)
+    if g == 1:
         raise ValueError(f"rho={rho} is an r-th residue for r={r}; the "
                          "unity table needs a non-residue")
     k_powers = []
     if t > 1:  # the digit loop's table; for t = 1 nothing reads it
-        k_powers = [fld.one()]
+        k_powers = [1]
         for _ in range(1, r):
             k_powers.append(fld._raw_mul(k_powers[-1], g))
         assert len(set(k_powers)) == r, "roots of unity are not distinct"
-    return AmmContext(t, s, alpha, rho, rho_s, tuple(k_powers),
+        k_powers = [_unpacked(fld, w) for w in k_powers]
+    return AmmContext(t, s, alpha, rho, _unpacked(fld, rho_s),
+                      tuple(k_powers),
                       {w: i for i, w in enumerate(k_powers)}, k, l_t, pe)
 
 
@@ -213,12 +227,13 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
         counter = OpCounter()
     amm = context or _cached_amm_context(fld, r, seed, rho)
     split = _periodic and amm.pe is not None
-    if not is_rth_residue(fld, delta, r, counter,
-                          _period=amm.k if split else None):
+    delta = fld._pack(delta)
+    if _power_n_over(fld, delta, r, amm.k if split else None, counter) != 1:
         return RootOutcome("non_residue", None, True, counter, "amm")
     if amm.t == 1:
         root = fld.pow(delta, amm.alpha, counter)
     else:
+        rho_s = fld._pack(amm.rho_s)
         if split:
             delta_s = _power_n_over(fld, delta, r ** amm.t, amm.l_t, counter)
             acc = fld.pow(delta_s, (r * amm.alpha - 1) // amm.s, counter)
@@ -229,20 +244,21 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
         j_total = 0
         for i in range(1, amm.t):
             w = fld.pow(acc, r ** (amm.t - 1 - i), counter)
-            idx = amm.k_index.get(w)
+            idx = amm.k_index.get(_unpacked(fld, w))
             if idx is None:
                 raise RuntimeError("digit lookup fell outside the unity table")
             j = (r - idx) % r
             if j:
-                corr = fld.pow(amm.rho_s, j * r ** i, counter)
+                corr = fld.pow(rho_s, j * r ** i, counter)
                 acc = fld.mul(acc, corr, counter)
                 j_total += j * r ** (i - 1)
         head = (apply_periodic(fld, delta, amm.pe, counter) if split
                 else fld.pow(delta, amm.alpha, counter))
-        root = fld.mul(head, fld.pow(amm.rho_s, j_total, counter), counter)
+        root = fld.mul(head, fld.pow(rho_s, j_total, counter), counter)
     if fld.pow(root, r, counter) != delta:
         raise RuntimeError("verification failed on a residue; table corrupt?")
-    return RootOutcome("root_found", root, True, counter, "amm")
+    return RootOutcome("root_found", _unpacked(fld, root), True, counter,
+                       "amm")
 
 
 def single_exponent_root(fld: Field, delta, r: int,
@@ -275,15 +291,17 @@ def single_exponent_root(fld: Field, delta, r: int,
     use_fast = k is not None if mode == "auto" else mode == "fast"
     tag = (("coprime_fast", "ramified_fast")[alpha] if use_fast
            else "naive_fallback")
-    if not any(delta):
-        root = fld.zero()
+    delta = fld._pack(delta)
+    if not delta:
+        root = 0
     elif use_fast:
         pe = decompose(fld.p, fld.m, r, k, alpha)
         root = apply_periodic(fld, delta, pe, counter)
     else:
         root = fld.pow(delta, pow(r, -1, modulus), counter)
     if fld.pow(root, r, counter) == delta:
-        return RootOutcome("root_found", root, True, counter, tag)
+        return RootOutcome("root_found", _unpacked(fld, root), True, counter,
+                           tag)
     if alpha == 0:
         raise RuntimeError("coprime root failed verification; map not bijective?")
     return RootOutcome("non_residue", None, True, counter, tag)

@@ -192,9 +192,14 @@ def test_bench_layers_smoke(tmp_path):
     assert ops["frobenius_m-1"]["frobenius"] == 8
     assert ops["inv"]["inversions"] == 1
     assert all(op["us"] > 0 for op in ops.values())
+    tuple_rows = ["mul", "sqr", "frobenius_1", "frobenius_m-1", "pow_N-1"]
+    for row in tuple_rows:
+        # a packed call is charged exactly what the tuple call is
+        packed = dict(ops[f"{row}_packed"], us=None)
+        assert packed == dict(ops[row], us=None), row
     table = json.loads(out.read_text())["side_by_side"]["3,9"]
-    assert sorted(table) == sorted(["mul", "sqr", "frobenius_1",
-                                    "frobenius_m-1", "inv", "pow_N-1"])
+    assert sorted(table) == sorted(
+        tuple_rows + [f"{row}_packed" for row in tuple_rows] + ["inv"])
     assert all(sorted(row) == ["a", "b"] for row in table.values())
     # 3^9 - 1 = 2 * 13 * 757: r = 2 ramifies, r = 5 is coprime with k = 4
     assert {row["path"]: row["r"] for row in fld["roots"]} == {

@@ -12,7 +12,7 @@ from rootfield import (DegreeMismatch, NotPrime, OpCounter, ReducibleModulus,
                        ZeroInverse, format_elem, format_field, is_prime,
                        mk_field, parse_elem, parse_field, rth_root)
 from rootfield import field
-from rootfield.field import _poly_mul, _poly_rem, is_irreducible
+from rootfield.field import is_irreducible
 from rootfield.periodic import factorize
 
 # the benchmark's checker: Rabin's test on repeated p-th powers, with
@@ -23,6 +23,35 @@ CHECKER = runpy.run_path(
 
 def elems(fld):
     return st.tuples(*(st.integers(0, fld.p - 1) for _ in range(fld.m)))
+
+
+# -- schoolbook references on coefficient lists, constant term first ---------
+
+def _poly_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return [c % p for c in out]
+
+
+def _poly_rem(a, f, p):
+    """Remainder of a modulo the monic polynomial f, trimmed."""
+    a = [c % p for c in a]
+    df = len(f) - 1
+    for i in range(len(a) - 1, df - 1, -1):
+        c = a[i]
+        if c:
+            a[i] = 0
+            for j in range(df):
+                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
+    del a[df:]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 # -- construction -----------------------------------------------------------
@@ -405,6 +434,79 @@ def test_pack_roundtrip(width_field):
     for vec in ([0] * fld.m, [top] * fld.m,
                 [rng.randrange(top + 1) for _ in range(fld.m)]):
         assert fld._unpack(fld._pack(vec), fld.m) == vec
+
+
+# -- packed elements ------------------------------------------------------------
+
+# 1-, 2-, 4- and 8-byte digits, the byte-slice path (p >= 2^32), and m = 1
+PACKED_FIELDS = sorted(WIDTH_FIELDS.values()) + [(13, 1), (4294967311, 1)]
+
+
+def _sample(fld, rng):
+    p, m = fld.p, fld.m
+    return [fld.zero(), fld.one(), (p - 1,) * m] + [
+        fld.random_elem(rng) for _ in range(4)]
+
+
+def _agree(fld, op, tuple_args, packed_args):
+    """op on tuples and on their packed ints: the same element, each of
+    the kind it was given, and the same counts."""
+    c_tuple, c_packed = OpCounter(), OpCounter()
+    want = op(*tuple_args, c_tuple)
+    got = op(*packed_args, c_packed)
+    assert type(want) is tuple and len(want) == fld.m
+    assert type(got) is int
+    assert got == fld._pack(want)
+    assert c_packed == c_tuple
+
+
+@pytest.mark.parametrize("p,m", PACKED_FIELDS)
+def test_packed_calls_match_tuple_calls(p, m):
+    fld = mk_field(p, m)
+    rng = random.Random(p + m)
+    elems = _sample(fld, rng)
+    packed = [fld._pack(a) for a in elems]
+    exps = (0, 1, 2, p, fld.order_minus_one - 1, rng.randrange(1, 1 << 70))
+    for a, x in zip(elems, packed):
+        for b, y in zip(elems, packed):
+            _agree(fld, fld.mul, (a, b), (x, y))
+        _agree(fld, fld.sqr, (a,), (x,))
+        for e in exps:
+            _agree(fld, lambda u, c: fld.pow(u, e, c), (a,), (x,))
+        for j in (0, 1, m - 1, m, m + 1, 2 * m + 3):
+            _agree(fld, lambda u, c: fld.frobenius(u, j, c), (a,), (x,))
+    assert fld.pow(fld._pack(fld.zero()), 0) == 1  # 0^0 = 1, packed
+
+
+@pytest.mark.parametrize("p,m", PACKED_FIELDS)
+def test_mixed_kinds_raise(p, m):
+    fld = mk_field(p, m)
+    a = fld.random_elem(random.Random(p))
+    for x in (0, 1, fld._pack(a)):
+        for args in ((a, x), (x, a)):
+            with pytest.raises(TypeError):
+                fld.mul(*args)
+
+
+INV_FIELDS = [(13, 1), (2 ** 31 - 1, 1), (7, 2), (2 ** 31 - 1, 2), (2, 7),
+              (5, 3), (257, 3), (4294967311, 3), (3, 61), (5, 61), (2, 521)]
+
+
+@pytest.mark.parametrize("p,m", INV_FIELDS)
+def test_inv_against_schoolbook_product(p, m):
+    fld = mk_field(p, m)
+    rng = random.Random(p * m)
+    cases = [fld.one(), (p - 1,) * m] + [
+        fld.random_elem(rng) for _ in range(3 if m > 100 else 12)]
+    for a in cases:
+        if not any(a):
+            continue
+        c = OpCounter()
+        b = fld.inv(a, c)
+        assert c == OpCounter(inversions=1)
+        assert len(b) == m and all(0 <= d < p for d in b)
+        prod = _poly_rem(_poly_mul(list(a), list(b), p), list(fld.modulus), p)
+        assert prod == [1], a
 
 
 # -- lane-parallel reduction mod p ----------------------------------------------

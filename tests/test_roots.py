@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootfield import (NoNonResidueFound, NotCoprimeCase, NotRamifiedCase,
-                       OpCounter, PeriodTooLong, RNotDividingOrder, RTooSmall,
-                       ZeroElement, amm_root, build_amm_context,
-                       find_nonresidue, is_prime, is_rth_residue, mk_field,
-                       root_table, rth_root, single_exponent_root)
+from rootfield import (Field, NoNonResidueFound, NotCoprimeCase,
+                       NotRamifiedCase, OpCounter, PeriodTooLong,
+                       RNotDividingOrder, RTooSmall, ZeroElement, amm_root,
+                       build_amm_context, find_nonresidue, is_prime,
+                       is_rth_residue, mk_field, root_table, rth_root,
+                       single_exponent_root)
 from rootfield import roots
 from rootfield.cli import dispatch
 from rootfield.periodic import exact_power, lifted_order, mult_order
@@ -537,3 +538,57 @@ def test_rth_root_sound_and_complete(fi, r, data):
         assert fld.pow(out.root, r) == delta
     else:
         assert delta not in cached_power_set(fi, r)
+
+
+# -- the root layer works on packed elements ---------------------------------------
+
+# (p, m, r, packs): the packs of one rth_root on a residue once its AMM
+# context is cached.  Each stage packs its delta once, an amm stage packs
+# rho^s once more, and rth_root's final check packs the tuple it holds;
+# the peel's frobenius reads the tuple's digits without a pack.  Every
+# product in between stays packed.
+PACK_CASES = ([(p, m, r, 3) for p, m, r in AMM_SQRT_FIELDS]
+              + [(2, 127, 7, 2), (3, 61, 30, 3)])
+
+
+@pytest.mark.parametrize("p,m,r,packs", PACK_CASES)
+def test_root_layer_packs_once_per_stage(monkeypatch, p, m, r, packs):
+    fld = mk_field(p, m)
+    rng = random.Random(f"packs/{p}^{m}/{r}")
+    gamma = fld.random_elem(rng)
+    while not any(gamma):
+        gamma = fld.random_elem(rng)
+    delta = fld.pow(gamma, r)
+    rth_root(fld, delta, r)  # builds and caches any AMM context
+    calls = []
+    pack = Field._pack
+    monkeypatch.setattr(Field, "_pack",
+                        lambda self, vec: calls.append(vec) or pack(self, vec))
+    out = rth_root(fld, delta, r)
+    assert out.status == "root_found"
+    assert len(calls) == packs
+    if r != 7:  # 7 is prime to 2^127 - 1: every element is a 7th power
+        nonres = find_nonresidue(fld, 2 if r == 30 else r, seed=5)
+        calls.clear()
+        assert rth_root(fld, nonres, r).status == "non_residue"
+        assert len(calls) == 1  # the stage that refuses
+
+
+def test_roots_come_back_as_length_m_tuples(f13, f75, f39):
+    fields = [f13, f75, f39, mk_field(5, 61), mk_field(2, 4)]
+    rng = random.Random(11)
+    for fld in fields:
+        for r in range(2, 14):
+            gamma = fld.random_elem(rng)
+            for delta in (fld.zero(), fld.one(), fld.pow(gamma, r), gamma):
+                for path in ("auto", "amm", "periodic", "naive"):
+                    try:
+                        out = rth_root(fld, delta, r, path=path)
+                    except (ValueError, ArithmeticError):
+                        continue  # a forced path that does not apply
+                    if out.status == "root_found":
+                        assert type(out.root) is tuple, (fld.p, fld.m, r)
+                        assert len(out.root) == fld.m
+                        assert fld.pow(out.root, r) == delta
+                    else:
+                        assert out.root is None
