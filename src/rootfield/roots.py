@@ -29,7 +29,7 @@ works on packed elements (see field) until it unpacks the root: every
 power, product and Frobenius map in between, the comparisons with 1 and
 with delta, and frobpow's chains.  The AMM digit loop packs rho^s once
 per call and unpacks each root of unity it looks up in the table, whose
-entries stay tuples.
+keys stay tuples.
 """
 
 from __future__ import annotations
@@ -85,10 +85,9 @@ class AmmContext:
     """Per-(field, r) data for the digit-correction algorithm.
 
     N = r^t * s with gcd(s, r) = 1; alpha is the least nonnegative
-    integer with s | r*alpha - 1; rho is a fixed non-residue; k_powers
-    holds the r-th roots of unity g^i, g = rho^{N/r}, with a reverse
-    index for the table lookups, and both are empty for t = 1, where
-    the digit loop does not run.
+    integer with s | r*alpha - 1; rho is a fixed non-residue; k_index
+    maps each r-th root of unity g^i, g = rho^{N/r}, to i for the table
+    lookups, and is empty for t = 1, where the digit loop does not run.
 
     The periodic splits: k is the order of p mod r and l_t the order of
     p mod r^t, both None for m = 1 or k >= m; pe splits alpha, and is
@@ -99,7 +98,6 @@ class AmmContext:
     alpha: int
     rho: tuple
     rho_s: tuple
-    k_powers: tuple
     k_index: dict
     k: int | None = None
     l_t: int | None = None
@@ -137,6 +135,7 @@ def is_rth_residue(fld: Field, delta, r: int,
     """Euler-style criterion: delta^{N/r} = 1.  _period, the order of p
     mod r, raises N/r through Frobenius maps (_power_n_over)."""
     _require_divisor(fld, r)
+    delta = fld.elem(delta)
     if not any(delta):
         raise ZeroElement("residue test is for nonzero elements")
     return _power_n_over(fld, fld._pack(delta), r, _period, counter) == 1
@@ -161,8 +160,8 @@ def find_nonresidue(fld: Field, r: int, seed: int = 0) -> tuple:
 
 def build_amm_context(fld: Field, r: int, seed: int = 0,
                       rho: tuple | None = None) -> AmmContext:
-    """The AmmContext for (fld, r); its powers of rho go through the
-    periodic splits wherever they exist, uncounted."""
+    """The AmmContext for (fld, r); rho^s goes through the periodic
+    splits wherever they exist, and g = (rho^s)^{r^{t-1}}, uncounted."""
     _require_divisor(fld, r)
     p, m, order = fld.p, fld.m, fld.order_minus_one
     t = exact_power(r, order)
@@ -176,24 +175,21 @@ def build_amm_context(fld: Field, r: int, seed: int = 0,
         l_t = lifted_order(p, r, k, t)
         if s > 1 and lifted_order(p, r, k, t + 1) < m:
             pe = decompose(p, m, r, k, t)
-    if rho is None:
-        rho = find_nonresidue(fld, r, seed)
-    packed_rho = fld._pack(rho)
-    rho_s = _power_n_over(fld, packed_rho, r ** t, l_t)
-    g = _power_n_over(fld, packed_rho, r, k)
+    rho = find_nonresidue(fld, r, seed) if rho is None else fld.elem(rho)
+    rho_s = _power_n_over(fld, fld._pack(rho), r ** t, l_t)
+    g = fld.pow(rho_s, r ** (t - 1))
     if g == 1:
         raise ValueError(f"rho={rho} is an r-th residue for r={r}; the "
                          "unity table needs a non-residue")
-    k_powers = []
+    k_index = {}
     if t > 1:  # the digit loop's table; for t = 1 nothing reads it
-        k_powers = [1]
-        for _ in range(1, r):
-            k_powers.append(fld._raw_mul(k_powers[-1], g))
-        assert len(set(k_powers)) == r, "roots of unity are not distinct"
-        k_powers = [_unpacked(fld, w) for w in k_powers]
-    return AmmContext(t, s, alpha, rho, _unpacked(fld, rho_s),
-                      tuple(k_powers),
-                      {w: i for i, w in enumerate(k_powers)}, k, l_t, pe)
+        w = 1
+        for i in range(r):
+            k_index[_unpacked(fld, w)] = i
+            w = fld._raw_mul(w, g)
+        assert len(k_index) == r, "roots of unity are not distinct"
+    return AmmContext(t, s, alpha, rho, _unpacked(fld, rho_s), k_index, k,
+                      l_t, pe)
 
 
 @lru_cache(maxsize=512)
@@ -207,20 +203,23 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
              _periodic: bool = False) -> RootOutcome:
     """Digit-correction root extraction for prime r with r^t | N, t >= 1.
 
-    Strategy: delta^{r*alpha - 1} lands in the subgroup of order r^{t-1}.
+    Strategy: a residue (delta^{N/r} = 1) has the head delta^alpha as
+    its root when t = 1.  For t >= 2, acc = (delta^s)^c with
+    c = ((r*alpha - 1)/s) mod r^t, which is delta^{r*alpha - 1} and lands
+    in the subgroup of order r^{t-1}; c is -1 mod r^t when s = 1.
     Walking i = 1 .. t-1, the power acc^{r^{t-1-i}} is an r-th root of
     unity; the table says which correction (rho^s)^{j_i * r^i} cancels
     it.  Collecting the digits j_i gives the correction exponent J, and
-    delta^alpha * (rho^s)^J is an exact r-th root.  Table construction
-    is amortized across calls and not counted.
+    head * (rho^s)^J is an exact r-th root.  The root is verified once,
+    here.  Table construction is amortized across calls and not counted.
 
     With _periodic (auto dispatch) and a split of alpha in the context,
-    the three long powers go through Frobenius maps: delta^{N/r} and
-    delta^s = delta^{N/r^t} by _power_n_over, delta^{r*alpha - 1} as
-    (delta^s)^c with c = (r*alpha - 1)/s < r, and delta^alpha by
-    apply_periodic.  The root is the same; only the counters move."""
+    the long powers go through Frobenius maps: delta^{N/r} and
+    delta^s = delta^{N/r^t} by _power_n_over, and the head by
+    apply_periodic; otherwise each is one plain power.  The root is the
+    same; only the counters move."""
     _require_divisor(fld, r)
-    order = fld.order_minus_one
+    delta = fld.elem(delta)
     if not any(delta):
         raise ZeroElement("amm_root is for nonzero elements")
     if counter is None:
@@ -230,17 +229,14 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
     delta = fld._pack(delta)
     if _power_n_over(fld, delta, r, amm.k if split else None, counter) != 1:
         return RootOutcome("non_residue", None, True, counter, "amm")
-    if amm.t == 1:
-        root = fld.pow(delta, amm.alpha, counter)
-    else:
+    root = (apply_periodic(fld, delta, amm.pe, counter) if split
+            else fld.pow(delta, amm.alpha, counter))
+    if amm.t > 1:
         rho_s = fld._pack(amm.rho_s)
-        if split:
-            delta_s = _power_n_over(fld, delta, r ** amm.t, amm.l_t, counter)
-            acc = fld.pow(delta_s, (r * amm.alpha - 1) // amm.s, counter)
-        else:
-            # r*alpha - 1 is -1 when s = 1 (alpha = 0); reduce mod the
-            # group order so the exponent stays nonnegative
-            acc = fld.pow(delta, (r * amm.alpha - 1) % order, counter)
+        delta_s = _power_n_over(fld, delta, r ** amm.t,
+                                amm.l_t if split else None, counter)
+        acc = fld.pow(delta_s, (r * amm.alpha - 1) // amm.s % r ** amm.t,
+                      counter)
         j_total = 0
         for i in range(1, amm.t):
             w = fld.pow(acc, r ** (amm.t - 1 - i), counter)
@@ -252,9 +248,7 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
                 corr = fld.pow(rho_s, j * r ** i, counter)
                 acc = fld.mul(acc, corr, counter)
                 j_total += j * r ** (i - 1)
-        head = (apply_periodic(fld, delta, amm.pe, counter) if split
-                else fld.pow(delta, amm.alpha, counter))
-        root = fld.mul(head, fld.pow(rho_s, j_total, counter), counter)
+        root = fld.mul(root, fld.pow(rho_s, j_total, counter), counter)
     if fld.pow(root, r, counter) != delta:
         raise RuntimeError("verification failed on a residue; table corrupt?")
     return RootOutcome("root_found", _unpacked(fld, root), True, counter,
@@ -291,7 +285,7 @@ def single_exponent_root(fld: Field, delta, r: int,
     use_fast = k is not None if mode == "auto" else mode == "fast"
     tag = (("coprime_fast", "ramified_fast")[alpha] if use_fast
            else "naive_fallback")
-    delta = fld._pack(delta)
+    delta = fld._pack(fld.elem(delta))
     if not delta:
         root = 0
     elif use_fast:
@@ -326,38 +320,38 @@ def rth_root(fld: Field, delta, r: int, seed: int = 0,
     p-th power map is a bijection), then each prime factor of what
     remains is handled in increasing order, one extraction per
     multiplicity.  A non_residue verdict at any stage settles the whole
-    question, and any root that comes back has been re-verified against
-    the original delta.
+    question.  Each root that comes back is verified once against the
+    original delta: a single stage (a forced path, or a prime r other
+    than p) returns its own outcome, verified by the stage; a chain (a
+    p-peel, or two or more prime stages) is tagged composite_chain and
+    ends with one check of the composed root.
 
     path overrides dispatch for prime r: "amm", "periodic" or "naive".
     """
     if r < 2:
         raise RTooSmall("r must be >= 2")
+    if path not in ("auto", "amm", "periodic", "naive"):
+        raise ValueError(f"unknown path {path!r}")
+    if path != "auto" and not is_prime(r):
+        raise ValueError("forced paths require prime r")
+    delta = fld.elem(delta)
     counter = OpCounter()
-
-    if path != "auto":
-        if path not in ("amm", "periodic", "naive"):
-            raise ValueError(f"unknown path {path!r}")
-        if not is_prime(r):
-            raise ValueError("forced paths require prime r")
-        return _stage_root(fld, delta, r, seed, counter, path)
-
     p_mult = exact_power(fld.p, r)
     stages = factorize(r // fld.p ** p_mult)
-    single = p_mult == 0 and len(stages) == 1 and stages[0][1] == 1
+    if path != "auto" or (p_mult == 0 and stages == [(r, 1)]):
+        return _stage_root(fld, delta, r, seed, counter, path)
 
     current = delta
     if p_mult:
         current = fld.frobenius(current, (-p_mult) % fld.m, counter)
-    last = None
     for ell, e in stages:
         for _ in range(e):
-            last = _stage_root(fld, current, ell, seed, counter)
-            if last.status == "non_residue":
-                tag = last.path_tag if single else "composite_chain"
-                return RootOutcome("non_residue", None, True, counter, tag)
-            current = last.root
+            out = _stage_root(fld, current, ell, seed, counter)
+            if out.status == "non_residue":
+                return RootOutcome("non_residue", None, True, counter,
+                                   "composite_chain")
+            current = out.root
     if fld.pow(current, r, counter) != delta:
         raise RuntimeError("stage-verified chain failed final verification")
-    tag = last.path_tag if (single and last is not None) else "composite_chain"
-    return RootOutcome("root_found", current, True, counter, tag)
+    return RootOutcome("root_found", current, True, counter,
+                       "composite_chain")

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootfield import (Field, NoNonResidueFound, NotCoprimeCase,
-                       NotRamifiedCase, OpCounter, PeriodTooLong,
-                       RNotDividingOrder, RTooSmall, ZeroElement, amm_root,
-                       build_amm_context, find_nonresidue, is_prime,
-                       is_rth_residue, mk_field, root_table, rth_root,
-                       single_exponent_root)
+from rootfield import (DegreeMismatch, Field, NoNonResidueFound,
+                       NotCoprimeCase, NotRamifiedCase, OpCounter,
+                       PeriodTooLong, RNotDividingOrder, RTooSmall,
+                       ZeroElement, amm_root, build_amm_context,
+                       find_nonresidue, is_prime, is_rth_residue, mk_field,
+                       root_table, rth_root, single_exponent_root)
 from rootfield import roots
 from rootfield.cli import dispatch
 from rootfield.periodic import exact_power, lifted_order, mult_order
@@ -69,8 +69,7 @@ def test_amm_context_f13(f13):
     ctx = build_amm_context(f13, 2, rho=(2,))
     assert (ctx.t, ctx.s, ctx.alpha) == (2, 3, 2)
     assert ctx.rho_s == (8,)
-    assert ctx.k_powers == ((1,), (12,))
-    assert ctx.k_index[(12,)] == 1
+    assert ctx.k_index == {(1,): 0, (12,): 1}
 
 
 def test_amm_pinned_square_root(f13):
@@ -157,7 +156,7 @@ def test_amm_context_t1_has_no_table(f13, f75):
     for fld, r in ((f13, 3), (f75, 2)):
         ctx = build_amm_context(fld, r)
         assert ctx.t == 1
-        assert (ctx.k_powers, ctx.k_index) == ((), {})
+        assert ctx.k_index == {}
         delta = fld.pow(fld.random_elem(random.Random(3)), r)
         out = rth_root(fld, delta, r, path="amm")
         assert (out.status, fld.pow(out.root, r)) == ("root_found", delta)
@@ -201,7 +200,7 @@ def test_amm_context_unchanged_by_splits():
             rho = fld.random_elem(rng)
         g = fld.pow(rho, order // r)
         assert (ctx.rho, ctx.rho_s) == (rho, fld.pow(rho, ctx.s))
-        assert ctx.k_powers == tuple(fld.pow(g, i) for i in range(r))
+        assert ctx.k_index == {fld.pow(g, i): i for i in range(r)}
 
 
 def test_amm_auto_matches_forced_on_bench_fields():
@@ -252,8 +251,7 @@ def test_amm_auto_against_root_table(p, m, r):
 @pytest.mark.parametrize("p,m,r", [(5, 2, 2), (7, 2, 2), (31, 25, 5)])
 def test_amm_auto_stays_plain_up_to_the_period(p, m, r):
     # the order of p mod r is below m, but m does not exceed the period
-    # of alpha's split, so auto dispatch counts what plain amm_root does,
-    # plus rth_root's final verification of a root
+    # of alpha's split, so auto dispatch counts what plain amm_root does
     assert mult_order(p, r) < m and not split_applies(p, m, r)
     fld = mk_field(p, m)
     assert build_amm_context(fld, r).pe is None
@@ -261,8 +259,6 @@ def test_amm_auto_stays_plain_up_to_the_period(p, m, r):
                   find_nonresidue(fld, r, 1)):
         auto = rth_root(fld, delta, r)
         plain = amm_root(fld, delta, r)
-        if plain.status == "root_found":
-            fld.pow(plain.root, r, plain.counters)
         assert auto.counters.frobenius == 0
         assert (auto.status, auto.root, auto.counters) == \
             (plain.status, plain.root, plain.counters)
@@ -493,6 +489,55 @@ def test_large_prime_r_finishes_fast():
     assert time.monotonic() - start < 5
 
 
+# (p, m, r, delta): single-stage auto requests that take coprime_fast,
+# ramified_fast or naive_fallback; delta as in test_counter_goldens
+SINGLE_STAGE_CASES = [(2, 127, 3, "residue"), (3, 61, 5, "residue"),
+                      (2, 59, 179951, "residue"), (7, 1, 2, "residue"),
+                      (3, 61, 2, "residue"), (3, 61, 2, "non_residue")]
+
+
+@pytest.mark.parametrize("p,m,r,kind", SINGLE_STAGE_CASES)
+def test_single_stage_returns_the_stage_outcome(p, m, r, kind):
+    # the stage verifies its root against delta; rth_root must not charge
+    # that check a second time
+    fld = mk_field(p, m)
+    if kind == "residue":
+        delta = fld.pow(fld.random_elem(random.Random(f"one/{p}^{m}")), r)
+    else:
+        delta = find_nonresidue(fld, r)
+    auto = rth_root(fld, delta, r)
+    stage = single_exponent_root(fld, delta, r)
+    assert auto.path_tag != "composite_chain"
+    assert auto.status == ("non_residue" if kind == "non_residue"
+                           else "root_found")
+    assert (auto.status, auto.root, auto.path_tag, auto.counters) == \
+        (stage.status, stage.root, stage.path_tag, stage.counters)
+
+
+def test_root_layer_reads_delta_as_a_field_element(f13):
+    # coefficients are read mod p and a short tuple is padded, as
+    # fld.elem does for the CLI; a tuple longer than m is refused
+    f361 = mk_field(3, 61)
+    x = (0, 1) + (0,) * 59
+    for delta in ((3, 1) + (0,) * 59, (0, -2), (0, 1)):
+        assert is_rth_residue(f361, delta, 2)
+        for r, out in ((2, rth_root(f361, delta, 2)),
+                       (2, single_exponent_root(f361, delta, 2)),
+                       (6, rth_root(f361, delta, 6))):  # peel, then 2
+            assert out.status == "root_found"
+            assert f361.pow(out.root, r) == x
+    with pytest.raises(DegreeMismatch):
+        rth_root(f13, (4, 1), 2)
+    for delta in ((-9,), (17,)):
+        for path in ("auto", "amm"):
+            assert rth_root(f13, delta, 2, path=path).root == (11,)
+        assert amm_root(f13, delta, 2, rho=(-11,)).root == (11,)
+    out = rth_root(f13, (-10,), 4)  # two stages of 2
+    assert (out.status, f13.pow(out.root, 4)) == ("root_found", (3,))
+    assert build_amm_context(f13, 2, rho=(15,)) == \
+        build_amm_context(f13, 2, rho=(2,))
+
+
 def test_rth_root_r_too_small(f13):
     for r in (1, 0, -3):
         with pytest.raises(RTooSmall):
@@ -543,12 +588,13 @@ def test_rth_root_sound_and_complete(fi, r, data):
 # -- the root layer works on packed elements ---------------------------------------
 
 # (p, m, r, packs): the packs of one rth_root on a residue once its AMM
-# context is cached.  Each stage packs its delta once, an amm stage packs
-# rho^s once more, and rth_root's final check packs the tuple it holds;
-# the peel's frobenius reads the tuple's digits without a pack.  Every
+# context is cached.  Each stage packs its delta once and an amm stage
+# packs rho^s once more; a chain's final check packs the tuple it holds,
+# and the peel's frobenius reads the tuple's digits without a pack.  A
+# single stage is returned as it stands, with no final check.  Every
 # product in between stays packed.
-PACK_CASES = ([(p, m, r, 3) for p, m, r in AMM_SQRT_FIELDS]
-              + [(2, 127, 7, 2), (3, 61, 30, 3)])
+PACK_CASES = ([(p, m, r, 2) for p, m, r in AMM_SQRT_FIELDS]
+              + [(2, 127, 7, 1), (3, 61, 30, 3)])
 
 
 @pytest.mark.parametrize("p,m,r,packs", PACK_CASES)
