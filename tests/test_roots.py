@@ -37,6 +37,15 @@ def test_is_rth_residue_counts_the_power(f13):
     assert (counter.mults, counter.squarings) == (1, 2)
 
 
+def test_is_rth_residue_through_frobenius_maps():
+    # the order of 3 mod 2 is 1 < m, so delta^{N/2} is delta^{(3-1)/2}
+    # raised by one phi_map; plain powering took 54 + 95 products
+    fld = mk_field(3, 61)
+    counter = OpCounter()
+    assert not is_rth_residue(fld, find_nonresidue(fld, 2), 2, counter)
+    assert counter == OpCounter(mults=9, squarings=0, frobenius=138)
+
+
 def test_is_rth_residue_errors(f13):
     with pytest.raises(RNotDividingOrder):
         is_rth_residue(f13, (4,), 5)
@@ -249,19 +258,37 @@ def test_amm_auto_against_root_table(p, m, r):
 
 
 @pytest.mark.parametrize("p,m,r", [(5, 2, 2), (7, 2, 2), (31, 25, 5)])
-def test_amm_auto_stays_plain_up_to_the_period(p, m, r):
+def test_amm_auto_takes_k_splits_below_the_period(p, m, r):
     # the order of p mod r is below m, but m does not exceed the period
-    # of alpha's split, so auto dispatch counts what plain amm_root does
+    # of alpha's split: auto raises delta^{N/r} and delta^s through k and
+    # l_t anyway, and returns plain amm_root's verdict and root for no
+    # more products
     assert mult_order(p, r) < m and not split_applies(p, m, r)
     fld = mk_field(p, m)
-    assert build_amm_context(fld, r).pe is None
+    ctx = build_amm_context(fld, r)
+    assert ctx.pe is None and ctx.k is not None
     for delta in (fld.pow(fld.random_elem(random.Random(1)), r),
                   find_nonresidue(fld, r, 1)):
         auto = rth_root(fld, delta, r)
         plain = amm_root(fld, delta, r)
-        assert auto.counters.frobenius == 0
-        assert (auto.status, auto.root, auto.counters) == \
-            (plain.status, plain.root, plain.counters)
+        assert (auto.status, auto.root, auto.path_tag) == \
+            (plain.status, plain.root, "amm")
+        assert auto.counters.frobenius > 0
+        assert (auto.counters.mults + auto.counters.squarings
+                <= plain.counters.mults + plain.counters.squarings)
+
+
+def test_amm_auto_counters_without_alpha_split():
+    # F_{29^21}, r = 7, a cli_oneshot field: 7^2 divides N, k = 1 and
+    # l_t = 7, but alpha's period 49 exceeds m; plain powering took 152
+    # products per non-residue and 456 for this residue
+    fld = mk_field(29, 21)
+    assert build_amm_context(fld, 7).pe is None
+    residue = fld.pow(fld.random_elem(random.Random("29^21/7")), 7)
+    for delta, expected in ((find_nonresidue(fld, 7), (6, 2, 42, 0)),
+                            (residue, (80, 136, 63, 0))):
+        c = rth_root(fld, delta, 7).counters
+        assert (c.mults, c.squarings, c.frobenius, c.inversions) == expected
 
 
 def test_amm_composite_r_keeps_plain_powers():
@@ -449,6 +476,24 @@ def test_rth_root_zero(f13, f75):
         assert (out.status, out.root) == ("root_found", fld.zero())
 
 
+def test_zero_is_its_own_root_with_no_ops(f13, f7, f39, f75):
+    # every path that applies returns zero at once, and a chain pays only
+    # its final check; amm_root refuses zero (test_amm_rejects_zero)
+    cases = [(f13, 2, ("auto", "amm")), (f7, 2, ("auto", "naive")),
+             (f39, 5, ("auto", "periodic", "naive")),
+             (f75, 2, ("auto", "amm", "periodic", "naive"))]
+    for fld, r, paths in cases:
+        outs = [rth_root(fld, fld.zero(), r, path=path) for path in paths]
+        if fld is not f13:  # r^2 | 12: no single exponent
+            outs += [single_exponent_root(fld, fld.zero(), r, mode=mode)
+                     for mode in ("auto", "naive")]
+        for out in outs:
+            assert (out.status, out.root, out.counters) == \
+                ("root_found", fld.zero(), OpCounter())
+    assert rth_root(f13, f13.zero(), 6).counters == \
+        OpCounter(mults=1, squarings=2)  # 0^6
+
+
 def test_rth_root_forced_paths(f39, f75, f13):
     out = rth_root(f39, (1, 2, 0, 1, 0, 0, 2, 1, 0), 5, path="periodic")
     assert out.path_tag == "coprime_fast"
@@ -470,6 +515,20 @@ def test_rth_root_forced_path_errors(f13):
         rth_root(f13, (4,), 2, path="periodic")
     with pytest.raises(ValueError, match="single-exponent"):
         rth_root(f13, (4,), 2, path="naive")
+
+
+def test_failed_verification_is_a_refusal_only_for_t_1(monkeypatch, f39, f75):
+    # with a wrong head, a coprime stage (t = 0), where every element has
+    # a root, must raise; a ramified stage (t = 1) reads it as non_residue
+    monkeypatch.setattr(roots, "apply_periodic",
+                        lambda fld, delta, pe, counter: fld.sqr(delta))
+    delta = f39.random_elem(random.Random(12))
+    assert f39.pow(delta, 10) != delta
+    with pytest.raises(RuntimeError, match="verification"):
+        rth_root(f39, delta, 5)
+    delta = f75.pow(f75.random_elem(random.Random(12)), 2)
+    assert f75.pow(delta, 4) != delta
+    assert rth_root(f75, delta, 2).status == "non_residue"
 
 
 def test_large_prime_r_finishes_fast():
@@ -538,6 +597,20 @@ def test_root_layer_reads_delta_as_a_field_element(f13):
         build_amm_context(f13, 2, rho=(2,))
 
 
+@pytest.mark.parametrize("p,m,r", [(3, 61, 2), (5, 61, 2), (3, 61, 30)])
+def test_rth_root_reads_delta_once(monkeypatch, p, m, r):
+    # a single stage and a chain read delta through Field.elem once
+    fld = mk_field(p, m)
+    delta = fld.pow(fld.random_elem(random.Random(f"elem/{p}^{m}")), r)
+    rth_root(fld, delta, r)  # builds and caches any AMM context
+    calls = []
+    elem = Field.elem
+    monkeypatch.setattr(Field, "elem",
+                        lambda self, c: calls.append(c) or elem(self, c))
+    assert rth_root(fld, delta, r).status == "root_found"
+    assert len(calls) == 1
+
+
 def test_rth_root_r_too_small(f13):
     for r in (1, 0, -3):
         with pytest.raises(RTooSmall):
@@ -588,13 +661,12 @@ def test_rth_root_sound_and_complete(fi, r, data):
 # -- the root layer works on packed elements ---------------------------------------
 
 # (p, m, r, packs): the packs of one rth_root on a residue once its AMM
-# context is cached.  Each stage packs its delta once and an amm stage
-# packs rho^s once more; a chain's final check packs the tuple it holds,
-# and the peel's frobenius reads the tuple's digits without a pack.  A
-# single stage is returned as it stands, with no final check.  Every
-# product in between stays packed.
+# context is cached.  rth_root packs delta once; the peel's frobenius,
+# every stage and a chain's final check take the packed element the step
+# before returned, and an amm stage packs rho^s once more.  Every product
+# in between stays packed.
 PACK_CASES = ([(p, m, r, 2) for p, m, r in AMM_SQRT_FIELDS]
-              + [(2, 127, 7, 1), (3, 61, 30, 3)])
+              + [(2, 127, 7, 1), (3, 61, 30, 1)])
 
 
 @pytest.mark.parametrize("p,m,r,packs", PACK_CASES)
@@ -617,7 +689,7 @@ def test_root_layer_packs_once_per_stage(monkeypatch, p, m, r, packs):
         nonres = find_nonresidue(fld, 2 if r == 30 else r, seed=5)
         calls.clear()
         assert rth_root(fld, nonres, r).status == "non_residue"
-        assert len(calls) == 1  # the stage that refuses
+        assert len(calls) == 1  # rth_root's pack of delta
 
 
 def test_roots_come_back_as_length_m_tuples(f13, f75, f39):
