@@ -33,6 +33,7 @@ import random
 import sys
 import time
 from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -156,7 +157,10 @@ def diff(path_a, path_b) -> int:
     groups = Counter()
     answers = moved = 0
     with _open(path_a, "r") as fa, _open(path_b, "r") as fb:
-        for text_a, text_b in zip(fa, fb):
+        for text_a, text_b in zip_longest(fa, fb):
+            if text_a is None or text_b is None:
+                print("records hold different numbers of calls")
+                return 1
             a, b = json.loads(text_a), json.loads(text_b)
             key = tuple(a[f] for f in KEY)
             if key != tuple(b[f] for f in KEY):
@@ -176,9 +180,6 @@ def diff(path_a, path_b) -> int:
                 groups[group + ("products up" if rise > 0 else
                                 "products down" if rise < 0 else
                                 "products same",)] += 1
-        if fa.readline() or fb.readline():
-            print("records hold different numbers of calls")
-            return 1
     print(f"\n{answers} answers differ; {moved} calls moved counters")
     for group, count in sorted(groups.items()):
         print(f"  {count:7d}  {' '.join(group)}")

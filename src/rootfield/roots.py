@@ -274,21 +274,18 @@ def _outcome(fld, root, tag, counter) -> RootOutcome:
 
 def amm_root(fld: Field, delta, r: int, seed: int = 0,
              rho: tuple | None = None, counter: OpCounter | None = None,
-             context: AmmContext | None = None, *,
-             _periodic: bool = False) -> RootOutcome:
+             context: AmmContext | None = None) -> RootOutcome:
     """Digit-correction root extraction for prime r with r^t | N, t >= 1
     (_root); the table is built once per (field, r, seed, rho), uncounted.
-    Every power is plain unless _periodic takes the context's splits;
-    the root is the same and only the counters move."""
+    Every power is plain, whatever splits the context holds: the
+    baseline that auto dispatch's Frobenius splits are measured against."""
     _require_divisor(fld, r)
     delta = fld._pack(fld.elem(delta))
     if not delta:
         raise ZeroElement("amm_root is for nonzero elements")
     if counter is None:
         counter = OpCounter()
-    ctx = context or _cached_amm_context(fld, r, seed, rho)
-    if not _periodic:
-        ctx = _plain(ctx)
+    ctx = _plain(context or _cached_amm_context(fld, r, seed, rho))
     return _outcome(fld, _root(fld, delta, r, ctx, "amm", counter), "amm",
                     counter)
 
@@ -308,10 +305,11 @@ def single_exponent_root(fld: Field, delta, r: int,
         raise RTooSmall("r must be >= 2")
     if counter is None:
         counter = OpCounter()
-    fast = "periodic" if _plan(fld, r).pe else "naive"
-    path = {"auto": fast, "fast": "periodic"}.get(mode, "naive")
-    return _outcome(fld, *_stage(fld, fld._pack(fld.elem(delta)), r, 0,
-                                 counter, path), counter)
+    delta = fld._pack(fld.elem(delta))
+    if _plan(fld, r).t > 1:
+        raise NoSingleExponent(f"r={r}: r^2 divides p^m - 1; use amm_root")
+    path = {"auto": "auto", "fast": "periodic"}.get(mode, "naive")
+    return _outcome(fld, *_stage(fld, delta, r, 0, counter, path), counter)
 
 
 def rth_root(fld: Field, delta, r: int, seed: int = 0,

@@ -238,3 +238,24 @@ def test_bench_layers_timeout(tmp_path, monkeypatch):
     assert run["fields"] == [{"p": 3, "m": 163, "mk_field_ms": "timeout"}]
     assert run["builds"] == [{"p": 3, "m": 163, "mk_field_ms": "timeout",
                               "irreducible_tests": "timeout"}]
+
+
+def test_same_answers_diff_counts_calls(tmp_path, capsys):
+    """--diff fails when one record holds a call more than the other,
+    whichever side it is on, and when a root differs."""
+    script = Path(__file__).parents[1] / "scripts" / "same_answers.py"
+    main = runpy.run_path(str(script), run_name="same_answers")["main"]
+    lines = [json.dumps({"call": "rth_root", "p": 13, "m": 1, "r": 2,
+                         "path": "auto", "delta": d, "status": "root_found",
+                         "tag": "ramified_fast", "root": d,
+                         "counters": [d, 1, 0, 0]}) for d in (1, 3, 4)]
+    short, full, other = (tmp_path / n for n in ("a", "b", "c"))
+    short.write_text("\n".join(lines[:2]) + "\n")
+    full.write_text("\n".join(lines) + "\n")
+    other.write_text("\n".join(lines[:2] + [lines[2].replace(
+        '"root": 4', '"root": 9')]) + "\n")
+    assert main(["--diff", str(full), str(full)]) == 0
+    assert main(["--diff", str(full), str(short)]) == 1
+    assert main(["--diff", str(short), str(full)]) == 1
+    assert main(["--diff", str(full), str(other)]) == 1
+    assert "records hold different numbers of calls" in capsys.readouterr().out
