@@ -47,7 +47,8 @@ import time
 from rootfield import (OpCounter, build_amm_context, field, find_nonresidue,
                        mk_field, rth_root)
 from rootfield.frobpow import phi_map
-from rootfield.periodic import PeriodTooLong, analyze_case
+from rootfield.periodic import PeriodTooLong
+from rootfield.roots import _plan
 
 GRID = ((3, 61), (2, 127), (3, 97), (5, 61), (13, 31), (29, 23))
 BUILD_GRID = ((3, 101), (11, 41), (7, 41), (37, 19), (3, 163), (5, 101),
@@ -165,12 +166,9 @@ def bench_roots(fld, rng, repeats: int) -> list:
     """One row per path tag: the first root degree that takes it."""
     rows = {}
     for r in ROOT_DEGREES:
-        try:
-            case = analyze_case(fld.p, fld.m, r)
-        except ValueError:  # r shares a factor with p or with N/r^alpha
+        if fld.p % r == 0:  # prime r = p: the Frobenius peel, no stage
             continue
-        paths = ("amm",) if case.gcd_tag == "higher_power" else ("periodic",
-                                                                   "naive")
+        paths = ("amm",) if _plan(fld, r).t > 1 else ("periodic", "naive")
         gamma = fld.random_elem(rng)
         while not any(gamma):
             gamma = fld.random_elem(rng)

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Record every root-layer answer of one source tree, or diff two records.
+"""Record every root-layer, `rootfield decompose` and sweep answer of one
+source tree, or diff two records.
 
 Run under the PYTHONPATH of the tree to record; one JSON line per call:
 
@@ -18,21 +19,32 @@ line holds the call, (p, m, r, path, delta) with delta as its base-p
 index, and the result: status, path tag, root index and the counters
 (mults, squarings, frobenius, inversions), or the exception's class.
 
+Then `rootfield decompose` on every prime p <= 31, m <= 12 and r <= 20,
+and on the large-r CLI goldens: a line holds the argv, the exit code,
+stdout and stderr.  Last, the rows of one `rootfield bench` sweep
+(SWEEP, seed 0), each without its wall_ns cell.
+
 --diff reads two records line by line, prints each call whose counters
-moved with both counts, then a summary per (call, path, zero delta,
-m > 1) group; it exits 1 if any status, tag, root or exception differs,
-or if the two records do not hold the same calls in the same order.
-A .gz name is read and written through gzip.
+or stderr moved with both values, then a summary per (call, path, zero
+delta, m > 1) group of counter moves and per wording class of stderr
+moves (digits read as #); it exits 1 if any status, tag, root,
+exception, decompose stdout or exit code, or sweep row differs, or if
+the two records do not hold the same calls in the same order.  A .gz
+name is read and written through gzip.
 """
 
 import argparse
 import gzip
 import importlib.util
+import io
 import json
+import logging
 import random
+import re
 import sys
 import time
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import zip_longest
 from pathlib import Path
 
@@ -42,6 +54,9 @@ SMALL_R = range(2, 13)
 PATHS = ("amm", "periodic", "naive")
 # the CLI goldens in tests/test_cli.py
 CLI_KINDS = [(13, 1, 2), (13, 1, 3), (3, 9, 5)]
+# decompose goldens of tests/test_cli.py beyond the grid
+DECOMPOSE_EXTRA = [(3, 61, 2 ** 31 - 1), (3, 61, 2251799813687339)]
+SWEEP = "q=2,3,4,5,7,8,9,11,13,16,25,27,31,49 m=1..10 r=2..16"
 
 
 def _open(path, mode):
@@ -126,6 +141,27 @@ def record(fld, delta, r, emit):
         emit(line)
 
 
+def record_decompose(emit):
+    from rootfield import is_prime
+    from rootfield.cli import dispatch
+    grid = [(p, m, r) for p in range(2, 32) if is_prime(p)
+            for m in range(1, 13) for r in range(21)]
+    for p, m, r in grid + DECOMPOSE_EXTRA:
+        argv = ["decompose", "--p", str(p), "--m", str(m), "--r", str(r)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = dispatch(argv)
+        emit({"call": "decompose", "argv": argv, "code": code,
+              "stdout": out.getvalue(), "stderr": err.getvalue()})
+
+
+def record_sweep(emit):
+    from rootfield.bench import parse_sweep, run_sweep
+    logging.disable(logging.WARNING)  # the skipped triples' notes
+    for i, row in enumerate(run_sweep(parse_sweep(SWEEP), seed=0)):
+        emit({"call": "sweep", "i": i, "row": row.cells()[:-1]})
+
+
 def run(out_path):
     from rootfield import mk_field
     start = time.monotonic()
@@ -146,11 +182,13 @@ def run(out_path):
             fld = fields.setdefault((p, m), mk_field(p, m))
             for delta in seeded_deltas(fld, r):
                 record(fld, delta, r, emit)
+        record_decompose(emit)
+        record_sweep(emit)
     print(f"{n} calls in {time.monotonic() - start:.1f} s", file=sys.stderr)
 
 
-KEY = ("call", "p", "m", "r", "path", "delta")
-ANSWER = ("exc", "status", "tag", "root")
+KEY = ("call", "p", "m", "r", "path", "delta", "argv", "i")
+ANSWER = ("exc", "status", "tag", "root", "code", "stdout", "row")
 
 
 def diff(path_a, path_b) -> int:
@@ -162,14 +200,21 @@ def diff(path_a, path_b) -> int:
                 print("records hold different numbers of calls")
                 return 1
             a, b = json.loads(text_a), json.loads(text_b)
-            key = tuple(a[f] for f in KEY)
-            if key != tuple(b[f] for f in KEY):
+            key = tuple(a[f] for f in KEY if f in a)
+            if key != tuple(b[f] for f in KEY if f in b):
                 print(f"records differ in order at {key}")
                 return 1
             if any(a.get(f) != b.get(f) for f in ANSWER):
                 answers += 1
-                print("ANSWER", key, {f: a.get(f) for f in ANSWER},
-                      "->", {f: b.get(f) for f in ANSWER})
+                print("ANSWER", key, {f: a[f] for f in ANSWER if f in a},
+                      "->", {f: b[f] for f in ANSWER if f in b})
+            elif a.get("stderr") != b.get("stderr"):
+                moved += 1
+                print("STDERR", key, repr(a["stderr"]), "->",
+                      repr(b["stderr"]))
+                groups[(a["call"], "stderr",
+                        re.sub(r"\d+", "#", a["stderr"].strip()), "->",
+                        re.sub(r"\d+", "#", b["stderr"].strip()))] += 1
             elif a.get("counters") != b.get("counters"):
                 moved += 1
                 ca, cb = a["counters"], b["counters"]
@@ -180,7 +225,8 @@ def diff(path_a, path_b) -> int:
                 groups[group + ("products up" if rise > 0 else
                                 "products down" if rise < 0 else
                                 "products same",)] += 1
-    print(f"\n{answers} answers differ; {moved} calls moved counters")
+    print(f"\n{answers} answers differ; {moved} calls moved counters or "
+          "stderr")
     for group, count in sorted(groups.items()):
         print(f"  {count:7d}  {' '.join(group)}")
     return 1 if answers else 0

@@ -22,15 +22,12 @@ import time
 from dataclasses import dataclass
 
 from .field import is_prime, mk_field
-from .periodic import (ConditionsUnmet, NotCoprime, PeriodTooLong,
-                       analyze_case, decompose, decompose_base_q,
-                       prime_power_split)
-from .roots import rth_root
+from .periodic import (CASE_TAGS, ConditionsUnmet, NotCoprime,
+                       NotCoprimeCase, PeriodTooLong, decompose_base_q,
+                       mult_order, prime_power_split)
+from .roots import _plan, rth_root
 
 log = logging.getLogger(__name__)
-
-_CASE_LABELS = {"coprime": "coprime", "ramified_exact": "ramified",
-                "higher_power": "higher_power"}
 
 CSV_COLUMNS = ("p", "d", "m", "r", "case", "path", "mults", "squarings",
                "frobenius", "n", "n_prime", "k", "period", "verified",
@@ -128,27 +125,27 @@ def _row_delta(fld, r: int, seed: int, p: int, d: int, m: int):
 
 def run_sweep(triples, seed: int = 0) -> list[BenchRow]:
     """One or two BenchRows per runnable triple; unrunnable triples are
-    logged and skipped.  Every emitted row is verified; a failed
+    logged and skipped.  The case, n_prime and the period come from the
+    root layer's plan.  Every emitted row is verified; a failed
     verification aborts the sweep."""
     rows = []
     for q, m, r in triples:
         try:
             p, d = prime_power_split(q)
             fld = mk_field(p, d * m)
-            case = analyze_case(p, d * m, r)
-        except (ValueError, NotCoprime) as exc:
+            k = mult_order(p, r)
+            plan = _plan(fld, r)
+            if plan.t < 2 and plan.alpha is None:
+                raise NotCoprimeCase(f"r={r} shares a factor with s={plan.s}")
+        except ValueError as exc:
             log.warning("skipping (q=%d, m=%d, r=%d): %s", q, m, r, exc)
             continue
         delta = _row_delta(fld, r, seed, p, d, m)
 
         n = n_prime = period = None
-        if case.gcd_tag in ("coprime", "ramified_exact"):
-            try:
-                pe = decompose(p, d * m, r, case.k, case.alpha)
-                n_prime = pe.n
-                period = pe.period
-            except PeriodTooLong:
-                pass
+        if plan.t < 2 and plan.pe:
+            n_prime = plan.pe.n
+            period = plan.pe.period
         if d > 1:
             try:
                 bq = decompose_base_q(q, m, r)
@@ -161,7 +158,7 @@ def run_sweep(triples, seed: int = 0) -> list[BenchRow]:
 
         if not is_prime(r):
             runs = ["auto"]  # no forced paths for composite r
-        elif case.gcd_tag == "higher_power":
+        elif plan.t > 1:
             runs = ["amm"]
         else:
             runs = ["periodic", "naive"]
@@ -179,9 +176,9 @@ def run_sweep(triples, seed: int = 0) -> list[BenchRow]:
                     f"unverified row for (q={q}, m={m}, r={r}, path={path}); "
                     "delta was constructed as an r-th power")
             c = outcome.counters
-            rows.append(BenchRow(p, d, m, r, _CASE_LABELS[case.gcd_tag],
+            rows.append(BenchRow(p, d, m, r, CASE_TAGS[min(plan.t, 2)],
                                  outcome.path_tag, c.mults, c.squarings,
-                                 c.frobenius, n, n_prime, case.k, period,
+                                 c.frobenius, n, n_prime, k, period,
                                  True, wall))
     rows.sort(key=lambda row: (row.p, row.m, row.r, row.d,
                                row.path_tag == "naive_fallback"))

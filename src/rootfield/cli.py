@@ -19,7 +19,7 @@ import sys
 from .bench import load_sweep, parse_sweep, run_sweep, write_csv
 from .field import OpCounter, format_elem, format_field, mk_field, parse_elem
 from .oracle import brute_root
-from .periodic import analyze_case, decompose
+from .periodic import decompose, exact_power, mult_order
 from .roots import is_rth_residue, rth_root
 
 
@@ -78,15 +78,17 @@ def _cmd_residue(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    case = analyze_case(args.p, args.m, args.r)
-    if case.gcd_tag == "higher_power":
+    p, m, r = args.p, args.m, args.r
+    k = mult_order(p, r)
+    alpha = exact_power(r, p ** m - 1)
+    if alpha > 1:
         print("error: no single-exponent decomposition when r^2 divides "
               "the group order", file=sys.stderr)
         return 1
-    pe = decompose(args.p, args.m, args.r, case.k, case.alpha)
-    print(f"case={pe.case_tag} k={case.k} u={case.u} v={pe.v} a={pe.a} "
-          f"b={pe.b} period={pe.period} n={pe.n} "
-          f"modulus={pe.congruence_modulus}")
+    pe = decompose(p, m, r, k, alpha)
+    u = -pow(pe.congruence_modulus, -1, r) % r
+    print(f"case={pe.case_tag} k={k} u={u} v={pe.v} a={pe.a} b={pe.b} "
+          f"period={pe.period} n={pe.n} modulus={pe.congruence_modulus}")
     return 0
 
 

@@ -13,7 +13,8 @@ alpha <= 1, k the multiplicative order of p mod r), v splits as
 with a short period l and small a, b < p^{2l}.  The geometric part can
 then be raised with Frobenius maps instead of generic powering, which is
 where the savings come from.  This module is pure integer arithmetic;
-no field elements appear.
+no field elements appear; the root layer's plan (roots._plan) is built
+from mult_order, exact_power, lifted_order and decompose.
 """
 
 from __future__ import annotations
@@ -44,12 +45,15 @@ class ConditionsUnmet(ValueError):
     """The base-q decomposition hypotheses fail for these arguments."""
 
 
+CASE_TAGS = ("coprime", "ramified", "higher_power")
+
+
 @dataclass(frozen=True)
 class PeriodicExponent:
     """One decomposition v = a + b * sum_{j<n} p^{j*period}.
 
     congruence_modulus is the modulus M with r*v = 1 (mod M); case_tag is
-    "coprime", "ramified" or "higher_power" for alpha = 0, 1 and >= 2.
+    CASE_TAGS[min(alpha, 2)]: "coprime", "ramified" or "higher_power".
     The period is measured in base-p digits.
     """
 
@@ -60,22 +64,6 @@ class PeriodicExponent:
     v: int
     congruence_modulus: int
     case_tag: str
-
-
-@dataclass(frozen=True)
-class CaseAnalysis:
-    """Classification of (p, m, r) by how r meets the group order.
-
-    gcd_tag is "coprime", "ramified_exact" or "higher_power"; alpha is
-    the exact multiplicity of r in p^m - 1; u is the auxiliary
-    multiplier in [1, r), absent for higher_power.
-    """
-
-    r: int
-    gcd_tag: str
-    k: int
-    u: int | None
-    alpha: int
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -125,7 +113,7 @@ def mult_order(base: int, r: int, limit: int | None = None) -> int | None:
     of lambda(r) < r: O(sqrt(r)) steps, where walking the powers takes
     up to r."""
     if r < 2:
-        raise ValueError("modulus must be >= 2")
+        raise ValueError("r must be >= 2")
     if gcd(base, r) != 1:
         raise NotCoprime(f"{base} and {r} are not coprime")
     k = _carmichael(r)
@@ -260,31 +248,6 @@ def prime_power_split(q: int) -> tuple[int, int]:
     return factors[0]
 
 
-def _multiplier(modulus: int, r: int) -> int:
-    """u in [1, r) with u * modulus = -1 (mod r)."""
-    return (-pow(modulus % r, -1, r)) % r
-
-
-def analyze_case(p: int, m: int, r: int) -> CaseAnalysis:
-    """Classify r against the group order p^m - 1 and compute k and u."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    if gcd(r, p) != 1:
-        raise NotCoprime(f"r={r} shares a factor with the characteristic {p}")
-    order = p ** m - 1
-    k = mult_order(p, r)
-    alpha = exact_power(r, order)
-    if alpha > 1:
-        return CaseAnalysis(r, "higher_power", k, None, alpha)
-    cofactor = order // r ** alpha
-    if gcd(cofactor, r) != 1:
-        raise ValueError(
-            f"r={r} shares a factor with (p^m - 1)/r^{alpha}, so no single "
-            "exponent inverts it")
-    return CaseAnalysis(r, ("coprime", "ramified_exact")[alpha], k,
-                        _multiplier(cofactor, r), alpha)
-
-
 def decompose(q: int, m: int, r: int, k: int, alpha: int) -> PeriodicExponent:
     """Split v = r^{-1} mod M, M = (q^m - 1)/r^alpha, along base-q digits.
 
@@ -308,7 +271,7 @@ def decompose(q: int, m: int, r: int, k: int, alpha: int) -> PeriodicExponent:
         raise NotCoprimeCase(
             f"gcd(r, (q^m - 1)/r^alpha) = {gcd(modulus, r)}")
     rdiv = r ** (alpha + 1)
-    z_num = _multiplier(modulus, r) * (q ** period - 1)
+    z_num = (-pow(modulus, -1, r) % r) * (q ** period - 1)
     assert z_num % rdiv == 0, "periodic block is not integral"
     n = m // period
     b = q ** (m - n * period) * (z_num // rdiv)
@@ -318,8 +281,7 @@ def decompose(q: int, m: int, r: int, k: int, alpha: int) -> PeriodicExponent:
     assert 0 <= a < bound, "constant part out of range"
     assert 0 <= b < bound, "periodic part out of range"
     return PeriodicExponent(a, b, period, n, v, modulus,
-                            ("coprime", "ramified", "higher_power")[
-                                min(alpha, 2)])
+                            CASE_TAGS[min(alpha, 2)])
 
 
 def decompose_coprime(p: int, m: int, r: int) -> PeriodicExponent:
@@ -328,8 +290,6 @@ def decompose_coprime(p: int, m: int, r: int) -> PeriodicExponent:
     Requires m > k, k the order of p mod r; the period is k.  The period
     gate fires before the gcd gate.
     """
-    if r < 2:
-        raise ValueError("r must be >= 2")
     return decompose(p, m, r, mult_order(p, r), 0)
 
 

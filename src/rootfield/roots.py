@@ -9,16 +9,16 @@ test (ramified_fast, naive_fallback); for t >= 2 the residue test
 delta^{N/r} comes first and a digit loop over the r-th roots of unity
 corrects the head (amm).
 
-_plan derives t, s, alpha and the periodic splits once per (field, r):
-pe splits alpha, and k and l_t, the orders of p mod r and mod r^t,
-split delta^{N/r} and delta^s, so that the long powers collapse into
-Frobenius maps.  One body, _root, runs every prime stage on the splits
-its context holds; forced paths "naive" and "amm", and amm_root, clear
-them for plain powering, the baseline the splits are measured against.
+_plan derives t, s, alpha and the splits once per (field, r), the one
+classification of (p, m, r): pe splits alpha, and k and l_t, the orders
+of p mod r and mod r^t, split delta^{N/r} and delta^s, so that the long
+powers collapse into Frobenius maps.  One body, _root, runs every prime
+stage on the splits its context holds; forced paths "naive" and "amm",
+and amm_root, clear them for plain powering, the splits' baseline.
 
 rth_root dispatches prime by prime for composite r and peels factors of
 p off r first, since the p-th power map is the Frobenius bijection.  It
-packs delta once; the stages take and return packed elements (see
+packs delta once; the stages, rho^s and the unity table are packed (see
 field), and only the returned root is unpacked.
 """
 
@@ -31,9 +31,8 @@ from math import gcd
 
 from .field import Field, OpCounter, is_prime
 from .frobpow import apply_periodic, phi_map
-from .periodic import (NotCoprimeCase, NotRamifiedCase, PeriodicExponent,
-                       PeriodTooLong, decompose, exact_power, factorize,
-                       lifted_order, mult_order)
+from .periodic import (PeriodicExponent, PeriodTooLong, decompose,
+                       exact_power, factorize, lifted_order, mult_order)
 
 
 class RNotDividingOrder(ValueError):
@@ -53,7 +52,7 @@ class NoNonResidueFound(RuntimeError):
     probability at most 2^-128 when r divides the group order."""
 
 
-class NoSingleExponent(NotCoprimeCase, NotRamifiedCase):
+class NoSingleExponent(ValueError):
     """r is neither coprime to the group order nor an exact divisor of
     it with a cofactor coprime to r, so no single exponent applies."""
 
@@ -80,23 +79,19 @@ class AmmContext:
     mod r, and l_t, that of p mod r^t, for k < m (composite r: t <= 1
     only); pe splits alpha when s > 1 and m exceeds its period, the
     least k*r^i with r^{t+1} | p^{k*r^i} - 1.  build_amm_context adds
-    rho, a fixed non-residue, rho_s = rho^s and k_index, which maps each
-    r-th root of unity g^i, g = rho^{N/r}, to i and is empty for t = 1,
-    where the digit loop does not run."""
+    rho, a fixed non-residue, packed rho_s = rho^s and k_index, which
+    maps each packed r-th root of unity g^i, g = rho^{N/r}, to i and is
+    empty for t = 1, where the digit loop does not run."""
 
     t: int
     s: int
     alpha: int | None
     rho: tuple | None = None
-    rho_s: tuple | None = None
+    rho_s: int | None = None
     k_index: dict | None = None
     k: int | None = None
     l_t: int | None = None
     pe: PeriodicExponent | None = None
-
-
-def _unpacked(fld: Field, x: int) -> tuple:
-    return tuple(fld._unpack(x, fld.m))
 
 
 def _require_divisor(fld: Field, r: int) -> None:
@@ -184,11 +179,10 @@ def build_amm_context(fld: Field, r: int, seed: int = 0,
     if plan.t > 1:  # the digit loop's table; for t = 1 nothing reads it
         w = 1
         for i in range(r):
-            k_index[_unpacked(fld, w)] = i
+            k_index[w] = i
             w = fld._raw_mul(w, g)
         assert len(k_index) == r, "roots of unity are not distinct"
-    return replace(plan, rho=rho, rho_s=_unpacked(fld, rho_s),
-                   k_index=k_index)
+    return replace(plan, rho=rho, rho_s=rho_s, k_index=k_index)
 
 
 @lru_cache(maxsize=512)
@@ -215,22 +209,21 @@ def _root(fld: Field, delta: int, r: int, ctx: AmmContext, tag: str,
             else fld.pow(delta, ctx.alpha, counter))
     t = ctx.t
     if t > 1:
-        rho_s = fld._pack(ctx.rho_s)
         delta_s = _power_n_over(fld, delta, r ** t, ctx.l_t, counter)
         acc = fld.pow(delta_s, (r * ctx.alpha - 1) // ctx.s % r ** t,
                       counter)
         j_total = 0
         for i in range(1, t):
             w = fld.pow(acc, r ** (t - 1 - i), counter)
-            idx = ctx.k_index.get(_unpacked(fld, w))
+            idx = ctx.k_index.get(w)
             if idx is None:
                 raise RuntimeError("digit lookup fell outside the unity table")
             j = (r - idx) % r
             if j:
-                corr = fld.pow(rho_s, j * r ** i, counter)
+                corr = fld.pow(ctx.rho_s, j * r ** i, counter)
                 acc = fld.mul(acc, corr, counter)
                 j_total += j * r ** (i - 1)
-        root = fld.mul(root, fld.pow(rho_s, j_total, counter), counter)
+        root = fld.mul(root, fld.pow(ctx.rho_s, j_total, counter), counter)
     if fld.pow(root, r, counter) == delta:
         return root
     if tag == "amm" or t == 0:
@@ -244,9 +237,10 @@ def _stage(fld: Field, delta: int, r: int, seed: int, counter: OpCounter,
     path tag.  "amm", or "auto" when r^2 | N, runs AMM; "auto" otherwise
     takes the single exponent through alpha's split where it exists,
     which "periodic" demands and "naive" clears.  Zero is its own root,
-    with no ops, on every path."""
+    with no ops, once the path applies (for "amm", once r | N)."""
     ctx = _plan(fld, r)
     if path == "amm" or path == "auto" and ctx.t > 1:
+        _require_divisor(fld, r)
         tag = "amm"
     elif ctx.t > 1 or ctx.alpha is None:
         raise NoSingleExponent(
@@ -269,7 +263,8 @@ def _stage(fld: Field, delta: int, r: int, seed: int, counter: OpCounter,
 def _outcome(fld, root, tag, counter) -> RootOutcome:
     if root is None:
         return RootOutcome("non_residue", None, True, counter, tag)
-    return RootOutcome("root_found", _unpacked(fld, root), True, counter, tag)
+    return RootOutcome("root_found", tuple(fld._unpack(root, fld.m)), True,
+                       counter, tag)
 
 
 def amm_root(fld: Field, delta, r: int, seed: int = 0,
@@ -291,16 +286,15 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
 
 
 def single_exponent_root(fld: Field, delta, r: int,
-                         counter: OpCounter | None = None,
-                         mode: str = "auto") -> RootOutcome:
+                         counter: OpCounter | None = None) -> RootOutcome:
     """Root extraction for r coprime to N, or dividing N exactly once
     with a cofactor coprime to r: one exponentiation by
     alpha = r^{-1} mod N/r^t, t the multiplicity of r in N.
 
     The verification doubles as the residue test (for t = 0 it always
-    passes) and its cost stays in the counters.  mode "auto" takes the
-    periodic fast path when m > k*r^t, k the order of p mod r; "fast"
-    and "naive" force a path."""
+    passes) and its cost stays in the counters.  The periodic fast path
+    runs when m > k*r^t, k the order of p mod r; rth_root's path
+    "periodic" or "naive" forces one."""
     if r < 2:
         raise RTooSmall("r must be >= 2")
     if counter is None:
@@ -308,8 +302,7 @@ def single_exponent_root(fld: Field, delta, r: int,
     delta = fld._pack(fld.elem(delta))
     if _plan(fld, r).t > 1:
         raise NoSingleExponent(f"r={r}: r^2 divides p^m - 1; use amm_root")
-    path = {"auto": "auto", "fast": "periodic"}.get(mode, "naive")
-    return _outcome(fld, *_stage(fld, delta, r, 0, counter, path), counter)
+    return _outcome(fld, *_stage(fld, delta, r, 0, counter), counter)
 
 
 def rth_root(fld: Field, delta, r: int, seed: int = 0,

@@ -7,12 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rootfield import (ConditionsUnmet, NotCoprime, NotCoprimeCase,
-                       NotRamifiedCase, PeriodTooLong, analyze_case,
-                       decompose_base_q, decompose_coprime, decompose_ramified,
+                       NotRamifiedCase, PeriodTooLong, decompose_base_q,
+                       decompose_coprime, decompose_ramified, mk_field,
                        mult_order)
+from rootfield.cli import dispatch
 from rootfield.periodic import (_carmichael, decompose, exact_power,
                                 factorize, geometric_sum, lifted_order,
                                 prime_power_split)
+from rootfield.roots import _plan
 
 
 def check_invariants(pe, p, r):
@@ -138,39 +140,54 @@ def test_prime_power_split():
         prime_power_split(1)
 
 
-# -- case analysis -------------------------------------------------------------
+# -- case analysis: rootfield decompose and the root layer's plan -------------
 
-def test_analyze_coprime():
-    case = analyze_case(3, 9, 5)
-    assert (case.gcd_tag, case.k, case.u, case.alpha) == ("coprime", 4, 2, 0)
-
-
-def test_analyze_ramified():
-    case = analyze_case(7, 5, 2)
-    assert (case.gcd_tag, case.k, case.u, case.alpha) == (
-        "ramified_exact", 1, 1, 1)
+def run_decompose(capsys, p, m, r):
+    """Exit code, key=value fields of stdout, and stderr of one call."""
+    code = dispatch(["decompose", "--p", str(p), "--m", str(m),
+                     "--r", str(r)])
+    out, err = capsys.readouterr()
+    return code, dict(tok.split("=") for tok in out.split()), err
 
 
-def test_analyze_higher_power():
-    case = analyze_case(13, 1, 2)  # 12 = 2^2 * 3
-    assert (case.gcd_tag, case.alpha, case.u) == ("higher_power", 2, None)
+def test_analyze_coprime(capsys):
+    code, got, _ = run_decompose(capsys, 3, 9, 5)
+    assert (code, got["case"], got["k"], got["u"]) == (0, "coprime", "4", "2")
+    assert _plan(mk_field(3, 9), 5).t == 0
 
 
-def test_analyze_r_sharing_characteristic():
-    with pytest.raises(NotCoprime):
-        analyze_case(7, 5, 14)
+def test_analyze_ramified(capsys):
+    code, got, _ = run_decompose(capsys, 7, 5, 2)
+    assert (code, got["case"], got["k"], got["u"]) == (0, "ramified", "1", "1")
+    assert _plan(mk_field(7, 5), 2).t == 1
 
 
-def test_analyze_entangled_cofactor():
+def test_analyze_higher_power(capsys):
+    code, got, err = run_decompose(capsys, 13, 1, 2)  # 12 = 2^2 * 3
+    assert (code, got) == (1, {})
+    assert "no single-exponent decomposition" in err
+    assert _plan(mk_field(13, 1), 2).t == 2
+
+
+def test_analyze_r_sharing_characteristic(capsys):
+    assert run_decompose(capsys, 7, 5, 14) == \
+        (1, {}, "error: 7 and 14 are not coprime\n")
+
+
+def test_analyze_entangled_cofactor(capsys):
     # 4 divides 3^10 - 1 = 59048 exactly once in the 4-adic sense, but the
-    # cofactor 14762 is even, so no u satisfies the ramified congruence
-    with pytest.raises(ValueError):
-        analyze_case(3, 10, 4)
+    # cofactor 14762 is even, so no u satisfies the ramified congruence;
+    # the period, 8, is below m = 10, so the gcd gate is what refuses it
+    code, got, err = run_decompose(capsys, 3, 10, 4)
+    assert (code, got) == (1, {})
+    assert err == "error: gcd(r, (q^m - 1)/r^alpha) = 2\n"
+    plan = _plan(mk_field(3, 10), 4)
+    assert (plan.t, plan.alpha) == (1, None)
 
 
-def test_analyze_u_congruences():
+def test_analyze_u_congruences(capsys):
     rng = random.Random(11)
-    checked = 0
+    checked = decomposed = 0
     while checked < 60:
         p = rng.choice([2, 3, 5, 7, 11, 13, 31, 97])
         m = rng.randrange(1, 30)
@@ -178,17 +195,21 @@ def test_analyze_u_congruences():
         if gcd(r, p) != 1:
             continue
         order = p ** m - 1
-        try:
-            case = analyze_case(p, m, r)
-        except ValueError:
-            continue
-        if case.gcd_tag == "coprime":
-            assert 1 <= case.u < r
-            assert case.u * order % r == r - 1
-        elif case.gcd_tag == "ramified_exact":
-            assert 1 <= case.u < r
-            assert case.u * (order // r) % r == r - 1
+        t = exact_power(r, order)
+        if t < 2 and gcd(order // r ** t, r) != 1:
+            continue  # no u exists (test_analyze_entangled_cofactor)
+        code, got, err = run_decompose(capsys, p, m, r)
+        if code == 0:
+            u, modulus = int(got["u"]), int(got["modulus"])
+            assert got["case"] == ("coprime", "ramified")[t]
+            assert modulus == order // r ** t
+            assert 1 <= u < r
+            assert u * modulus % r == r - 1
+            decomposed += 1
+        else:
+            assert t > 1 or err.startswith("error: need m > period")
         checked += 1
+    assert decomposed >= 10
 
 
 # -- coprime decomposition ------------------------------------------------------

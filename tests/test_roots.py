@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootfield import (DegreeMismatch, Field, NoNonResidueFound,
-                       NotCoprimeCase, NotRamifiedCase, OpCounter,
-                       PeriodTooLong, RNotDividingOrder, RTooSmall,
-                       ZeroElement, amm_root, build_amm_context,
-                       find_nonresidue, is_prime, is_rth_residue, mk_field,
-                       root_table, rth_root, single_exponent_root)
+                       NoSingleExponent, OpCounter, PeriodTooLong,
+                       RNotDividingOrder, RTooSmall, ZeroElement, amm_root,
+                       build_amm_context, find_nonresidue, is_prime,
+                       is_rth_residue, mk_field, root_table, rth_root,
+                       single_exponent_root)
 from rootfield import roots
 from rootfield.cli import dispatch
 from rootfield.periodic import exact_power, lifted_order, mult_order
@@ -77,8 +77,8 @@ def test_find_nonresidue_requires_divisor(f39):
 def test_amm_context_f13(f13):
     ctx = build_amm_context(f13, 2, rho=(2,))
     assert (ctx.t, ctx.s, ctx.alpha) == (2, 3, 2)
-    assert ctx.rho_s == (8,)
-    assert ctx.k_index == {(1,): 0, (12,): 1}
+    assert ctx.rho_s == 8  # packed: one digit
+    assert ctx.k_index == {1: 0, 12: 1}
 
 
 def test_amm_pinned_square_root(f13):
@@ -122,6 +122,11 @@ def test_amm_requires_divisor(f13):
         amm_root(f13, (4,), 5)
     with pytest.raises(RNotDividingOrder):
         build_amm_context(f13, 5)
+    # forced amm refuses zero too, as every nonzero delta; auto takes it
+    for i in range(13):
+        with pytest.raises(RNotDividingOrder):
+            rth_root(f13, (i,), 5, path="amm")
+    assert rth_root(f13, (0,), 5).root == (0,)
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (17, 1)])
@@ -207,8 +212,8 @@ def test_amm_context_unchanged_by_splits():
         rho = fld.random_elem(rng)
         while not any(rho) or fld.pow(rho, order // r) == fld.one():
             rho = fld.random_elem(rng)
-        g = fld.pow(rho, order // r)
-        assert (ctx.rho, ctx.rho_s) == (rho, fld.pow(rho, ctx.s))
+        g = fld.pow(fld._pack(rho), order // r)
+        assert (ctx.rho, ctx.rho_s) == (rho, fld.pow(fld._pack(rho), ctx.s))
         assert ctx.k_index == {fld.pow(g, i): i for i in range(r)}
 
 
@@ -328,8 +333,8 @@ def test_coprime_is_a_bijection(f13):
 def test_coprime_fast_path_tag(f39):
     delta = f39.random_elem(random.Random(1))
     auto = single_exponent_root(f39, delta, 5)
-    fast = single_exponent_root(f39, delta, 5, mode="fast")
-    naive = single_exponent_root(f39, delta, 5, mode="naive")
+    fast = rth_root(f39, delta, 5, path="periodic")
+    naive = rth_root(f39, delta, 5, path="naive")
     assert auto.path_tag == "coprime_fast"  # m = 9 > k = 4
     assert fast.path_tag == "coprime_fast"
     assert naive.path_tag == "naive_fallback"
@@ -338,11 +343,11 @@ def test_coprime_fast_path_tag(f39):
 
 def test_coprime_forced_fast_needs_long_extension(f13):
     with pytest.raises(PeriodTooLong):
-        single_exponent_root(f13, (3,), 5, mode="fast")
+        rth_root(f13, (3,), 5, path="periodic")
 
 
 def test_coprime_rejects_shared_factor(f13):
-    with pytest.raises(NotCoprimeCase):
+    with pytest.raises(NoSingleExponent):
         single_exponent_root(f13, (3,), 2)
 
 
@@ -384,11 +389,11 @@ def test_ramified_naive_small_extension(f7):
     assert out.path_tag == "naive_fallback"
     assert f7.pow(out.root, 2) == (2,)
     with pytest.raises(PeriodTooLong):
-        single_exponent_root(f7, (2,), 2, mode="fast")
+        rth_root(f7, (2,), 2, path="periodic")
 
 
 def test_ramified_rejects_higher_power(f13):
-    with pytest.raises(NotRamifiedCase):
+    with pytest.raises(NoSingleExponent):
         single_exponent_root(f13, (4,), 2)
 
 
@@ -401,10 +406,10 @@ def test_ramified_counter_pinned_f75(f75):
     # exponents are fixed by (p, m, r), so the tallies are too:
     # a = 2, b = 84, one chain product, one combine, one verify square
     delta = f75.pow(f75.random_elem(random.Random(4)), 2)
-    fast = single_exponent_root(f75, delta, 2, mode="fast")
+    fast = rth_root(f75, delta, 2, path="periodic")
     assert (fast.counters.mults, fast.counters.squarings,
             fast.counters.frobenius) == (4, 8, 2)
-    naive = single_exponent_root(f75, delta, 2, mode="naive")
+    naive = rth_root(f75, delta, 2, path="naive")
     assert (naive.counters.mults, naive.counters.squarings,
             naive.counters.frobenius) == (4, 13, 0)
 
@@ -485,8 +490,7 @@ def test_zero_is_its_own_root_with_no_ops(f13, f7, f39, f75):
     for fld, r, paths in cases:
         outs = [rth_root(fld, fld.zero(), r, path=path) for path in paths]
         if fld is not f13:  # r^2 | 12: no single exponent
-            outs += [single_exponent_root(fld, fld.zero(), r, mode=mode)
-                     for mode in ("auto", "naive")]
+            outs.append(single_exponent_root(fld, fld.zero(), r))
         for out in outs:
             assert (out.status, out.root, out.counters) == \
                 ("root_found", fld.zero(), OpCounter())
@@ -663,9 +667,9 @@ def test_rth_root_sound_and_complete(fi, r, data):
 # (p, m, r, packs): the packs of one rth_root on a residue once its AMM
 # context is cached.  rth_root packs delta once; the peel's frobenius,
 # every stage and a chain's final check take the packed element the step
-# before returned, and an amm stage packs rho^s once more.  Every product
-# in between stays packed.
-PACK_CASES = ([(p, m, r, 2) for p, m, r in AMM_SQRT_FIELDS]
+# before returned, and an amm stage reads rho^s and the unity table
+# packed from its context.  Every product in between stays packed.
+PACK_CASES = ([(p, m, r, 1) for p, m, r in AMM_SQRT_FIELDS]
               + [(2, 127, 7, 1), (3, 61, 30, 1)])
 
 
