@@ -7,7 +7,10 @@ pow; mul, sqr, frobenius and pow also on packed elements, the rows
 named *_packed), the exponent layer (phi_map) and extraction (rth_root
 once per path), and records each as the median over --repeats repeats
 of the time per call.  Each repeat runs a batch of calls sized to take
-about 10 ms.
+about 10 ms.  Three rows split frobenius(a, m-1): *_cold is the first
+call on a fresh field, through the ladder and the entries it builds;
+frobenius_build is one build of the composed matrix for j = m-1; and
+the frobenius_m-1 rows then time the warm path, that matrix.
 Every extraction is checked: a constructed residue must come back as a
 verified root.  A second grid, of fields with long modulus searches
 (each took seconds to minutes under Rabin's test, the one used before
@@ -56,8 +59,9 @@ BUILD_GRID = ((3, 101), (11, 41), (7, 41), (37, 19), (3, 163), (5, 101),
 AMM_GRID = ((5, 61, 2), (13, 31, 2), (17, 21, 2), (29, 23, 2), (19, 21, 3))
 ROOT_DEGREES = (2, 3, 5, 7, 11, 13)
 SIDE_BY_SIDE = ("mul", "mul_packed", "sqr", "sqr_packed", "frobenius_1",
-                "frobenius_1_packed", "frobenius_m-1", "frobenius_m-1_packed",
-                "inv", "pow_N-1", "pow_N-1_packed")
+                "frobenius_1_packed", "frobenius_m-1_cold", "frobenius_build",
+                "frobenius_m-1", "frobenius_m-1_packed", "inv", "pow_N-1",
+                "pow_N-1_packed")
 BATCH_S = 0.01
 TIMEOUT_S = 30
 
@@ -96,6 +100,24 @@ def median_us(fn, repeats: int):
         batch = max(1, min(1000, int(BATCH_S / max(once, 1e-9))))
         samples = [within(lambda: run(batch))
                    for _ in range(repeats)]
+    except Timeout:
+        return "timeout"
+    return round(statistics.median(samples) * 1e6, 2)
+
+
+def first_call_us(fresh, fn, repeats: int):
+    """Median over repeats of one fn(fresh()) call, in us, or "timeout";
+    fresh() runs untimed, so every sample is a first call on a new
+    object."""
+
+    def run():
+        obj = fresh()
+        t0 = time.perf_counter()
+        fn(obj)
+        return time.perf_counter() - t0
+
+    try:
+        samples = [within(run) for _ in range(repeats)]
     except Timeout:
         return "timeout"
     return round(statistics.median(samples) * 1e6, 2)
@@ -140,6 +162,13 @@ def bench_field(p: int, m: int, repeats: int) -> dict:
     a, b = fld.random_elem(rng), fld.random_elem(rng)
     x, y = fld._pack(a), fld._pack(b)
     exponent = fld.order_minus_one - 1
+
+    def fresh():
+        return field.Field(p, m, fld.modulus, fld.order_minus_one)
+
+    # a tree without composed matrices gets no build row
+    build = ({"frobenius_build": lambda c=None: fld._compose(m - 1)}
+             if hasattr(fld, "_compose") else {})
     ops = {
         "mul": lambda c=None: fld.mul(a, b, c),
         "mul_packed": lambda c=None: fld.mul(x, y, c),
@@ -147,6 +176,7 @@ def bench_field(p: int, m: int, repeats: int) -> dict:
         "sqr_packed": lambda c=None: fld.sqr(x, c),
         "frobenius_1": lambda c=None: fld.frobenius(a, 1, c),
         "frobenius_1_packed": lambda c=None: fld.frobenius(x, 1, c),
+        **build,
         "frobenius_m-1": lambda c=None: fld.frobenius(a, m - 1, c),
         "frobenius_m-1_packed": lambda c=None: fld.frobenius(x, m - 1, c),
         "inv": lambda c=None: fld.inv(a, c),
@@ -154,7 +184,11 @@ def bench_field(p: int, m: int, repeats: int) -> dict:
         "pow_N-1_packed": lambda c=None: fld.pow(x, exponent, c),
         "phi_map_norm": lambda c=None: phi_map(fld, a, 1, m - 1, c),
     }
-    out = {"p": p, "m": m, "mk_field_ms": to_ms(mk_us), "ops": {}}
+    out = {"p": p, "m": m, "mk_field_ms": to_ms(mk_us), "ops": {
+        "frobenius_m-1_cold": {
+            "us": first_call_us(fresh, lambda f: f.frobenius(a, m - 1),
+                                repeats),
+            **counted(lambda c: fresh().frobenius(a, m - 1, c))}}}
     for name, fn in ops.items():
         out["ops"][name] = {"us": median_us(fn, repeats),
                             **counted(fn)}

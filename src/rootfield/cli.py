@@ -17,7 +17,8 @@ import os
 import sys
 
 from .bench import load_sweep, parse_sweep, run_sweep, write_csv
-from .field import OpCounter, format_elem, format_field, mk_field, parse_elem
+from .field import (OpCounter, _check_shape, format_elem, format_field,
+                    mk_field, parse_elem)
 from .oracle import brute_root
 from .periodic import decompose, exact_power, mult_order
 from .roots import is_rth_residue, rth_root
@@ -79,6 +80,7 @@ def _cmd_residue(args) -> int:
 
 def _cmd_decompose(args) -> int:
     p, m, r = args.p, args.m, args.r
+    _check_shape(p, m)
     k = mult_order(p, r)
     alpha = exact_power(r, p ** m - 1)
     if alpha > 1:

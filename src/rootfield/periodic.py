@@ -230,7 +230,10 @@ def lifted_order(q: int, r: int, k: int, e: int) -> int:
 
 
 def exact_power(r: int, n: int) -> int:
-    """Multiplicity of r in n: largest alpha with r^alpha | n."""
+    """Multiplicity of r in n: largest alpha with r^alpha | n.  Raises
+    ValueError where every power of r divides n: n = 0 or r = +-1."""
+    if not n or r in (1, -1):
+        raise ValueError(f"every power of {r} divides {n}")
     alpha = 0
     while n % r == 0:
         n //= r

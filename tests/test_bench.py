@@ -190,6 +190,11 @@ def test_bench_layers_smoke(tmp_path):
     ops = fld["ops"]
     assert (ops["mul"]["mults"], ops["sqr"]["squarings"]) == (1, 1)
     assert ops["frobenius_m-1"]["frobenius"] == 8
+    # the first call on a fresh field is charged like any other; a build
+    # of the composed matrix is charged nothing
+    assert ops["frobenius_m-1_cold"]["frobenius"] == 8
+    assert ops["frobenius_build"] == dict(
+        ops["frobenius_build"], mults=0, squarings=0, frobenius=0)
     assert ops["inv"]["inversions"] == 1
     assert all(op["us"] > 0 for op in ops.values())
     tuple_rows = ["mul", "sqr", "frobenius_1", "frobenius_m-1", "pow_N-1"]
@@ -199,7 +204,8 @@ def test_bench_layers_smoke(tmp_path):
         assert packed == dict(ops[row], us=None), row
     table = json.loads(out.read_text())["side_by_side"]["3,9"]
     assert sorted(table) == sorted(
-        tuple_rows + [f"{row}_packed" for row in tuple_rows] + ["inv"])
+        tuple_rows + [f"{row}_packed" for row in tuple_rows]
+        + ["inv", "frobenius_m-1_cold", "frobenius_build"])
     assert all(sorted(row) == ["a", "b"] for row in table.values())
     # 3^9 - 1 = 2 * 13 * 757: r = 2 ramifies, r = 5 is coprime with k = 4
     assert {row["path"]: row["r"] for row in fld["roots"]} == {

@@ -160,6 +160,19 @@ def test_decompose_safe_prime_r_fails_fast(capsys):
                    "period=1125899906843669\n")
 
 
+@pytest.mark.parametrize("argv", [["--p", "1", "--m", "5", "--r", "3"],
+                                  ["--p", "3", "--m", "0", "--r", "2"]])
+def test_decompose_empty_group_fails_fast(argv):
+    # p^m - 1 = 0 here, which every power of r divides: the multiplicity
+    # loop never ended before p and m were checked
+    proc = subprocess.run(
+        [sys.executable, "-m", "rootfield", "decompose", *argv],
+        capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr in ("error: 1 is not prime\n",
+                           "error: extension degree must be >= 1\n")
+
+
 def test_oracle_golden(capsys):
     code, out, _ = run(capsys, "oracle", "--p", "13", "--m", "1", "--r", "2",
                        "--delta", "4")

@@ -1,6 +1,8 @@
 import itertools
 import random
 import runpy
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -425,6 +427,125 @@ def test_frobenius_ladder_order_independent(width_field):
     assert up_results == down_results
     assert fld._frob_ladder == down._frob_ladder
     assert len(fld._frob_ladder) == (fld.m - 1).bit_length()
+
+
+def _drive(fld, j, a):
+    """Call frobenius on a and its packed int with exponent j until j's
+    composed matrix has served one call, or m + 1 calls when it is never
+    built; both kinds must match a^{p^j} and charge j mod m each call."""
+    m = fld.m
+    want = fld.pow(a, fld.p ** (j % m))
+    packed = fld._pack(a)
+    for calls in itertools.count():
+        stored = j % m in fld._frob_composed
+        for arg, expect in ((a, want), (packed, fld._pack(want))):
+            c = OpCounter()
+            assert fld.frobenius(arg, j, c) == expect, (j, stored)
+            assert c.frobenius == j % m
+        if stored or calls > m:
+            return
+
+
+def test_frobenius_composed_matches_pow(width_field):
+    # every j past its build threshold: a j with two or more set bits gets
+    # its matrix while the store has room, and the ladder serves the rest
+    fld = width_field
+    m = fld.m
+    assert fld._frob_cap == 3 * (m - 1).bit_length()
+    a = fld.random_elem(random.Random(m))
+    for j in range(2 * m):
+        had = set(fld._frob_composed)
+        _drive(fld, j, a)
+        built = j % m in fld._frob_composed
+        assert built == (j % m in had or len(had) < fld._frob_cap
+                         and (j % m).bit_count() >= 2), j
+        assert len(fld._frob_composed) <= fld._frob_cap
+        assert len(fld._frob_ladder) <= (m - 1).bit_length()
+
+
+def test_frobenius_composed_order_independent(width_field):
+    # fields that built their matrices walking j up and walking it down
+    # hold the same matrix for every j, the powers of x^{p^j}
+    fld = width_field
+    down = mk_field(fld.p, fld.m)
+    a = fld.random_elem(random.Random(7))
+    js = range(2 * fld.m)
+    for j in js:
+        _drive(fld, j, a)
+    for j in reversed(js):
+        _drive(down, j, a)
+    ring, m = fld._ring, fld.m
+    for store in (fld._frob_composed, down._frob_composed):
+        assert len(store) <= fld._frob_cap
+        for j, cols in store.items():
+            assert cols == field._powers(ring, ring.pow(ring.x, fld.p ** j), m)
+    for j in fld._frob_composed.keys() & down._frob_composed.keys():
+        assert fld._frob_composed[j] == down._frob_composed[j]
+    if len(fld._frob_composed) < fld._frob_cap:
+        assert fld._frob_composed == down._frob_composed
+
+
+def test_frobenius_stores_shared_between_threads():
+    # threads on one fresh field, switching often: every result is right,
+    # every published matrix is whole and the store keeps to its cap
+    fld = mk_field(3, 61)
+    p, m, ring = fld.p, fld.m, fld._ring
+    a = fld.random_elem(random.Random(3))
+    want = {j: fld.pow(a, p ** j) for j in range(m)}
+    wrong = []
+
+    def work(k):
+        for _ in range(6):
+            for j in range(m):
+                j = (j * 7 + k) % m
+                if fld.frobenius(a, j) != want[j]:
+                    wrong.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
+    store = fld._frob_composed
+    assert 0 < len(store) <= fld._frob_cap
+    for j, cols in store.items():
+        assert cols == field._powers(ring, ring.pow(ring.x, p ** j), m)
+
+
+def test_one_shot_root_builds_no_composed_matrix():
+    fld = mk_field(2, 127)
+    rng = random.Random(127)
+    delta = fld.pow(fld.random_elem(rng), 3)
+    out = rth_root(fld, delta, 3)
+    assert out.status == "root_found" and out.counters.frobenius > 0
+    assert fld._frob_composed == {}
+    for _ in range(20):
+        rth_root(fld, fld.pow(fld.random_elem(rng), 3), 3)
+    assert fld._frob_composed
+
+
+def test_one_shot_cli_root_builds_no_composed_matrix(monkeypatch, capsys):
+    from rootfield import cli
+    made = []
+
+    def recording_mk_field(*args):
+        made.append(mk_field(*args))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "mk_field", recording_mk_field)
+    delta = ",".join(["3", "1"] + ["0"] * 58 + ["2"])
+    assert cli.dispatch(["root", "--p", "5", "--m", "61", "--r", "2",
+                         "--delta", delta]) in (0, 2)
+    assert "frobenius=0" not in capsys.readouterr().out
+    (fld,) = made
+    assert fld._frob_composed == {}
 
 
 def test_pack_roundtrip(width_field):

@@ -127,6 +127,9 @@ def test_exact_power():
     assert exact_power(2, 12) == 2
     assert exact_power(5, 12) == 0
     assert exact_power(3, 81) == 4
+    for r, n in ((3, 0), (1, 5), (-1, 5)):
+        with pytest.raises(ValueError):
+            exact_power(r, n)
 
 
 def test_prime_power_split():
