@@ -140,7 +140,8 @@ def bench_build(p: int, m: int, repeats: int) -> dict:
     search calls)."""
     tests = []
     test = field.is_irreducible
-    field.is_irreducible = lambda f, q: tests.append(f) or test(f, q)
+    field.is_irreducible = (lambda f, q, **kw: tests.append(f) or
+                            test(f, q, **kw))
     try:
         within(lambda: mk_field(p, m))
     except Timeout:

@@ -34,12 +34,16 @@ counts j applications of the p-power map, whatever it costs to compute.
 Packed, one field multiplication costs one bigint multiply, on a sparse
 modulus one or two bigint folds by the packed -f, and a reduction of
 every digit mod p at once by Barrett's method in parallel lanes
-(_Residues), instead of an O(m^2) interpreted loop or a loop over the
-digits.  A packed digit is 1, 2, 4 or 8 bytes wide, the smallest that
-holds 2*m*p^2, so packing and unpacking go through array and
-memoryview.cast at C speed.  Where p^2 needs more than 8 bytes per digit
-(p >= 2^32), digits are sliced from the bytes one by one instead; the
-reduction is the same for every width.
+(_Residues).  A packed digit is 1, 2, 4 or 8 bytes (bits) wide, the
+smallest that holds 2*m*p^2, so packing and unpacking go through array
+and memoryview.cast at C speed; past 8 bytes (p >= 2^32) digits are
+sliced from the bytes one by one.  Folds are lazy where the digits have
+room: a product digit is at most m(p-1)^2, each fold by the w nonzero
+digits of -f_low multiplies that bound by 1 + w(p-1), and a ring whose
+final bound is below 2^(bits-1) folds every block unreduced and reduces
+once at the end (Harvey 2009).  For p = 2 the reduction is a mask of
+each digit's low bit, and a Frobenius application sums the columns that
+the 0/1 digits select.
 
 Frobenius powers use a doubling ladder (iterated Frobenius by
 composition, von zur Gathen & Shoup 1992): entry i holds the packed
@@ -63,7 +67,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import count
+from itertools import compress, count
 
 from .periodic import factorize, is_prime
 
@@ -95,10 +99,6 @@ def _trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _fixed(a, m):
-    return list(a) + [0] * (m - len(a))
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +148,21 @@ class _Residues(_Packing):
     reduction behind every Field multiplication.
 
     A product is reduced top-down with the packed -f: x^m = -f_low, so a
-    block of m - deg(f_low) high digits, reduced mod p, folds below itself
-    in one bigint product.  The canonical moduli are sparse, and one or two
-    folds reduce a product; a dense explicit modulus takes one fold per
-    digit.  The attribute x holds the residue of x, for m >= 2.
+    block of m - deg(f_low) high digits folds below itself in one bigint
+    product.  The canonical moduli are sparse, and one or two folds reduce
+    a product; a dense explicit modulus takes one fold per digit.  The
+    ring is lazy (_lazy, decided once) when its digits have room for
+    every fold unreduced: from m(p-1)^2, each fold by the w nonzero digits
+    of -f_low multiplies the digit bound by 1 + w(p-1), and the final
+    bound must stay below 2^(bits-1).  Otherwise each block is reduced mod
+    p before its fold.  The attribute x holds the residue of x, for m >= 2.
 
     All digits are reduced mod p at once (_mod_p): the even and the odd
     digits each sit in lanes two digits wide, where Barrett's quotient
     (Barrett 1986) fits without spilling into the next lane, as in
-    Harvey's multipoint Kronecker substitution (2009).  A few bigint
-    operations replace a Python loop over the digits."""
+    Harvey's multipoint Kronecker substitution (2009); its shift s covers
+    a lazy ring's final bound.  For p = 2 _mod_p is one mask of each
+    digit's low bit."""
 
     def __init__(self, p, f):
         m = len(f) - 1
@@ -179,20 +184,26 @@ class _Residues(_Packing):
             top = lo
         self._folds = tuple(folds)
         self.x = 1 << bits
+        # the digit bound after every fold, unreduced (class docstring)
+        w = sum(map(bool, neg_low))
+        bound = m * (p - 1) ** 2 * (1 + w * (p - 1)) ** len(folds)
+        self._lazy = bound < 1 << bits - 1
         # Barrett in 2*bits-bit lanes, one per even (or odd) digit of at
         # most m digits: every digit y is below 2^s, so y * mu < 2^(2s)
         # stays inside its lane, q = y * mu >> s is floor(y/p) or one
         # less, and y - q*p < 2p needs one conditional subtract, flagged
         # by the top digit bit of y - q*p + 2^(bits-1) - p
-        s = (2 * m * p * p).bit_length()
+        s = max(2 * m * p * p, bound if self._lazy else 0).bit_length()
         lane = 2 * bits
         ones = ((1 << lane * ((m + 1) // 2)) - 1) // ((1 << lane) - 1)
         self._lanes = (bits, ones * (self.x - 1), s, (1 << s) // p,
                        ones * ((1 << bits - 1) - p), ones)
+        if p == 2:  # a digit mod 2 is its low bit: one mask for every digit
+            self._mod_p = (ones | ones << bits).__and__
 
     def _mod_p(self, y: int) -> int:
-        """y with each of its at most m digits, all below 2mp^2, reduced
-        into [0, p)."""
+        """y with each of its at most m digits, all below 2^s (2mp^2, or a
+        lazy ring's fold bound), reduced into [0, p); p = 2 masks instead."""
         bits, low, s, mu, bias, ones = self._lanes
         p = self.p
         even = y & low
@@ -205,11 +216,13 @@ class _Residues(_Packing):
 
     def reduce_packed(self, acc: int) -> int:
         """acc mod f, packed with digits in [0, p), for a packed acc of at
-        most 2m - 1 digits, each at most m(p - 1)^2."""
-        p, neg_low = self.p, self._neg_low
+        most 2m - 1 digits, each at most m(p - 1)^2: a lazy ring folds its
+        blocks unreduced and calls _mod_p once, any other before each fold."""
+        p, neg_low, lazy = self.p, self._neg_low, self._lazy
         for lo_bits, count, mask, shift in self._folds:
             high = acc >> lo_bits
-            high = high % p if count == 1 else self._mod_p(high)
+            if not lazy:
+                high = high % p if count == 1 else self._mod_p(high)
             acc = (acc & mask) + (high * neg_low << shift)
         return self._mod_p(acc)
 
@@ -260,13 +273,15 @@ class _Residues(_Packing):
             a, b = b, rem
 
 
-def is_irreducible(f, p) -> bool:
+def is_irreducible(f, p, *, rootless=False) -> bool:
     """Ben-Or's test (Ben-Or 1981; Gao & Panario 1997): a monic f of
     degree m is irreducible iff gcd(x^{p^i} - x, f) = 1 for every
     i <= m/2, since a reducible f has an irreducible factor of some degree
     i <= m/2, which divides x^{p^i} - x.
 
-    Steps 1 and 2 take one gcd each; most reducible f fail there.  Later
+    Steps 1 and 2 take one gcd each; most reducible f fail there, but a
+    caller that knows f has no root in F_p (rootless) settles step 1
+    without its gcd, which would read 1; x^p is still computed.  Later
     steps multiply their x^{p^i} - x mod f over batches of 2, 4, 8, ...
     steps and take one gcd per batch, since the product is prime to f iff
     every factor is.  A product that is 0 mod f has gcd f, so the verdict
@@ -292,7 +307,7 @@ def is_irreducible(f, p) -> bool:
             g = h - x if h >> bits & x - 1 else h + (p - 1) * x
             prod = g if prod is None else ring.mul(prod, g)
             done += 1
-        if ring.gcd(prod) != 1:
+        if (done > 1 or not rootless) and ring.gcd(prod) != 1:
             return False
         if done >= 2:
             batch *= 2
@@ -312,7 +327,8 @@ def _canonical_modulus(p, m):
     differ in c_0, so f(a) = s_a + c_0 with s_a = f(a) - c_0.  For m >= 2
     and p <= _SIEVE_MAX_P, the block evaluates s_a at every a in F_p once
     and skips each c_0 = -s_a untested: f has the root a.  That removes
-    about 1 - 1/e of the candidates; the rest go through is_irreducible.
+    about 1 - 1/e of the candidates; the rest go through is_irreducible,
+    rootless, so without its step-1 gcd.
 
     The first block holds the binomials x^m - a, and x^m - a is
     irreducible only if every prime dividing m divides the order of a, a
@@ -340,7 +356,7 @@ def _canonical_modulus(p, m):
         for c0 in range(p):
             if c0 not in rooted:
                 f = [c0] + upper + [1]
-                if is_irreducible(f, p):
+                if is_irreducible(f, p, rootless=sieve):
                     return tuple(f)
 
 
@@ -411,7 +427,7 @@ class Field(_Packing):
         if len(coeffs) > self.m:
             raise DegreeMismatch(
                 f"element has {len(coeffs)} coefficients, field degree is {self.m}")
-        return tuple(_fixed(coeffs, self.m))
+        return tuple(coeffs) + (0,) * (self.m - len(coeffs))
 
     def elem_from_index(self, i: int) -> tuple:
         digits = []
@@ -562,7 +578,10 @@ class Field(_Packing):
         return cols
 
     def _apply(self, cols, a) -> int:
-        """The linear map with packed columns cols, applied to a; packed."""
+        """The linear map with packed columns cols, applied to a; packed.
+        Over F_2 the digits 0 and 1 select the columns at C speed."""
+        if self.p == 2:
+            return self._ring._mod_p(sum(compress(cols, a)))
         acc = 0
         for coeff, col in zip(a, cols):
             if coeff:

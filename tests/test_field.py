@@ -163,6 +163,8 @@ def test_dense_explicit_modulus():
         f = [rng.randrange(1, p) for _ in range(m)] + [1]
     assert CHECKER["is_irreducible"](p, f)
     fld = mk_field(p, m, f)
+    # too many folds to run unreduced, where the canonical modulus can
+    assert mk_field(p, m)._ring._lazy and not fld._ring._lazy
     for _ in range(5):
         a = fld.random_elem(rng)
         assert fld.frobenius(a, 1) == fld.pow(a, p)
@@ -176,8 +178,8 @@ def test_binomial_block_skipped(monkeypatch):
     p, m = 1000003, 17
     tested = []
     monkeypatch.setattr(field, "is_irreducible",
-                        lambda f, q: tested.append(list(f)) or
-                        is_irreducible(f, q))
+                        lambda f, q, **kw: tested.append(list(f)) or
+                        is_irreducible(f, q, **kw))
     start = time.monotonic()
     fld = mk_field(p, m)
     assert time.monotonic() - start < 5
@@ -485,6 +487,25 @@ def test_frobenius_composed_order_independent(width_field):
         assert fld._frob_composed == down._frob_composed
 
 
+@pytest.mark.parametrize("m", [7, 127])
+def test_binary_frobenius_matches_generic_loop(m):
+    # over F_2, _apply sums the columns its 0/1 digits select: cold (the
+    # first call on a fresh field), ladder and composed calls must match
+    # a^(2^j) and charge j mod m, and every matrix must give what the
+    # multiply-add loop with lane reduction gives
+    fld = mk_field(2, m)
+    ring = fld._ring
+    rng = random.Random(m)
+    a = fld.random_elem(rng)
+    for j in (m - 1, 1, 3, m + 2):
+        _drive(fld, j, a)
+    assert fld._frob_composed and len(fld._frob_ladder) > 1
+    for cols in fld._frob_ladder + tuple(fld._frob_composed.values()):
+        for x in (a, fld.one(), fld.zero(), (1,) * m, fld.random_elem(rng)):
+            loop = sum(c * col for c, col in zip(x, cols))
+            assert fld._apply(cols, x) == field._Residues._mod_p(ring, loop)
+
+
 def test_frobenius_stores_shared_between_threads():
     # threads on one fresh field, switching often: every result is right,
     # every published matrix is whole and the store keeps to its cap
@@ -632,8 +653,10 @@ def test_inv_against_schoolbook_product(p, m):
 
 # -- lane-parallel reduction mod p ----------------------------------------------
 
-# m = 2 fields beside the width fields: 1, 2, 4, 8 and 9 bytes per digit
-REDUCE_FIELDS = sorted(WIDTH_FIELDS.values()) + [(2, 2), (3, 2), (251, 2)]
+# m = 2 fields beside the width fields: 1, 2, 4, 8 and 9 bytes per digit,
+# and F_{2^127}, p = 2 on 2-byte digits
+REDUCE_FIELDS = sorted(WIDTH_FIELDS.values()) + [(2, 2), (3, 2), (251, 2),
+                                                 (2, 127)]
 
 
 def _dense_monic(p, m, rng):
@@ -662,20 +685,34 @@ def test_reduce_matches_per_digit_reference(p, m):
 @pytest.mark.parametrize("p,m", REDUCE_FIELDS)
 def test_lane_reduction_worst_digits(p, m):
     # every digit value the reduction may meet, up to 2mp^2 and past it to
-    # the Barrett bound 2^s, where the quotient estimate is one short
-    ring = field._Residues(p, [1] + [0] * (m - 1) + [1])
-    bound = 2 * m * p * p
-    edges = [0, 1, p - 1, p, 2 * p - 1, 2 * p, (p - 1) ** 2, m * (p - 1) ** 2,
-             bound - 1, (1 << bound.bit_length()) - 1]
+    # the ring's own Barrett bound 2^s, where the quotient estimate is one
+    # short; a lazy ring's s also covers its unreduced folds
     rng = random.Random(p + m)
-    for _ in range(60):
-        digits = [rng.choice(edges) if rng.random() < 0.5
-                  else rng.randrange(bound) for _ in range(m)]
-        assert ring._unpack(ring._mod_p(ring._pack(digits)), m) == [
-            d % p for d in digits], digits
-    for d in edges:
-        assert ring._unpack(ring._mod_p(ring._pack([d] * m)), m) == [
-            d % p] * m, d
+    rings = [field._Residues(p, f) for f in (
+        list(mk_field(p, m).modulus), _dense_monic(p, m, rng),
+        [1] + [0] * (m - 1) + [1])]
+    if m > 2 and p < 2 ** 31:  # a lazy canonical ring, a non-lazy dense one
+        assert [ring._lazy for ring in rings[:2]] == [True, False]
+    for ring in rings:
+        bound = 1 << ring._lanes[2]
+        assert bound > 2 * m * p * p
+        edges = [0, 1, p - 1, p, 2 * p - 1, 2 * p, (p - 1) ** 2,
+                 m * (p - 1) ** 2, 2 * m * p * p - 1, bound - 1]
+        for _ in range(60):
+            digits = [rng.choice(edges) if rng.random() < 0.5
+                      else rng.randrange(bound) for _ in range(m)]
+            assert ring._unpack(ring._mod_p(ring._pack(digits)), m) == [
+                d % p for d in digits], digits
+        for d in edges:
+            assert ring._unpack(ring._mod_p(ring._pack([d] * m)), m) == [
+                d % p] * m, d
+
+
+def test_lazy_folds_on_the_benchmark_fields():
+    # lazy where every fold fits unreduced below the top digit bit
+    lazy = {(2, 127), (3, 61), (3, 97)}
+    for p, m in lazy | {(5, 61), (13, 31), (17, 21), (19, 21), (29, 23)}:
+        assert mk_field(p, m)._ring._lazy == ((p, m) in lazy), (p, m)
 
 
 @pytest.mark.parametrize("p,m", [(13, 1), (2, 3), (5, 5), (3, 61)])
@@ -802,8 +839,8 @@ def test_sieve_skips_exactly_the_rooted_candidates(p, monkeypatch):
     for m in range(2, 9 if p < 100 else 5):
         tested = []
         monkeypatch.setattr(field, "is_irreducible",
-                            lambda f, q: tested.append(tuple(f)) or
-                            is_irreducible(f, q))
+                            lambda f, q, **kw: tested.append(tuple(f)) or
+                            is_irreducible(f, q, **kw))
         found = field._canonical_modulus(p, m)
         monkeypatch.undo()
         skip_binomials = any((p - 1) % ell for ell, _ in factorize(m))
@@ -816,6 +853,27 @@ def test_sieve_skips_exactly_the_rooted_candidates(p, monkeypatch):
         assert tested == [f for f in candidates
                           if not CHECKER["_has_root"](p, f)], (p, m)
         assert len(tested) < len(candidates) or len(candidates) == 1
+
+
+def test_rootless_hint_skips_only_step_one(monkeypatch):
+    # on f with no root in F_p, step 1's gcd reads 1: the hint skips that
+    # one gcd and keeps the verdict
+    gcds = []
+    gcd = field._Residues.gcd
+    monkeypatch.setattr(field._Residues, "gcd",
+                        lambda ring, b: gcds.append(b) or gcd(ring, b))
+    for p, top in ((2, 8), (3, 6), (5, 4)):
+        for m in range(2, top + 1):
+            for low in itertools.product(range(p), repeat=m):
+                f = list(low) + [1]
+                if CHECKER["_has_root"](p, f):
+                    continue
+                gcds.clear()
+                plain = is_irreducible(f, p)
+                calls = len(gcds)
+                assert is_irreducible(f, p, rootless=True) is plain, (p, f)
+                assert len(gcds) - calls == calls - 1, (p, f)
+                assert plain == CHECKER["is_irreducible"](p, f), (p, f)
 
 
 def test_random_elem_is_seeded(f75):
