@@ -8,9 +8,12 @@ named *_packed), the exponent layer (phi_map) and extraction (rth_root
 once per path), and records each as the median over --repeats repeats
 of the time per call.  Each repeat runs a batch of calls sized to take
 about 10 ms.  Three rows split frobenius(a, m-1): *_cold is the first
-call on a fresh field, through the ladder and the entries it builds;
-frobenius_build is one build of the composed matrix for j = m-1; and
-the frobenius_m-1 rows then time the warm path, that matrix.
+call on a fresh field, through the walk and the power-of-two matrices it
+builds, j = 1's included (mk_field builds no Frobenius matrix, so
+mk_field_ms holds none; on trees that built j = 1 in mk_field it was
+the other way round); frobenius_build is one build of the matrix for
+j = m-1; and the frobenius_m-1 rows then time the warm path, that
+matrix.
 Every extraction is checked: a constructed residue must come back as a
 verified root.  A second grid, of fields with long modulus searches
 (each took seconds to minutes under Rabin's test, the one used before
@@ -167,9 +170,9 @@ def bench_field(p: int, m: int, repeats: int) -> dict:
     def fresh():
         return field.Field(p, m, fld.modulus, fld.order_minus_one)
 
-    # a tree without composed matrices gets no build row
-    build = ({"frobenius_build": lambda c=None: fld._compose(m - 1)}
-             if hasattr(fld, "_compose") else {})
+    # the Frobenius builder; trees from before the one map of Frobenius
+    # matrices name it _compose
+    build = getattr(fld, "_compose", None) or fld._frob_build
     ops = {
         "mul": lambda c=None: fld.mul(a, b, c),
         "mul_packed": lambda c=None: fld.mul(x, y, c),
@@ -177,7 +180,7 @@ def bench_field(p: int, m: int, repeats: int) -> dict:
         "sqr_packed": lambda c=None: fld.sqr(x, c),
         "frobenius_1": lambda c=None: fld.frobenius(a, 1, c),
         "frobenius_1_packed": lambda c=None: fld.frobenius(x, 1, c),
-        **build,
+        "frobenius_build": lambda c=None: build(m - 1),
         "frobenius_m-1": lambda c=None: fld.frobenius(a, m - 1, c),
         "frobenius_m-1_packed": lambda c=None: fld.frobenius(x, m - 1, c),
         "inv": lambda c=None: fld.inv(a, c),

@@ -13,7 +13,7 @@ call and stays packed until it unpacks the root.
 
 A Field instance carries the prime p, the extension degree m and a monic
 irreducible modulus polynomial (length m+1 coefficient tuple), and
-precomputes the packed matrix of the p-power Frobenius map.
+the Frobenius matrices it has built (below).
 
 Construction: without an explicit modulus, mk_field searches candidates
 in a fixed order (see _canonical_modulus).  For p <= _SIEVE_MAX_P it
@@ -21,8 +21,8 @@ first sieves out, per block of p candidates, those with a root in F_p;
 the rest go through Ben-Or's irreducibility test, which rejects most
 reducible candidates after one or two powers x^{p^i} mod f and takes one
 gcd per batch of later steps.  The powers, the gcds (a Euclid on packed
-integers) and the first Frobenius matrix all compute with the ring of
-the candidate modulus (_Residues), the one field multiplication uses.
+integers) compute with the ring of the candidate modulus (_Residues),
+the one field multiplication and the Frobenius matrices use.
 An explicit modulus goes through the same test.  None of this is
 counted.
 
@@ -45,20 +45,18 @@ once at the end (Harvey 2009).  For p = 2 the reduction is a mask of
 each digit's low bit, and a Frobenius application sums the columns that
 the 0/1 digits select.
 
-Frobenius powers use a doubling ladder (iterated Frobenius by
-composition, von zur Gathen & Shoup 1992): entry i holds the packed
-columns of the p^(2^i)-power map, the powers x^{j*p^(2^i)}.  Entry
-i+1 holds the powers of y = x^{p^(2^(i+1))}, which is entry i applied to
-its own column 1, so it costs one matrix application and m - 2 ring
-products.  The ladder makes one application per set bit of j mod m and
-holds at most (m-1).bit_length() entries, each built on first use.
-Beside it, a field stores composed matrices, the columns x^{i*p^j} of one
-exponent j, which make frobenius(a, j) one application.  A build costs
-m - 2 ring products, so it is bought by ski rental: each ladder call on j
-tallies the applications it spent beyond one, popcount(j) - 1, and j's
-matrix is built once the tally reaches m/2, about a build's price.  A j
-with one set bit is a ladder entry already.  A field holds at most
-3*(m-1).bit_length() composed matrices; past that, j stays on the ladder.
+A field holds one map from j to the packed columns x^{i*p^j} of the
+p^j-power map, empty until frobenius first runs; a call on a held j is
+one matrix application, and a j not held walks the matrices of its set
+bits 2^i in turn, a doubling ladder (von zur Gathen & Shoup 1992).  One
+builder publishes the powers of y = x^{p^j}: y is x^p for j = 1, else
+the matrix of j's low part h (its lowest set bit, or j/2 for a power of
+two) walked over j - h from its column 1, a walk plus m - 2 ring
+products.  A power of two is built on first need; a j with two or more
+set bits is bought by ski rental: each walk on j tallies its
+applications beyond one, popcount(j) - 1, and j is built once the tally
+reaches m/2, about a build's price, while the field holds fewer than
+3*(m-1).bit_length() such matrices.
 """
 
 from __future__ import annotations
@@ -394,16 +392,10 @@ class Field(_Packing):
         object.__setattr__(self, "_ring", ring)
         object.__setattr__(self, "_digit_bytes", ring._digit_bytes)
         object.__setattr__(self, "_digit_code", ring._digit_code)
-        # the Frobenius ladder, its first entry the columns x^{j*p} of the
-        # p-power map; frobenius() extends it by replacing the tuple, so a
-        # concurrent caller never sees a half-built entry
-        cols = _powers(ring, ring.pow(ring.x, p), m) if m > 1 else (1,)
-        object.__setattr__(self, "_frob_ladder", (cols,))
-        # composed matrices by j, and the ladder's surplus applications per
-        # j; the store is replaced, never mutated, and a lost tally update
-        # only delays a build.  The cap holds every matrix the benchmark
-        # workloads reach (18 of 21 on F_{2^127}), at most 16 MB on F_{2^521}
-        object.__setattr__(self, "_frob_composed", {})
+        # Frobenius matrices by j (replaced, never mutated), the rental's
+        # tally by j (a lost update only delays a build), and the cap: 18 of
+        # 21 used on F_{2^127}, at most 16 MB on F_{2^521}
+        object.__setattr__(self, "_frob_maps", {})
         object.__setattr__(self, "_frob_spent", {})
         object.__setattr__(self, "_frob_cap", 3 * (m - 1).bit_length())
         object.__setattr__(self, "_hash", hash((p, m, self.modulus)))
@@ -529,52 +521,59 @@ class Field(_Packing):
         """Apply the p-power map j times; j is reduced mod m first.
 
         The counter is charged j applications, whatever the work: one
-        application of j's composed matrix, built once the ladder's surplus
-        on j reaches m/2 while the field holds fewer than 3*(m-1).bit_length()
-        of them, else one per set bit of j (see the module docstring)."""
+        application of j's matrix if held, else one per set bit of j
+        (_walk); the module docstring says which matrices are built."""
         j %= self.m
         if counter is not None:
             counter.frobenius += j
         if not j:
             return a if a.__class__ is int else tuple(a)
-        cols = self._frob_composed.get(j)
+        cols = self._frob_maps.get(j)
         if cols is None and j & j - 1:  # two or more set bits
             spent = self._frob_spent.get(j, 0) + j.bit_count() - 1
             self._frob_spent[j] = spent
             if 2 * spent >= self.m:
-                cols = self._compose(j)
+                cols = self._frob_build(j)
         x = self._unpack(a, self.m) if a.__class__ is int else a
-        x = self._ladder(x, j) if cols is None else self._apply(cols, x)
+        x = self._walk(x, j) if cols is None else self._apply(cols, x)
         return x if a.__class__ is int else tuple(self._unpack(x, self.m))
 
-    def _ladder(self, x, j: int) -> int:
-        """The element with digits x raised to p^j, 0 < j < m, packed: one
-        ladder entry applied per set bit of j, each on the unpacked digits
-        of the last result."""
-        ladder = self._frob_ladder
-        while j >> len(ladder):
-            # the next entry maps x to y = x^{p^(2^(i+1))}, entry i applied
-            # to its own column 1, and its columns are the powers of y
-            top = ladder[-1]
-            y = self._apply(top, self._unpack(top[1], self.m))
-            ladder += (_powers(self._ring, y, self.m),)
-            object.__setattr__(self, "_frob_ladder", ladder)
-        for i, cols in enumerate(ladder):
+    def _walk(self, x, j: int) -> int:
+        """x raised to p^j, 0 < j < m, packed, for x packed or as digits:
+        the matrix of each set bit 2^i of j applied in turn, each built on
+        first need."""
+        for i in range(j.bit_length()):
             if j >> i & 1:
+                cols = self._frob_maps.get(1 << i) or self._frob_build(1 << i)
                 x = self._apply(cols, self._unpack(x, self.m)
                                 if x.__class__ is int else x)
         return x
 
-    def _compose(self, j: int) -> tuple | None:
-        """Publish and return j's composed matrix, the powers of x^{p^j}
-        from the ladder on the digits (0, 1) of x, or None at the cap.  One
-        snapshot plus one matrix replaces the store, so readers see whole
-        matrices and the cap holds; a build lost to a race is redone."""
-        store = self._frob_composed
-        if len(store) >= self._frob_cap:
+    def _frob_build(self, j: int) -> tuple | None:
+        """Publish and return the powers of y = x^{p^j}, 0 < j < m, built
+        as the module docstring says; None for a j with two or more set
+        bits while the map holds _frob_cap such keys.  The cap is checked
+        on the snapshot published, and that snapshot plus the matrix
+        replaces the map, so racing builds keep the cap and readers see
+        whole matrices; a build lost to a race is redone."""
+        composed, ring, cap = j & j - 1, self._ring, self._frob_cap
+
+        def full(store):
+            return composed and sum(k & k - 1 > 0 for k in store) >= cap
+
+        if full(self._frob_maps):
             return None
-        cols = _powers(self._ring, self._ladder((0, 1), j), self.m)
-        object.__setattr__(self, "_frob_composed", {**store, j: cols})
+        if j == 1:
+            y = ring.pow(ring.x, self.p)
+        else:
+            h = j & -j if composed else j >> 1
+            low = self._frob_maps.get(h) or self._frob_build(h)
+            y = self._walk(low[1], j - h)
+        cols = _powers(ring, y, self.m)
+        store = self._frob_maps
+        if full(store):
+            return None
+        object.__setattr__(self, "_frob_maps", {**store, j: cols})
         return cols
 
     def _apply(self, cols, a) -> int:

@@ -377,7 +377,7 @@ def test_wide_digit_field():
     assert fld.pow(out.root, 3) == delta
 
 
-# -- Frobenius ladder and digit packing -----------------------------------------
+# -- Frobenius maps and digit packing -------------------------------------------
 
 # one field per packed digit width: 1, 2, 4, 8 and 9 bytes
 WIDTH_FIELDS = {1: (2, 7), 2: (3, 61), 4: (257, 3), 8: (2 ** 31 - 1, 2),
@@ -386,10 +386,27 @@ WIDTH_FIELDS = {1: (2, 7), 2: (3, 61), 4: (257, 3), 8: (2 ** 31 - 1, 2),
 
 @pytest.fixture(params=sorted(WIDTH_FIELDS), ids=lambda w: f"{w}byte")
 def width_field(request):
-    """A fresh field, so its Frobenius ladder starts with one entry."""
+    """A fresh field, so it holds no Frobenius matrix yet."""
     fld = mk_field(*WIDTH_FIELDS[request.param])
     assert fld._digit_bytes == request.param
+    assert fld._frob_maps == {}
     return fld
+
+
+def _ladder(fld):
+    """The held matrices of powers of two, the doubling ladder."""
+    return {j: cols for j, cols in fld._frob_maps.items() if not j & j - 1}
+
+
+def _composed(fld):
+    """The held matrices of exponents with two or more set bits."""
+    return {j: cols for j, cols in fld._frob_maps.items() if j & j - 1}
+
+
+def _x_to_the(fld, e):
+    """The columns of the ring map sending x to x^e, computed directly."""
+    ring = fld._ring
+    return field._powers(ring, ring.pow(ring.x, e), fld.m)
 
 
 def test_frobenius_ladder_matches_pow(width_field):
@@ -401,25 +418,27 @@ def test_frobenius_ladder_matches_pow(width_field):
         c = OpCounter()
         assert fld.frobenius(a, j, c) == expect, j
         assert c.frobenius == j % m
-        assert len(fld._frob_ladder) <= (m - 1).bit_length()
+        assert len(_ladder(fld)) <= (m - 1).bit_length()
         expect = fld.pow(expect, fld.p)
 
 
 def test_frobenius_ladder_matches_matrix_squaring(width_field):
-    # entry i + 1 is entry i applied to each of its own columns
+    # the matrix of 2^(i+1) is the one of 2^i applied to each of its own
+    # columns
     fld = width_field
     m = fld.m
     fld.frobenius(fld.one(), m - 1)
-    ladder = fld._frob_ladder
-    assert len(ladder) == (m - 1).bit_length()
-    for low, high in zip(ladder, ladder[1:]):
-        assert high == tuple(fld._apply(low, fld._unpack(col, m))
-                             for col in low)
+    ladder = _ladder(fld)
+    assert sorted(ladder) == [1 << i for i in range((m - 1).bit_length())]
+    for j, low in ladder.items():
+        if 2 * j in ladder:
+            assert ladder[2 * j] == tuple(fld._apply(low, fld._unpack(col, m))
+                                          for col in low)
 
 
 def test_frobenius_ladder_order_independent(width_field):
     # a fresh field walked down must agree with one walked up, so no
-    # ladder entry depends on which exponents were asked for first
+    # matrix depends on which exponents were asked for first
     fld = width_field
     down = mk_field(fld.p, fld.m)
     a = fld.random_elem(random.Random(7))
@@ -427,19 +446,19 @@ def test_frobenius_ladder_order_independent(width_field):
     up_results = [fld.frobenius(a, j) for j in js]
     down_results = [down.frobenius(a, j) for j in reversed(js)][::-1]
     assert up_results == down_results
-    assert fld._frob_ladder == down._frob_ladder
-    assert len(fld._frob_ladder) == (fld.m - 1).bit_length()
+    assert _ladder(fld) == _ladder(down)
+    assert len(_ladder(fld)) == (fld.m - 1).bit_length()
 
 
 def _drive(fld, j, a):
     """Call frobenius on a and its packed int with exponent j until j's
-    composed matrix has served one call, or m + 1 calls when it is never
-    built; both kinds must match a^{p^j} and charge j mod m each call."""
+    matrix has served one call, or m + 1 calls when it is never built;
+    both kinds must match a^{p^j} and charge j mod m each call."""
     m = fld.m
     want = fld.pow(a, fld.p ** (j % m))
     packed = fld._pack(a)
     for calls in itertools.count():
-        stored = j % m in fld._frob_composed
+        stored = j % m in fld._frob_maps
         for arg, expect in ((a, want), (packed, fld._pack(want))):
             c = OpCounter()
             assert fld.frobenius(arg, j, c) == expect, (j, stored)
@@ -449,20 +468,21 @@ def _drive(fld, j, a):
 
 
 def test_frobenius_composed_matches_pow(width_field):
-    # every j past its build threshold: a j with two or more set bits gets
-    # its matrix while the store has room, and the ladder serves the rest
+    # every j past its build threshold: a power of two is built on first
+    # need, any other j while the map has room, and the walk serves the rest
     fld = width_field
     m = fld.m
     assert fld._frob_cap == 3 * (m - 1).bit_length()
     a = fld.random_elem(random.Random(m))
     for j in range(2 * m):
-        had = set(fld._frob_composed)
+        k = j % m
+        had = _composed(fld)
         _drive(fld, j, a)
-        built = j % m in fld._frob_composed
-        assert built == (j % m in had or len(had) < fld._frob_cap
-                         and (j % m).bit_count() >= 2), j
-        assert len(fld._frob_composed) <= fld._frob_cap
-        assert len(fld._frob_ladder) <= (m - 1).bit_length()
+        built = k in fld._frob_maps
+        assert built == (k > 0 and (k.bit_count() == 1 or k in had
+                                    or len(had) < fld._frob_cap)), j
+        assert len(_composed(fld)) <= fld._frob_cap
+        assert len(_ladder(fld)) <= (m - 1).bit_length()
 
 
 def test_frobenius_composed_order_independent(width_field):
@@ -476,21 +496,21 @@ def test_frobenius_composed_order_independent(width_field):
         _drive(fld, j, a)
     for j in reversed(js):
         _drive(down, j, a)
-    ring, m = fld._ring, fld.m
-    for store in (fld._frob_composed, down._frob_composed):
-        assert len(store) <= fld._frob_cap
+    for store in (fld._frob_maps, down._frob_maps):
+        assert sum(j & j - 1 > 0 for j in store) <= fld._frob_cap
         for j, cols in store.items():
-            assert cols == field._powers(ring, ring.pow(ring.x, fld.p ** j), m)
-    for j in fld._frob_composed.keys() & down._frob_composed.keys():
-        assert fld._frob_composed[j] == down._frob_composed[j]
-    if len(fld._frob_composed) < fld._frob_cap:
-        assert fld._frob_composed == down._frob_composed
+            assert cols == _x_to_the(fld, fld.p ** j)
+    for j in fld._frob_maps.keys() & down._frob_maps.keys():
+        assert fld._frob_maps[j] == down._frob_maps[j]
+    assert _ladder(fld) == _ladder(down)
+    if len(_composed(fld)) < fld._frob_cap:
+        assert fld._frob_maps == down._frob_maps
 
 
 @pytest.mark.parametrize("m", [7, 127])
 def test_binary_frobenius_matches_generic_loop(m):
     # over F_2, _apply sums the columns its 0/1 digits select: cold (the
-    # first call on a fresh field), ladder and composed calls must match
+    # first call on a fresh field), walked and composed calls must match
     # a^(2^j) and charge j mod m, and every matrix must give what the
     # multiply-add loop with lane reduction gives
     fld = mk_field(2, m)
@@ -499,18 +519,20 @@ def test_binary_frobenius_matches_generic_loop(m):
     a = fld.random_elem(rng)
     for j in (m - 1, 1, 3, m + 2):
         _drive(fld, j, a)
-    assert fld._frob_composed and len(fld._frob_ladder) > 1
-    for cols in fld._frob_ladder + tuple(fld._frob_composed.values()):
+    assert _composed(fld) and len(_ladder(fld)) > 1
+    for cols in fld._frob_maps.values():
         for x in (a, fld.one(), fld.zero(), (1,) * m, fld.random_elem(rng)):
             loop = sum(c * col for c, col in zip(x, cols))
             assert fld._apply(cols, x) == field._Residues._mod_p(ring, loop)
 
 
 def test_frobenius_stores_shared_between_threads():
-    # threads on one fresh field, switching often: every result is right,
-    # every published matrix is whole and the store keeps to its cap
+    # threads on one fresh field, switching often, race on every build,
+    # the first (j = 1) included: every result is right, every published
+    # matrix is whole and the map keeps to its cap
     fld = mk_field(3, 61)
-    p, m, ring = fld.p, fld.m, fld._ring
+    p, m = fld.p, fld.m
+    assert fld._frob_maps == {}
     a = fld.random_elem(random.Random(3))
     want = {j: fld.pow(a, p ** j) for j in range(m)}
     wrong = []
@@ -534,22 +556,23 @@ def test_frobenius_stores_shared_between_threads():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert wrong == []
-    store = fld._frob_composed
-    assert 0 < len(store) <= fld._frob_cap
-    for j, cols in store.items():
-        assert cols == field._powers(ring, ring.pow(ring.x, p ** j), m)
+    assert 1 in fld._frob_maps
+    assert 0 < len(_composed(fld)) <= fld._frob_cap
+    for j, cols in fld._frob_maps.items():
+        assert cols == _x_to_the(fld, p ** j)
 
 
 def test_one_shot_root_builds_no_composed_matrix():
+    # one request builds the powers of two it walks and nothing else
     fld = mk_field(2, 127)
     rng = random.Random(127)
     delta = fld.pow(fld.random_elem(rng), 3)
     out = rth_root(fld, delta, 3)
     assert out.status == "root_found" and out.counters.frobenius > 0
-    assert fld._frob_composed == {}
+    assert _ladder(fld) and not _composed(fld)
     for _ in range(20):
         rth_root(fld, fld.pow(fld.random_elem(rng), 3), 3)
-    assert fld._frob_composed
+    assert _composed(fld)
 
 
 def test_one_shot_cli_root_builds_no_composed_matrix(monkeypatch, capsys):
@@ -566,7 +589,47 @@ def test_one_shot_cli_root_builds_no_composed_matrix(monkeypatch, capsys):
                          "--delta", delta]) in (0, 2)
     assert "frobenius=0" not in capsys.readouterr().out
     (fld,) = made
-    assert fld._frob_composed == {}
+    assert _ladder(fld) and not _composed(fld)
+
+
+def test_no_frobenius_no_matrix():
+    # construction builds no matrix, and neither does work that never
+    # applies the Frobenius map: roots in a prime field, or the
+    # naive_fallback root of F_{2^59} for r = 179951
+    for p, m in ((3, 61), (2, 127), (5, 61)):
+        assert mk_field(p, m)._frob_maps == {}
+    f13 = mk_field(13, 1)
+    for r in (2, 3, 4, 6, 12):
+        for d in range(13):
+            rth_root(f13, (d,), r)
+    assert f13._frob_maps == {}
+    fld = mk_field(2, 59)
+    delta = fld.pow(fld.random_elem(random.Random(59)), 179951)
+    out = rth_root(fld, delta, 179951)
+    assert (out.status, out.path_tag) == ("root_found", "naive_fallback")
+    assert out.counters.frobenius == 0
+    assert fld._frob_maps == {}
+
+
+def test_first_frobenius_builds_x_to_the_p(width_field):
+    # the first call builds the matrix of j = 1, the powers of x^p, and
+    # holds nothing else
+    fld = width_field
+    a = fld.random_elem(random.Random(1))
+    assert fld.frobenius(a, 1) == fld.pow(a, fld.p)
+    assert fld._frob_maps == {1: _x_to_the(fld, fld.p)}
+
+
+def test_fields_equal_whatever_their_frobenius_maps():
+    # fields key the plan and AMM caches, so what a field has built must
+    # not change its equality or hash
+    warm, cold = mk_field(3, 61), mk_field(3, 61)
+    a = warm.random_elem(random.Random(5))
+    for _ in range(40):
+        warm.frobenius(a, 29)
+    assert _composed(warm) and cold._frob_maps == {}
+    assert warm == cold and hash(warm) == hash(cold)
+    assert {warm: "plan"}[cold] == "plan"
 
 
 def test_pack_roundtrip(width_field):
