@@ -19,10 +19,12 @@ verified root.  A second grid, of fields with long modulus searches
 (each took seconds to minutes under Rabin's test, the one used before
 Ben-Or's) and of degree-5 fields on both sides of the cutoff on p of the
 search's linear-factor sieve, gets mk_field rows alone, each with the
-number of irreducibility tests one build runs.  A third grid, the benchmark's
-r^2 | N fields, gets one row per field with the time and counters of
-auto and forced `amm` on a constructed residue and on a non-residue,
-and the time of build_amm_context (uncounted, uncached).
+number of irreducibility tests one build runs.  Every row of these two
+grids records the field's packed digit width in bytes (digit_bytes) and
+whether its reduction folds unreduced (lazy).  A third grid, the
+benchmark's r^2 | N fields, gets one row per field with the time and
+counters of auto and forced `amm` on a constructed residue and on a
+non-residue, and the time of build_amm_context (uncounted, uncached).
 
 Each timed call, or batch of calls, runs under a deadline of TIMEOUT_S
 seconds (SIGALRM); a row that overruns it records "timeout" in place of
@@ -146,15 +148,20 @@ def bench_build(p: int, m: int, repeats: int) -> dict:
     field.is_irreducible = (lambda f, q, **kw: tests.append(f) or
                             test(f, q, **kw))
     try:
-        within(lambda: mk_field(p, m))
+        fld = within(lambda: mk_field(p, m))
     except Timeout:
         return {"p": p, "m": m, "mk_field_ms": "timeout",
                 "irreducible_tests": "timeout"}
     finally:
         field.is_irreducible = test
-    return {"p": p, "m": m,
+    return {"p": p, "m": m, **layout(fld),
             "mk_field_ms": to_ms(median_us(lambda: mk_field(p, m), repeats)),
             "irreducible_tests": len(tests)}
+
+
+def layout(fld) -> dict:
+    """The packed digit width in bytes and whether the reduction is lazy."""
+    return {"digit_bytes": fld._digit_bytes, "lazy": fld._ring._lazy}
 
 
 def bench_field(p: int, m: int, repeats: int) -> dict:
@@ -188,11 +195,11 @@ def bench_field(p: int, m: int, repeats: int) -> dict:
         "pow_N-1_packed": lambda c=None: fld.pow(x, exponent, c),
         "phi_map_norm": lambda c=None: phi_map(fld, a, 1, m - 1, c),
     }
-    out = {"p": p, "m": m, "mk_field_ms": to_ms(mk_us), "ops": {
-        "frobenius_m-1_cold": {
-            "us": first_call_us(fresh, lambda f: f.frobenius(a, m - 1),
+    cold = {"us": first_call_us(fresh, lambda f: f.frobenius(a, m - 1),
                                 repeats),
-            **counted(lambda c: fresh().frobenius(a, m - 1, c))}}}
+            **counted(lambda c: fresh().frobenius(a, m - 1, c))}
+    out = {"p": p, "m": m, **layout(fld), "mk_field_ms": to_ms(mk_us),
+           "ops": {"frobenius_m-1_cold": cold}}
     for name, fn in ops.items():
         out["ops"][name] = {"us": median_us(fn, repeats),
                             **counted(fn)}

@@ -35,15 +35,17 @@ Packed, one field multiplication costs one bigint multiply, on a sparse
 modulus one or two bigint folds by the packed -f, and a reduction of
 every digit mod p at once by Barrett's method in parallel lanes
 (_Residues).  A packed digit is 1, 2, 4 or 8 bytes (bits) wide, the
-smallest that holds 2*m*p^2, so packing and unpacking go through array
-and memoryview.cast at C speed; past 8 bytes (p >= 2^32) digits are
-sliced from the bytes one by one.  Folds are lazy where the digits have
-room: a product digit is at most m(p-1)^2, each fold by the w nonzero
-digits of -f_low multiplies that bound by 1 + w(p-1), and a ring whose
-final bound is below 2^(bits-1) folds every block unreduced and reduces
-once at the end (Harvey 2009).  For p = 2 the reduction is a mask of
-each digit's low bit, and a Frobenius application sums the columns that
-the 0/1 digits select.
+smallest that holds any digit a kernel leaves unreduced (_digit_format):
+2*m*p^2, or 2m over F_2, one byte up to F_{2^127}.  So packing and
+unpacking go through bytes, array and memoryview.cast at C speed; past
+8 bytes (p >= 2^32) digits are sliced from the bytes one by one.  Folds
+are lazy where the digits have room: a product digit is at most
+m(p-1)^2, each fold by the w nonzero digits of -f_low multiplies that
+bound by 1 + w(p-1), and a ring whose final bound is below 2^(bits-1)
+folds every block unreduced and reduces once at the end (Harvey 2009).
+For p = 2 the reduction is a mask of each digit's low bit, and a
+Frobenius application sums the columns that the 0/1 digits select, read
+from the bytes of a packed element of one-byte digits.
 
 A field holds one map from j to the packed columns x^{i*p^j} of the
 p^j-power map, empty until frobenius first runs; a call on a held j is
@@ -91,30 +93,31 @@ _WORD_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
 
 # ---------------------------------------------------------------------------
-# plain list helpers
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-# ---------------------------------------------------------------------------
 # packed polynomial arithmetic
 
 def _digit_format(p, m):
-    """Bytes per packed digit over Z_p for degree m, and the array type
-    code that packs them (None: slice the bytes one digit at a time).
+    """(bound, bytes, code): every digit a packed kernel over Z_p of degree
+    m leaves unreduced is below bound, held in digits of that many bytes,
+    packed by that array type code (None: slice the bytes one by one).
 
-    One digit must hold any convolution or reduction accumulation: a
-    product digit sums at most m terms below p^2, and the reduction adds
-    at most m more."""
-    bound = 2 * m * p * p + 1
+    For odd p a product digit sums at most m terms below p^2, and the
+    reduction or a gcd division adds at most m more: bound 2mp^2 + 1.
+    Over F_2, where reduced digits are bits, 2m + 1 bounds all five kernels:
+    - a product digit sums at most m products of bits: at most m;
+    - a reduction that is not lazy masks each block before its fold, and
+      each digit at or above m folds once, adding at most one bit of -f_low
+      to a given digit: at most m more;
+    - a gcd division adds b's bits once per top digit it cancels, at most
+      m times, to a bit: at most m + 1;
+    - a Frobenius application sums at most m columns of bits: at most m;
+    - inv scales a reduced element by a scalar below p: at most 1.
+    A lazy ring's folds are bounded apart (_Residues)."""
+    bound = 2 * m * (1 if p == 2 else p * p) + 1
     digit_bytes = (bound.bit_length() + 7) // 8
     digit_bytes = next((w for w in (1, 2, 4, 8) if w >= digit_bytes),
                        digit_bytes)
     code = _WORD_CODES.get(digit_bytes) if sys.byteorder == "little" else None
-    return digit_bytes, code
+    return bound, digit_bytes, code
 
 
 class _Packing:
@@ -124,6 +127,8 @@ class _Packing:
 
     def _pack(self, vec) -> int:
         code = self._digit_code
+        if code == "B" and vec.__class__ is not int:  # bytes(n): n zeros
+            return int.from_bytes(bytes(vec), "little")
         if code:
             return int.from_bytes(array(code, vec).tobytes(), "little")
         db = self._digit_bytes
@@ -159,18 +164,18 @@ class _Residues(_Packing):
     digits each sit in lanes two digits wide, where Barrett's quotient
     (Barrett 1986) fits without spilling into the next lane, as in
     Harvey's multipoint Kronecker substitution (2009); its shift s covers
-    a lazy ring's final bound.  For p = 2 _mod_p is one mask of each
-    digit's low bit."""
+    _digit_format's bound and a lazy ring's final bound.  For p = 2 _mod_p
+    is one mask of each digit's low bit."""
 
     def __init__(self, p, f):
         m = len(f) - 1
         self.p, self.m = p, m
-        self._digit_bytes, self._digit_code = _digit_format(p, m)
+        reach, self._digit_bytes, self._digit_code = _digit_format(p, m)
         bits = 8 * self._digit_bytes
-        neg_low = _trim([(-c) % p for c in f[:m]])
+        neg_low = [(-c) % p for c in f[:m]]
         self._neg_low = self._pack(neg_low)
         self._f = self._pack([c % p for c in f])
-        block = m - max(len(neg_low) - 1, 0)
+        block = m - max((self._neg_low.bit_length() - 1) // bits, 0)
         # per fold: bit offset and digit count of the block, mask of the
         # digits below it, and the shift that lands its fold below it
         folds = []
@@ -183,7 +188,7 @@ class _Residues(_Packing):
         self._folds = tuple(folds)
         self.x = 1 << bits
         # the digit bound after every fold, unreduced (class docstring)
-        w = sum(map(bool, neg_low))
+        w = m - neg_low.count(0)
         bound = m * (p - 1) ** 2 * (1 + w * (p - 1)) ** len(folds)
         self._lazy = bound < 1 << bits - 1
         # Barrett in 2*bits-bit lanes, one per even (or odd) digit of at
@@ -191,7 +196,7 @@ class _Residues(_Packing):
         # stays inside its lane, q = y * mu >> s is floor(y/p) or one
         # less, and y - q*p < 2p needs one conditional subtract, flagged
         # by the top digit bit of y - q*p + 2^(bits-1) - p
-        s = max(2 * m * p * p, bound if self._lazy else 0).bit_length()
+        s = max(reach, bound if self._lazy else 0).bit_length()
         lane = 2 * bits
         ones = ((1 << lane * ((m + 1) // 2)) - 1) // ((1 << lane) - 1)
         self._lanes = (bits, ones * (self.x - 1), s, (1 << s) // p,
@@ -200,8 +205,8 @@ class _Residues(_Packing):
             self._mod_p = (ones | ones << bits).__and__
 
     def _mod_p(self, y: int) -> int:
-        """y with each of its at most m digits, all below 2^s (2mp^2, or a
-        lazy ring's fold bound), reduced into [0, p); p = 2 masks instead."""
+        """y with each of its at most m digits below 2^s (_digit_format's
+        bound or a lazy ring's fold bound) reduced into [0, p); p = 2 masks."""
         bits, low, s, mu, bias, ones = self._lanes
         p = self.p
         even = y & low
@@ -247,9 +252,9 @@ class _Residues(_Packing):
         Euclid on packed integers.  One division step cancels the top
         digit of the dividend with one multiply-add, a += (p - q) * b
         shifted under it, and leaves the digits below unreduced; a
-        division adds at most m products below p^2 to a digit, so digits
-        stay below 2mp^2, and one _mod_p reduces the remainder.  Degrees
-        are read from bit_length, which needs reduced digits."""
+        division adds at most m products below p^2 (bits over F_2) to a
+        digit, inside _digit_format's bound; one _mod_p reduces the
+        remainder, so bit_length reads its degree."""
         if not b:
             return self._f
         p, bits = self.p, 8 * self._digit_bytes
@@ -337,23 +342,23 @@ def _canonical_modulus(p, m):
     # a^m for every a in F_p: the leading term of each s_a
     powers = [pow(a, m, p) for a in range(p)] if sieve else ()
     for block in count(first):
-        upper = []
-        for _ in range(m - 1):
+        upper = []  # c_1, c_2, ... up to the highest nonzero one
+        while block:
             upper.append(block % p)
             block //= p
-        if block:
+        if len(upper) >= m:
             raise ReducibleModulus(f"no irreducible of degree {m} found over Z_{p}")
         rooted = set()
         if sieve:
-            high = _trim(upper[:])[::-1]
             for a, lead in enumerate(powers):
                 s = 0
-                for c in high:
+                for c in reversed(upper):
                     s = (s + c) * a
                 rooted.add(-(s + lead) % p)
+        tail = upper + [0] * (m - 1 - len(upper)) + [1]
         for c0 in range(p):
             if c0 not in rooted:
-                f = [c0] + upper + [1]
+                f = [c0] + tail
                 if is_irreducible(f, p, rootless=sieve):
                     return tuple(f)
 
@@ -534,8 +539,7 @@ class Field(_Packing):
             self._frob_spent[j] = spent
             if 2 * spent >= self.m:
                 cols = self._frob_build(j)
-        x = self._unpack(a, self.m) if a.__class__ is int else a
-        x = self._walk(x, j) if cols is None else self._apply(cols, x)
+        x = self._walk(a, j) if cols is None else self._apply(cols, a)
         return x if a.__class__ is int else tuple(self._unpack(x, self.m))
 
     def _walk(self, x, j: int) -> int:
@@ -545,8 +549,7 @@ class Field(_Packing):
         for i in range(j.bit_length()):
             if j >> i & 1:
                 cols = self._frob_maps.get(1 << i) or self._frob_build(1 << i)
-                x = self._apply(cols, self._unpack(x, self.m)
-                                if x.__class__ is int else x)
+                x = self._apply(cols, x)
         return x
 
     def _frob_build(self, j: int) -> tuple | None:
@@ -577,8 +580,13 @@ class Field(_Packing):
         return cols
 
     def _apply(self, cols, a) -> int:
-        """The linear map with packed columns cols, applied to a; packed.
-        Over F_2 the digits 0 and 1 select the columns at C speed."""
+        """The linear map with packed columns cols, applied to a, packed
+        or as digits; packed.  A packed a is read from its bytes where a
+        digit is one byte, else unpacked; over F_2 the digits 0 and 1
+        select the columns at C speed."""
+        if a.__class__ is int:
+            a = (a.to_bytes(self.m, "little") if self._digit_bytes == 1
+                 else self._unpack(a, self.m))
         if self.p == 2:
             return self._ring._mod_p(sum(compress(cols, a)))
         acc = 0

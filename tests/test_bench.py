@@ -185,8 +185,11 @@ def test_bench_layers_smoke(tmp_path):
     (build,) = runs["b"]["builds"]
     assert (build["p"], build["m"], build["irreducible_tests"]) == (2, 17, 3)
     assert build["mk_field_ms"] > 0
+    # one byte per digit, with no room to fold x^17 + x^3 + 1 unreduced
+    assert (build["digit_bytes"], build["lazy"]) == (1, False)
     (fld,) = runs["b"]["fields"]
     assert (fld["p"], fld["m"]) == (3, 9)
+    assert (fld["digit_bytes"], fld["lazy"]) == (1, False)
     ops = fld["ops"]
     assert (ops["mul"]["mults"], ops["sqr"]["squarings"]) == (1, 1)
     assert ops["frobenius_m-1"]["frobenius"] == 8

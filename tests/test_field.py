@@ -683,7 +683,7 @@ def test_packed_calls_match_tuple_calls(p, m):
     assert fld.pow(fld._pack(fld.zero()), 0) == 1  # 0^0 = 1, packed
 
 
-@pytest.mark.parametrize("p,m", PACKED_FIELDS)
+@pytest.mark.parametrize("p,m", PACKED_FIELDS + [(2, 127)])
 def test_mixed_kinds_raise(p, m):
     fld = mk_field(p, m)
     a = fld.random_elem(random.Random(p))
@@ -717,7 +717,7 @@ def test_inv_against_schoolbook_product(p, m):
 # -- lane-parallel reduction mod p ----------------------------------------------
 
 # m = 2 fields beside the width fields: 1, 2, 4, 8 and 9 bytes per digit,
-# and F_{2^127}, p = 2 on 2-byte digits
+# and F_{2^127}, the largest F_2 field on 1-byte digits
 REDUCE_FIELDS = sorted(WIDTH_FIELDS.values()) + [(2, 2), (3, 2), (251, 2),
                                                  (2, 127)]
 
@@ -747,20 +747,27 @@ def test_reduce_matches_per_digit_reference(p, m):
 
 @pytest.mark.parametrize("p,m", REDUCE_FIELDS)
 def test_lane_reduction_worst_digits(p, m):
-    # every digit value the reduction may meet, up to 2mp^2 and past it to
-    # the ring's own Barrett bound 2^s, where the quotient estimate is one
-    # short; a lazy ring's s also covers its unreduced folds
+    # every digit value the reduction may meet, up to the bound of
+    # _digit_format (2mp^2 for odd p, 2m over F_2) and past it to the
+    # ring's own Barrett bound 2^s, where the quotient estimate is one
+    # short; a lazy ring's s also covers its unreduced folds.  Over F_2 the
+    # edges stop at the top digit value, since one-byte digits cannot hold
+    # 2mp^2 - 1; every odd-p edge is kept
     rng = random.Random(p + m)
     rings = [field._Residues(p, f) for f in (
         list(mk_field(p, m).modulus), _dense_monic(p, m, rng),
         [1] + [0] * (m - 1) + [1])]
-    if m > 2 and p < 2 ** 31:  # a lazy canonical ring, a non-lazy dense one
+    # a lazy canonical ring, a non-lazy dense one; F_{2^127}'s one-byte
+    # digits have no room for its canonical fold
+    if m > 2 and p < 2 ** 31 and (p, m) != (2, 127):
         assert [ring._lazy for ring in rings[:2]] == [True, False]
     for ring in rings:
         bound = 1 << ring._lanes[2]
-        assert bound > 2 * m * p * p
-        edges = [0, 1, p - 1, p, 2 * p - 1, 2 * p, (p - 1) ** 2,
-                 m * (p - 1) ** 2, 2 * m * p * p - 1, bound - 1]
+        assert bound > (2 * m if p == 2 else 2 * m * p * p)
+        top = (1 << 8 * ring._digit_bytes) - 1
+        edges = [min(edge, top) if p == 2 else edge for edge in (
+            0, 1, p - 1, p, 2 * p - 1, 2 * p, (p - 1) ** 2,
+            m * (p - 1) ** 2, 2 * m * p * p - 1, bound - 1)]
         for _ in range(60):
             digits = [rng.choice(edges) if rng.random() < 0.5
                       else rng.randrange(bound) for _ in range(m)]
@@ -772,10 +779,14 @@ def test_lane_reduction_worst_digits(p, m):
 
 
 def test_lazy_folds_on_the_benchmark_fields():
-    # lazy where every fold fits unreduced below the top digit bit
-    lazy = {(2, 127), (3, 61), (3, 97)}
-    for p, m in lazy | {(5, 61), (13, 31), (17, 21), (19, 21), (29, 23)}:
+    # lazy where every fold fits unreduced below the top digit bit;
+    # F_{2^127} packs one byte per digit, which holds its products but not
+    # its fold unreduced
+    lazy = {(3, 61), (3, 97)}
+    for p, m in lazy | {(2, 127), (5, 61), (13, 31), (17, 21), (19, 21),
+                        (29, 23)}:
         assert mk_field(p, m)._ring._lazy == ((p, m) in lazy), (p, m)
+    assert mk_field(2, 127)._digit_bytes == 1
 
 
 @pytest.mark.parametrize("p,m", [(13, 1), (2, 3), (5, 5), (3, 61)])
@@ -868,6 +879,115 @@ def test_split_product_is_reducible():
     assert ring.pow(ring.x, p) == ring.x
     assert ring.gcd(0) == ring._pack(f)
     assert is_irreducible(f, p) is False
+
+
+# -- one-byte digits over F_2 ---------------------------------------------------
+
+# digit bytes of every odd-p field in perfbench/workloads.py and in the
+# grids of scripts/bench_layers.py; the F_2 bound leaves them as they were
+ODD_P_WIDTHS = {
+    **dict.fromkeys([
+        (3, 37), (3, 41), (3, 43), (3, 59), (3, 61), (3, 67), (3, 97),
+        (3, 101), (3, 163), (5, 37), (5, 41), (5, 43), (5, 61), (5, 101),
+        (7, 29), (7, 31), (7, 41), (7, 43), (7, 53), (11, 23), (11, 31),
+        (11, 41), (13, 19), (13, 29), (13, 31), (17, 21), (17, 23), (19, 21),
+        (19, 23), (23, 17), (23, 19), (29, 21), (29, 23), (31, 21), (37, 19),
+        (41, 17)], 2),
+    (127, 5): 4, (257, 5): 4, (1021, 5): 4, (1000003, 17): 8}
+
+
+def test_digit_widths():
+    # 2m + 1 over F_2: one byte up to F_{2^127}, two from F_{2^128}
+    widths = {m: field._digit_format(2, m)[1]
+              for m in (2, 7, 127, 128, 521, 32767, 32768)}
+    assert widths == {2: 1, 7: 1, 127: 1, 128: 2, 521: 2, 32767: 2,
+                      32768: 4}
+    assert [mk_field(2, m)._digit_bytes for m in (127, 128)] == [1, 2]
+    for (p, m), width in ODD_P_WIDTHS.items():
+        assert field._digit_format(p, m)[1] == width, (p, m)
+
+
+@pytest.mark.parametrize("m", [127, 128])
+@pytest.mark.parametrize("kind", ["canonical", "ones", "binomial"])
+def test_binary_kernels_match_schoolbook(m, kind, monkeypatch):
+    # F_{2^127}, the largest F_2 field on one-byte digits, and F_{2^128},
+    # the first on two: every kernel against the list reference, on
+    # all-ones and random operands, over the canonical modulus, the dense
+    # all-ones one and the binomial x^m + 1 (the last two reducible, so
+    # inv runs on the canonical one alone); and every digit that reaches
+    # _mod_p unreduced is at most 2m, or on a lazy ring below its top bit
+    f = {"canonical": list(mk_field(2, m).modulus), "ones": [1] * (m + 1),
+         "binomial": [1] + [0] * (m - 1) + [1]}[kind]
+    peaks = []  # (largest digit allowed, largest digit seen)
+    init = field._Residues.__init__
+
+    def recording_init(ring, p, g):
+        init(ring, p, g)
+        mask, bits = ring._mod_p, 8 * ring._digit_bytes
+        limit = (1 << bits - 1) - 1 if ring._lazy else 2 * m
+
+        def mod_p(y):
+            digits = ring._unpack(y, -(-y.bit_length() // bits))
+            peaks.append((limit, max(digits, default=0)))
+            return mask(y)
+        ring._mod_p = mod_p
+
+    monkeypatch.setattr(field._Residues, "__init__", recording_init)
+
+    def elem(raw):
+        return tuple(raw + [0] * (m - len(raw)))
+
+    def ref_mul(a, b):
+        return elem(_poly_rem(_poly_mul(list(a), list(b), 2), f, 2))
+
+    def ref_pow(a, e):
+        acc = a
+        for bit in bin(e)[3:]:
+            acc = ref_mul(acc, acc)
+            if bit == "1":
+                acc = ref_mul(acc, a)
+        return acc
+
+    def ring_field():  # on Z_2[x]/(f), f irreducible or not: no modulus test
+        return field.Field(2, m, tuple(f), 2 ** m - 1)
+
+    rng = random.Random(m)
+    fld = ring_field()
+    operands = [(1,) * m] + [fld.random_elem(rng) for _ in range(2)]
+    for a in operands:
+        x = fld._pack(a)
+        for b in operands:
+            want = ref_mul(a, b)
+            assert fld.mul(a, b) == want
+            assert fld.mul(x, fld._pack(b)) == fld._pack(want)
+        assert fld.sqr(a) == ref_mul(a, a)
+        assert fld.sqr(x) == fld._pack(ref_mul(a, a))
+        for e in (2, 5, rng.randrange(6, 256)):
+            assert fld.pow(a, e) == ref_pow(a, e), e
+            assert fld.pow(x, e) == fld._pack(ref_pow(a, e)), e
+        squares = [a]  # a^(2^k) for k < m, one spread and reduction each
+        for _ in range(m - 1):
+            spread = [0] * (2 * m - 1)
+            spread[::2] = squares[-1]
+            squares.append(elem(_poly_rem(spread, f, 2)))
+        fresh = ring_field()  # holds no matrix yet
+        for j, first in ((3, False), (m - 1, False), (1, True)):
+            for held in (first, True):  # walked, then held
+                assert (j in fresh._frob_maps) == held, j
+                assert fresh.frobenius(a, j) == squares[j], (j, held)
+                assert fresh.frobenius(x, j) == fresh._pack(squares[j])
+                fresh._frob_build(j)
+        if kind == "canonical":
+            b = fld.inv(a)
+            assert _poly_rem(_poly_mul(list(a), list(b), 2), f, 2) == [1]
+    ring = field._Residues(2, f)
+    for h in operands:
+        got = ring._unpack(ring.gcd(ring._pack(list(h))), m + 1)
+        expect = _list_gcd(f, list(h), 2)
+        assert got == expect + [0] * (m + 1 - len(expect)), h
+    assert is_irreducible(f, 2) == (kind == "canonical")
+    assert CHECKER["is_irreducible"](2, f) == (kind == "canonical")
+    assert peaks and all(seen <= limit for limit, seen in peaks), max(peaks)
 
 
 # -- the linear-factor sieve of the modulus search -------------------------------
