@@ -24,7 +24,9 @@ grids records the field's packed digit width in bytes (digit_bytes) and
 whether its reduction folds unreduced (lazy).  A third grid, the
 benchmark's r^2 | N fields, gets one row per field with the time and
 counters of auto and forced `amm` on a constructed residue and on a
-non-residue, and the time of build_amm_context (uncounted, uncached).
+non-residue, the time of build_amm_context (uncounted, uncached;
+amm_context_us) and that of the plan it starts from, _plan uncached
+(plan_us): t, s, alpha and the split records test, cof and head.
 
 Each timed call, or batch of calls, runs under a deadline of TIMEOUT_S
 seconds (SIGALRM); a row that overruns it records "timeout" in place of
@@ -245,7 +247,8 @@ def bench_amm(p: int, m: int, r: int, repeats: int) -> dict:
     residue = fld.pow(gamma, r)
     out = {"p": p, "m": m, "r": r,
            "amm_context_us": median_us(lambda: build_amm_context(fld, r),
-                                       repeats)}
+                                       repeats),
+           "plan_us": median_us(lambda: _plan.__wrapped__(fld, r), repeats)}
     for name, delta, status in (
             ("residue", residue, "root_found"),
             ("non_residue", find_nonresidue(fld, r, 1), "non_residue")):

@@ -143,9 +143,9 @@ def run_sweep(triples, seed: int = 0) -> list[BenchRow]:
         delta = _row_delta(fld, r, seed, p, d, m)
 
         n = n_prime = period = None
-        if plan.t < 2 and plan.pe:
-            n_prime = plan.pe.n
-            period = plan.pe.period
+        if plan.t < 2 and plan.head:
+            n_prime = plan.head.n
+            period = plan.head.period
         if d > 1:
             try:
                 bq = decompose_base_q(q, m, r)

@@ -158,7 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_field_args(sub)
     sub.add_argument("--r", type=int, required=True)
     sub.add_argument("--delta", required=True)
-    sub.add_argument("--seed", type=int, default=_default_seed())
     sub.set_defaults(func=_cmd_oracle)
 
     sub = subs.add_parser("bench", help="counter sweep to CSV")

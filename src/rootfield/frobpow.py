@@ -9,7 +9,7 @@ chain on the term count instead of generic powering:
 
 Reading the term count's binary expansion left to right gives at most
 2*ceil(log2(n+1)) multiplications, plus Frobenius work that the counter
-tracks separately.
+tracks separately.  apply_periodic raises the root layer's split records.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ def apply_periodic(fld: Field, delta, pe,
 
     Two short exponentiations (a and b are below p^{2*period}) and one
     phi_map; total multiplications stay within
-    2*ceil(log2(pe.n)) + 4*pe.period*ceil(log2(p)) + 1.
+    2*ceil(log2(pe.n)) + 4*pe.period*ceil(log2(p)) + 1; a = 0 skips
+    delta^a and the product by it.
     """
-    part_a = fld.pow(delta, pe.a, counter)
-    part_b = fld.pow(delta, pe.b, counter)
-    geo = phi_map(fld, part_b, pe.period, pe.n - 1, counter)
-    return fld.mul(part_a, geo, counter)
+    geo = phi_map(fld, fld.pow(delta, pe.b, counter), pe.period, pe.n - 1,
+                  counter)
+    return (fld.mul(fld.pow(delta, pe.a, counter), geo, counter) if pe.a
+            else geo)

@@ -12,9 +12,10 @@ alpha <= 1, k the multiplicative order of p mod r), v splits as
 
 with a short period l and small a, b < p^{2l}.  The geometric part can
 then be raised with Frobenius maps instead of generic powering, which is
-where the savings come from.  This module is pure integer arithmetic;
-no field elements appear; the root layer's plan (roots._plan) is built
-from mult_order, exact_power, lifted_order and decompose.
+where the savings come from; the same record holds N/d, for d | p^l - 1
+and l | m, as a = 0 and b = (p^l - 1)/d.  This module is pure integer
+arithmetic; the root layer's plan (roots._plan) is built from
+mult_order, exact_power, lifted_order and decompose.
 """
 
 from __future__ import annotations
@@ -50,11 +51,10 @@ CASE_TAGS = ("coprime", "ramified", "higher_power")
 
 @dataclass(frozen=True)
 class PeriodicExponent:
-    """One decomposition v = a + b * sum_{j<n} p^{j*period}.
-
-    congruence_modulus is the modulus M with r*v = 1 (mod M); case_tag is
-    CASE_TAGS[min(alpha, 2)]: "coprime", "ramified" or "higher_power".
-    The period is measured in base-p digits.
+    """One split v = a + b * sum_{j<n} p^{j*period}, period in base-p
+    digits.  decompose adds congruence_modulus, the M with r*v = 1
+    (mod M), and case_tag, CASE_TAGS[min(alpha, 2)]: "coprime",
+    "ramified" or "higher_power"; an N/d record (a = 0) has neither.
     """
 
     a: int
@@ -62,8 +62,8 @@ class PeriodicExponent:
     period: int
     n: int
     v: int
-    congruence_modulus: int
-    case_tag: str
+    congruence_modulus: int | None = None
+    case_tag: str | None = None
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,

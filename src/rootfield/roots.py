@@ -9,12 +9,12 @@ test (ramified_fast, naive_fallback); for t >= 2 the residue test
 delta^{N/r} comes first and a digit loop over the r-th roots of unity
 corrects the head (amm).
 
-_plan derives t, s, alpha and the splits once per (field, r), the one
-classification of (p, m, r): pe splits alpha, and k and l_t, the orders
-of p mod r and mod r^t, split delta^{N/r} and delta^s, so that the long
-powers collapse into Frobenius maps.  One body, _root, runs every prime
-stage on the splits its context holds; forced paths "naive" and "amm",
-and amm_root, clear them for plain powering, the splits' baseline.
+_plan derives t, s, alpha and the split records once per (field, r),
+the one classification of (p, m, r): test for delta^{N/r}, cof for
+delta^s and rho^s and head for delta^alpha, each a + b*(1 + p^l + ...)
+raised by apply_periodic through Frobenius maps.  One body, _root, runs
+every prime stage on the records its context holds; forced paths
+"naive" and "amm", and amm_root, clear them for plain powering.
 
 rth_root dispatches prime by prime for composite r and peels factors of
 p off r first, since the p-th power map is the Frobenius bijection.  It
@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import gcd
 
 from .field import Field, OpCounter, is_prime
-from .frobpow import apply_periodic, phi_map
+from .frobpow import apply_periodic
 from .periodic import (PeriodicExponent, PeriodTooLong, decompose,
                        exact_power, factorize, lifted_order, mult_order)
 
@@ -75,9 +75,9 @@ class AmmContext:
 
     N = r^t * s with gcd(s, r) = 1; alpha is the least nonnegative
     integer with s | r*alpha - 1, or None when r shares a factor with s.
-    The splits, each None where it does not exist: k, the order of p
-    mod r, and l_t, that of p mod r^t, for k < m (composite r: t <= 1
-    only); pe splits alpha when s > 1 and m exceeds its period, the
+    The split records, each None where it does not exist: test (N/r) and
+    cof (s) for t >= 1 and k < m, k the order of p mod r (composite r:
+    t <= 1 only); head (alpha) when s > 1 and m exceeds its period, the
     least k*r^i with r^{t+1} | p^{k*r^i} - 1.  build_amm_context adds
     rho, a fixed non-residue, packed rho_s = rho^s and k_index, which
     maps each packed r-th root of unity g^i, g = rho^{N/r}, to i and is
@@ -89,9 +89,9 @@ class AmmContext:
     rho: tuple | None = None
     rho_s: int | None = None
     k_index: dict | None = None
-    k: int | None = None
-    l_t: int | None = None
-    pe: PeriodicExponent | None = None
+    test: PeriodicExponent | None = None
+    cof: PeriodicExponent | None = None
+    head: PeriodicExponent | None = None
 
 
 def _require_divisor(fld: Field, r: int) -> None:
@@ -102,47 +102,46 @@ def _require_divisor(fld: Field, r: int) -> None:
 @lru_cache(maxsize=512)
 def _plan(fld: Field, r: int) -> AmmContext:
     """The AmmContext for (fld, r), r >= 2, without rho or its table.
-    The periods k*r^i divide m for prime r; a composite r gets splits
+    The periods k*r^i divide m for prime r; a composite r gets records
     only for t <= 1, where the single exponent takes them."""
     p, m, order = fld.p, fld.m, fld.order_minus_one
     t = exact_power(r, order)
     s = order // r ** t
     alpha = pow(r, -1, s) if gcd(s, r) == 1 else None
-    k = l_t = pe = None
+    k = test = cof = head = None
     if m > 1 and gcd(p, r) == 1 and (t < 2 or is_prime(r)):
         k = mult_order(p, r, m - 1)
-    if k is not None:
-        l_t = lifted_order(p, r, k, t) if t else None
-        if alpha and lifted_order(p, r, k, t + 1) < m:
-            pe = decompose(p, m, r, k, t)
-    return AmmContext(t, s, alpha, k=k, l_t=l_t, pe=pe)
+    if k and t:  # N/d = ((p^l - 1)/d) * (1 + p^l + ... + p^{m-l})
+        l_t = lifted_order(p, r, k, t)
+        test = PeriodicExponent(0, (p ** k - 1) // r, k, m // k, order // r)
+        cof = PeriodicExponent(0, (p ** l_t - 1) // r ** t, l_t, m // l_t, s)
+    if k and alpha and lifted_order(p, r, k, t + 1) < m:
+        head = decompose(p, m, r, k, t)
+    return AmmContext(t, s, alpha, test=test, cof=cof, head=head)
 
 
 def _plain(ctx: AmmContext) -> AmmContext:
-    """ctx with every split cleared: each long power one plain power."""
-    return replace(ctx, k=None, l_t=None, pe=None)
+    """ctx with every record cleared: each long power one plain power."""
+    return replace(ctx, test=None, cof=None, head=None)
 
 
-def _power_n_over(fld: Field, delta, d: int, period: int | None,
-                  counter: OpCounter | None = None):
-    """delta^{N/d} for d | N.  Given a period l | m with d | p^l - 1,
-    N/d = ((p^l - 1)/d) * (1 + p^l + ... + p^{m-l}): one power below p^l
-    and a phi_map.  period None: one plain power."""
-    if period is None:
-        return fld.pow(delta, fld.order_minus_one // d, counter)
-    head = fld.pow(delta, (fld.p ** period - 1) // d, counter)
-    return phi_map(fld, head, period, fld.m // period - 1, counter)
+def _power(fld: Field, delta, rec: PeriodicExponent | None, v: int,
+           counter: OpCounter | None = None):
+    """delta^v through rec, its split record, or one plain power."""
+    return (apply_periodic(fld, delta, rec, counter) if rec
+            else fld.pow(delta, v, counter))
 
 
 def is_rth_residue(fld: Field, delta, r: int,
                    counter: OpCounter | None = None) -> bool:
     """Euler-style criterion: delta^{N/r} = 1, raised through Frobenius
-    maps when the plan holds k, the order of p mod r (_power_n_over)."""
+    maps when the plan holds the test record."""
     _require_divisor(fld, r)
     delta = fld._pack(fld.elem(delta))
     if not delta:
         raise ZeroElement("residue test is for nonzero elements")
-    return _power_n_over(fld, delta, r, _plan(fld, r).k, counter) == 1
+    return _power(fld, delta, _plan(fld, r).test, fld.order_minus_one // r,
+                  counter) == 1
 
 
 def find_nonresidue(fld: Field, r: int, seed: int = 0) -> tuple:
@@ -163,14 +162,14 @@ def find_nonresidue(fld: Field, r: int, seed: int = 0) -> tuple:
 def build_amm_context(fld: Field, r: int, seed: int = 0,
                       rho: tuple | None = None) -> AmmContext:
     """The plan for (fld, r) with rho, rho^s and the unity table added;
-    rho^s goes through the l_t split where it exists, and
+    rho^s goes through the cof record where it exists, and
     g = (rho^s)^{r^{t-1}}, uncounted."""
     _require_divisor(fld, r)
     plan = _plan(fld, r)
     if plan.alpha is None:
         raise ValueError(f"r={r} shares a factor with s={plan.s}")
     rho = find_nonresidue(fld, r, seed) if rho is None else fld.elem(rho)
-    rho_s = _power_n_over(fld, fld._pack(rho), r ** plan.t, plan.l_t)
+    rho_s = _power(fld, fld._pack(rho), plan.cof, plan.s)
     g = fld.pow(rho_s, r ** (plan.t - 1))
     if g == 1:
         raise ValueError(f"rho={rho} is an r-th residue for r={r}; the "
@@ -193,7 +192,7 @@ def _cached_amm_context(fld, r, seed, rho):
 def _root(fld: Field, delta: int, r: int, ctx: AmmContext, tag: str,
           counter: OpCounter) -> int | None:
     """One prime stage on packed, nonzero delta: the packed root, or
-    None for a non-residue.  Every long power takes the split ctx holds.
+    None for a non-residue.  Every long power takes the record ctx holds.
 
     Tag "amm" tests delta^{N/r} = 1 first.  The head delta^alpha is the
     root when t <= 1.  For t >= 2, acc = (delta^s)^c with
@@ -203,13 +202,13 @@ def _root(fld: Field, delta: int, r: int, ctx: AmmContext, tag: str,
     cancels it; head * (rho^s)^J, J from the digits j_i, is a root.  One
     verification comes last: without the test (t <= 1) it is the
     residue test, which a t = 0 root always passes."""
-    if tag == "amm" and _power_n_over(fld, delta, r, ctx.k, counter) != 1:
+    if tag == "amm" and _power(fld, delta, ctx.test,
+                               fld.order_minus_one // r, counter) != 1:
         return None
-    root = (apply_periodic(fld, delta, ctx.pe, counter) if ctx.pe
-            else fld.pow(delta, ctx.alpha, counter))
+    root = _power(fld, delta, ctx.head, ctx.alpha, counter)
     t = ctx.t
     if t > 1:
-        delta_s = _power_n_over(fld, delta, r ** t, ctx.l_t, counter)
+        delta_s = _power(fld, delta, ctx.cof, ctx.s, counter)
         acc = fld.pow(delta_s, (r * ctx.alpha - 1) // ctx.s % r ** t,
                       counter)
         j_total = 0
@@ -246,11 +245,11 @@ def _stage(fld: Field, delta: int, r: int, seed: int, counter: OpCounter,
         raise NoSingleExponent(
             f"no single-exponent path for r={r}: r must be coprime to "
             "p^m - 1 or divide it exactly once with a cofactor coprime to r")
-    elif path == "periodic" and ctx.pe is None:
+    elif path == "periodic" and ctx.head is None:
         raise PeriodTooLong(f"no periodic split for m={fld.m}, r={r}")
     else:
         tag = (("coprime_fast", "ramified_fast")[ctx.t]
-               if ctx.pe and path != "naive" else "naive_fallback")
+               if ctx.head and path != "naive" else "naive_fallback")
     if not delta:
         return 0, tag
     if tag == "amm":
@@ -268,11 +267,11 @@ def _outcome(fld, root, tag, counter) -> RootOutcome:
 
 
 def amm_root(fld: Field, delta, r: int, seed: int = 0,
-             rho: tuple | None = None, counter: OpCounter | None = None,
-             context: AmmContext | None = None) -> RootOutcome:
+             rho: tuple | None = None,
+             counter: OpCounter | None = None) -> RootOutcome:
     """Digit-correction root extraction for prime r with r^t | N, t >= 1
     (_root); the table is built once per (field, r, seed, rho), uncounted.
-    Every power is plain, whatever splits the context holds: the
+    Every power is plain, whatever records the plan holds: the
     baseline that auto dispatch's Frobenius splits are measured against."""
     _require_divisor(fld, r)
     delta = fld._pack(fld.elem(delta))
@@ -280,7 +279,7 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
         raise ZeroElement("amm_root is for nonzero elements")
     if counter is None:
         counter = OpCounter()
-    ctx = _plain(context or _cached_amm_context(fld, r, seed, rho))
+    ctx = _plain(_cached_amm_context(fld, r, seed, rho))
     return _outcome(fld, _root(fld, delta, r, ctx, "amm", counter), "amm",
                     counter)
 

@@ -223,7 +223,7 @@ def test_bench_layers_amm_rows(tmp_path):
                  "--repeats", "1", "--out", str(out)]) == 0
     (row,) = json.loads(out.read_text())["runs"]["run"]["amm"]
     assert (row["p"], row["m"], row["r"]) == (13, 3, 2)
-    assert row["amm_context_us"] > 0
+    assert row["amm_context_us"] > 0 and row["plan_us"] > 0
     # 4 | 13^3 - 1 and 8 | 13^2 - 1: auto takes the periodic splits,
     # forced amm stays plain
     for verdict in ("residue", "non_residue"):

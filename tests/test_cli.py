@@ -223,6 +223,9 @@ def test_usage_errors(capsys):
     assert run(capsys, )[0] == 1
     assert run(capsys, "root", "--p", "13")[0] == 1
     assert run(capsys, "root", "--nonsense", "1")[0] == 1
+    # oracle enumerates every element and draws nothing: it takes no seed
+    assert run(capsys, "oracle", "--p", "13", "--m", "1", "--r", "2",
+               "--delta", "4", "--seed", "0")[0] == 1
 
 
 def test_help_exits_zero(capsys):

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from rootfield import OpCounter, apply_periodic, decompose_coprime, \
     decompose_ramified, mk_field, phi_map
-from rootfield.periodic import PeriodicExponent, geometric_sum
+from rootfield.periodic import PeriodicExponent, exact_power, geometric_sum
+from rootfield.roots import _plan
 
 
 def ceil_log2(n):
@@ -136,16 +137,54 @@ def test_apply_periodic_ramified_7_5_2(f75):
         assert apply_periodic(f75, delta, pe) == f75.pow(delta, 4202)
 
 
+# the root layer's split records: test for N/r, cof for s, head for alpha
+
+def plan_test(p, m, r):
+    return _plan(mk_field(p, m), r).test
+
+
+def plan_cof(p, m, r):
+    return _plan(mk_field(p, m), r).cof
+
+
+def plan_head(p, m, r):
+    return _plan(mk_field(p, m), r).head
+
+
+# F_{29^21}, r = 7 holds no head; F_{3^61}, r = 2 has t = 1
+PLAN_RECORDS = [(p, m, r, make) for p, m, r, makes in [
+    (5, 61, 2, (plan_test, plan_cof, plan_head)),
+    (19, 21, 3, (plan_test, plan_cof, plan_head)),
+    (29, 21, 7, (plan_test, plan_cof)),
+    (3, 61, 2, (plan_test, plan_cof, plan_head)),
+] for make in makes]
+
+
 @pytest.mark.parametrize("p,m,r,make", [
     (3, 9, 5, decompose_coprime),
     (2, 10, 7, decompose_coprime),
     (7, 5, 2, decompose_ramified),
+    *PLAN_RECORDS,
 ])
 def test_apply_periodic_mult_bound(p, m, r, make):
     fld = mk_field(p, m)
     pe = make(p, m, r)
+    delta = fld.random_elem(random.Random(3))
     counter = OpCounter()
-    apply_periodic(fld, fld.random_elem(random.Random(3)), pe, counter)
+    got = apply_periodic(fld, delta, pe, counter)
     bound = 2 * ceil_log2(pe.n) + 4 * pe.period * ceil_log2(p) + 1
     assert counter.mults <= bound
     assert counter.inversions == 0
+    # the split sums to v, v is the exponent the record stands for, and
+    # raising the split is raising v
+    order = fld.order_minus_one
+    s = order // r ** exact_power(r, order)
+    assert pe.a + pe.b * geometric_sum(p, pe.period, pe.n) == pe.v
+    assert pe.v == {plan_test: order // r, plan_cof: s}.get(
+        make, pow(r, -1, s))
+    assert got == fld.pow(delta, pe.v)
+    if pe.a == 0:  # an N/d record: pow(delta, b) and the phi_map, no more
+        expected = OpCounter()
+        phi_map(fld, fld.pow(delta, pe.b, expected), pe.period, pe.n - 1,
+                expected)
+        assert counter == expected

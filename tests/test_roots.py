@@ -207,7 +207,7 @@ def test_amm_context_unchanged_by_splits():
         fld = mk_field(p, m)
         order = fld.order_minus_one
         ctx = build_amm_context(fld, r)
-        assert ctx.pe is not None
+        assert ctx.head is not None
         rng = random.Random(0)
         rho = fld.random_elem(rng)
         while not any(rho) or fld.pow(rho, order // r) == fld.one():
@@ -265,13 +265,13 @@ def test_amm_auto_against_root_table(p, m, r):
 @pytest.mark.parametrize("p,m,r", [(5, 2, 2), (7, 2, 2), (31, 25, 5)])
 def test_amm_auto_takes_k_splits_below_the_period(p, m, r):
     # the order of p mod r is below m, but m does not exceed the period
-    # of alpha's split: auto raises delta^{N/r} and delta^s through k and
-    # l_t anyway, and returns plain amm_root's verdict and root for no
-    # more products
+    # of alpha's split: auto raises delta^{N/r} and delta^s through the
+    # test and cof records anyway, and returns plain amm_root's verdict
+    # and root for no more products
     assert mult_order(p, r) < m and not split_applies(p, m, r)
     fld = mk_field(p, m)
     ctx = build_amm_context(fld, r)
-    assert ctx.pe is None and ctx.k is not None
+    assert ctx.head is None and ctx.test is not None
     for delta in (fld.pow(fld.random_elem(random.Random(1)), r),
                   find_nonresidue(fld, r, 1)):
         auto = rth_root(fld, delta, r)
@@ -288,7 +288,7 @@ def test_amm_auto_counters_without_alpha_split():
     # l_t = 7, but alpha's period 49 exceeds m; plain powering took 152
     # products per non-residue and 456 for this residue
     fld = mk_field(29, 21)
-    assert build_amm_context(fld, 7).pe is None
+    assert build_amm_context(fld, 7).head is None
     residue = fld.pow(fld.random_elem(random.Random("29^21/7")), 7)
     for delta, expected in ((find_nonresidue(fld, 7), (6, 2, 42, 0)),
                             (residue, (80, 136, 63, 0))):
@@ -301,10 +301,10 @@ def test_amm_composite_r_keeps_plain_powers():
     # is 8, which does not divide m = 4, so no split may be taken
     fld = mk_field(3, 4)
     ctx = build_amm_context(fld, 4)
-    assert (ctx.k, ctx.l_t, ctx.pe) == (None, None, None)
+    assert (ctx.test, ctx.cof, ctx.head) == (None, None, None)
     for i in range(1, 81):
         delta = fld.pow(fld.elem_from_index(i), 4)
-        out = amm_root(fld, delta, 4, context=ctx)
+        out = amm_root(fld, delta, 4)
         assert (out.status, fld.pow(out.root, 4)) == ("root_found", delta)
 
 
