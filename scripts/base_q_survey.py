@@ -44,7 +44,8 @@ def main() -> int:
                 if bq.n_prime > bq.n:
                     strict += 1
                     mark = "  <- strict"
-                print(f"{q:>4} {m:>3} {r:>3} {bq.pe.case_tag:>9} "
+                case = "ramified" if (q - 1) % r == 0 else "coprime"
+                print(f"{q:>4} {m:>3} {r:>3} {case:>9} "
                       f"{bq.k_base:>3} {bq.k_prime:>4} {bq.n:>3} "
                       f"{bq.n_prime:>4}{mark}")
     print(f"\n{total} instances, {strict} with n' strictly larger")

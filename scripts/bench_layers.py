@@ -177,11 +177,8 @@ def bench_field(p: int, m: int, repeats: int) -> dict:
     exponent = fld.order_minus_one - 1
 
     def fresh():
-        return field.Field(p, m, fld.modulus, fld.order_minus_one)
+        return mk_field(p, m, fld.modulus)
 
-    # the Frobenius builder; trees from before the one map of Frobenius
-    # matrices name it _compose
-    build = getattr(fld, "_compose", None) or fld._frob_build
     ops = {
         "mul": lambda c=None: fld.mul(a, b, c),
         "mul_packed": lambda c=None: fld.mul(x, y, c),
@@ -189,7 +186,7 @@ def bench_field(p: int, m: int, repeats: int) -> dict:
         "sqr_packed": lambda c=None: fld.sqr(x, c),
         "frobenius_1": lambda c=None: fld.frobenius(a, 1, c),
         "frobenius_1_packed": lambda c=None: fld.frobenius(x, 1, c),
-        "frobenius_build": lambda c=None: build(m - 1),
+        "frobenius_build": lambda c=None: fld._frob_build(m - 1),
         "frobenius_m-1": lambda c=None: fld.frobenius(a, m - 1, c),
         "frobenius_m-1_packed": lambda c=None: fld.frobenius(x, m - 1, c),
         "inv": lambda c=None: fld.inv(a, c),

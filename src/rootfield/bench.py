@@ -19,7 +19,7 @@ import hashlib
 import logging
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .field import is_prime, mk_field
 from .periodic import (CASE_TAGS, ConditionsUnmet, NotCoprime,
@@ -53,14 +53,13 @@ class BenchRow:
     wall_ns: int
 
     def cells(self) -> list[str]:
-        def opt(x):
+        """The row under CSV_COLUMNS, which follow the field order."""
+        def cell(x):
+            if isinstance(x, bool):
+                return "true" if x else "false"
             return "" if x is None else str(x)
 
-        return [str(self.p), str(self.d), str(self.m), str(self.r),
-                self.case_tag, self.path_tag, str(self.mults),
-                str(self.squarings), str(self.frobenius), opt(self.n),
-                opt(self.n_prime), opt(self.k), opt(self.period),
-                "true" if self.verified else "false", str(self.wall_ns)]
+        return [cell(x) for x in astuple(self)]
 
 
 def parse_sweep(text: str) -> list[tuple[int, int, int]]:

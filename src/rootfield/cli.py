@@ -20,7 +20,7 @@ from .bench import load_sweep, parse_sweep, run_sweep, write_csv
 from .field import (OpCounter, _check_shape, format_elem, format_field,
                     mk_field, parse_elem)
 from .oracle import brute_root
-from .periodic import decompose, exact_power, mult_order
+from .periodic import CASE_TAGS, decompose, exact_power, mult_order
 from .roots import is_rth_residue, rth_root
 
 
@@ -39,13 +39,11 @@ def _make_field(args):
     return mk_field(args.p, args.m, modulus)
 
 
-def _add_field_args(sub, with_modulus=True):
+def _add_field_args(sub):
     sub.add_argument("--p", type=int, required=True, help="characteristic")
     sub.add_argument("--m", type=int, required=True, help="extension degree")
-    if with_modulus:
-        sub.add_argument("--modulus", help="comma-separated modulus "
-                         "coefficients, constant term first (default: "
-                         "canonical)")
+    sub.add_argument("--modulus", help="comma-separated modulus coefficients, "
+                     "constant term first (default: canonical)")
 
 
 def _cmd_field(args) -> int:
@@ -88,9 +86,10 @@ def _cmd_decompose(args) -> int:
               "the group order", file=sys.stderr)
         return 1
     pe = decompose(p, m, r, k, alpha)
-    u = -pow(pe.congruence_modulus, -1, r) % r
-    print(f"case={pe.case_tag} k={k} u={u} v={pe.v} a={pe.a} b={pe.b} "
-          f"period={pe.period} n={pe.n} modulus={pe.congruence_modulus}")
+    modulus = (p ** m - 1) // r ** alpha
+    u = -pow(modulus, -1, r) % r
+    print(f"case={CASE_TAGS[alpha]} k={k} u={u} v={pe.v} a={pe.a} b={pe.b} "
+          f"period={pe.period} n={pe.n} modulus={modulus}")
     return 0
 
 

@@ -66,7 +66,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, count
 
 from .periodic import factorize, is_prime
@@ -229,10 +229,6 @@ class _Residues(_Packing):
             acc = (acc & mask) + (high * neg_low << shift)
         return self._mod_p(acc)
 
-    def reduce(self, acc: int) -> list:
-        """The m coefficients of reduce_packed(acc)."""
-        return self._unpack(self.reduce_packed(acc), self.m)
-
     def mul(self, a: int, b: int) -> int:
         return self.reduce_packed(a * b)
 
@@ -389,10 +385,11 @@ class Field(_Packing):
     p: int
     m: int
     modulus: tuple[int, ...]
-    order_minus_one: int
+    order_minus_one: int = field(init=False)
 
     def __post_init__(self):
         p, m = self.p, self.m
+        object.__setattr__(self, "order_minus_one", p ** m - 1)
         ring = _Residues(p, self.modulus)
         object.__setattr__(self, "_ring", ring)
         object.__setattr__(self, "_digit_bytes", ring._digit_bytes)
@@ -469,7 +466,8 @@ class Field(_Packing):
         if a.__class__ is int is b.__class__:
             return self._ring.reduce_packed(a * b)
         # two tuples; with one int among them, _pack raises TypeError
-        return tuple(self._ring.reduce(self._pack(a) * self._pack(b)))
+        x = self._ring.reduce_packed(self._pack(a) * self._pack(b))
+        return tuple(self._unpack(x, self.m))
 
     def mul(self, a, b, counter: OpCounter | None = None):
         if counter is not None:
@@ -623,7 +621,7 @@ def mk_field(p: int, m: int, modulus=None) -> Field:
             raise DegreeMismatch("modulus must be monic")
         if not is_irreducible(list(f), p):
             raise ReducibleModulus(f"modulus {list(f)} is reducible over Z_{p}")
-    return Field(p, m, f, p ** m - 1)
+    return Field(p, m, f)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ alpha <= 1, k the multiplicative order of p mod r), v splits as
 with a short period l and small a, b < p^{2l}.  The geometric part can
 then be raised with Frobenius maps instead of generic powering, which is
 where the savings come from; the same record holds N/d, for d | p^l - 1
-and l | m, as a = 0 and b = (p^l - 1)/d.  This module is pure integer
-arithmetic; the root layer's plan (roots._plan) is built from
+and l | m, as a = 0 and b = (p^l - 1)/d.  The record holds the split
+alone; the modulus and the case follow from alpha.  This module is pure
+integer arithmetic; the root layer's plan (roots._plan) is built from
 mult_order, exact_power, lifted_order and decompose.
 """
 
@@ -52,18 +53,14 @@ CASE_TAGS = ("coprime", "ramified", "higher_power")
 @dataclass(frozen=True)
 class PeriodicExponent:
     """One split v = a + b * sum_{j<n} p^{j*period}, period in base-p
-    digits.  decompose adds congruence_modulus, the M with r*v = 1
-    (mod M), and case_tag, CASE_TAGS[min(alpha, 2)]: "coprime",
-    "ramified" or "higher_power"; an N/d record (a = 0) has neither.
-    """
+    digits: r*v = 1 (mod (p^m - 1)/r^alpha) for a record of decompose,
+    v = N/d for one with a = 0."""
 
     a: int
     b: int
     period: int
     n: int
     v: int
-    congruence_modulus: int | None = None
-    case_tag: str | None = None
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -103,9 +100,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def mult_order(base: int, r: int, limit: int | None = None) -> int | None:
-    """Least k >= 1 with base^k = 1 mod r, or None when a limit is
-    given and k exceeds it.
+def mult_order(base: int, r: int) -> int:
+    """Least k >= 1 with base^k = 1 mod r.
 
     The order divides the Carmichael function lambda(r), so k starts at
     lambda(r) and loses each prime factor q while base^(k/q) = 1 still
@@ -120,7 +116,7 @@ def mult_order(base: int, r: int, limit: int | None = None) -> int | None:
     for q, _ in factorize(k):
         while k % q == 0 and pow(base, k // q, r) == 1:
             k //= q
-    return k if limit is None or k <= limit else None
+    return k
 
 
 def _carmichael(r: int) -> int:
@@ -283,8 +279,7 @@ def decompose(q: int, m: int, r: int, k: int, alpha: int) -> PeriodicExponent:
     bound = q ** (2 * period)
     assert 0 <= a < bound, "constant part out of range"
     assert 0 <= b < bound, "periodic part out of range"
-    return PeriodicExponent(a, b, period, n, v, modulus,
-                            CASE_TAGS[min(alpha, 2)])
+    return PeriodicExponent(a, b, period, n, v)
 
 
 def decompose_coprime(p: int, m: int, r: int) -> PeriodicExponent:
@@ -317,13 +312,11 @@ class BaseQDecomposition:
     """Decomposition over an intermediate field F_q, q = p^d, plus the
     base-p comparison data: n counts periodic terms base q, n_prime the
     terms the same exponent gets when worked base p.  n_prime >= n
-    always; the base-p view never loses terms."""
+    always; the base-p view never loses terms.  The variant is ramified
+    exactly when r | q - 1."""
 
-    q: int
     p: int
     d: int
-    m: int
-    r: int
     pe: PeriodicExponent
     k_base: int
     k_prime: int
@@ -360,4 +353,4 @@ def decompose_base_q(q: int, m: int, r: int) -> BaseQDecomposition:
     # express the period in base-p digits so the record is comparable
     # with a base-p decomposition of the same flattened field
     pe = replace(pe_q, period=pe_q.period * d)
-    return BaseQDecomposition(q, p, d, m, r, pe, k, k_prime, pe.n, n_prime)
+    return BaseQDecomposition(p, d, pe, k, k_prime, pe.n, n_prime)

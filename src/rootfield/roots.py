@@ -18,8 +18,8 @@ every prime stage on the records its context holds; forced paths
 
 rth_root dispatches prime by prime for composite r and peels factors of
 p off r first, since the p-th power map is the Frobenius bijection.  It
-packs delta once; the stages, rho^s and the unity table are packed (see
-field), and only the returned root is unpacked.
+packs delta once; the stages, rho^s and the unity table (built for t >= 2,
+where the digit loop reads them) stay packed, and only the root unpacks.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ class AmmContext:
     cof (s) for t >= 1 and k < m, k the order of p mod r (composite r:
     t <= 1 only); head (alpha) when s > 1 and m exceeds its period, the
     least k*r^i with r^{t+1} | p^{k*r^i} - 1.  build_amm_context adds
-    rho, a fixed non-residue, packed rho_s = rho^s and k_index, which
-    maps each packed r-th root of unity g^i, g = rho^{N/r}, to i and is
-    empty for t = 1, where the digit loop does not run."""
+    rho, a fixed nonzero non-residue, packed rho_s = rho^s and k_index,
+    which maps each packed r-th root of unity g^i, g = rho^{N/r}, to i;
+    rth_root reads it only for t >= 2, where the digit loop runs."""
 
     t: int
     s: int
@@ -110,8 +110,8 @@ def _plan(fld: Field, r: int) -> AmmContext:
     alpha = pow(r, -1, s) if gcd(s, r) == 1 else None
     k = test = cof = head = None
     if m > 1 and gcd(p, r) == 1 and (t < 2 or is_prime(r)):
-        k = mult_order(p, r, m - 1)
-    if k and t:  # N/d = ((p^l - 1)/d) * (1 + p^l + ... + p^{m-l})
+        k = mult_order(p, r)
+    if k and k < m and t:  # N/d = ((p^l - 1)/d) * (1 + p^l + ... + p^{m-l})
         l_t = lifted_order(p, r, k, t)
         test = PeriodicExponent(0, (p ** k - 1) // r, k, m // k, order // r)
         cof = PeriodicExponent(0, (p ** l_t - 1) // r ** t, l_t, m // l_t, s)
@@ -169,6 +169,8 @@ def build_amm_context(fld: Field, r: int, seed: int = 0,
     if plan.alpha is None:
         raise ValueError(f"r={r} shares a factor with s={plan.s}")
     rho = find_nonresidue(fld, r, seed) if rho is None else fld.elem(rho)
+    if not any(rho):
+        raise ZeroElement("rho must be a nonzero non-residue")
     rho_s = _power(fld, fld._pack(rho), plan.cof, plan.s)
     g = fld.pow(rho_s, r ** (plan.t - 1))
     if g == 1:
@@ -233,10 +235,11 @@ def _root(fld: Field, delta: int, r: int, ctx: AmmContext, tag: str,
 def _stage(fld: Field, delta: int, r: int, seed: int, counter: OpCounter,
            path: str = "auto") -> tuple[int | None, str]:
     """One prime stage on packed delta: the packed root or None, and the
-    path tag.  "amm", or "auto" when r^2 | N, runs AMM; "auto" otherwise
-    takes the single exponent through alpha's split where it exists,
-    which "periodic" demands and "naive" clears.  Zero is its own root,
-    with no ops, once the path applies (for "amm", once r | N)."""
+    path tag.  "amm", or "auto" when r^2 | N, runs AMM (rho and its table
+    for t >= 2 only); "auto" otherwise takes the single exponent through
+    alpha's split where it exists, which "periodic" demands and "naive"
+    clears.  Zero is its own root, with no ops, once the path applies
+    (for "amm", once r | N)."""
     ctx = _plan(fld, r)
     if path == "amm" or path == "auto" and ctx.t > 1:
         _require_divisor(fld, r)
@@ -252,7 +255,7 @@ def _stage(fld: Field, delta: int, r: int, seed: int, counter: OpCounter,
                if ctx.head and path != "naive" else "naive_fallback")
     if not delta:
         return 0, tag
-    if tag == "amm":
+    if tag == "amm" and ctx.t > 1:
         ctx = _cached_amm_context(fld, r, seed, None)
     if path in ("amm", "naive"):
         ctx = _plain(ctx)
@@ -279,6 +282,7 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
         raise ZeroElement("amm_root is for nonzero elements")
     if counter is None:
         counter = OpCounter()
+    rho = None if rho is None else fld.elem(rho)  # hashable for the cache
     ctx = _plain(_cached_amm_context(fld, r, seed, rho))
     return _outcome(fld, _root(fld, delta, r, ctx, "amm", counter), "amm",
                     counter)

@@ -114,8 +114,7 @@ def test_phi_map_mult_count_exact(f8):
 
 def test_apply_periodic_degenerate_split(f13):
     # with b = 0 the series contributes nothing and v = a
-    pe = PeriodicExponent(a=7, b=0, period=1, n=1, v=7,
-                          congruence_modulus=12, case_tag="coprime")
+    pe = PeriodicExponent(a=7, b=0, period=1, n=1, v=7)
     counter = OpCounter()
     got = apply_periodic(f13, (6,), pe, counter)
     assert got == f13.pow((6,), 7)

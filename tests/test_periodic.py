@@ -17,13 +17,14 @@ from rootfield.periodic import (_carmichael, decompose, exact_power,
 from rootfield.roots import _plan
 
 
-def check_invariants(pe, p, r):
-    """The defining properties every decomposition must satisfy."""
+def check_invariants(pe, p, r, modulus):
+    """The defining properties every decomposition must satisfy; modulus
+    is M = (p^m - 1)/r^alpha of the case the caller expects."""
     assert pe.v == pe.a + pe.b * geometric_sum(p, pe.period, pe.n)
     bound = p ** (2 * pe.period)
     assert 0 <= pe.a < bound
     assert 0 <= pe.b < bound
-    assert r * pe.v % pe.congruence_modulus == 1
+    assert r * pe.v % modulus == 1
     assert pe.n >= 1
 
 
@@ -36,12 +37,12 @@ def test_mult_order_values():
 
 
 def test_mult_order_limit():
-    assert mult_order(3, 5, 4) == 4
-    assert mult_order(3, 5, 3) is None
-    assert mult_order(7, 2, 0) is None
-    # the order of 3 mod 2^31 - 1 is far beyond the limit
-    assert mult_order(3, 2 ** 31 - 1, 60) is None
+    # the order of 3 mod 2^31 - 1 is far beyond any extension degree
     assert mult_order(3, 2 ** 31 - 1) == 715827882
+    # the plan takes the N/r record only for k < m: 2^3 - 1 = 7 has
+    # k = m = 3, and 2^6 - 1 = 7 * 9 has k = 3 < 6
+    assert _plan(mk_field(2, 3), 7).test is None
+    assert _plan(mk_field(2, 6), 7).test.period == 3
 
 
 def test_carmichael_values():
@@ -220,17 +221,15 @@ def test_analyze_u_congruences(capsys):
 def test_coprime_pinned_3_9_5():
     pe = decompose_coprime(3, 9, 5)
     assert (pe.v, pe.period, pe.n, pe.b, pe.a) == (7873, 4, 2, 96, 1)
-    assert pe.congruence_modulus == 3 ** 9 - 1
-    assert pe.case_tag == "coprime"
     assert geometric_sum(3, 4, 2) == 82
-    check_invariants(pe, 3, 5)
+    check_invariants(pe, 3, 5, 3 ** 9 - 1)
 
 
 def test_coprime_pinned_2_10_7():
     pe = decompose_coprime(2, 10, 7)
     assert (pe.v, pe.period, pe.n, pe.b, pe.a) == (877, 3, 3, 12, 1)
     assert geometric_sum(2, 3, 3) == 73
-    check_invariants(pe, 2, 7)
+    check_invariants(pe, 2, 7, 2 ** 10 - 1)
 
 
 def test_coprime_period_too_long():
@@ -250,15 +249,12 @@ def test_coprime_rejects_shared_factor():
 def test_ramified_pinned_7_5_2():
     pe = decompose_ramified(7, 5, 2)
     assert (pe.v, pe.period, pe.n, pe.b, pe.a) == (4202, 2, 2, 84, 2)
-    assert pe.congruence_modulus == 8403
-    assert pe.case_tag == "ramified"
-    check_invariants(pe, 7, 2)
+    check_invariants(pe, 7, 2, 8403)  # (7^5 - 1)/2
 
 
 def test_ramified_small_valid_instance():
     pe = decompose_ramified(7, 3, 2)  # kr = 2 < 3
-    check_invariants(pe, 7, 2)
-    assert pe.congruence_modulus == (7 ** 3 - 1) // 2
+    check_invariants(pe, 7, 2, (7 ** 3 - 1) // 2)
 
 
 def test_ramified_case_gate_beats_period_gate():
@@ -278,6 +274,13 @@ def test_ramified_entangled_composite():
         decompose_ramified(3, 10, 4)
 
 
+def test_decompose_rejects_r_below_two():
+    with pytest.raises(ValueError, match="r must be >= 2"):
+        decompose_ramified(7, 5, 1)
+    with pytest.raises(ValueError, match="r must be >= 2"):
+        decompose_base_q(4, 5, 1)
+
+
 # -- seeded sweeps over both -----------------------------------------------------
 
 PRIMES_97 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -293,7 +296,7 @@ def test_coprime_invariants_random(data):
         return
     if m <= mult_order(p, r):
         return
-    check_invariants(decompose_coprime(p, m, r), p, r)
+    check_invariants(decompose_coprime(p, m, r), p, r, p ** m - 1)
 
 
 @given(st.data())
@@ -309,8 +312,7 @@ def test_ramified_invariants_random(data):
     if m <= mult_order(p, r) * r:
         return
     pe = decompose_ramified(p, m, r)
-    check_invariants(pe, p, r)
-    assert pe.congruence_modulus == order // r
+    check_invariants(pe, p, r, order // r)
 
 
 # -- the period for every alpha ------------------------------------------------------
@@ -381,11 +383,9 @@ def test_higher_power_invariants():
                         decompose(p, m, r, k, t)
                     continue
                 pe = decompose(p, m, r, k, t)
-                assert pe.case_tag == "higher_power"
-                assert pe.congruence_modulus == order // r ** t
                 assert (pe.period, pe.n) == (period, m // period)
                 # r*v = 1 mod s and a, b < p^{2*period}
-                check_invariants(pe, p, r)
+                check_invariants(pe, p, r, order // r ** t)
                 checked += 1
     assert checked > 300
 
@@ -411,7 +411,8 @@ def test_base_q_pinned_4_5_7():
     assert (bq.k_base, bq.n, bq.pe.v) == (3, 1, 877)
     assert (bq.k_prime, bq.n_prime) == (3, 3)
     assert bq.n_prime > bq.n  # the strict instance
-    check_invariants(bq.pe, bq.p, 7)  # the stored period is in base-p digits
+    # the stored period is in base-p digits
+    check_invariants(bq.pe, bq.p, 7, 4 ** 5 - 1)
 
 
 def test_base_q_pinned_9_5_5():
@@ -419,15 +420,13 @@ def test_base_q_pinned_9_5_5():
     assert (bq.k_base, bq.n) == (2, 2)
     assert (bq.k_prime, bq.n_prime) == (4, 2)
     assert bq.pe.period == 4  # two base-9 digits, each two base-3 digits
-    check_invariants(bq.pe, bq.p, 5)
+    check_invariants(bq.pe, bq.p, 5, 9 ** 5 - 1)
 
 
 def test_base_q_ramified_variant():
     # q = 4, r = 3: r divides q - 1 exactly once, gcd(m, r) = 1
     bq = decompose_base_q(4, 5, 3)
-    assert bq.pe.case_tag == "ramified"
-    assert bq.pe.congruence_modulus == (4 ** 5 - 1) // 3
-    check_invariants(bq.pe, bq.p, 3)
+    check_invariants(bq.pe, bq.p, 3, (4 ** 5 - 1) // 3)
     assert bq.n_prime >= bq.n
 
 

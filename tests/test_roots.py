@@ -82,9 +82,11 @@ def test_amm_context_f13(f13):
 
 
 def test_amm_pinned_square_root(f13):
-    out = amm_root(f13, (4,), 2, rho=(2,))
-    assert (out.status, out.root, out.path_tag) == ("root_found", (11,), "amm")
-    assert out.verification
+    for rho in ((2,), [2]):  # a list rho is read as the element, as a tuple
+        out = amm_root(f13, (4,), 2, rho=rho)
+        assert (out.status, out.root, out.path_tag) == \
+            ("root_found", (11,), "amm")
+        assert out.verification
 
 
 def test_amm_cube_root_t1(f13):
@@ -110,6 +112,24 @@ def test_amm_rejects_residue_rho():
     # of unity; the caller hears about rho, not about a failed lookup
     with pytest.raises(ValueError, match="rho"):
         amm_root(mk_field(13, 1), (4,), 2, rho=(4,))
+
+
+@pytest.mark.parametrize("r,rho,error,match", [
+    (2, (0,), ZeroElement, "nonzero"),  # g = 0 passes the g != 1 check
+    (2, [0], ZeroElement, "nonzero"),
+    (6, None, ValueError, "shares a factor with s=2"),  # 12 = 6 * 2
+])
+def test_build_amm_context_rejects(f13, r, rho, error, match):
+    with pytest.raises(error, match=match):
+        build_amm_context(f13, r, rho=rho)
+
+
+def test_amm_rejects_zero_rho(f13):
+    # 4, 10 and 12 have the square roots 11, 7 and 8; a zero rho must be
+    # refused, not fail a lookup in a table it cannot seed
+    for d in range(1, 13):
+        with pytest.raises(ZeroElement, match="rho"):
+            amm_root(f13, (d,), 2, rho=(0,))
 
 
 def test_amm_rejects_zero(f13):
