@@ -10,8 +10,7 @@ of the time per call.  Each repeat runs a batch of calls sized to take
 about 10 ms.  Three rows split frobenius(a, m-1): *_cold is the first
 call on a fresh field, through the walk and the power-of-two matrices it
 builds, j = 1's included (mk_field builds no Frobenius matrix, so
-mk_field_ms holds none; on trees that built j = 1 in mk_field it was
-the other way round); frobenius_build is one build of the matrix for
+mk_field_ms holds none); frobenius_build is one build of the matrix for
 j = m-1; and the frobenius_m-1 rows then time the warm path, that
 matrix.
 Every extraction is checked: a constructed residue must come back as a

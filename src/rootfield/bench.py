@@ -103,13 +103,8 @@ def parse_sweep(text: str) -> list[tuple[int, int, int]]:
 def load_sweep(path: str) -> list[tuple[int, int, int]]:
     """A sweep file is the inline grammar, one group per line; blank
     lines and #-comments are skipped."""
-    triples = []
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                triples.extend(parse_sweep(line))
-    return triples
+        return parse_sweep(";".join(line.split("#", 1)[0] for line in fh))
 
 
 def _row_delta(fld, r: int, seed: int, p: int, d: int, m: int):
@@ -166,7 +161,7 @@ def run_sweep(triples, seed: int = 0) -> list[BenchRow]:
                 t0 = time.perf_counter_ns()
                 outcome = rth_root(fld, delta, r, seed=seed, path=path)
                 wall = time.perf_counter_ns() - t0
-            except (PeriodTooLong, ValueError) as exc:
+            except ValueError as exc:
                 log.warning("skipping path %s for (q=%d, m=%d, r=%d): %s",
                             path, q, m, r, exc)
                 continue

@@ -38,11 +38,12 @@ every digit mod p at once by Barrett's method in parallel lanes
 smallest that holds any digit a kernel leaves unreduced (_digit_format):
 2*m*p^2, or 2m over F_2, one byte up to F_{2^127}.  So packing and
 unpacking go through bytes, array and memoryview.cast at C speed; past
-8 bytes (p >= 2^32) digits are sliced from the bytes one by one.  Folds
-are lazy where the digits have room: a product digit is at most
-m(p-1)^2, each fold by the w nonzero digits of -f_low multiplies that
-bound by 1 + w(p-1), and a ring whose final bound is below 2^(bits-1)
-folds every block unreduced and reduces once at the end (Harvey 2009).
+8 bytes (p >= 2^32) digits are sliced from the bytes one by one.  Every
+digit fits its width, and the Barrett shift is the width.  Folds are
+lazy where the width has room: a product digit is at most m(p-1)^2, each
+fold by the w nonzero digits of -f_low multiplies that bound by
+1 + w(p-1), and a ring whose final bound is below 2^bits folds every
+block unreduced and reduces once at the end (Harvey 2009).
 For p = 2 the reduction is a mask of each digit's low bit, and a
 Frobenius application sums the columns that the 0/1 digits select, read
 from the bytes of a packed element of one-byte digits.
@@ -96,9 +97,9 @@ _WORD_CODES = {array(code).itemsize: code for code in "BHIQ"}
 # packed polynomial arithmetic
 
 def _digit_format(p, m):
-    """(bound, bytes, code): every digit a packed kernel over Z_p of degree
-    m leaves unreduced is below bound, held in digits of that many bytes,
-    packed by that array type code (None: slice the bytes one by one).
+    """(bytes, code): every digit a packed kernel over Z_p of degree m
+    leaves unreduced fits a digit of that many bytes, packed by that array
+    type code (None: slice the bytes one by one).
 
     For odd p a product digit sums at most m terms below p^2, and the
     reduction or a gcd division adds at most m more: bound 2mp^2 + 1.
@@ -117,7 +118,7 @@ def _digit_format(p, m):
     digit_bytes = next((w for w in (1, 2, 4, 8) if w >= digit_bytes),
                        digit_bytes)
     code = _WORD_CODES.get(digit_bytes) if sys.byteorder == "little" else None
-    return bound, digit_bytes, code
+    return digit_bytes, code
 
 
 class _Packing:
@@ -157,20 +158,20 @@ class _Residues(_Packing):
     ring is lazy (_lazy, decided once) when its digits have room for
     every fold unreduced: from m(p-1)^2, each fold by the w nonzero digits
     of -f_low multiplies the digit bound by 1 + w(p-1), and the final
-    bound must stay below 2^(bits-1).  Otherwise each block is reduced mod
+    bound must stay below 2^bits.  Otherwise each block is reduced mod
     p before its fold.  The attribute x holds the residue of x, for m >= 2.
 
     All digits are reduced mod p at once (_mod_p): the even and the odd
     digits each sit in lanes two digits wide, where Barrett's quotient
     (Barrett 1986) fits without spilling into the next lane, as in
-    Harvey's multipoint Kronecker substitution (2009); its shift s covers
-    _digit_format's bound and a lazy ring's final bound.  For p = 2 _mod_p
-    is one mask of each digit's low bit."""
+    Harvey's multipoint Kronecker substitution (2009); its shift is the
+    digit width, so it reduces any digit that fits.  For p = 2 _mod_p is
+    one mask of each digit's low bit."""
 
     def __init__(self, p, f):
         m = len(f) - 1
         self.p, self.m = p, m
-        reach, self._digit_bytes, self._digit_code = _digit_format(p, m)
+        self._digit_bytes, self._digit_code = _digit_format(p, m)
         bits = 8 * self._digit_bytes
         neg_low = [(-c) % p for c in f[:m]]
         self._neg_low = self._pack(neg_low)
@@ -190,30 +191,29 @@ class _Residues(_Packing):
         # the digit bound after every fold, unreduced (class docstring)
         w = m - neg_low.count(0)
         bound = m * (p - 1) ** 2 * (1 + w * (p - 1)) ** len(folds)
-        self._lazy = bound < 1 << bits - 1
+        self._lazy = bound < 1 << bits
         # Barrett in 2*bits-bit lanes, one per even (or odd) digit of at
-        # most m digits: every digit y is below 2^s, so y * mu < 2^(2s)
-        # stays inside its lane, q = y * mu >> s is floor(y/p) or one
+        # most m digits: every digit y is below 2^bits, so y * mu < 2^(2bits)
+        # stays inside its lane, q = y * mu >> bits is floor(y/p) or one
         # less, and y - q*p < 2p needs one conditional subtract, flagged
         # by the top digit bit of y - q*p + 2^(bits-1) - p
-        s = max(reach, bound if self._lazy else 0).bit_length()
         lane = 2 * bits
         ones = ((1 << lane * ((m + 1) // 2)) - 1) // ((1 << lane) - 1)
-        self._lanes = (bits, ones * (self.x - 1), s, (1 << s) // p,
+        self._lanes = (bits, ones * (self.x - 1), self.x // p,
                        ones * ((1 << bits - 1) - p), ones)
         if p == 2:  # a digit mod 2 is its low bit: one mask for every digit
             self._mod_p = (ones | ones << bits).__and__
 
     def _mod_p(self, y: int) -> int:
-        """y with each of its at most m digits below 2^s (_digit_format's
-        bound or a lazy ring's fold bound) reduced into [0, p); p = 2 masks."""
-        bits, low, s, mu, bias, ones = self._lanes
+        """y with each of its at most m digits, any value below 2^bits,
+        reduced into [0, p); p = 2 masks."""
+        bits, low, mu, bias, ones = self._lanes
         p = self.p
         even = y & low
-        even -= (even * mu >> s & low) * p
+        even -= (even * mu >> bits & low) * p
         even -= (even + bias >> bits - 1 & ones) * p
         odd = y >> bits & low
-        odd -= (odd * mu >> s & low) * p
+        odd -= (odd * mu >> bits & low) * p
         odd -= (odd + bias >> bits - 1 & ones) * p
         return even | odd << bits
 
@@ -249,7 +249,7 @@ class _Residues(_Packing):
         digit of the dividend with one multiply-add, a += (p - q) * b
         shifted under it, and leaves the digits below unreduced; a
         division adds at most m products below p^2 (bits over F_2) to a
-        digit, inside _digit_format's bound; one _mod_p reduces the
+        digit, which still fits its width; one _mod_p reduces the
         remainder, so bit_length reads its degree."""
         if not b:
             return self._f

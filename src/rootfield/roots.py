@@ -233,13 +233,15 @@ def _root(fld: Field, delta: int, r: int, ctx: AmmContext, tag: str,
 
 
 def _stage(fld: Field, delta: int, r: int, seed: int, counter: OpCounter,
-           path: str = "auto") -> tuple[int | None, str]:
-    """One prime stage on packed delta: the packed root or None, and the
-    path tag.  "amm", or "auto" when r^2 | N, runs AMM (rho and its table
-    for t >= 2 only); "auto" otherwise takes the single exponent through
-    alpha's split where it exists, which "periodic" demands and "naive"
-    clears.  Zero is its own root, with no ops, once the path applies
-    (for "amm", once r | N)."""
+           path: str = "auto", rho: tuple | None = None
+           ) -> tuple[int | None, str]:
+    """One prime stage on packed delta, and every AMM run: the packed root
+    or None, and the path tag.  "amm", or "auto" when r^2 | N, runs AMM,
+    building rho and its table where t >= 2 or rho is given, and where
+    alpha is missing, which the build refuses; "auto" otherwise takes the
+    single exponent through alpha's split where it exists, which
+    "periodic" demands and "naive" clears.  Zero is its own root, with no
+    ops, once the path applies (for "amm", once r | N)."""
     ctx = _plan(fld, r)
     if path == "amm" or path == "auto" and ctx.t > 1:
         _require_divisor(fld, r)
@@ -255,8 +257,8 @@ def _stage(fld: Field, delta: int, r: int, seed: int, counter: OpCounter,
                if ctx.head and path != "naive" else "naive_fallback")
     if not delta:
         return 0, tag
-    if tag == "amm" and ctx.t > 1:
-        ctx = _cached_amm_context(fld, r, seed, None)
+    if tag == "amm" and (ctx.t > 1 or rho is not None or ctx.alpha is None):
+        ctx = _cached_amm_context(fld, r, seed, rho)
     if path in ("amm", "naive"):
         ctx = _plain(ctx)
     return _root(fld, delta, r, ctx, tag, counter), tag
@@ -272,9 +274,9 @@ def _outcome(fld, root, tag, counter) -> RootOutcome:
 def amm_root(fld: Field, delta, r: int, seed: int = 0,
              rho: tuple | None = None,
              counter: OpCounter | None = None) -> RootOutcome:
-    """Digit-correction root extraction for prime r with r^t | N, t >= 1
-    (_root); the table is built once per (field, r, seed, rho), uncounted.
-    Every power is plain, whatever records the plan holds: the
+    """Digit-correction root extraction for prime r with r^t | N, t >= 1:
+    _stage's "amm" path, its table built once per (field, r, seed, rho),
+    uncounted.  Every power is plain, whatever records the plan holds: the
     baseline that auto dispatch's Frobenius splits are measured against."""
     _require_divisor(fld, r)
     delta = fld._pack(fld.elem(delta))
@@ -283,8 +285,7 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
     if counter is None:
         counter = OpCounter()
     rho = None if rho is None else fld.elem(rho)  # hashable for the cache
-    ctx = _plain(_cached_amm_context(fld, r, seed, rho))
-    return _outcome(fld, _root(fld, delta, r, ctx, "amm", counter), "amm",
+    return _outcome(fld, *_stage(fld, delta, r, seed, counter, "amm", rho),
                     counter)
 
 

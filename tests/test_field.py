@@ -718,9 +718,10 @@ def test_inv_against_schoolbook_product(p, m):
 # -- lane-parallel reduction mod p ----------------------------------------------
 
 # m = 2 fields beside the width fields: 1, 2, 4, 8 and 9 bytes per digit,
-# and F_{2^127}, the largest F_2 field on 1-byte digits
+# F_{2^127}, the largest F_2 field on 1-byte digits, and F_{2^17} and
+# F_{5^41}, whose canonical folds fill their digits' top bit unreduced
 REDUCE_FIELDS = sorted(WIDTH_FIELDS.values()) + [(2, 2), (3, 2), (251, 2),
-                                                 (2, 127)]
+                                                 (2, 127), (2, 17), (5, 41)]
 
 
 def _dense_monic(p, m, rng):
@@ -751,10 +752,10 @@ def test_reduce_matches_per_digit_reference(p, m):
 def test_lane_reduction_worst_digits(p, m):
     # every digit value the reduction may meet, up to the bound of
     # _digit_format (2mp^2 for odd p, 2m over F_2) and past it to the
-    # ring's own Barrett bound 2^s, where the quotient estimate is one
-    # short; a lazy ring's s also covers its unreduced folds.  Over F_2 the
-    # edges stop at the top digit value, since one-byte digits cannot hold
-    # 2mp^2 - 1; every odd-p edge is kept
+    # digit width 2^bits, the Barrett shift, where the quotient estimate
+    # is one short; a lazy ring's unreduced folds stay below it.  Over F_2
+    # the edges stop at the top digit value, since one-byte digits cannot
+    # hold 2mp^2 - 1; every odd-p edge is kept
     rng = random.Random(p + m)
     rings = [field._Residues(p, f) for f in (
         list(mk_field(p, m).modulus), _dense_monic(p, m, rng),
@@ -764,9 +765,9 @@ def test_lane_reduction_worst_digits(p, m):
     if m > 2 and p < 2 ** 31 and (p, m) != (2, 127):
         assert [ring._lazy for ring in rings[:2]] == [True, False]
     for ring in rings:
-        bound = 1 << ring._lanes[2]
+        bound = 1 << 8 * ring._digit_bytes
         assert bound > (2 * m if p == 2 else 2 * m * p * p)
-        top = (1 << 8 * ring._digit_bytes) - 1
+        top = bound - 1
         edges = [min(edge, top) if p == 2 else edge for edge in (
             0, 1, p - 1, p, 2 * p - 1, 2 * p, (p - 1) ** 2,
             m * (p - 1) ** 2, 2 * m * p * p - 1, bound - 1)]
@@ -900,13 +901,13 @@ ODD_P_WIDTHS = {
 
 def test_digit_widths():
     # 2m + 1 over F_2: one byte up to F_{2^127}, two from F_{2^128}
-    widths = {m: field._digit_format(2, m)[1]
+    widths = {m: field._digit_format(2, m)[0]
               for m in (2, 7, 127, 128, 521, 32767, 32768)}
     assert widths == {2: 1, 7: 1, 127: 1, 128: 2, 521: 2, 32767: 2,
                       32768: 4}
     assert [mk_field(2, m)._digit_bytes for m in (127, 128)] == [1, 2]
     for (p, m), width in ODD_P_WIDTHS.items():
-        assert field._digit_format(p, m)[1] == width, (p, m)
+        assert field._digit_format(p, m)[0] == width, (p, m)
 
 
 @pytest.mark.parametrize("m", [127, 128])
@@ -917,7 +918,8 @@ def test_binary_kernels_match_schoolbook(m, kind, monkeypatch):
     # all-ones and random operands, over the canonical modulus, the dense
     # all-ones one and the binomial x^m + 1 (the last two reducible, so
     # inv runs on the canonical one alone); and every digit that reaches
-    # _mod_p unreduced is at most 2m, or on a lazy ring below its top bit
+    # _mod_p unreduced is at most 2m, or on a lazy ring at most its fold
+    # bound m(1 + w)^folds, w the nonzero digits of f below x^m
     f = {"canonical": list(mk_field(2, m).modulus), "ones": [1] * (m + 1),
          "binomial": [1] + [0] * (m - 1) + [1]}[kind]
     peaks = []  # (largest digit allowed, largest digit seen)
@@ -926,7 +928,8 @@ def test_binary_kernels_match_schoolbook(m, kind, monkeypatch):
     def recording_init(ring, p, g):
         init(ring, p, g)
         mask, bits = ring._mod_p, 8 * ring._digit_bytes
-        limit = (1 << bits - 1) - 1 if ring._lazy else 2 * m
+        w = sum(c % 2 for c in g[:m])
+        limit = m * (1 + w) ** len(ring._folds) if ring._lazy else 2 * m
 
         def mod_p(y):
             digits = ring._unpack(y, -(-y.bit_length() // bits))

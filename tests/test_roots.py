@@ -132,6 +132,27 @@ def test_amm_rejects_zero_rho(f13):
             amm_root(f13, (d,), 2, rho=(0,))
 
 
+def test_amm_root_draws_rho_only_for_the_digit_loop(f13, monkeypatch):
+    # 12 = 2^2 * 3: r = 3 has t = 1, so no digit loop reads rho and none
+    # is drawn; an explicit rho, or an r sharing a factor with s, still
+    # fails as before
+    calls = []
+    search = roots.find_nonresidue
+    monkeypatch.setattr(roots, "find_nonresidue",
+                        lambda *args: calls.append(args) or search(*args))
+    roots._cached_amm_context.cache_clear()
+    out = amm_root(f13, (5,), 3)
+    assert (out.status, out.root, out.path_tag) == ("root_found", (8,), "amm")
+    assert out.counters == OpCounter(mults=2, squarings=4)
+    assert calls == []
+    with pytest.raises(ValueError, match="rho"):
+        amm_root(f13, (5,), 3, rho=(1,))
+    with pytest.raises(ZeroElement):
+        amm_root(f13, (5,), 3, rho=(0,))
+    with pytest.raises(ValueError, match="shares a factor with s=2"):
+        amm_root(f13, (4,), 6)
+
+
 def test_amm_rejects_zero(f13):
     with pytest.raises(ZeroElement):
         amm_root(f13, (0,), 2)
