@@ -25,7 +25,9 @@ benchmark's r^2 | N fields, gets one row per field with the time and
 counters of auto and forced `amm` on a constructed residue and on a
 non-residue, the time of build_amm_context (uncounted, uncached;
 amm_context_us) and that of the plan it starts from, _plan uncached
-(plan_us): t, s, alpha and the split records test, cof and head.
+(plan_us): t, s, alpha and the split records test, cof and head, and the
+descent flag, true where the plan holds the norm descent to F_p that
+auto takes in place of AMM in F_{p^m} (r^2 | p - 1, gcd(m, r) = 1).
 
 Each timed call, or batch of calls, runs under a deadline of TIMEOUT_S
 seconds (SIGALRM); a row that overruns it records "timeout" in place of
@@ -244,7 +246,9 @@ def bench_amm(p: int, m: int, r: int, repeats: int) -> dict:
     out = {"p": p, "m": m, "r": r,
            "amm_context_us": median_us(lambda: build_amm_context(fld, r),
                                        repeats),
-           "plan_us": median_us(lambda: _plan.__wrapped__(fld, r), repeats)}
+           "plan_us": median_us(lambda: _plan.__wrapped__(fld, r), repeats),
+           # a tree from before the descent has no such field
+           "descent": getattr(_plan(fld, r), "descent", None) is not None}
     for name, delta, status in (
             ("residue", residue, "root_found"),
             ("non_residue", find_nonresidue(fld, r, 1), "non_residue")):

@@ -24,10 +24,12 @@ and on the large-r CLI goldens: a line holds the argv, the exit code,
 stdout and stderr.  Last, the rows of one `rootfield bench` sweep
 (SWEEP, seed 0), each without its wall_ns cell.
 
---diff reads two records line by line, prints each call whose counters
-or stderr moved with both values, then a summary per (call, path, zero
-delta, m > 1) group of counter moves and per wording class of stderr
-moves (digits read as #); it exits 1 if any status, tag, root,
+--diff reads two records line by line, prints each call whose answer,
+counters or stderr moved with both values, then a summary per (call,
+path, zero delta, m > 1) group of answer moves, split by the fields that
+moved (the root alone, or status, tag, exception and the rest), and of
+counter moves, and per wording class of stderr moves (digits read as #);
+it exits 1 if any status, tag, root,
 exception, decompose stdout or exit code, or sweep row differs, or if
 the two records do not hold the same calls in the same order.  A .gz
 name is read and written through gzip.
@@ -191,6 +193,15 @@ KEY = ("call", "p", "m", "r", "path", "delta", "argv", "i")
 ANSWER = ("exc", "status", "tag", "root", "code", "stdout", "row")
 
 
+def _group(line):
+    """(call, path, zero delta, m > 1) of a root-layer line; the call
+    alone for decompose and sweep lines."""
+    if "delta" not in line:
+        return (line["call"],)
+    return (line["call"], line["path"], "zero" if line["delta"] == 0
+            else "nonzero", "m>1" if line["m"] > 1 else "m=1")
+
+
 def diff(path_a, path_b) -> int:
     groups = Counter()
     answers = moved = 0
@@ -204,10 +215,14 @@ def diff(path_a, path_b) -> int:
             if key != tuple(b[f] for f in KEY if f in b):
                 print(f"records differ in order at {key}")
                 return 1
-            if any(a.get(f) != b.get(f) for f in ANSWER):
+            fields = [f for f in ANSWER if a.get(f) != b.get(f)]
+            if fields:
                 answers += 1
                 print("ANSWER", key, {f: a[f] for f in ANSWER if f in a},
                       "->", {f: b[f] for f in ANSWER if f in b})
+                groups[_group(a) + ("answer: " + (
+                    "root only" if fields == ["root"] else
+                    " ".join(fields)),)] += 1
             elif a.get("stderr") != b.get("stderr"):
                 moved += 1
                 print("STDERR", key, repr(a["stderr"]), "->",
@@ -220,11 +235,9 @@ def diff(path_a, path_b) -> int:
                 ca, cb = a["counters"], b["counters"]
                 rise = (cb[0] + cb[1]) - (ca[0] + ca[1])
                 print("COUNTERS", key, ca, "->", cb)
-                group = (a["call"], a["path"], "zero" if a["delta"] == 0
-                         else "nonzero", "m>1" if a["m"] > 1 else "m=1")
-                groups[group + ("products up" if rise > 0 else
-                                "products down" if rise < 0 else
-                                "products same",)] += 1
+                groups[_group(a) + ("products up" if rise > 0 else
+                                    "products down" if rise < 0 else
+                                    "products same",)] += 1
     print(f"\n{answers} answers differ; {moved} calls moved counters or "
           "stderr")
     for group, count in sorted(groups.items()):

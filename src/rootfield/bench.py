@@ -20,6 +20,7 @@ import logging
 import random
 import time
 from dataclasses import astuple, dataclass
+from itertools import product
 
 from .field import is_prime, mk_field
 from .periodic import (CASE_TAGS, ConditionsUnmet, NotCoprime,
@@ -93,10 +94,7 @@ def parse_sweep(text: str) -> list[tuple[int, int, int]]:
         missing = {"q", "m", "r"} - fields.keys()
         if missing:
             raise ValueError(f"sweep group {group!r} missing {sorted(missing)}")
-        for q in fields["q"]:
-            for m in fields["m"]:
-                for r in fields["r"]:
-                    triples.append((q, m, r))
+        triples.extend(product(fields["q"], fields["m"], fields["r"]))
     return triples
 
 
@@ -138,24 +136,19 @@ def run_sweep(triples, seed: int = 0) -> list[BenchRow]:
 
         n = n_prime = period = None
         if plan.t < 2 and plan.head:
-            n_prime = plan.head.n
-            period = plan.head.period
+            n_prime, period = plan.head.n, plan.head.period
         if d > 1:
             try:
                 bq = decompose_base_q(q, m, r)
-                n = bq.n
-                n_prime = bq.n_prime
+                n, n_prime = bq.n, bq.n_prime
             except (ConditionsUnmet, PeriodTooLong, NotCoprime):
                 pass
         elif n_prime is not None:
             n = n_prime
 
-        if not is_prime(r):
-            runs = ["auto"]  # no forced paths for composite r
-        elif plan.t > 1:
-            runs = ["amm"]
-        else:
-            runs = ["periodic", "naive"]
+        # no forced paths for composite r
+        runs = (["auto"] if not is_prime(r) else ["amm"] if plan.t > 1
+                else ["periodic", "naive"])
         for path in runs:
             try:
                 t0 = time.perf_counter_ns()

@@ -107,11 +107,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if os.path.exists(args.sweep):
-        triples = load_sweep(args.sweep)
-    else:
-        triples = parse_sweep(args.sweep)
-    rows = run_sweep(triples, seed=args.seed)
+    read = load_sweep if os.path.exists(args.sweep) else parse_sweep
+    rows = run_sweep(read(args.sweep), seed=args.seed)
     if args.out == "-":
         write_csv(rows, sys.stdout)
     else:
@@ -120,58 +117,66 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("field", "root", "residue", "decompose", "oracle", "bench")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of command alone: its help,
+    usage and errors are the full parser's, byte for byte."""
+    seed = _default_seed()  # a bad ROOTFIELD_SEED fails every command
     parser = argparse.ArgumentParser(
         prog="rootfield",
         description="r-th roots in F_{p^m} with operation counting")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("field", help="print a field description")
-    _add_field_args(sub)
-    sub.set_defaults(func=_cmd_field)
-
-    sub = subs.add_parser("root", help="extract an r-th root")
-    _add_field_args(sub)
-    sub.add_argument("--r", type=int, required=True, help="root degree")
-    sub.add_argument("--delta", required=True,
-                     help="element, comma-separated coefficients")
-    sub.add_argument("--seed", type=int, default=_default_seed())
-    sub.add_argument("--path", choices=("auto", "amm", "periodic", "naive"),
-                     default="auto", help="override path selection")
-    sub.set_defaults(func=_cmd_root)
-
-    sub = subs.add_parser("residue", help="r-th residue test")
-    _add_field_args(sub)
-    sub.add_argument("--r", type=int, required=True)
-    sub.add_argument("--delta", required=True)
-    sub.set_defaults(func=_cmd_residue)
-
-    sub = subs.add_parser("decompose",
-                          help="periodic split of the inverted exponent")
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--r", type=int, required=True)
-    sub.set_defaults(func=_cmd_decompose)
-
-    sub = subs.add_parser("oracle", help="brute-force roots by enumeration")
-    _add_field_args(sub)
-    sub.add_argument("--r", type=int, required=True)
-    sub.add_argument("--delta", required=True)
-    sub.set_defaults(func=_cmd_oracle)
-
-    sub = subs.add_parser("bench", help="counter sweep to CSV")
-    sub.add_argument("--sweep", required=True,
-                     help="sweep file or inline spec like 'q=3 m=9..61:8 r=5'")
-    sub.add_argument("--out", default="-", help="output path, - for stdout")
-    sub.add_argument("--seed", type=int, default=_default_seed())
-    sub.set_defaults(func=_cmd_bench)
+    subs = parser.add_subparsers(dest="command", required=True, metavar=(
+        "{%s}" % ",".join(COMMANDS) if command else None))  # full usage
+    if command in (None, "field"):
+        sub = subs.add_parser("field", help="print a field description")
+        _add_field_args(sub)
+        sub.set_defaults(func=_cmd_field)
+    if command in (None, "root"):
+        sub = subs.add_parser("root", help="extract an r-th root")
+        _add_field_args(sub)
+        sub.add_argument("--r", type=int, required=True, help="root degree")
+        sub.add_argument("--delta", required=True,
+                         help="element, comma-separated coefficients")
+        sub.add_argument("--seed", type=int, default=seed)
+        sub.add_argument("--path", default="auto",
+                         choices=("auto", "amm", "periodic", "naive"),
+                         help="override path selection")
+        sub.set_defaults(func=_cmd_root)
+    if command in (None, "residue"):
+        sub = subs.add_parser("residue", help="r-th residue test")
+        _add_field_args(sub)
+        sub.add_argument("--r", type=int, required=True)
+        sub.add_argument("--delta", required=True)
+        sub.set_defaults(func=_cmd_residue)
+    if command in (None, "decompose"):
+        sub = subs.add_parser("decompose",
+                              help="periodic split of the inverted exponent")
+        for flag in ("--p", "--m", "--r"):
+            sub.add_argument(flag, type=int, required=True)
+        sub.set_defaults(func=_cmd_decompose)
+    if command in (None, "oracle"):
+        sub = subs.add_parser("oracle", help="brute-force roots by enumeration")
+        _add_field_args(sub)
+        sub.add_argument("--r", type=int, required=True)
+        sub.add_argument("--delta", required=True)
+        sub.set_defaults(func=_cmd_oracle)
+    if command in (None, "bench"):
+        sub = subs.add_parser("bench", help="counter sweep to CSV")
+        sub.add_argument("--sweep", required=True, help="sweep file or "
+                         "inline spec like 'q=3 m=9..61:8 r=5'")
+        sub.add_argument("--out", default="-", help="output path, - for stdout")
+        sub.add_argument("--seed", type=int, default=seed)
+        sub.set_defaults(func=_cmd_bench)
     return parser
 
 
 def dispatch(argv) -> int:
     """Run one invocation; returns the exit code instead of raising."""
     try:
-        args = _build_parser().parse_args(argv)
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args = _build_parser(command).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1

@@ -7,14 +7,18 @@ t = 0 delta^alpha is the root (coprime_fast, naive_fallback); for t = 1
 it is the root of a residue, so its verification doubles as the residue
 test (ramified_fast, naive_fallback); for t >= 2 the residue test
 delta^{N/r} comes first and a digit loop over the r-th roots of unity
-corrects the head (amm).
+corrects the head (amm).  Where m > 1, r^2 | p - 1 and gcd(m, r) = 1,
+auto runs AMM in F_p instead (Barreto-Voloch; Doliskani-Schost 2014):
+with S = (p^m - 1)/(p - 1) and x = -m^{-1} mod r, h = delta^v for
+v = r^{-1} mod S has h^r = N(delta)^x * delta, N(delta) = delta^S in
+F_p, and h over an r-th root of N(delta)^x in F_p is a root of delta.
 
 _plan derives t, s, alpha and the split records once per (field, r),
 the one classification of (p, m, r): test for delta^{N/r}, cof for
-delta^s and rho^s and head for delta^alpha, each a + b*(1 + p^l + ...)
-raised by apply_periodic through Frobenius maps.  One body, _root, runs
-every prime stage on the records its context holds; forced paths
-"naive" and "amm", and amm_root, clear them for plain powering.
+delta^s and rho^s, head for delta^alpha and norm for the descent, each
+a + b*(1 + p^l + ...) raised by apply_periodic through Frobenius maps.
+One body, _root, runs every prime stage on its context; forced paths
+"naive" and "amm", and amm_root, clear the records for plain powering.
 
 rth_root dispatches prime by prime for composite r and peels factors of
 p off r first, since the p-th power map is the Frobenius bijection.  It
@@ -29,10 +33,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
 
-from .field import Field, OpCounter, is_prime
+from .field import Field, OpCounter, is_prime, mk_field
 from .frobpow import apply_periodic
 from .periodic import (PeriodicExponent, PeriodTooLong, decompose,
-                       exact_power, factorize, lifted_order, mult_order)
+                       exact_power, factorize, geometric_sum, lifted_order,
+                       mult_order)
 
 
 class RNotDividingOrder(ValueError):
@@ -81,7 +86,8 @@ class AmmContext:
     least k*r^i with r^{t+1} | p^{k*r^i} - 1.  build_amm_context adds
     rho, a fixed nonzero non-residue, packed rho_s = rho^s and k_index,
     which maps each packed r-th root of unity g^i, g = rho^{N/r}, to i;
-    rth_root reads it only for t >= 2, where the digit loop runs."""
+    rth_root reads it only for t >= 2, where the digit loop runs.  Auto's
+    descent to F_p (_plan) is (F_p, a, e, norm); it reads no rho."""
 
     t: int
     s: int
@@ -92,6 +98,7 @@ class AmmContext:
     test: PeriodicExponent | None = None
     cof: PeriodicExponent | None = None
     head: PeriodicExponent | None = None
+    descent: tuple | None = None
 
 
 def _require_divisor(fld: Field, r: int) -> None:
@@ -103,12 +110,14 @@ def _require_divisor(fld: Field, r: int) -> None:
 def _plan(fld: Field, r: int) -> AmmContext:
     """The AmmContext for (fld, r), r >= 2, without rho or its table.
     The periods k*r^i divide m for prime r; a composite r gets records
-    only for t <= 1, where the single exponent takes them."""
+    only for t <= 1, where the single exponent takes them.  The descent's
+    v = a + p^e*z*G, m - 1 = r*n + e - 1, G = 1 + p^r + ... + p^{r(n-1)};
+    norm, the record of z*G, is None for n = 0, where v = a."""
     p, m, order = fld.p, fld.m, fld.order_minus_one
     t = exact_power(r, order)
     s = order // r ** t
     alpha = pow(r, -1, s) if gcd(s, r) == 1 else None
-    k = test = cof = head = None
+    k = test = cof = head = norm = descent = None
     if m > 1 and gcd(p, r) == 1 and (t < 2 or is_prime(r)):
         k = mult_order(p, r)
     if k and k < m and t:  # N/d = ((p^l - 1)/d) * (1 + p^l + ... + p^{m-l})
@@ -117,12 +126,20 @@ def _plan(fld: Field, r: int) -> AmmContext:
         cof = PeriodicExponent(0, (p ** l_t - 1) // r ** t, l_t, m // l_t, s)
     if k and alpha and lifted_order(p, r, k, t + 1) < m:
         head = decompose(p, m, r, k, t)
-    return AmmContext(t, s, alpha, test=test, cof=cof, head=head)
+    if k == 1 and t > 1 and m % r:  # r^2 | p - 1 and gcd(m, r) = 1
+        n, x = (m - 1) // r, -pow(m, -1, r) % r
+        e, z = m - r * n, x * (p ** r - 1) // (r * (p - 1))
+        if n:
+            norm = PeriodicExponent(0, z, r, n, z * geometric_sum(p, r, n))
+        a = (1 + x * (p ** e - 1) // (p - 1)) // r
+        descent = (mk_field(p, 1), a, e, norm)
+    return AmmContext(t, s, alpha, test=test, cof=cof, head=head,
+                      descent=descent)
 
 
 def _plain(ctx: AmmContext) -> AmmContext:
-    """ctx with every record cleared: each long power one plain power."""
-    return replace(ctx, test=None, cof=None, head=None)
+    """ctx with every record and the descent cleared: plain powering."""
+    return replace(ctx, test=None, cof=None, head=None, descent=None)
 
 
 def _power(fld: Field, delta, rec: PeriodicExponent | None, v: int,
@@ -192,24 +209,44 @@ def _cached_amm_context(fld, r, seed, rho):
 
 
 def _root(fld: Field, delta: int, r: int, ctx: AmmContext, tag: str,
-          counter: OpCounter) -> int | None:
+          counter: OpCounter, seed: int) -> int | None:
     """One prime stage on packed, nonzero delta: the packed root, or
     None for a non-residue.  Every long power takes the record ctx holds.
 
-    Tag "amm" tests delta^{N/r} = 1 first.  The head delta^alpha is the
-    root when t <= 1.  For t >= 2, acc = (delta^s)^c with
+    The descent takes h = delta^a * (delta^{zG})^{p^e} = delta^v, reads
+    the scalar N(delta)^x = h^r / delta from one digit, and divides h by
+    its r-th root, found or refused by the stage over F_p.  Otherwise tag
+    "amm" tests delta^{N/r} = 1 first.  The head delta^alpha is the root
+    when t <= 1.  For t >= 2, acc = (delta^s)^c with
     c = ((r*alpha - 1)/s) mod r^t, -1 when s = 1, is delta^{r*alpha - 1}
     in the subgroup of order r^{t-1}.  For i = 1 .. t-1, acc^{r^{t-1-i}}
     is an r-th root of unity, and the table says which (rho^s)^{j_i*r^i}
     cancels it; head * (rho^s)^J, J from the digits j_i, is a root.  One
     verification comes last: without the test (t <= 1) it is the
     residue test, which a t = 0 root always passes."""
-    if tag == "amm" and _power(fld, delta, ctx.test,
-                               fld.order_minus_one // r, counter) != 1:
-        return None
-    root = _power(fld, delta, ctx.head, ctx.alpha, counter)
     t = ctx.t
-    if t > 1:
+    if ctx.descent:
+        base, a, e, norm = ctx.descent
+        root = fld.pow(delta, a, counter)
+        if norm:
+            geo = apply_periodic(fld, delta, norm, counter)
+            root = fld.mul(root, fld.frobenius(geo, e, counter), counter)
+        hr, bits, p = fld.pow(root, r, counter), 8 * fld._digit_bytes, fld.p
+        low = ((delta & -delta).bit_length() - 1) // bits * bits  # nonzero
+        scale = ((hr >> low) % (1 << bits)
+                 * pow((delta >> low) % (1 << bits), -1, p) % p)
+        if fld._ring._mod_p(delta * scale) != hr:
+            raise RuntimeError("h^r is not a scalar multiple of delta")
+        c = _stage(base, scale, r, seed, counter)[0]
+        if c is None:
+            return None
+        root = fld._ring._mod_p(root * pow(c, -1, p))
+    elif tag == "amm" and _power(fld, delta, ctx.test,
+                                 fld.order_minus_one // r, counter) != 1:
+        return None
+    else:
+        root = _power(fld, delta, ctx.head, ctx.alpha, counter)
+    if t > 1 and not ctx.descent:
         delta_s = _power(fld, delta, ctx.cof, ctx.s, counter)
         acc = fld.pow(delta_s, (r * ctx.alpha - 1) // ctx.s % r ** t,
                       counter)
@@ -238,7 +275,8 @@ def _stage(fld: Field, delta: int, r: int, seed: int, counter: OpCounter,
     """One prime stage on packed delta, and every AMM run: the packed root
     or None, and the path tag.  "amm", or "auto" when r^2 | N, runs AMM,
     building rho and its table where t >= 2 or rho is given, and where
-    alpha is missing, which the build refuses; "auto" otherwise takes the
+    alpha is missing, which the build refuses, unless "auto" descends,
+    which builds F_p's context instead; "auto" otherwise takes the
     single exponent through alpha's split where it exists, which
     "periodic" demands and "naive" clears.  Zero is its own root, with no
     ops, once the path applies (for "amm", once r | N)."""
@@ -257,11 +295,12 @@ def _stage(fld: Field, delta: int, r: int, seed: int, counter: OpCounter,
                if ctx.head and path != "naive" else "naive_fallback")
     if not delta:
         return 0, tag
-    if tag == "amm" and (ctx.t > 1 or rho is not None or ctx.alpha is None):
+    if tag == "amm" and (path == "amm" or not ctx.descent) and (
+            ctx.t > 1 or rho is not None or ctx.alpha is None):
         ctx = _cached_amm_context(fld, r, seed, rho)
     if path in ("amm", "naive"):
         ctx = _plain(ctx)
-    return _root(fld, delta, r, ctx, tag, counter), tag
+    return _root(fld, delta, r, ctx, tag, counter, seed), tag
 
 
 def _outcome(fld, root, tag, counter) -> RootOutcome:
@@ -282,8 +321,7 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
     delta = fld._pack(fld.elem(delta))
     if not delta:
         raise ZeroElement("amm_root is for nonzero elements")
-    if counter is None:
-        counter = OpCounter()
+    counter = counter or OpCounter()
     rho = None if rho is None else fld.elem(rho)  # hashable for the cache
     return _outcome(fld, *_stage(fld, delta, r, seed, counter, "amm", rho),
                     counter)
@@ -301,8 +339,7 @@ def single_exponent_root(fld: Field, delta, r: int,
     "periodic" or "naive" forces one."""
     if r < 2:
         raise RTooSmall("r must be >= 2")
-    if counter is None:
-        counter = OpCounter()
+    counter = counter or OpCounter()
     delta = fld._pack(fld.elem(delta))
     if _plan(fld, r).t > 1:
         raise NoSingleExponent(f"r={r}: r^2 divides p^m - 1; use amm_root")

@@ -225,8 +225,9 @@ def test_bench_layers_amm_rows(tmp_path):
     (row,) = json.loads(out.read_text())["runs"]["run"]["amm"]
     assert (row["p"], row["m"], row["r"]) == (13, 3, 2)
     assert row["amm_context_us"] > 0 and row["plan_us"] > 0
-    # 4 | 13^3 - 1 and 8 | 13^2 - 1: auto takes the periodic splits,
-    # forced amm stays plain
+    # 4 | 13 - 1 and 3 is odd: auto descends to F_13 through the norm,
+    # with one Frobenius map, and forced amm stays plain
+    assert row["descent"] is True
     for verdict in ("residue", "non_residue"):
         auto, forced = row[f"{verdict}_auto"], row[f"{verdict}_amm"]
         assert auto["path"] == forced["path"] == "amm"
@@ -269,3 +270,27 @@ def test_same_answers_diff_counts_calls(tmp_path, capsys):
     assert main(["--diff", str(short), str(full)]) == 1
     assert main(["--diff", str(full), str(other)]) == 1
     assert "records hold different numbers of calls" in capsys.readouterr().out
+
+
+def test_same_answers_diff_groups_answer_moves(tmp_path, capsys):
+    """Answer moves are summed per call, path and the fields that moved,
+    as counter moves are; the exit code stays 1."""
+    script = Path(__file__).parents[1] / "scripts" / "same_answers.py"
+    main = runpy.run_path(str(script), run_name="same_answers")["main"]
+
+    def line(d, root, status="root_found", counters=(1, 1, 0, 0)):
+        return json.dumps({"call": "rth_root", "p": 13, "m": 3, "r": 2,
+                           "path": "auto", "delta": d, "status": status,
+                           "tag": "amm", "root": root,
+                           "counters": list(counters)})
+
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.write_text("\n".join([line(1, 1), line(2, 5), line(3, 7)]) + "\n")
+    new.write_text("\n".join([line(1, 2, counters=(2, 1, 0, 0)),
+                              line(2, 6), line(3, None, "non_residue")])
+                   + "\n")
+    assert main(["--diff", str(old), str(new)]) == 1
+    out = capsys.readouterr().out
+    assert "3 answers differ; 0 calls moved counters or stderr" in out
+    assert "      2  rth_root auto nonzero m>1 answer: root only" in out
+    assert "      1  rth_root auto nonzero m>1 answer: status root" in out

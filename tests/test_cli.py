@@ -5,7 +5,8 @@ import time
 import pytest
 
 from rootfield import mk_field, parse_elem
-from rootfield.cli import dispatch
+from rootfield import cli
+from rootfield.cli import COMMANDS, dispatch
 
 GOLDEN_ROOT = ("status=root_found root=11 path=amm "
                "mults=4 squarings=6 frobenius=0\n")
@@ -231,6 +232,38 @@ def test_usage_errors(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "root", "--help")[0] == 0
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_matches_the_full_parser(capsys, monkeypatch,
+                                                    command):
+    # dispatch builds only the subparser argv[0] names; its help, its usage
+    # errors and the top parser's unrecognized-argument error must be the
+    # full parser's bytes and exit code
+    full = cli._build_parser
+    built = []
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda name=None: built.append(name) or full(name))
+    for argv in ([command, "--help"], [command, "--p", "x"],
+                 [command, "--sweep", "q=3 m=2 r=2", "--p", "3", "--m", "2",
+                  "--r", "2", "--delta", "1", "surplus"]):
+        with pytest.raises(SystemExit) as exc:
+            full().parse_args(argv)
+        expected = capsys.readouterr()
+        assert run(capsys, *argv) == (0 if exc.value.code == 0 else 1,
+                                      expected.out, expected.err)
+    assert built == [command] * 3
+
+
+def test_parser_is_built_per_call(capsys, monkeypatch):
+    # argv without a known command first gets the full parser
+    built = []
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda name=None: built.append(name) or full(name))
+    for argv in ([], ["--help"], ["bogus"], ["--p", "3", "field"]):
+        run(capsys, *argv)
+    assert built == [None] * 4
 
 
 def test_computation_errors_exit_one(capsys):

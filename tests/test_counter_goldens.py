@@ -11,6 +11,13 @@ stopped re-verifying the root its one stage had verified already.  The
 seeded residue of (7, 1, 2, "auto") is zero, which every stage now
 returns with no ops: (0, 1) fell to (0, 0) when the verification of 0^2
 went away.
+
+Moved on purpose a third time.  The two F_{5^61}, r = 2 auto entries
+took the norm descent (4 | 5 - 1 and 61 is odd): one power delta^v
+through one Frobenius split, h^2 and AMM on the norm in F_5, whose
+products count too.  The residue fell from (30, 5, 372) to (11, 6, 97)
+and the non-residue rose from (9, 1, 138) to (9, 3, 97), by h^2 and the
+residue test in F_5.  F_{19^21}, r = 3 (3 | 21) keeps AMM in F_{19^21}.
 """
 
 import random
@@ -66,12 +73,13 @@ GOLDENS = [
      ("root_found", "amm", 9, 26, 0, 0)),
     ((7, 5, 2, "amm", 2),
      ("non_residue", "amm", 5, 13, 0, 0)),
-    # auto amm with r^2 | N and m past the period of alpha's split: the
-    # long powers run through Frobenius maps
+    # auto amm with r^2 | N: F_{5^61} descends to F_5 through the norm;
+    # F_{19^21}, r = 3 | m, runs AMM with its long powers through
+    # Frobenius maps
     ((5, 61, 2, "auto", "residue"),
-     ("root_found", "amm", 30, 5, 372, 0)),
+     ("root_found", "amm", 11, 6, 97, 0)),
     ((5, 61, 2, "auto", 2),
-     ("non_residue", "amm", 9, 1, 138, 0)),
+     ("non_residue", "amm", 9, 3, 97, 0)),
     ((19, 21, 3, "auto", "residue"),
      ("root_found", "amm", 46, 68, 87, 0)),
     ((19, 21, 3, "auto", 3),

@@ -231,11 +231,23 @@ def split_applies(p, m, r):
             and lifted_order(p, r, mult_order(p, r), t + 1) < m)
 
 
+def descent_applies(p, m, r):
+    """Prime r, m > 1, r^2 | p - 1 and gcd(m, r) = 1: auto takes the norm
+    descent to F_p."""
+    return is_prime(r) and m > 1 and (p - 1) % (r * r) == 0 and m % r != 0
+
+
 def assert_auto_matches_forced(fld, r, delta):
+    """Auto and forced amm agree on the verdict and the tag; the root is
+    forced amm's unless auto takes the norm descent, whose root is
+    another r-th root of delta."""
     auto = rth_root(fld, delta, r)
     forced = rth_root(fld, delta, r, path="amm")
-    assert (auto.status, auto.root, auto.path_tag) == \
-        (forced.status, forced.root, "amm")
+    assert (auto.status, auto.path_tag) == (forced.status, "amm")
+    if descent_applies(fld.p, fld.m, r):
+        assert auto.root is None or fld.pow(auto.root, r) == fld.elem(delta)
+    else:
+        assert auto.root == forced.root
     assert forced.counters.frobenius == 0
     assert auto.counters.frobenius > 0
     return auto
@@ -301,6 +313,75 @@ def test_amm_auto_against_root_table(p, m, r):
             assert out.root in table[delta]
         else:
             assert out.status == "non_residue"
+
+
+# -- auto amm through the norm: AMM on N(delta)^x in F_p ------------------------
+
+DESCENT_SMALL = [(5, 3, 2), (13, 3, 2), (19, 2, 3), (37, 2, 3)]
+
+
+def test_descent_small_fields_are_every_case_up_to_3000():
+    # r^2 | p - 1 <= 2999 bounds r by 54
+    grid = [(p, m, r) for p in range(2, 3001) if is_prime(p)
+            for m in range(2, 12) if p ** m <= 3000
+            for r in range(2, 55) if descent_applies(p, m, r)]
+    assert sorted(grid) == DESCENT_SMALL
+
+
+@pytest.mark.parametrize("p,m,r", DESCENT_SMALL)
+def test_descent_against_root_table(p, m, r):
+    # m - 1 = r*n + c: the last two have n = 0, where delta^v is one plain
+    # power and no norm record exists
+    fld = mk_field(p, m)
+    plan = roots._plan(fld, r)
+    assert plan.descent is not None
+    assert (plan.descent[3] is None) == (m <= r)
+    table = root_table(fld, r)
+    for i in range(1, fld.order_minus_one + 1):
+        delta = fld.elem_from_index(i)
+        out = rth_root(fld, delta, r)
+        assert out.path_tag == "amm"
+        if delta in table:
+            assert out.status == "root_found"
+            assert out.root in table[delta]
+        else:
+            assert (out.status, out.root) == ("non_residue", None)
+
+
+def test_descent_on_a_wide_sample():
+    # per r, a seeded sample of every descent case with p < 200 and
+    # m <= 40; r >= 3 needs p = 1 mod r^2 (19, 37, ..., 101, 151, 197)
+    rng = random.Random(19)
+    for r in (2, 3, 5, 7):
+        grid = [(p, m) for p in range(3, 200) if is_prime(p)
+                for m in range(2, 41) if descent_applies(p, m, r)]
+        sample = rng.sample(grid, 4)
+        assert r == 2 or any(m > r for _, m in sample)  # some n >= 1
+        for p, m in sample:
+            fld = mk_field(p, m)
+            for i in range(4):
+                gamma = fld.random_elem(rng)
+                delta = fld.pow(gamma, r) if i % 2 else gamma
+                if any(delta):
+                    out = assert_auto_matches_forced(fld, r, delta)
+                    assert i % 2 == 0 or out.status == "root_found"
+
+
+def test_descent_builds_no_extension_field_context(monkeypatch):
+    # the descent runs AMM in F_p: the only context it builds is F_5's
+    built = []
+    real = roots.build_amm_context
+    monkeypatch.setattr(roots, "build_amm_context",
+                        lambda fld, *args: built.append(fld.m)
+                        or real(fld, *args))
+    roots._cached_amm_context.cache_clear()
+    fld = mk_field(5, 61)
+    for seed in range(3):
+        rth_root(fld, fld.pow(fld.random_elem(random.Random(seed)), 2), 2,
+                 seed=seed)
+        rth_root(fld, find_nonresidue(fld, 2, seed), 2, seed=seed)
+    assert built == [1, 1, 1]
+    roots._cached_amm_context.cache_clear()
 
 
 @pytest.mark.parametrize("p,m,r", [(5, 2, 2), (7, 2, 2), (31, 25, 5)])
