@@ -18,13 +18,15 @@ the Frobenius matrices it has built (below).
 Construction: without an explicit modulus, mk_field searches candidates
 in a fixed order (see _canonical_modulus).  For p <= _SIEVE_MAX_P it
 first sieves out, per block of p candidates, those with a root in F_p;
-the rest go through Ben-Or's irreducibility test, which rejects most
+then, for any odd p, those whose discriminant is 0 or has the quadratic
+character no irreducible has (Stickelberger's parity, Swan 1962).  The
+rest go through Ben-Or's irreducibility test, which rejects most
 reducible candidates after one or two powers x^{p^i} mod f and takes one
-gcd per batch of later steps.  The powers, the gcds (a Euclid on packed
-integers) compute with the ring of the candidate modulus (_Residues),
-the one field multiplication and the Frobenius matrices use.
-An explicit modulus goes through the same test.  None of this is
-counted.
+gcd per batch of later steps.  The gcds and the parity's resultants are
+one Euclid on packed integers (_Residues._euclid); the powers and gcds
+compute with the ring of the candidate modulus, the one field
+multiplication and the Frobenius matrices use.  An explicit modulus
+goes through Ben-Or's test alone.  None of this is counted.
 
 Cost model: full multiplications, squarings, Frobenius applications and
 inversions are tallied in a caller-supplied OpCounter.  Additions,
@@ -243,33 +245,36 @@ class _Residues(_Packing):
 
     def gcd(self, b: int) -> int:
         """The monic gcd of f and b, packed, for a packed b of at most m
-        digits in [0, p); b = 0 gives f.
-
-        Euclid on packed integers.  One division step cancels the top
-        digit of the dividend with one multiply-add, a += (p - q) * b
-        shifted under it, and leaves the digits below unreduced; a
-        division adds at most m products below p^2 (bits over F_2) to a
-        digit, which still fits its width; one _mod_p reduces the
-        remainder, so bit_length reads its degree."""
+        digits in [0, p); b = 0 gives f."""
         if not b:
             return self._f
+        *_, (b, db) = self._euclid(self._f, b)
+        return 1 if db == 0 else self._mod_p(
+            b * pow(b >> db * 8 * self._digit_bytes, -1, self.p))
+
+    def _euclid(self, a: int, b: int):
+        """Euclid on packed a and b, digits in [0, p), b of at most m and
+        a of at most m + 1 digits: yields each nonzero divisor, b first,
+        with its degree; the last one is a gcd of a and b.
+
+        One division step cancels the top digit of the dividend with one
+        multiply-add, a += (p - q) * b shifted under it, and leaves the
+        digits below unreduced; a division adds at most m products below
+        p^2 (bits over F_2) to a digit, which still fits its width; one
+        _mod_p reduces the remainder, so bit_length reads its degree."""
         p, bits = self.p, 8 * self._digit_bytes
         digit = (1 << bits) - 1
-        a = self._f
-        while True:
+        while b:
             db = (b.bit_length() - 1) // bits
+            yield b, db
             if db == 0:
-                return 1
-            inv = pow(b >> db * bits, -1, p)
-            neg_inv = p - inv
+                return
+            neg_inv = p - pow(b >> db * bits, -1, p)
             for top in range((a.bit_length() - 1) // bits, db - 1, -1):
                 c = a >> top * bits & digit
                 if c % p:
                     a += c * neg_inv % p * b << (top - db) * bits
-            rem = self._mod_p(a & (1 << db * bits) - 1)
-            if not rem:
-                return self._mod_p(b * inv)
-            a, b = b, rem
+            a, b = b, self._mod_p(a & (1 << db * bits) - 1)
 
 
 def is_irreducible(f, p, *, rootless=False) -> bool:
@@ -318,6 +323,23 @@ def is_irreducible(f, p, *, rootless=False) -> bool:
 _SIEVE_MAX_P = 128
 
 
+def _swan_parity(ring, f: int, df: int) -> bool:
+    """Whether f, monic of degree ring.m over odd p and packed with f' as
+    df, passes Stickelberger's test as Swan states it (1962): squarefree
+    with r irreducible factors, f has a square discriminant iff m - r is
+    even, so an irreducible f has disc(f) = (-1)^{m(m-1)/2} Res(f, f')
+    nonzero and of character (-1)^{m-1}.  Euclid's divisors, of degree n_i
+    and lead l_i, end at degree 0 unless Res = 0, and give Res = prod
+    (-1)^{n_{i-1} n_i} l_i^{n_{i-1} - n_{i+1}}; d is Res times a square."""
+    p, m, bits = ring.p, ring.m, 8 * ring._digit_bytes
+    d, prev, last, db = (-1) ** (m * (m - 1) // 2), m, 1, -1
+    for b, db in ring._euclid(f, df):
+        lead = b >> db * bits
+        d = d * lead ** (prev & 1) * last ** (db & 1) * (-1) ** (prev * db) % p
+        prev, last = db, lead
+    return db == 0 and pow(d, p >> 1, p) == (1 if m & 1 else p - 1)
+
+
 def _canonical_modulus(p, m):
     """The smallest monic irreducible of degree m, candidates ordered by
     the base-p integer value of their non-leading coefficients.
@@ -326,8 +348,12 @@ def _canonical_modulus(p, m):
     differ in c_0, so f(a) = s_a + c_0 with s_a = f(a) - c_0.  For m >= 2
     and p <= _SIEVE_MAX_P, the block evaluates s_a at every a in F_p once
     and skips each c_0 = -s_a untested: f has the root a.  That removes
-    about 1 - 1/e of the candidates; the rest go through is_irreducible,
-    rootless, so without its step-1 gcd.
+    about 1 - 1/e of the candidates.  Then, for every odd p, _swan_parity
+    skips about half of the others and never an irreducible; a block's
+    candidates share f' and the upper digits of f.  Over F_2 the theorem
+    needs a lift's discriminant mod 8, and F_2 searches are cheap.  The
+    rest go through is_irreducible, rootless where sieved, so without
+    its step-1 gcd.
 
     The first block holds the binomials x^m - a, and x^m - a is
     irreducible only if every prime dividing m divides the order of a, a
@@ -337,6 +363,7 @@ def _canonical_modulus(p, m):
     sieve = 1 < m and p <= _SIEVE_MAX_P
     # a^m for every a in F_p: the leading term of each s_a
     powers = [pow(a, m, p) for a in range(p)] if sieve else ()
+    ring = _Residues(p, (0,) * m + (1,)) if p > 2 else None
     for block in count(first):
         upper = []  # c_1, c_2, ... up to the highest nonzero one
         while block:
@@ -352,8 +379,11 @@ def _canonical_modulus(p, m):
                     s = (s + c) * a
                 rooted.add(-(s + lead) % p)
         tail = upper + [0] * (m - 1 - len(upper)) + [1]
+        if ring:
+            high = ring._pack([0] + tail)
+            df = ring._pack([i * c % p for i, c in enumerate(tail, 1)])
         for c0 in range(p):
-            if c0 not in rooted:
+            if c0 not in rooted and (not ring or _swan_parity(ring, high + c0, df)):
                 f = [c0] + tail
                 if is_irreducible(f, p, rootless=sieve):
                     return tuple(f)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import runpy
@@ -174,7 +175,9 @@ def test_dense_explicit_modulus():
 def test_binomial_block_skipped(monkeypatch):
     # 17 does not divide p - 1, so no x^17 - a is irreducible over F_p
     # (Lidl & Niederreiter, Thm 3.75) and the search starts at x^17 + x;
-    # testing the 10^6 binomials one by one took minutes
+    # testing the 10^6 binomials one by one took minutes.  Of x^17 + x + c,
+    # c <= 14, the parity test passes exactly those whose Sylvester
+    # discriminant has the character of an irreducible
     p, m = 1000003, 17
     tested = []
     monkeypatch.setattr(field, "is_irreducible",
@@ -184,10 +187,11 @@ def test_binomial_block_skipped(monkeypatch):
     fld = mk_field(p, m)
     assert time.monotonic() - start < 5
     assert fld.modulus == (14, 1) + (0,) * 15 + (1,)  # x^17 + x + 14
-    assert len(tested) == 15
-    assert tested[0] == [0, 1] + [0] * 15 + [1]
-    for f in tested[:-1]:
-        assert not CHECKER["is_irreducible"](p, f)
+    candidates = [[c, 1] + [0] * 15 + [1] for c in range(15)]
+    assert tested == [f for f in candidates if _disc_passes(f, p)]
+    assert 1 < len(tested) < len(candidates)
+    for f in candidates[:-1]:
+        assert not CHECKER["is_irreducible"](p, f), f
     assert CHECKER["is_irreducible"](p, tested[-1])
 
 
@@ -1024,6 +1028,7 @@ def test_sieved_search_matches_plain_scan(p):
 def test_sieve_skips_exactly_the_rooted_candidates(p, monkeypatch):
     # every candidate up to the canonical modulus, binomials included
     # unless their block is skipped, is tested iff it has no root in F_p
+    # and, for odd p, passes the parity test on its Sylvester discriminant
     for m in range(2, 9 if p < 100 else 5):
         tested = []
         monkeypatch.setattr(field, "is_irreducible",
@@ -1039,7 +1044,8 @@ def test_sieve_skips_exactly_the_rooted_candidates(p, monkeypatch):
             if f == found:
                 break
         assert tested == [f for f in candidates
-                          if not CHECKER["_has_root"](p, f)], (p, m)
+                          if not CHECKER["_has_root"](p, f)
+                          and (p == 2 or _disc_passes(f, p))], (p, m)
         assert len(tested) < len(candidates) or len(candidates) == 1
 
 
@@ -1062,6 +1068,121 @@ def test_rootless_hint_skips_only_step_one(monkeypatch):
                 assert is_irreducible(f, p, rootless=True) is plain, (p, f)
                 assert len(gcds) - calls == calls - 1, (p, f)
                 assert plain == CHECKER["is_irreducible"](p, f), (p, f)
+
+
+# -- the parity test of the modulus search (Stickelberger, Swan) ---------------
+
+def _det_mod(rows, p):
+    """The determinant mod p of a square matrix, by Gaussian elimination."""
+    rows = [[c % p for c in row] for row in rows]
+    det = 1
+    for i in range(len(rows)):
+        pivot = next((k for k in range(i, len(rows)) if rows[k][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            det = -det
+        row = rows[i]
+        det = det * row[i] % p
+        inv = pow(row[i], -1, p)
+        for k in range(i + 1, len(rows)):
+            q = rows[k][i] * inv % p
+            if q:
+                rows[k] = [(x - q * y) % p for x, y in zip(rows[k], row)]
+    return det % p
+
+
+def _sylvester_disc(f, p):
+    """disc(f) mod p for a monic f, constant term first: (-1)^{m(m-1)/2}
+    times the determinant of the Sylvester matrix of f and f', f' taken at
+    its actual degree (0 when f' = 0)."""
+    m = len(f) - 1
+    df = [i * c % p for i, c in enumerate(f)][1:]
+    while df and not df[-1]:
+        df.pop()
+    if not df:
+        return 0
+    n = len(df) - 1
+    size = m + n
+    rows = [[0] * i + list(f[::-1]) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + df[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    assert all(len(row) == size for row in rows)
+    return (-1) ** (m * (m - 1) // 2) * _det_mod(rows, p) % p
+
+
+def _disc_passes(f, p):
+    """Whether disc(f), from the Sylvester matrix, is nonzero and of
+    quadratic character (-1)^{m-1}, as an irreducible f's is."""
+    m = len(f) - 1
+    d = _sylvester_disc(f, p)
+    return d != 0 and pow(d, (p - 1) // 2, p) == (1 if m % 2 else p - 1)
+
+
+@functools.lru_cache
+def _ring_of_degree(p, m):
+    return field._Residues(p, [0] * m + [1])
+
+
+def _swan_parity(f, p):
+    """field._swan_parity on a coefficient list, constant term first."""
+    ring = _ring_of_degree(p, len(f) - 1)
+    return field._swan_parity(
+        ring, ring._pack(f), ring._pack([i * c % p for i, c in enumerate(f)][1:]))
+
+
+def _shift(f, a, p):
+    """f(x + a), constant term first, by Horner's rule in x + a."""
+    out = [0] * len(f)
+    for c in reversed(f):
+        out = [(a * lo + hi) % p for lo, hi in zip(out, [c] + out)]
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (3, 5, 7) for m in range(2, 7)])
+def test_swan_parity_exhaustive(p, m):
+    # every monic f of degree m: the parity test passes f exactly when
+    # its Sylvester discriminant is nonzero with the character of an
+    # irreducible, and it never rejects an irreducible.  disc(f(x + a)) =
+    # disc(f), so each f reads the determinant of its translate without
+    # an x^{m-1} term (of f itself when p | m), computed once
+    discs = {}
+    shift = 0 if m % p == 0 else pow(m, -1, p)
+    rejected = 0
+    for low in itertools.product(range(p), repeat=m):
+        f = list(low) + [1]
+        g = tuple(_shift(f, -f[m - 1] * shift % p, p))
+        assert shift == 0 or g[m - 1] == 0
+        if g not in discs:
+            discs[g] = _disc_passes(g, p)
+        passes = _swan_parity(f, p)
+        assert passes is discs[g], (p, f)
+        if not passes:
+            rejected += 1
+            assert not is_irreducible(f, p), (p, f)
+    # about half of all f fail
+    assert p ** m / 4 < rejected < 3 * p ** m / 4, rejected
+
+
+@pytest.mark.parametrize("p,m", [(3, 6), (3, 9), (5, 5), (5, 10), (151, 3),
+                                 (151, 8), (1000003, 2), (1000003, 7)])
+def test_swan_parity_seeded(p, m):
+    # p | m, where f' loses its x^{m-1} term (and f = g(x^p) has f' = 0),
+    # and p above the linear-factor sieve's cutoff
+    rng = random.Random(f"swan/{p}/{m}")
+    cases = [_monic(p, m, rng) for _ in range(60)]
+    if m % p == 0:
+        cases += [[rng.randrange(p) if i % p == 0 else 0 for i in range(m)] + [1]
+                  for _ in range(5)]
+    irreducible = []
+    while len(irreducible) < 10:
+        f = _monic(p, m, rng)
+        if is_irreducible(f, p):
+            irreducible.append(f)
+    for f in cases + irreducible:
+        assert _swan_parity(f, p) is _disc_passes(f, p), (p, f)
+    assert all(_swan_parity(f, p) for f in irreducible)
+    assert not all(_swan_parity(f, p) for f in cases)
 
 
 def test_random_elem_is_seeded(f75):
