@@ -16,7 +16,9 @@ where the savings come from; the same record holds N/d, for d | p^l - 1
 and l | m, as a = 0 and b = (p^l - 1)/d.  The record holds the split
 alone; the modulus and the case follow from alpha.  This module is pure
 integer arithmetic; the root layer's plan (roots._plan) is built from
-mult_order, exact_power, lifted_order and decompose.
+exact_power, lifted_order and decompose, with k searched below m, so it
+factors nothing; mult_order serves the decompose_* entry points, the CLI
+and the bench sweep.
 """
 
 from __future__ import annotations
@@ -103,33 +105,24 @@ def is_prime(n: int) -> bool:
 def mult_order(base: int, r: int) -> int:
     """Least k >= 1 with base^k = 1 mod r.
 
-    The order divides the Carmichael function lambda(r), so k starts at
-    lambda(r) and loses each prime factor q while base^(k/q) = 1 still
-    holds.  The cost is trial division of r (skipped for prime r) and
-    of lambda(r) < r: O(sqrt(r)) steps, where walking the powers takes
-    up to r."""
+    The lcm, over the prime powers q^e of r, of the order mod q^e: the
+    order mod q starts at q - 1 and loses each prime factor f while
+    base^(k/f) = 1 still holds, and lifted_order lifts it to q^e.  The
+    cost is factoring r and each q - 1 (factorize), where walking the
+    powers takes up to r steps."""
     if r < 2:
         raise ValueError("r must be >= 2")
     if gcd(base, r) != 1:
         raise NotCoprime(f"{base} and {r} are not coprime")
-    k = _carmichael(r)
-    for q, _ in factorize(k):
-        while k % q == 0 and pow(base, k // q, r) == 1:
-            k //= q
-    return k
-
-
-def _carmichael(r: int) -> int:
-    """lambda(r), the exponent of the unit group mod r."""
-    if is_prime(r):
-        return r - 1
-    lam = 1
+    order = 1
     for q, e in factorize(r):
-        part = q ** (e - 1) * (q - 1)
-        if q == 2 and e >= 3:
-            part //= 2
-        lam = lam * part // gcd(lam, part)
-    return lam
+        k = q - 1
+        for f, _ in factorize(k):
+            while k % f == 0 and pow(base, k // f, q) == 1:
+                k //= f
+        k = lifted_order(base, q, k, e)
+        order = order * k // gcd(order, k)
+    return order
 
 
 def geometric_sum(p: int, period: int, n: int) -> int:

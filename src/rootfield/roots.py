@@ -36,8 +36,7 @@ from math import gcd
 from .field import Field, OpCounter, is_prime, mk_field
 from .frobpow import apply_periodic
 from .periodic import (PeriodicExponent, PeriodTooLong, decompose,
-                       exact_power, factorize, geometric_sum, lifted_order,
-                       mult_order)
+                       exact_power, factorize, geometric_sum, lifted_order)
 
 
 class RNotDividingOrder(ValueError):
@@ -109,18 +108,20 @@ def _require_divisor(fld: Field, r: int) -> None:
 @lru_cache(maxsize=512)
 def _plan(fld: Field, r: int) -> AmmContext:
     """The AmmContext for (fld, r), r >= 2, without rho or its table.
-    The periods k*r^i divide m for prime r; a composite r gets records
-    only for t <= 1, where the single exponent takes them.  The descent's
-    v = a + p^e*z*G, m - 1 = r*n + e - 1, G = 1 + p^r + ... + p^{r(n-1)};
-    norm, the record of z*G, is None for n = 0, where v = a."""
+    Every record needs k < m, k the order of p mod r, so k is searched
+    among j < m only.  The periods k*r^i divide m for prime r; a
+    composite r gets records only for t <= 1, where the single exponent
+    takes them.  The descent's v = a + p^e*z*G, m - 1 = r*n + e - 1,
+    G = 1 + p^r + ... + p^{r(n-1)}; norm, the record of z*G, is None for
+    n = 0, where v = a."""
     p, m, order = fld.p, fld.m, fld.order_minus_one
     t = exact_power(r, order)
     s = order // r ** t
     alpha = pow(r, -1, s) if gcd(s, r) == 1 else None
     k = test = cof = head = norm = descent = None
-    if m > 1 and gcd(p, r) == 1 and (t < 2 or is_prime(r)):
-        k = mult_order(p, r)
-    if k and k < m and t:  # N/d = ((p^l - 1)/d) * (1 + p^l + ... + p^{m-l})
+    if t < 2 or is_prime(r):
+        k = next((j for j in range(1, m) if pow(p, j, r) == 1), None)
+    if k and t:  # N/d = ((p^l - 1)/d) * (1 + p^l + ... + p^{m-l})
         l_t = lifted_order(p, r, k, t)
         test = PeriodicExponent(0, (p ** k - 1) // r, k, m // k, order // r)
         cof = PeriodicExponent(0, (p ** l_t - 1) // r ** t, l_t, m // l_t, s)
@@ -128,8 +129,9 @@ def _plan(fld: Field, r: int) -> AmmContext:
         head = decompose(p, m, r, k, t)
     if k == 1 and t > 1 and m % r:  # r^2 | p - 1 and gcd(m, r) = 1
         n, x = (m - 1) // r, -pow(m, -1, r) % r
-        e, z = m - r * n, x * (p ** r - 1) // (r * (p - 1))
+        e = m - r * n
         if n:
+            z = x * (p ** r - 1) // (r * (p - 1))
             norm = PeriodicExponent(0, z, r, n, z * geometric_sum(p, r, n))
         a = (1 + x * (p ** e - 1) // (p - 1)) // r
         descent = (mk_field(p, 1), a, e, norm)

@@ -132,6 +132,20 @@ def test_root_prime_r_beyond_trial_division(capsys):
     assert fld.pow(root, r) == fld.elem([1, 2])
 
 
+def test_root_126_bit_prime_r_factors_nothing(capsys):
+    # r = 2PQ + 1, P the first prime above 2^62 and Q the least prime above
+    # P with r prime: the plan looks for the order of 3 mod r below m = 5
+    # only, where factoring r - 1 = 2PQ never finished
+    r = 2 * 4611686018427388039 * 4611686018427392159 + 1
+    start = time.monotonic()
+    code, out, _ = run(capsys, "root", "--p", "3", "--m", "5", "--r", str(r),
+                       "--delta", "1,2")
+    assert time.monotonic() - start < 5
+    assert (code, out) == (0, "status=root_found root=2,2,0,1,1 "
+                           "path=naive_fallback mults=18 squarings=130 "
+                           "frobenius=0\n")
+
+
 def test_root_r_with_two_large_prime_factors(capsys):
     # r = (2^31 - 1)(2^31 + 11): trial division needs about 2^31 steps to
     # reach the smaller factor; Pollard's rho splits it in about 2^16

@@ -11,9 +11,8 @@ from rootfield import (ConditionsUnmet, NotCoprime, NotCoprimeCase,
                        decompose_coprime, decompose_ramified, mk_field,
                        mult_order)
 from rootfield.cli import dispatch
-from rootfield.periodic import (_carmichael, decompose, exact_power,
-                                factorize, geometric_sum, lifted_order,
-                                prime_power_split)
+from rootfield.periodic import (decompose, exact_power, factorize,
+                                geometric_sum, lifted_order, prime_power_split)
 from rootfield.roots import _plan
 
 
@@ -45,10 +44,31 @@ def test_mult_order_limit():
     assert _plan(mk_field(2, 6), 7).test.period == 3
 
 
-def test_carmichael_values():
-    # the exponent of (Z/r)^*: lcm over prime powers, halved for 2^e, e >= 3
-    assert [_carmichael(r) for r in (2, 4, 8, 16, 15, 21, 24, 31, 49)] == [
-        1, 2, 2, 4, 4, 6, 2, 30, 42]
+# (base, r, order): 2^e with e >= 3, where the unit group is not cyclic;
+# odd prime powers, where the order mod q lifts by factors of q, from
+# multiplicity 2 for 8 = 9 - 1; the Mersenne prime 2^31 - 1 and the safe
+# prime 2 * 1125899906843669 + 1, whose orders are the CLI's decompose
+# goldens; and composites, the lcm of the parts: 3 has order 2^8 mod
+# 2^10, 4 * 5^3 mod 5^4 and 6 * 7^2 mod 7^3
+LARGE_ORDERS = [
+    (3, 2 ** 40, 2 ** 38), (5, 2 ** 64, 2 ** 62), (7, 2 ** 3, 2),
+    (2, 3 ** 30, 2 * 3 ** 29), (10, 7 ** 12, 6 * 7 ** 11),
+    (8, 3 ** 12, 2 * 3 ** 10), (3, 2 ** 31 - 1, 715827882),
+    (3, 2251799813687339, 1125899906843669),
+    (2, 2251799813687339, 2251799813687338),
+    (3, 2 ** 10 * (2 ** 31 - 1), 715827882 * 2 ** 7),
+    (3, 5 ** 4 * 7 ** 3 * (2 ** 31 - 1), 715827882 * 2 * 5 ** 3 * 7),
+]
+
+
+@pytest.mark.parametrize("base,r,order", LARGE_ORDERS)
+def test_mult_order_large(base, r, order):
+    # base^k = 1 and no proper divisor k/f of k does: k is the order
+    k = mult_order(base, r)
+    assert k == order
+    assert pow(base, k, r) == 1
+    for f, _ in factorize(k):
+        assert pow(base, k // f, r) != 1, (base, r, f)
 
 
 def test_mult_order_matches_iteration():

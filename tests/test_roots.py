@@ -1,6 +1,7 @@
 import random
 import time
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,9 @@ from rootfield import (DegreeMismatch, Field, NoNonResidueFound,
                        single_exponent_root)
 from rootfield import roots
 from rootfield.cli import dispatch
-from rootfield.periodic import exact_power, lifted_order, mult_order
+from rootfield.periodic import (PeriodicExponent, decompose, exact_power,
+                                factorize, geometric_sum, lifted_order,
+                                mult_order)
 
 QR_13 = {(1,), (3,), (4,), (9,), (10,), (12,)}
 
@@ -436,6 +439,120 @@ def test_split_fields_up_to_3000():
              for r in range(2, p ** m) if is_prime(r) and r != p
              and split_applies(p, m, r)]
     assert found == [(3, 6, 2), (5, 3, 2), (13, 3, 2)]
+
+
+# -- the plan: k, the order of p mod r, searched only below m -------------------
+
+def reference_plan(fld, r):
+    """_plan as built from the exact order mult_order(p, r), which factors
+    r and each q - 1, q | r, and reads k only where k < m."""
+    p, m, order = fld.p, fld.m, fld.order_minus_one
+    t = exact_power(r, order)
+    s = order // r ** t
+    alpha = pow(r, -1, s) if gcd(s, r) == 1 else None
+    k = test = cof = head = norm = descent = None
+    if m > 1 and gcd(p, r) == 1 and (t < 2 or is_prime(r)):
+        k = mult_order(p, r)
+    if k and k < m and t:
+        l_t = lifted_order(p, r, k, t)
+        test = PeriodicExponent(0, (p ** k - 1) // r, k, m // k, order // r)
+        cof = PeriodicExponent(0, (p ** l_t - 1) // r ** t, l_t, m // l_t, s)
+    if k and alpha and lifted_order(p, r, k, t + 1) < m:
+        head = decompose(p, m, r, k, t)
+    if k == 1 and t > 1 and m % r:
+        n, x = (m - 1) // r, -pow(m, -1, r) % r
+        e, z = m - r * n, x * (p ** r - 1) // (r * (p - 1))
+        if n:
+            norm = PeriodicExponent(0, z, r, n, z * geometric_sum(p, r, n))
+        a = (1 + x * (p ** e - 1) // (p - 1)) // r
+        descent = (mk_field(p, 1), a, e, norm)
+    return roots.AmmContext(t, s, alpha, test=test, cof=cof, head=head,
+                            descent=descent)
+
+
+def plan_grid():
+    """Seeded (p, m, r): 40 fields with p < 100 and p^m < 10^12, and the
+    descent fields below, each with n >= 1; per field r = 2 .. 12, three
+    draws below 2000, and the prime powers of N up to 10^6 with their
+    pairwise products, so composite r with t = 1 and t >= 2 both occur."""
+    rng = random.Random(21)
+    fields = [(p, m) for p in range(2, 100) if is_prime(p)
+              for m in range(1, 13) if p ** m < 10 ** 12]
+    fields = rng.sample(fields, 40) + [(5, 5), (13, 5), (17, 7), (19, 5),
+                                       (37, 4), (73, 5), (101, 3)]
+    grid = []
+    for p, m in fields:
+        parts = [q ** e for q, e in factorize(p ** m - 1) if q ** e < 10 ** 6]
+        rs = set(range(2, 13)) | {rng.randrange(13, 2000) for _ in range(3)}
+        rs |= set(parts) | {a * b for a in parts for b in parts if a < b}
+        grid += [(p, m, r) for r in sorted(rs)]
+    return grid
+
+
+def test_plan_matches_the_exact_order_reference(monkeypatch):
+    # the search below m gives every record mult_order's k gave: on the
+    # seeded grid and on every cli_oneshot request of the benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1]))
+    from perfbench.workloads import CLI_FAILING, CLI_REQUESTS
+    start = time.monotonic()
+    grid = plan_grid()
+    cli = [req[:3] for req in CLI_REQUESTS + [CLI_FAILING]]
+    assert len(grid) >= 300 and len(cli) == 41
+    kinds = set()
+    for p, m, r in grid + cli:
+        fld = mk_field(p, m)
+        plan = roots._plan.__wrapped__(fld, r)
+        assert plan == reference_plan(fld, r), (p, m, r)
+        if plan.descent:
+            kinds.add(("descent", plan.descent[3] is not None))
+        elif plan.t > 1 and plan.test:
+            kinds.add(("t >= 2", plan.head is not None))
+        elif plan.head and not is_prime(r):
+            kinds.add(("composite", plan.t))
+    # the descent with n = 0 and n >= 1, t >= 2 split AMM with and without
+    # the head split, and composite r split in both single-exponent cases
+    assert kinds == {("descent", False), ("descent", True),
+                     ("t >= 2", False), ("t >= 2", True),
+                     ("composite", 0), ("composite", 1)}
+    assert time.monotonic() - start < 5
+
+
+# P is the first prime above 2^62, Q the least prime above P with 2PQ + 1
+# prime: the order of 3 mod 2PQ + 1 is found by factoring 2PQ, which
+# Pollard's rho does not finish
+P, Q = 4611686018427388039, 4611686018427392159
+
+
+def test_plan_factors_nothing_for_a_126_bit_prime_r():
+    r = 2 * P * Q + 1
+    assert is_prime(r) and r.bit_length() == 126
+    start = time.monotonic()
+    fld = mk_field(3, 5)
+    out = rth_root(fld, (1, 2), r)
+    assert time.monotonic() - start < 5
+    assert (out.status, out.path_tag) == ("root_found", "naive_fallback")
+    assert fld.pow(out.root, r) == fld.elem((1, 2))
+
+
+def test_descent_plan_with_no_norm_record_is_fast():
+    # m = 3 <= r, so n = 0 and v = a: the norm record's
+    # z = x(p^r - 1)/(r(p - 1)), 44.7 Mbit here, is never built.  The
+    # first root still builds F_p's unity table, r entries
+    r = 1000003
+    p = 28 * r * r + 1
+    fld = mk_field(p, 3)
+    start = time.monotonic()
+    plan = roots._plan.__wrapped__(fld, r)
+    assert time.monotonic() - start < 0.1
+    assert plan.t == 2 and plan.descent[3] is None
+    delta = fld.pow(fld.random_elem(random.Random(3)), r)
+    roots._cached_amm_context.cache_clear()
+    start = time.monotonic()
+    out = rth_root(fld, delta, r)
+    assert time.monotonic() - start < 5
+    assert (out.status, out.path_tag) == ("root_found", "amm")
+    assert fld.pow(out.root, r) == delta
+    roots._cached_amm_context.cache_clear()
 
 
 # -- coprime case -----------------------------------------------------------------
