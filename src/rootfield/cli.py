@@ -16,7 +16,6 @@ import argparse
 import os
 import sys
 
-from .bench import load_sweep, parse_sweep, run_sweep, write_csv
 from .field import (OpCounter, _check_shape, format_elem, format_field,
                     mk_field, parse_elem)
 from .oracle import brute_root
@@ -79,12 +78,13 @@ def _cmd_residue(args) -> int:
 def _cmd_decompose(args) -> int:
     p, m, r = args.p, args.m, args.r
     _check_shape(p, m)
-    k = mult_order(p, r)
+    # k < m as in roots._plan; mult_order factors only to name a period >= m
+    k = r > 1 and next((j for j in range(1, m) if pow(p, j, r) == 1),
+                       None) or mult_order(p, r)
     alpha = exact_power(r, p ** m - 1)
     if alpha > 1:
-        print("error: no single-exponent decomposition when r^2 divides "
-              "the group order", file=sys.stderr)
-        return 1
+        raise ValueError("no single-exponent decomposition when r^2 divides "
+                         "the group order")
     pe = decompose(p, m, r, k, alpha)
     modulus = (p ** m - 1) // r ** alpha
     u = -pow(modulus, -1, r) % r
@@ -107,6 +107,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # imported here, so that the harness, hashlib and logging load for bench
+    from .bench import load_sweep, parse_sweep, run_sweep, write_csv
     read = load_sweep if os.path.exists(args.sweep) else parse_sweep
     rows = run_sweep(read(args.sweep), seed=args.seed)
     if args.out == "-":

@@ -49,6 +49,10 @@ class ConditionsUnmet(ValueError):
     """The base-q decomposition hypotheses fail for these arguments."""
 
 
+class FactorizationTooHard(ValueError):
+    """Pollard's rho spent its step budget without splitting a number."""
+
+
 CASE_TAGS = ("coprime", "ramified", "higher_power")
 
 
@@ -133,6 +137,7 @@ def geometric_sum(p: int, period: int, n: int) -> int:
 
 
 _TRIAL_LIMIT = 1 << 10
+_RHO_STEPS = 1 << 20
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -142,7 +147,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     is prime, tested at the start and after each prime stripped; a
     composite cofactor left after that has only prime factors of at least
     _TRIAL_LIMIT and is split by Pollard's rho (_rho_split), about n^(1/4)
-    steps per split instead of up to sqrt(n) divisions."""
+    steps per split; a split past _RHO_STEPS raises FactorizationTooHard."""
     out = []
     d = 2
     done = is_prime(n)
@@ -175,12 +180,16 @@ def _rho_split(n: int) -> int:
     Brent's variant of Pollard's rho (Brent 1980): the walk y -> y^2 + c
     mod n from y = 2, with c = 1, 2, ... until a walk splits n, and the
     differences multiplied together in runs of 128 between gcds.  Every
-    constant is fixed, so the factor found is the same on every run."""
-    c = 0
+    constant is fixed, so the factor found is the same on every run.  All
+    walks share _RHO_STEPS steps, each run counted before it starts."""
+    c = steps = 0
     while True:
         c += 1
         y, run, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * run
+            if steps > _RHO_STEPS:
+                raise FactorizationTooHard(f"rho found no factor of {n}")
             x = y
             for _ in range(run):
                 y = (y * y + c) % n

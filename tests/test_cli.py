@@ -1,11 +1,13 @@
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from rootfield import mk_field, parse_elem
-from rootfield import cli
+import rootfield
+from rootfield import cli, mk_field, parse_elem
 from rootfield.cli import COMMANDS, dispatch
 
 GOLDEN_ROOT = ("status=root_found root=11 path=amm "
@@ -175,6 +177,18 @@ def test_decompose_safe_prime_r_fails_fast(capsys):
                    "period=1125899906843669\n")
 
 
+def test_decompose_r_whose_order_needs_a_hard_factoring_fails_fast(capsys):
+    # r = 2PQ + 1 as above: the order of 3 mod r is not below m = 5, and
+    # mult_order, naming the period, would factor r - 1 = 2PQ; rho's step
+    # budget ends that with an error
+    start = time.monotonic()
+    code, out, err = run(capsys, "decompose", "--p", "3", "--m", "5",
+                         "--r", "42535295865117348423525067721437972403")
+    assert time.monotonic() - start < 5
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "rho" in err
+
+
 @pytest.mark.parametrize("argv", [["--p", "1", "--m", "5", "--r", "3"],
                                   ["--p", "3", "--m", "0", "--r", "2"]])
 def test_decompose_empty_group_fails_fast(argv):
@@ -325,3 +339,36 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "p=2 m=3 modulus=1,1,0,1\n"
+
+
+# -- cold start --------------------------------------------------------------------
+
+def fresh(*args):
+    """python *args in a new process that imports this tree's rootfield."""
+    src = str(Path(rootfield.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                           text=True, timeout=60, env=env)
+
+
+def test_cold_import_leaves_the_sweep_harness_unloaded():
+    # only `rootfield bench` needs the harness, and csv, hashlib and logging
+    # with it; a one-shot root request should not pay their import
+    proc = fresh("-c", "import sys; before = set(sys.modules); "
+                 "import rootfield.cli; print(sorted({'csv', 'hashlib', "
+                 "'logging', 'rootfield.bench'} & (set(sys.modules) - before)))")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+def test_bench_in_a_fresh_process_matches_dispatch(capsys):
+    # a cold process reaches the harness through _cmd_bench's own import;
+    # rows are compared without their wall_ns cell, the one that varies
+    proc = fresh("-m", "rootfield", "bench", "--sweep", "q=7 m=5 r=2")
+    code, out, err = run(capsys, "bench", "--sweep", "q=7 m=5 r=2")
+
+    def timeless(text):
+        return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+    assert len(timeless(out)) == 3
+    assert (proc.returncode, timeless(proc.stdout), proc.stderr) == (
+        code, timeless(out), err)

@@ -11,8 +11,10 @@ from rootfield import (ConditionsUnmet, NotCoprime, NotCoprimeCase,
                        decompose_coprime, decompose_ramified, mk_field,
                        mult_order)
 from rootfield.cli import dispatch
-from rootfield.periodic import (decompose, exact_power, factorize,
-                                geometric_sum, lifted_order, prime_power_split)
+from rootfield import periodic
+from rootfield.periodic import (FactorizationTooHard, decompose, exact_power,
+                                factorize, geometric_sum, lifted_order,
+                                prime_power_split)
 from rootfield.roots import _plan
 
 
@@ -142,6 +144,27 @@ def test_factorize_two_large_primes():
     assert factorize(2 ** 3 * q2 ** 2 * q1) == [(2, 3), (q1, 1), (q2, 2)]
     assert factorize((2 ** 61 - 1) * q1 ** 2) == [(q1, 2), (2 ** 61 - 1, 1)]
     assert time.monotonic() - start < 2
+
+
+def test_rho_step_budget_bounds_a_split(monkeypatch):
+    # the split of (2^31 - 1)(2^31 + 11) takes 65,534 counted steps: it
+    # fits the default budget and fails under a budget of 2^15
+    n = (2 ** 31 - 1) * (2 ** 31 + 11)
+    assert periodic._RHO_STEPS >= 1 << 17
+    assert factorize(n) == [(2 ** 31 - 1, 1), (2 ** 31 + 11, 1)]
+    monkeypatch.setattr(periodic, "_RHO_STEPS", 1 << 15)
+    with pytest.raises(FactorizationTooHard, match=str(n)):
+        factorize(3 * n)
+
+
+def test_factorize_gives_up_on_two_62_bit_primes():
+    # rho needs about 2^31 steps to split P*Q, P and Q the first two
+    # primes above 2^62; the budget ends it with a typed error
+    p, q = 4611686018427388039, 4611686018427388073
+    start = time.monotonic()
+    with pytest.raises(FactorizationTooHard):
+        factorize(p * q)
+    assert time.monotonic() - start < 5
 
 
 def test_exact_power():

@@ -15,9 +15,9 @@ from rootfield import (DegreeMismatch, Field, NoNonResidueFound,
                        single_exponent_root)
 from rootfield import roots
 from rootfield.cli import dispatch
-from rootfield.periodic import (PeriodicExponent, decompose, exact_power,
-                                factorize, geometric_sum, lifted_order,
-                                mult_order)
+from rootfield.periodic import (FactorizationTooHard, PeriodicExponent,
+                                decompose, exact_power, factorize,
+                                geometric_sum, lifted_order, mult_order)
 
 QR_13 = {(1,), (3,), (4,), (9,), (10,), (12,)}
 
@@ -532,6 +532,16 @@ def test_plan_factors_nothing_for_a_126_bit_prime_r():
     assert time.monotonic() - start < 5
     assert (out.status, out.path_tag) == ("root_found", "naive_fallback")
     assert fld.pow(out.root, r) == fld.elem((1, 2))
+
+
+def test_r_that_rho_cannot_split_fails_fast():
+    # r = P*Q, the first two primes above 2^62: rth_root factors r before
+    # any stage, and rho's step budget ends that with a typed error
+    r = 4611686018427388039 * 4611686018427388073
+    start = time.monotonic()
+    with pytest.raises(FactorizationTooHard):
+        rth_root(mk_field(3, 5), (1, 2), r)
+    assert time.monotonic() - start < 5
 
 
 def test_descent_plan_with_no_norm_record_is_fast():
