@@ -1,75 +1,72 @@
 #!/usr/bin/env python3
-"""Per-layer wall times of rootfield, with the operation counts alongside.
+"""Per-layer wall times of two rootfield source trees, alternated in one
+process, with each side's operation counts alongside.
 
-For each field of the grid this times field construction (mk_field),
-the element layer (mul, sqr, frobenius(a, 1), frobenius(a, m-1), inv,
-pow; mul, sqr, frobenius and pow also on packed elements, the rows
-named *_packed), the exponent layer (phi_map) and extraction (rth_root
-once per path), and records each as the median over --repeats repeats
-of the time per call.  Each repeat runs a batch of calls sized to take
-about 10 ms.  Three rows split frobenius(a, m-1): *_cold is the first
-call on a fresh field, through the walk and the power-of-two matrices it
-builds, j = 1's included (mk_field builds no Frobenius matrix, so
-mk_field_ms holds none); frobenius_build is one build of the matrix for
-j = m-1; and the frobenius_m-1 rows then time the warm path, that
-matrix.
-Every extraction is checked: a constructed residue must come back as a
-verified root.  A second grid, of fields with long modulus searches
-(each took seconds to minutes under Rabin's test, the one used before
-Ben-Or's) and of degree-5 fields on both sides of the cutoff on p of the
-search's linear-factor sieve, gets mk_field rows alone, each with the
-number of irreducibility tests one build runs.  Every row of these two
-grids records the field's packed digit width in bytes (digit_bytes) and
-whether its reduction folds unreduced (lazy).  A third grid, the
-benchmark's r^2 | N fields, gets one row per field with the time and
-counters of auto and forced `amm` on a constructed residue and on a
-non-residue, the time of build_amm_context (uncounted, uncached;
-amm_context_us) and that of the plan it starts from, _plan uncached
-(plan_us): t, s, alpha and the split records test, cof and head, and the
-descent flag, true where the plan holds the norm descent to F_p that
-auto takes in place of AMM in F_{p^m} (r^2 | p - 1, gcd(m, r) = 1).
+    git archive <rev> | tar -x -C <parent dir>
+    python scripts/bench_layers.py <parent dir> . --out BENCH.json
 
-Each timed call, or batch of calls, runs under a deadline of TIMEOUT_S
-seconds (SIGALRM); a row that overruns it records "timeout" in place of
-a time.
+Each tree's src/rootfield is imported under its own package name
+(rf_parent, rf_change), and every row builds its fields and elements from
+each side's own package.  A row takes --repeats samples of each side,
+the side that goes first swapping each repeat, so the two samples of a
+change/parent ratio run milliseconds apart.  A sample is the mean time
+per call over a batch sized to take about 10 ms.  Each row holds, per
+side, the median time per call ("us"; "ms" for mk_field_ms, "pass_ms"
+for the rth_root rows) with the side's counters and other facts, and
+"ratio": [q1, median, q3] of the ratios; "differ": true marks facts that
+differ between the sides.  The same tree twice (an A/A run) measures the
+noise floor.
 
-The results go under --label in the JSON file --out, so runs of two
-source trees can share one file; its "side_by_side" table puts the
-element-layer rows of every run in it next to each other:
+Rows: per field of --field, mk_field_ms (with digit_bytes, the packed
+digit width, and lazy, whether the reduction folds unreduced); mul, sqr,
+frobenius(a, 1), frobenius(a, m-1), inv and pow, on tuples and, in the
+*_packed rows, on packed ints; phi_map; and one checked rth_root per
+path tag, at the first root degree that takes it.  frobenius_m-1_cold
+is the first call on a fresh field, through every matrix it builds;
+frobenius_build one build of j = m-1's matrix; frobenius_m-1 the warm
+path.  Per field of --build (long modulus searches, and degree 5 on both
+sides of the linear-factor sieve's cutoff on p), mk_field_ms alone with
+the irreducibility tests one build runs.  Per (p, m, r) of --amm (the
+benchmark's r^2 | N fields), uncached build_amm_context and _plan times,
+descent (true where auto descends to F_p through the norm), and auto
+against forced amm on a residue and a non-residue, each root checked.
+Last, per (p, m, r) of KINDS, one kind per path auto takes, one pass of
+rth_root over 15 constructed residues and 15 random elements; before
+any row is timed, both sides must give the same status, root, path tag
+and counters on each of them, or the run stops and names the kind.
 
-    PYTHONPATH=<parent>/src python scripts/bench_layers.py --label parent --out BENCH.json
-    PYTHONPATH=src python scripts/bench_layers.py --label change --out BENCH.json
-
-Times are raw wall-clock seconds of one Python thread on whatever
-machine runs the script; compare labels measured back to back on the
-same machine, not against figures taken elsewhere.
+A timed call or batch past TIMEOUT_S seconds records "timeout".  Times
+are wall-clock seconds of one Python thread: compare the two sides of
+one run, not figures taken elsewhere.
 """
 
 import argparse
+import gc
+import importlib
 import json
-import os
 import platform
 import random
+import shutil
 import signal
 import statistics
 import sys
+import tempfile
 import time
-
-from rootfield import (OpCounter, build_amm_context, field, find_nonresidue,
-                       mk_field, rth_root)
-from rootfield.frobpow import phi_map
-from rootfield.periodic import PeriodTooLong
-from rootfield.roots import _plan
+from contextlib import nullcontext
+from functools import partial
+from pathlib import Path
 
 GRID = ((3, 61), (2, 127), (3, 97), (5, 61), (13, 31), (29, 23))
 BUILD_GRID = ((3, 101), (11, 41), (7, 41), (37, 19), (3, 163), (5, 101),
               (1000003, 17), (2, 521), (127, 5), (257, 5), (1021, 5))
 AMM_GRID = ((5, 61, 2), (13, 31, 2), (17, 21, 2), (29, 23, 2), (19, 21, 3))
 ROOT_DEGREES = (2, 3, 5, 7, 11, 13)
-SIDE_BY_SIDE = ("mul", "mul_packed", "sqr", "sqr_packed", "frobenius_1",
-                "frobenius_1_packed", "frobenius_m-1_cold", "frobenius_build",
-                "frobenius_m-1", "frobenius_m-1_packed", "inv", "pow_N-1",
-                "pow_N-1_packed")
+# the Baseline kinds of ROADMAP.md: every path auto takes, one kind each
+KINDS = [(2, 127, 3), (3, 97, 5), (3, 61, 2), (5, 61, 2), (17, 21, 2),
+         (19, 21, 3), (29, 21, 7), (3, 61, 30)]
+RESIDUES = 15
+SIDES = ("parent", "change")
+COUNTERS = ("mults", "squarings", "frobenius", "inversions")
 BATCH_S = 0.01
 TIMEOUT_S = 30
 
@@ -93,73 +90,88 @@ def within(fn):
         signal.signal(signal.SIGALRM, previous)
 
 
-def median_us(fn, repeats: int):
-    """Median over repeats of the mean time of one fn() call, in us, or
-    "timeout" when a call or a batch ran past TIMEOUT_S seconds."""
+def load(tree: str, name: str, tmp: Path):
+    """The rootfield package of tree, imported as name."""
+    src = Path(tree) / "src" / "rootfield"
+    if not (src / "__init__.py").is_file():
+        raise SystemExit(f"{tree} holds no src/rootfield package")
+    shutil.copytree(src, tmp / name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
 
-    def run(batch):
+
+def batched(fn):
+    """A sampler of fn: the mean seconds per fn() call over a batch,
+    sized on the first sample to take about BATCH_S."""
+    batch = 0
+
+    def run(size):
         t0 = time.perf_counter()
-        for _ in range(batch):
+        for _ in range(size):
             fn()
-        return (time.perf_counter() - t0) / batch
+        return (time.perf_counter() - t0) / size
 
-    try:
-        once = within(lambda: run(1))
-        batch = max(1, min(1000, int(BATCH_S / max(once, 1e-9))))
-        samples = [within(lambda: run(batch))
-                   for _ in range(repeats)]
-    except Timeout:
-        return "timeout"
-    return round(statistics.median(samples) * 1e6, 2)
+    def sample():
+        nonlocal batch
+        batch = batch or max(1, min(1000, int(BATCH_S / max(run(1), 1e-9))))
+        return run(batch)
+    return sample
 
 
-def first_call_us(fresh, fn, repeats: int):
-    """Median over repeats of one fn(fresh()) call, in us, or "timeout";
-    fresh() runs untimed, so every sample is a first call on a new
-    object."""
+def first_call(fresh, fn):
+    """A sampler of one fn(fresh()) call; fresh() runs untimed, so every
+    sample is a first call on a new object."""
 
-    def run():
+    def sample():
         obj = fresh()
         t0 = time.perf_counter()
         fn(obj)
         return time.perf_counter() - t0
+    return sample
 
+
+def row(samplers, facts, repeats: int, key: str = "us") -> dict:
+    """Each side's median sample under key (microseconds, or milliseconds
+    for a key ending in ms) with its facts, and the change/parent ratios'
+    quartiles, or "timeout" for both where a sample overran TIMEOUT_S;
+    "differ" where the facts differ."""
+    times = ([], [])
+    gc.disable()  # as timeit does: no collection inside a sample
     try:
-        samples = [within(run) for _ in range(repeats)]
+        for i in range(repeats):
+            gc.collect()
+            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                times[side].append(within(samplers[side]))
+        ratios = [change / parent for parent, change in zip(*times)]
+        scale = 1e3 if key.endswith("ms") else 1e6
+        medians = [round(statistics.median(t) * scale, 3) for t in times]
+        ratio = [round(q, 3) for q in (statistics.quantiles(ratios, n=4)
+                                       if repeats > 1 else ratios * 3)]
     except Timeout:
-        return "timeout"
-    return round(statistics.median(samples) * 1e6, 2)
-
-
-def to_ms(us):
-    return us if us == "timeout" else round(us / 1e3, 3)
-
-
-def counted(fn) -> dict:
-    c = OpCounter()
-    fn(c)
-    return {"mults": c.mults, "squarings": c.squarings,
-            "frobenius": c.frobenius, "inversions": c.inversions}
-
-
-def bench_build(p: int, m: int, repeats: int) -> dict:
-    """mk_field's time, and the irreducibility tests that one build runs
-    (counted on an untimed build, through the module global the modulus
-    search calls)."""
-    tests = []
-    test = field.is_irreducible
-    field.is_irreducible = (lambda f, q, **kw: tests.append(f) or
-                            test(f, q, **kw))
-    try:
-        fld = within(lambda: mk_field(p, m))
-    except Timeout:
-        return {"p": p, "m": m, "mk_field_ms": "timeout",
-                "irreducible_tests": "timeout"}
+        medians, ratio = ("timeout", "timeout"), "timeout"
     finally:
-        field.is_irreducible = test
-    return {"p": p, "m": m, **layout(fld),
-            "mk_field_ms": to_ms(median_us(lambda: mk_field(p, m), repeats)),
-            "irreducible_tests": len(tests)}
+        gc.enable()
+    out = {side: {key: median, **fact}
+           for side, median, fact in zip(SIDES, medians, facts)}
+    out["ratio"] = ratio
+    if facts[0] != facts[1]:
+        out["differ"] = True
+    return out
+
+
+def counts(c) -> dict:
+    return {name: getattr(c, name) for name in COUNTERS}
+
+
+def counted(pkg, fn) -> dict:
+    c = pkg.OpCounter()
+    fn(c)
+    return counts(c)
+
+
+def facts(out) -> dict:
+    """The path tag and counters of a RootOutcome."""
+    return {"path": out.path_tag, **counts(out.counters)}
 
 
 def layout(fld) -> dict:
@@ -167,118 +179,159 @@ def layout(fld) -> dict:
     return {"digit_bytes": fld._digit_bytes, "lazy": fld._ring._lazy}
 
 
-def bench_field(p: int, m: int, repeats: int) -> dict:
-    mk_us = median_us(lambda: mk_field(p, m), repeats)
-    if mk_us == "timeout":
-        return {"p": p, "m": m, "mk_field_ms": mk_us}
-    fld = mk_field(p, m)
+def field_side(pkg, p: int, m: int) -> dict:
+    """One side's field, its seeded generator, its element-layer calls,
+    and the cold frobenius(a, m-1) call with the fresh field it takes."""
+    fld = pkg.mk_field(p, m)
     rng = random.Random(p * 1000 + m)
     a, b = fld.random_elem(rng), fld.random_elem(rng)
-    x, y = fld._pack(a), fld._pack(b)
-    exponent = fld.order_minus_one - 1
+    ops = {"frobenius_build": lambda c=None: fld._frob_build(m - 1),
+           "inv": partial(fld.inv, a),
+           "phi_map_norm": partial(pkg.frobpow.phi_map, fld, a, 1, m - 1)}
+    for tail, u, v in (("", a, b), ("_packed", fld._pack(a), fld._pack(b))):
+        ops |= {f"mul{tail}": partial(fld.mul, u, v),
+                f"sqr{tail}": partial(fld.sqr, u),
+                f"frobenius_1{tail}": partial(fld.frobenius, u, 1),
+                f"frobenius_m-1{tail}": partial(fld.frobenius, u, m - 1),
+                f"pow_N-1{tail}": partial(fld.pow, u, fld.order_minus_one - 1)}
+    return {"fld": fld, "rng": rng, "ops": ops,
+            "fresh": partial(pkg.mk_field, p, m, fld.modulus),
+            "cold": lambda f, c=None: f.frobenius(a, m - 1, c)}
 
-    def fresh():
-        return mk_field(p, m, fld.modulus)
 
-    ops = {
-        "mul": lambda c=None: fld.mul(a, b, c),
-        "mul_packed": lambda c=None: fld.mul(x, y, c),
-        "sqr": lambda c=None: fld.sqr(a, c),
-        "sqr_packed": lambda c=None: fld.sqr(x, c),
-        "frobenius_1": lambda c=None: fld.frobenius(a, 1, c),
-        "frobenius_1_packed": lambda c=None: fld.frobenius(x, 1, c),
-        "frobenius_build": lambda c=None: fld._frob_build(m - 1),
-        "frobenius_m-1": lambda c=None: fld.frobenius(a, m - 1, c),
-        "frobenius_m-1_packed": lambda c=None: fld.frobenius(x, m - 1, c),
-        "inv": lambda c=None: fld.inv(a, c),
-        "pow_N-1": lambda c=None: fld.pow(a, exponent, c),
-        "pow_N-1_packed": lambda c=None: fld.pow(x, exponent, c),
-        "phi_map_norm": lambda c=None: phi_map(fld, a, 1, m - 1, c),
-    }
-    cold = {"us": first_call_us(fresh, lambda f: f.frobenius(a, m - 1),
-                                repeats),
-            **counted(lambda c: fresh().frobenius(a, m - 1, c))}
-    out = {"p": p, "m": m, **layout(fld), "mk_field_ms": to_ms(mk_us),
-           "ops": {"frobenius_m-1_cold": cold}}
-    for name, fn in ops.items():
-        out["ops"][name] = {"us": median_us(fn, repeats),
-                            **counted(fn)}
-    out["roots"] = bench_roots(fld, rng, repeats)
+def bench_field(pkgs, p: int, m: int, repeats: int) -> dict:
+    try:
+        sides = [within(partial(field_side, pkg, p, m)) for pkg in pkgs]
+    except Timeout:
+        return {"p": p, "m": m, "mk_field_ms": "timeout"}
+    out = {"p": p, "m": m, "mk_field_ms": row(
+        [batched(partial(pkg.mk_field, p, m)) for pkg in pkgs],
+        [layout(side["fld"]) for side in sides], repeats, "ms")}
+    out["ops"] = {"frobenius_m-1_cold": row(
+        [first_call(side["fresh"], side["cold"]) for side in sides],
+        [counted(pkg, lambda c, s=side: s["cold"](s["fresh"](), c))
+         for pkg, side in zip(pkgs, sides)], repeats)}
+    for name in sides[0]["ops"]:
+        fns = [side["ops"][name] for side in sides]
+        out["ops"][name] = row([batched(fn) for fn in fns],
+                               [counted(pkg, fn)
+                                for pkg, fn in zip(pkgs, fns)], repeats)
+    out["roots"] = bench_roots(pkgs, sides, repeats)
     return out
 
 
-def bench_roots(fld, rng, repeats: int) -> list:
-    """One row per path tag: the first root degree that takes it."""
+def bench_roots(pkgs, sides, repeats: int) -> list:
+    """One row per path tag of the parent: the first root degree that
+    takes it, where both sides take the path."""
     rows = {}
+    flds = [side["fld"] for side in sides]
     for r in ROOT_DEGREES:
-        if fld.p % r == 0:  # prime r = p: the Frobenius peel, no stage
+        if flds[0].p % r == 0:  # prime r = p: the Frobenius peel, no stage
             continue
-        paths = ("amm",) if _plan(fld, r).t > 1 else ("periodic", "naive")
-        gamma = fld.random_elem(rng)
-        while not any(gamma):
-            gamma = fld.random_elem(rng)
-        delta = fld.pow(gamma, r)
+        paths = (("amm",) if pkgs[0].roots._plan(flds[0], r).t > 1
+                 else ("periodic", "naive"))
+        deltas = []
+        for fld, side in zip(flds, sides):
+            gamma = fld.random_elem(side["rng"])
+            while not any(gamma):
+                gamma = fld.random_elem(side["rng"])
+            deltas.append(fld.pow(gamma, r))
         for path in paths:
+            runs = [partial(pkg.rth_root, fld, delta, r, path=path)
+                    for pkg, fld, delta in zip(pkgs, flds, deltas)]
             try:
-                out = rth_root(fld, delta, r, path=path)
-            except PeriodTooLong:
+                tag = runs[0]().path_tag
+                runs[1]()
+            except (pkgs[0].PeriodTooLong, pkgs[1].PeriodTooLong):
                 continue
-            if out.path_tag in rows:
-                continue
-            if out.status != "root_found" or fld.pow(out.root, r) != delta:
-                raise RuntimeError(f"unverified root for r={r}, path={path}")
-            c = out.counters
-            rows[out.path_tag] = {
-                "r": r, "path": out.path_tag,
-                "us": median_us(lambda: rth_root(fld, delta, r, path=path),
-                                repeats),
-                "mults": c.mults, "squarings": c.squarings,
-                "frobenius": c.frobenius}
+            if tag not in rows:
+                rows[tag] = {"r": r, "path": tag, **root_row(
+                    runs, flds, deltas, r, "root_found", repeats)}
     return sorted(rows.values(), key=lambda row: row["path"])
 
 
-def bench_amm(p: int, m: int, r: int, repeats: int) -> dict:
+def root_row(runs, flds, deltas, r: int, status: str, repeats: int) -> dict:
+    """The row of each side's rth_root call, once each answer has the
+    status and, where it is a root, the r-th power delta."""
+    outs = [run() for run in runs]
+    for out, fld, delta in zip(outs, flds, deltas):
+        if out.status != status or (out.root is not None
+                                    and fld.pow(out.root, r) != delta):
+            raise RuntimeError(f"{out.path_tag} failed on {delta}, r={r}")
+    return row([batched(run) for run in runs], [facts(out) for out in outs],
+               repeats)
+
+
+def bench_build(pkgs, p: int, m: int, repeats: int) -> dict:
+    """mk_field's time, and the irreducibility tests that one build runs
+    (counted on an untimed build, through the module global the modulus
+    search calls)."""
+    builds = []
+    for pkg in pkgs:
+        tests = []
+        test = pkg.field.is_irreducible
+        pkg.field.is_irreducible = (lambda f, q, **kw: tests.append(f) or
+                                    test(f, q, **kw))
+        try:
+            fld = within(partial(pkg.mk_field, p, m))
+        except Timeout:
+            return {"p": p, "m": m, "mk_field_ms": "timeout"}
+        finally:
+            pkg.field.is_irreducible = test
+        builds.append({"irreducible_tests": len(tests), **layout(fld)})
+    return {"p": p, "m": m, "mk_field_ms": row(
+        [batched(partial(pkg.mk_field, p, m)) for pkg in pkgs], builds,
+        repeats, "ms")}
+
+
+def bench_amm(pkgs, p: int, m: int, r: int, repeats: int) -> dict:
     """Auto against forced amm on one field, for a constructed residue
     and a seeded non-residue; each root is checked."""
-    fld = mk_field(p, m)
-    gamma = fld.random_elem(random.Random(f"{p}^{m}/{r}"))
-    residue = fld.pow(gamma, r)
-    out = {"p": p, "m": m, "r": r,
-           "amm_context_us": median_us(lambda: build_amm_context(fld, r),
-                                       repeats),
-           "plan_us": median_us(lambda: _plan.__wrapped__(fld, r), repeats),
-           # a tree from before the descent has no such field
-           "descent": getattr(_plan(fld, r), "descent", None) is not None}
-    for name, delta, status in (
-            ("residue", residue, "root_found"),
-            ("non_residue", find_nonresidue(fld, r, 1), "non_residue")):
+    flds = [pkg.mk_field(p, m) for pkg in pkgs]
+    sides = list(zip(pkgs, flds))
+    out = {"p": p, "m": m, "r": r, "amm_context_us": row(
+        [batched(partial(pkg.build_amm_context, fld, r))
+         for pkg, fld in sides], [{}, {}], repeats), "plan_us": row(
+        [batched(partial(pkg.roots._plan.__wrapped__, fld, r))
+         for pkg, fld in sides],
+        [{"descent": pkg.roots._plan(fld, r).descent is not None}
+         for pkg, fld in sides], repeats)}
+    residues = [fld.pow(fld.random_elem(random.Random(f"{p}^{m}/{r}")), r)
+                for fld in flds]
+    nonresidues = [pkg.find_nonresidue(fld, r, 1) for pkg, fld in sides]
+    for name, deltas, status in (("residue", residues, "root_found"),
+                                 ("non_residue", nonresidues, "non_residue")):
         for path in ("auto", "amm"):
-            res = rth_root(fld, delta, r, path=path)
-            if res.status != status or (res.root is not None
-                                        and fld.pow(res.root, r) != delta):
-                raise RuntimeError(f"path={path} failed on the {name}, "
-                                   f"r={r}")
-            c = res.counters
-            out[f"{name}_{path}"] = {
-                "path": res.path_tag,
-                "us": median_us(lambda: rth_root(fld, delta, r, path=path),
-                                repeats),
-                "mults": c.mults, "squarings": c.squarings,
-                "frobenius": c.frobenius}
+            out[f"{name}_{path}"] = root_row(
+                [partial(pkg.rth_root, fld, delta, r, path=path)
+                 for (pkg, fld), delta in zip(sides, deltas)],
+                flds, deltas, r, status, repeats)
     return out
 
 
-def side_by_side(runs: dict) -> dict:
-    """Microseconds per call of the SIDE_BY_SIDE rows, by field and row,
-    one entry per run label."""
-    table = {}
-    for label, run in runs.items():
-        for row in run["fields"]:
-            for op, timing in row.get("ops", {}).items():
-                if op in SIDE_BY_SIDE:
-                    table.setdefault(f"{row['p']},{row['m']}", {}).setdefault(
-                        op, {})[label] = timing["us"]
-    return table
+def prepare(pkgs, kind) -> tuple:
+    """Each side's one pass of rth_root over the elements of kind, and
+    its summed counters, once both sides agree on every answer;
+    SystemExit names the kind and the first element where they differ."""
+    p, m, r = kind
+    rng = random.Random(f"{p}^{m} {r}")
+    digits = [[rng.randrange(p) for _ in range(m)]
+              for _ in range(2 * RESIDUES)]
+    passes, answers = [], []
+    for pkg in pkgs:
+        fld = pkg.mk_field(p, m)
+        elems = [fld.pow(fld.elem(d), r) for d in digits[:RESIDUES]]
+        elems += [fld.elem(d) for d in digits[RESIDUES:]]
+        passes.append(lambda run=pkg.rth_root, fld=fld, elems=elems: [
+            run(fld, delta, r) for delta in elems])
+        answers.append([(out.status, out.root, facts(out))
+                        for out in passes[-1]()])
+    for i, (a, b) in enumerate(zip(*answers)):
+        if a != b:
+            raise SystemExit(f"rth_root answers differ on F_{{{p}^{m}}}, "
+                             f"r={r}, element {i}: parent {a} != change {b}")
+    total = {name: sum(a[2][name] for a in answers[0]) for name in COUNTERS}
+    return passes, [total, total]
 
 
 def int_tuple(size: int):
@@ -294,7 +347,9 @@ def int_tuple(size: int):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawTextHelpFormatter)
-    ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("parent", help="source tree holding src/rootfield")
+    ap.add_argument("change", help="source tree holding src/rootfield")
+    ap.add_argument("--repeats", type=int, default=21)
     ap.add_argument("--field", action="append", type=int_tuple(2),
                     help="p,m; repeatable (default: the fixed grid)")
     ap.add_argument("--build", action="append", type=int_tuple(2),
@@ -304,35 +359,40 @@ def main(argv=None) -> int:
                     help="p,m,r for an auto-against-forced amm row; "
                          "repeatable (default: the benchmark's r^2 | N "
                          "fields)")
-    ap.add_argument("--label", default="run",
-                    help="key of this run in the output file")
-    ap.add_argument("--out", default="-",
-                    help="JSON file to merge into, - for stdout")
+    ap.add_argument("--out", default="-", help="JSON file, - for stdout")
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be >= 1")
 
-    run = {"python": platform.python_version(),
-           "repeats": args.repeats,
-           "timeout_s": TIMEOUT_S,
-           "fields": [bench_field(p, m, args.repeats)
-                      for p, m in args.field or GRID],
-           "builds": [bench_build(p, m, args.repeats)
-                      for p, m in args.build or BUILD_GRID],
-           "amm": [bench_amm(p, m, r, args.repeats)
-                   for p, m, r in args.amm or AMM_GRID]}
-    doc = {}
-    if args.out != "-" and os.path.exists(args.out):
-        with open(args.out) as fh:
-            doc = json.load(fh)
-    doc.setdefault("runs", {})[args.label] = run
-    doc["side_by_side"] = side_by_side(doc["runs"])
-    text = json.dumps(doc, indent=1) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    tmp = Path(tempfile.mkdtemp(prefix="bench_layers_"))
+    sys.path.insert(0, str(tmp))
+    names = [f"rf_{side}" for side in SIDES]
+    try:
+        pkgs = [load(tree, name, tmp)
+                for tree, name in zip((args.parent, args.change), names)]
+        kinds = [(kind, prepare(pkgs, kind)) for kind in KINDS]
+        run = {"python": platform.python_version(),
+               "repeats": args.repeats, "timeout_s": TIMEOUT_S,
+               "fields": [bench_field(pkgs, p, m, args.repeats)
+                          for p, m in args.field or GRID],
+               "builds": [bench_build(pkgs, p, m, args.repeats)
+                          for p, m in args.build or BUILD_GRID],
+               "amm": [bench_amm(pkgs, p, m, r, args.repeats)
+                       for p, m, r in args.amm or AMM_GRID],
+               "rth_root": [
+                   {"p": p, "m": m, "r": r,
+                    **row([batched(fn) for fn in passes], totals,
+                          args.repeats, "pass_ms")}
+                   for (p, m, r), (passes, totals) in kinds]}
+    finally:
+        sys.path.remove(str(tmp))
+        for name in list(sys.modules):
+            if name.partition(".")[0] in names:
+                del sys.modules[name]
+        shutil.rmtree(tmp, ignore_errors=True)
+    with open(args.out, "w") if args.out != "-" else nullcontext(
+            sys.stdout) as fh:
+        fh.write(json.dumps(run, indent=1) + "\n")
     return 0
 
 

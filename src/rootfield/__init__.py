@@ -14,9 +14,10 @@ from .field import (DegreeMismatch, Field, NotPrime, OpCounter,
 from .frobpow import apply_periodic, phi_map
 from .oracle import (FieldTooLarge, OracleReport, brute_root,
                      residue_count_formula, root_table)
-from .periodic import (BaseQDecomposition, ConditionsUnmet, NotCoprime,
-                       NotCoprimeCase, NotRamifiedCase, PeriodicExponent,
-                       PeriodTooLong, decompose_base_q, decompose_coprime,
+from .periodic import (BaseQDecomposition, ConditionsUnmet,
+                       FactorizationTooHard, NotCoprime, NotCoprimeCase,
+                       NotRamifiedCase, PeriodicExponent, PeriodTooLong,
+                       decompose_base_q, decompose_coprime,
                        decompose_ramified, mult_order)
 from .roots import (AmmContext, NoNonResidueFound, NoSingleExponent,
                     RNotDividingOrder, RootOutcome, RTooSmall, ZeroElement,
@@ -25,17 +26,17 @@ from .roots import (AmmContext, NoNonResidueFound, NoSingleExponent,
 
 __all__ = [
     "AmmContext", "BaseQDecomposition", "ConditionsUnmet",
-    "DegreeMismatch", "Field", "FieldTooLarge", "NoNonResidueFound",
-    "NoSingleExponent", "NotCoprime", "NotCoprimeCase", "NotPrime",
-    "NotRamifiedCase", "OpCounter", "OracleReport", "PeriodTooLong",
-    "PeriodicExponent", "RNotDividingOrder", "ReducibleModulus",
-    "RootOutcome", "RTooSmall", "ZeroElement", "ZeroInverse", "amm_root",
-    "apply_periodic", "brute_root", "build_amm_context", "decompose_base_q",
-    "decompose_coprime", "decompose_ramified", "find_nonresidue",
-    "format_elem", "format_field", "is_prime", "is_rth_residue", "mk_field",
-    "mult_order", "parse_elem", "parse_field", "phi_map",
-    "residue_count_formula", "root_table", "rth_root",
-    "single_exponent_root",
+    "DegreeMismatch", "FactorizationTooHard", "Field", "FieldTooLarge",
+    "NoNonResidueFound", "NoSingleExponent", "NotCoprime", "NotCoprimeCase",
+    "NotPrime", "NotRamifiedCase", "OpCounter", "OracleReport",
+    "PeriodTooLong", "PeriodicExponent", "RNotDividingOrder",
+    "ReducibleModulus", "RootOutcome", "RTooSmall", "ZeroElement",
+    "ZeroInverse", "amm_root", "apply_periodic", "brute_root",
+    "build_amm_context", "decompose_base_q", "decompose_coprime",
+    "decompose_ramified", "find_nonresidue", "format_elem", "format_field",
+    "is_prime", "is_rth_residue", "mk_field", "mult_order", "parse_elem",
+    "parse_field", "phi_map", "residue_count_formula", "root_table",
+    "rth_root", "single_exponent_root",
 ]
 
 __version__ = "0.1.0"

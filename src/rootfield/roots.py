@@ -164,16 +164,18 @@ def is_rth_residue(fld: Field, delta, r: int,
 
 
 def find_nonresidue(fld: Field, r: int, seed: int = 0) -> tuple:
-    """Deterministic seeded search for a non-r-th-residue.
-
-    Non-residues make up a 1 - 1/r share of the group, so all 128
-    pseudorandom draws miss with probability at most 2^-128; then
+    """Deterministic seeded search for an element that is an l-th residue
+    for no prime l | r, so g = rho^{N/r} has the order r the unity table
+    needs.  Such elements make up a share prod(1 - 1/l) of the group, so
+    for prime r all 128 draws miss with probability at most 2^-128; then
     NoNonResidueFound.  The residue tests are uncounted."""
     _require_divisor(fld, r)
+    primes = [ell for ell, _ in factorize(r)]
     rng = random.Random(seed)
     for _ in range(128):
         cand = fld.random_elem(rng)
-        if any(cand) and not is_rth_residue(fld, cand, r):
+        if any(cand) and not any(is_rth_residue(fld, cand, ell)
+                                 for ell in primes):
             return cand
     raise NoNonResidueFound(f"128 draws held no non-residue for r={r}")
 
@@ -192,16 +194,16 @@ def build_amm_context(fld: Field, r: int, seed: int = 0,
         raise ZeroElement("rho must be a nonzero non-residue")
     rho_s = _power(fld, fld._pack(rho), plan.cof, plan.s)
     g = fld.pow(rho_s, r ** (plan.t - 1))
-    if g == 1:
-        raise ValueError(f"rho={rho} is an r-th residue for r={r}; the "
-                         "unity table needs a non-residue")
+    for ell, _ in factorize(r):  # g^{r/l} = rho^{N/l}: g has order r
+        if fld.pow(g, r // ell) == 1:
+            raise ValueError(f"rho={rho} is an l-th residue for l={ell} | "
+                             f"r={r}; the unity table needs g of order r")
     k_index = {}
     if plan.t > 1:  # the digit loop's table; for t = 1 nothing reads it
         w = 1
         for i in range(r):
             k_index[w] = i
             w = fld._raw_mul(w, g)
-        assert len(k_index) == r, "roots of unity are not distinct"
     return replace(plan, rho=rho, rho_s=rho_s, k_index=k_index)
 
 

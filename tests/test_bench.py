@@ -2,6 +2,7 @@ import io
 import json
 import logging
 import runpy
+import sys
 import time
 from pathlib import Path
 
@@ -169,86 +170,154 @@ def test_optional_cells_render_empty():
 
 # -- per-layer timing script ---------------------------------------------------
 
-def test_bench_layers_smoke(tmp_path):
-    script = Path(__file__).parents[1] / "scripts" / "bench_layers.py"
-    main = runpy.run_path(str(script), run_name="bench_layers")["main"]
-    out = tmp_path / "bench.json"
-    for label in ("a", "b"):
-        assert main(["--field", "3,9", "--build", "2,17", "--repeats", "1",
-                     "--label", label, "--out", str(out)]) == 0
-    runs = json.loads(out.read_text())["runs"]
-    assert sorted(runs) == ["a", "b"]
+ROOT = Path(__file__).parents[1]
+
+
+def bench_layers():
+    script = ROOT / "scripts" / "bench_layers.py"
+    return runpy.run_path(str(script), run_name="bench_layers")["main"]
+
+
+@pytest.fixture(scope="module")
+def aa_run(tmp_path_factory):
+    """An A/A run: this tree on both sides, one repeat, small grids."""
+    out = tmp_path_factory.mktemp("bench_layers") / "bench.json"
+    assert bench_layers()([str(ROOT), str(ROOT), "--field", "3,9",
+                           "--build", "2,17", "--amm", "13,3,2",
+                           "--repeats", "1", "--out", str(out)]) == 0
+    assert not any(name.startswith("rf_") for name in sys.modules)
+    return json.loads(out.read_text())
+
+
+def test_bench_layers_smoke(aa_run):
     # x^17 + x^3 + 1: candidates x^17 + x .. x^17 + x^3 + 1, the two
     # binomials skipped; the linear-factor sieve drops the five with a
     # root in F_2 (constant term 0, or an even number of terms), so only
     # x^17 + x + 1, x^17 + x^2 + 1 and x^17 + x^3 + 1 are tested
-    (build,) = runs["b"]["builds"]
-    assert (build["p"], build["m"], build["irreducible_tests"]) == (2, 17, 3)
-    assert build["mk_field_ms"] > 0
-    # one byte per digit, where x^17 + x^3 + 1 folds twice unreduced:
-    # every digit stays at most 17 * 3^2 = 153 < 2^8
-    assert (build["digit_bytes"], build["lazy"]) == (1, True)
-    (fld,) = runs["b"]["fields"]
+    (build,) = aa_run["builds"]
+    assert (build["p"], build["m"]) == (2, 17)
+    build = build["mk_field_ms"]
+    assert "differ" not in build and len(build["ratio"]) == 3
+    for side in ("parent", "change"):
+        # one byte per digit, where x^17 + x^3 + 1 folds twice unreduced:
+        # every digit stays at most 17 * 3^2 = 153 < 2^8
+        assert build[side] == dict(build[side], irreducible_tests=3,
+                                   digit_bytes=1, lazy=True)
+        assert build[side]["ms"] > 0
+    (fld,) = aa_run["fields"]
     assert (fld["p"], fld["m"]) == (3, 9)
-    assert (fld["digit_bytes"], fld["lazy"]) == (1, False)
-    ops = fld["ops"]
-    assert (ops["mul"]["mults"], ops["sqr"]["squarings"]) == (1, 1)
-    assert ops["frobenius_m-1"]["frobenius"] == 8
-    # the first call on a fresh field is charged like any other; a build
-    # of the composed matrix is charged nothing
-    assert ops["frobenius_m-1_cold"]["frobenius"] == 8
-    assert ops["frobenius_build"] == dict(
-        ops["frobenius_build"], mults=0, squarings=0, frobenius=0)
-    assert ops["inv"]["inversions"] == 1
-    assert all(op["us"] > 0 for op in ops.values())
     tuple_rows = ["mul", "sqr", "frobenius_1", "frobenius_m-1", "pow_N-1"]
-    for row in tuple_rows:
-        # a packed call is charged exactly what the tuple call is
-        packed = dict(ops[f"{row}_packed"], us=None)
-        assert packed == dict(ops[row], us=None), row
-    table = json.loads(out.read_text())["side_by_side"]["3,9"]
-    assert sorted(table) == sorted(
+    ops = fld["ops"]
+    assert sorted(ops) == sorted(
         tuple_rows + [f"{row}_packed" for row in tuple_rows]
-        + ["inv", "frobenius_m-1_cold", "frobenius_build"])
-    assert all(sorted(row) == ["a", "b"] for row in table.values())
+        + ["inv", "frobenius_m-1_cold", "frobenius_build", "phi_map_norm"])
+    assert not any("differ" in op for op in ops.values())
+    for side in ("parent", "change"):
+        assert fld["mk_field_ms"][side] == dict(
+            fld["mk_field_ms"][side], digit_bytes=1, lazy=False)
+        got = {name: op[side] for name, op in ops.items()}
+        assert (got["mul"]["mults"], got["sqr"]["squarings"]) == (1, 1)
+        assert got["frobenius_m-1"]["frobenius"] == 8
+        # the first call on a fresh field is charged like any other; a
+        # build of the composed matrix is charged nothing
+        assert got["frobenius_m-1_cold"]["frobenius"] == 8
+        assert got["frobenius_build"] == dict(
+            got["frobenius_build"], mults=0, squarings=0, frobenius=0)
+        assert got["inv"]["inversions"] == 1
+        assert all(op["us"] > 0 for op in got.values())
+        for row in tuple_rows:
+            # a packed call is charged exactly what the tuple call is
+            packed = dict(got[f"{row}_packed"], us=None)
+            assert packed == dict(got[row], us=None), row
     # 3^9 - 1 = 2 * 13 * 757: r = 2 ramifies, r = 5 is coprime with k = 4
     assert {row["path"]: row["r"] for row in fld["roots"]} == {
         "coprime_fast": 5, "naive_fallback": 2, "ramified_fast": 2}
+    assert all(row[side]["path"] == row["path"] for row in fld["roots"]
+               for side in ("parent", "change"))
+    # every kind auto takes, with the same answers on both sides
+    kinds = aa_run["rth_root"]
+    assert len(kinds) == 8
+    assert all(kind["parent"] == dict(kind["change"],
+                                      pass_ms=kind["parent"]["pass_ms"])
+               and kind["parent"]["pass_ms"] > 0 for kind in kinds)
 
 
-def test_bench_layers_amm_rows(tmp_path):
-    script = Path(__file__).parents[1] / "scripts" / "bench_layers.py"
-    main = runpy.run_path(str(script), run_name="bench_layers")["main"]
-    out = tmp_path / "bench.json"
-    assert main(["--field", "3,9", "--build", "2,17", "--amm", "13,3,2",
-                 "--repeats", "1", "--out", str(out)]) == 0
-    (row,) = json.loads(out.read_text())["runs"]["run"]["amm"]
+def test_bench_layers_amm_rows(aa_run):
+    (row,) = aa_run["amm"]
     assert (row["p"], row["m"], row["r"]) == (13, 3, 2)
-    assert row["amm_context_us"] > 0 and row["plan_us"] > 0
-    # 4 | 13 - 1 and 3 is odd: auto descends to F_13 through the norm,
-    # with one Frobenius map, and forced amm stays plain
-    assert row["descent"] is True
-    for verdict in ("residue", "non_residue"):
-        auto, forced = row[f"{verdict}_auto"], row[f"{verdict}_amm"]
-        assert auto["path"] == forced["path"] == "amm"
-        assert auto["frobenius"] > 0 and forced["frobenius"] == 0
-        assert auto["us"] > 0 and forced["us"] > 0
+    for side in ("parent", "change"):
+        assert row["amm_context_us"][side]["us"] > 0
+        # 4 | 13 - 1 and 3 is odd: auto descends to F_13 through the
+        # norm, with one Frobenius map, and forced amm stays plain
+        assert row["plan_us"][side]["us"] > 0
+        assert row["plan_us"][side]["descent"] is True
+        for verdict in ("residue", "non_residue"):
+            auto = row[f"{verdict}_auto"][side]
+            forced = row[f"{verdict}_amm"][side]
+            assert auto["path"] == forced["path"] == "amm"
+            assert auto["frobenius"] > 0 and forced["frobenius"] == 0
+            assert auto["us"] > 0 and forced["us"] > 0
+
+
+def test_bench_layers_rows_alternate_sides():
+    # the side that goes first swaps each repeat; facts that differ
+    # between the sides are kept per side and marked
+    row = bench_layers().__globals__["row"]
+    calls = []
+    samplers = [lambda: calls.append("parent") or 1e-6,
+                lambda: calls.append("change") or 2e-6]
+    got = row(samplers, [{"mults": 1}, {"mults": 2}], 4)
+    assert calls == ["parent", "change", "change", "parent"] * 2
+    assert got == {"parent": {"us": 1.0, "mults": 1},
+                   "change": {"us": 2.0, "mults": 2},
+                   "ratio": [2.0, 2.0, 2.0], "differ": True}
+    assert "differ" not in row(samplers, [{"mults": 1}, {"mults": 1}], 1)
+
+
+def test_bench_layers_stops_on_a_different_answer(tmp_path, monkeypatch):
+    # one more mult on the change side for r = 5 stops the run before
+    # anything is timed, naming the kind
+    main = bench_layers()
+    load = main.__globals__["load"]
+
+    def load_with_an_extra_mult(tree, name, tmp):
+        pkg = load(tree, name, tmp)
+        if name == "rf_change":
+            real = pkg.rth_root
+
+            def rth_root(fld, delta, r, *args, **kwargs):
+                out = real(fld, delta, r, *args, **kwargs)
+                out.counters.mults += r == 5
+                return out
+            monkeypatch.setattr(pkg, "rth_root", rth_root)
+        return pkg
+
+    monkeypatch.setitem(main.__globals__, "load", load_with_an_extra_mult)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit, match=r"F_\{3\^97\}, r=5, element 0"):
+        main([str(ROOT), str(ROOT), "--repeats", "1", "--out", str(out)])
+    assert not out.exists()
+    assert not any(name.startswith("rf_") for name in sys.modules)
 
 
 def test_bench_layers_timeout(tmp_path, monkeypatch):
     # a build past the deadline records "timeout" instead of hanging
-    script = Path(__file__).parents[1] / "scripts" / "bench_layers.py"
-    main = runpy.run_path(str(script), run_name="bench_layers")["main"]
+    main = bench_layers()
     monkeypatch.setitem(main.__globals__, "TIMEOUT_S", 0.001)
     out = tmp_path / "bench.json"
     start = time.monotonic()
-    assert main(["--field", "3,163", "--build", "3,163", "--repeats", "1",
-                 "--out", str(out)]) == 0
+    assert main([str(ROOT), str(ROOT), "--field", "3,163", "--build", "3,163",
+                 "--repeats", "1", "--out", str(out)]) == 0
     assert time.monotonic() - start < 5
-    run = json.loads(out.read_text())["runs"]["run"]
+    run = json.loads(out.read_text())
     assert run["fields"] == [{"p": 3, "m": 163, "mk_field_ms": "timeout"}]
-    assert run["builds"] == [{"p": 3, "m": 163, "mk_field_ms": "timeout",
-                              "irreducible_tests": "timeout"}]
+    assert run["builds"] == [{"p": 3, "m": 163, "mk_field_ms": "timeout"}]
+    # a timed row past it keeps each side's facts
+    for kind in run["rth_root"]:
+        assert kind["ratio"] == "timeout"
+        assert kind["parent"]["pass_ms"] == kind["change"]["pass_ms"] == \
+            "timeout"
+        assert kind["parent"]["mults"] > 0
 
 
 def test_same_answers_diff_counts_calls(tmp_path, capsys):

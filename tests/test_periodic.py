@@ -157,6 +157,16 @@ def test_rho_step_budget_bounds_a_split(monkeypatch):
         factorize(3 * n)
 
 
+def test_factorization_too_hard_is_exported():
+    # rth_root, mult_order and `rootfield decompose` can raise it, so a
+    # caller catches it by the package's name, or as a ValueError
+    import rootfield
+    from rootfield import FactorizationTooHard as exported
+    assert exported is FactorizationTooHard
+    assert issubclass(exported, ValueError)
+    assert "FactorizationTooHard" in rootfield.__all__
+
+
 def test_factorize_gives_up_on_two_62_bit_primes():
     # rho needs about 2^31 steps to split P*Q, P and Q the first two
     # primes above 2^62; the budget ends it with a typed error

@@ -433,6 +433,33 @@ def test_amm_composite_r_keeps_plain_powers():
         assert (out.status, fld.pow(out.root, 4)) == ("root_found", delta)
 
 
+@pytest.mark.parametrize("p,m", [(17, 1), (37, 1), (13, 1), (3, 4), (5, 4)])
+def test_amm_composite_r_table_on_every_seed(p, m):
+    # for composite r with r^2 | N, a non-r-th-residue rho can still be an
+    # l-th residue for a prime l | r (2 is a square, not a 4th power, mod
+    # 17), giving g = rho^{N/r} of order below r; the draw skips such rho,
+    # and one passed in is refused with a ValueError
+    fld = mk_field(p, m)
+    n = fld.order_minus_one
+    elems = [fld.elem_from_index(i) for i in range(1, n + 1)]
+    for r in range(2, n):
+        if n % r or roots._plan(fld, r).t < 2 or \
+                roots._plan(fld, r).alpha is None:
+            continue
+        residues = {fld.pow(x, r) for x in elems}
+        for seed in range(12):
+            ctx = build_amm_context(fld, r, seed)
+            assert len(ctx.k_index) == r
+            for delta in residues:
+                out = amm_root(fld, delta, r, seed=seed)
+                assert out.status == "root_found"
+                assert fld.pow(out.root, r) == delta
+    if (p, m) == (17, 1):
+        assert fld.pow(amm_root(fld, (13,), 4, seed=1).root, 4) == (13,)
+        with pytest.raises(ValueError, match="l=2"):
+            build_amm_context(fld, 4, rho=(2,))
+
+
 def test_split_fields_up_to_3000():
     found = [(p, m, r) for p in range(2, 3000) if is_prime(p)
              for m in range(1, 12) if p ** m <= 3000
