@@ -17,8 +17,9 @@ for the rth_root rows) with the side's counters and other facts, and
 differ between the sides.  The same tree twice (an A/A run) measures the
 noise floor.
 
-Rows: per field of --field, mk_field_ms (with digit_bytes, the packed
-digit width, and lazy, whether the reduction folds unreduced); mul, sqr,
+Rows: per field of --field, mk_field_ms (with the layout: digit_bytes,
+the packed digit width; lazy, whether the reduction folds unreduced; and
+steps, how far each fold brings its block down); mul, sqr,
 frobenius(a, 1), frobenius(a, m-1), inv and pow, on tuples and, in the
 *_packed rows, on packed ints; phi_map; and one checked rth_root per
 path tag, at the first root degree that takes it.  frobenius_m-1_cold
@@ -26,14 +27,15 @@ is the first call on a fresh field, through every matrix it builds;
 frobenius_build one build of j = m-1's matrix; frobenius_m-1 the warm
 path.  Per field of --build (long modulus searches, and degree 5 on both
 sides of the linear-factor sieve's cutoff on p), mk_field_ms alone with
-the irreducibility tests one build runs.  Per (p, m, r) of --amm (the
-benchmark's r^2 | N fields), uncached build_amm_context and _plan times,
-descent (true where auto descends to F_p through the norm), and auto
-against forced amm on a residue and a non-residue, each root checked.
-Last, per (p, m, r) of KINDS, one kind per path auto takes, one pass of
-rth_root over 15 constructed residues and 15 random elements; before
-any row is timed, both sides must give the same status, root, path tag
-and counters on each of them, or the run stops and names the kind.
+the irreducibility tests one build runs and the layout.  Per (p, m, r)
+of --amm (the benchmark's r^2 | N fields), uncached build_amm_context
+and _plan times, descent (true where auto descends to F_p through the
+norm), and auto against forced amm on a residue and a non-residue, each
+root checked.  Last, per (p, m, r) of KINDS, one kind per path auto
+takes, one pass of rth_root over 15 constructed residues and 15 random
+elements; before any row is timed, both sides must give the same
+status, root, path tag and counters on each of them, or the run stops
+and names the kind.
 
 A timed call or batch past TIMEOUT_S seconds records "timeout".  Times
 are wall-clock seconds of one Python thread: compare the two sides of
@@ -175,8 +177,19 @@ def facts(out) -> dict:
 
 
 def layout(fld) -> dict:
-    """The packed digit width in bytes and whether the reduction is lazy."""
-    return {"digit_bytes": fld._digit_bytes, "lazy": fld._ring._lazy}
+    """The packed digit width in bytes, whether the reduction is lazy, and
+    each fold's step, top block first (_Residues._STEPS).  A tree without
+    _STEPS reduced every block of a ring that is not lazy, a one-digit
+    block by % p and any other by _mod_p; its steps are named that way."""
+    ring = fld._ring
+    names = getattr(ring, "_STEPS", None)
+    if names:
+        steps = [names[step] for _, step, _, _ in ring._folds]
+    else:  # there a fold's second field is its block's digit count
+        steps = ["none" if ring._lazy else "mod" if count == 1 else "barrett"
+                 for _, count, _, _ in ring._folds]
+    return {"digit_bytes": fld._digit_bytes, "lazy": ring._lazy,
+            "steps": steps}
 
 
 def field_side(pkg, p: int, m: int) -> dict:

@@ -33,22 +33,18 @@ inversions are tallied in a caller-supplied OpCounter.  Additions,
 subtractions, negations and scalar work in Z_p are free.  frobenius(a, j)
 counts j applications of the p-power map, whatever it costs to compute.
 
-Packed, one field multiplication costs one bigint multiply, on a sparse
+Packed, a field multiplication is one bigint multiply, on a sparse
 modulus one or two bigint folds by the packed -f, and a reduction of
 every digit mod p at once by Barrett's method in parallel lanes
 (_Residues).  A packed digit is 1, 2, 4 or 8 bytes (bits) wide, the
 smallest that holds any digit a kernel leaves unreduced (_digit_format):
-2*m*p^2, or 2m over F_2, one byte up to F_{2^127}.  So packing and
-unpacking go through bytes, array and memoryview.cast at C speed; past
-8 bytes (p >= 2^32) digits are sliced from the bytes one by one.  Every
-digit fits its width, and the Barrett shift is the width.  Folds are
-lazy where the width has room: a product digit is at most m(p-1)^2, each
-fold by the w nonzero digits of -f_low multiplies that bound by
-1 + w(p-1), and a ring whose final bound is below 2^bits folds every
-block unreduced and reduces once at the end (Harvey 2009).
-For p = 2 the reduction is a mask of each digit's low bit, and a
-Frobenius application sums the columns that the 0/1 digits select, read
-from the bytes of a packed element of one-byte digits.
+2mp^2, or 2m over F_2, so packing goes through bytes, array and
+memoryview.cast at C speed; past 8 bytes (p >= 2^32) digits are sliced
+one by one.  Before its fold a block is brought only as far down as
+exact digit bounds need: not at all, % p, by one or two shrinks of four
+bigint operations, or by Barrett; a lazy ring reduces once, at the end
+(Harvey 2009).  For p = 2 the reduction masks each digit's low bit, and
+a Frobenius application sums the columns that the 0/1 digits select.
 
 A field holds one map from j to the packed columns x^{i*p^j} of the
 p^j-power map, empty until frobenius first runs; a call on a held j is
@@ -103,18 +99,17 @@ def _digit_format(p, m):
     leaves unreduced fits a digit of that many bytes, packed by that array
     type code (None: slice the bytes one by one).
 
-    For odd p a product digit sums at most m terms below p^2, and the
-    reduction or a gcd division adds at most m more: bound 2mp^2 + 1.
+    For odd p a product digit sums at most m terms below p^2, and a gcd
+    division or the folds of reduced blocks add at most m more: 2mp^2 + 1.
     Over F_2, where reduced digits are bits, 2m + 1 bounds all five kernels:
     - a product digit sums at most m products of bits: at most m;
-    - a reduction that is not lazy masks each block before its fold, and
-      each digit at or above m folds once, adding at most one bit of -f_low
-      to a given digit: at most m more;
+    - a reduction that masks each block before its fold adds at most one
+      bit of -f_low per folded digit to any digit: at most m more;
     - a gcd division adds b's bits once per top digit it cancels, at most
       m times, to a bit: at most m + 1;
     - a Frobenius application sums at most m columns of bits: at most m;
     - inv scales a reduced element by a scalar below p: at most 1.
-    A lazy ring's folds are bounded apart (_Residues)."""
+    A block left unreduced is bounded apart (_Residues)."""
     bound = 2 * m * (1 if p == 2 else p * p) + 1
     digit_bytes = (bound.bit_length() + 7) // 8
     digit_bytes = next((w for w in (1, 2, 4, 8) if w >= digit_bytes),
@@ -151,24 +146,30 @@ class _Packing:
 class _Residues(_Packing):
     """Z_p[x]/(f) for a monic f of degree m, irreducible or not, on packed
     integers whose digits lie in [0, p): the irreducibility test, and the
-    reduction behind every Field multiplication.
+    reduction behind every Field multiplication; x is x mod f for m >= 2.
 
     A product is reduced top-down with the packed -f: x^m = -f_low, so a
     block of m - deg(f_low) high digits folds below itself in one bigint
-    product.  The canonical moduli are sparse, and one or two folds reduce
-    a product; a dense explicit modulus takes one fold per digit.  The
-    ring is lazy (_lazy, decided once) when its digits have room for
-    every fold unreduced: from m(p-1)^2, each fold by the w nonzero digits
-    of -f_low multiplies the digit bound by 1 + w(p-1), and the final
-    bound must stay below 2^bits.  Otherwise each block is reduced mod
-    p before its fold.  The attribute x holds the residue of x, for m >= 2.
+    product.  The canonical moduli are sparse, and one or two folds reduce a
+    product; a dense explicit modulus takes one fold per digit.  A product
+    digit is at most m(p-1)^2; a fold by the w nonzero digits of -f_low adds
+    at most min(w, count)(p-1)B to a digit, for a block of count digits at
+    most B.  Each block takes the first of _STEPS that keeps every digit
+    below 2^bits if later blocks are brought into [0, p), as _digit_format
+    allows; _bounds holds each B, then the final _mod_p's, and a ring is
+    _lazy if no block is reduced.  A shrink takes each digit
+    y = hi*2^h + lo, h = bits/2, to lo + hi*r, r = 2^h mod p, as
+    y - hi*(2^h - r) in four bigint operations: exact mod p, and carry-free
+    as hi*(2^h - r) <= y and p < 2^h (2mp^2 < 2^bits).
 
     All digits are reduced mod p at once (_mod_p): the even and the odd
     digits each sit in lanes two digits wide, where Barrett's quotient
     (Barrett 1986) fits without spilling into the next lane, as in
     Harvey's multipoint Kronecker substitution (2009); its shift is the
     digit width, so it reduces any digit that fits.  For p = 2 _mod_p is
-    one mask of each digit's low bit."""
+    one mask of each digit's low bit, cheaper than a shrink."""
+
+    _STEPS = ("none", "mod", "shrink", "shrink2", "barrett")  # cheapest first
 
     def __init__(self, p, f):
         m = len(f) - 1
@@ -179,32 +180,37 @@ class _Residues(_Packing):
         self._neg_low = self._pack(neg_low)
         self._f = self._pack([c % p for c in f])
         block = m - max((self._neg_low.bit_length() - 1) // bits, 0)
-        # per fold: bit offset and digit count of the block, mask of the
-        # digits below it, and the shift that lands its fold below it
-        folds = []
-        top = 2 * m - 1  # a product has no digit at or above top
-        while top > m:
-            lo = max(top - block, m)
-            folds.append((lo * bits, top - lo, (1 << lo * bits) - 1,
-                          (lo - m) * bits))
-            top = lo
-        self._folds = tuple(folds)
         self.x = 1 << bits
-        # the digit bound after every fold, unreduced (class docstring)
-        w = m - neg_low.count(0)
-        bound = m * (p - 1) ** 2 * (1 + w * (p - 1)) ** len(folds)
-        self._lazy = bound < 1 << bits
-        # Barrett in 2*bits-bit lanes, one per even (or odd) digit of at
-        # most m digits: every digit y is below 2^bits, so y * mu < 2^(2bits)
-        # stays inside its lane, q = y * mu >> bits is floor(y/p) or one
-        # less, and y - q*p < 2p needs one conditional subtract, flagged
-        # by the top digit bit of y - q*p + 2^(bits-1) - p
+        # Barrett in 2*bits-bit lanes, one per even (or odd) digit: a digit
+        # y < 2^bits has y * mu < 2^(2bits) inside its lane, q = y * mu >> bits
+        # is floor(y/p) or one less, and y - q*p < 2p takes one conditional
+        # subtract, flagged by the top digit bit of y - q*p + 2^(bits-1) - p
         lane = 2 * bits
         ones = ((1 << lane * ((m + 1) // 2)) - 1) // ((1 << lane) - 1)
         self._lanes = (bits, ones * (self.x - 1), self.x // p,
                        ones * ((1 << bits - 1) - p), ones)
         if p == 2:  # a digit mod 2 is its low bit: one mask for every digit
             self._mod_p = (ones | ones << bits).__and__
+        h, r = bits // 2, (1 << bits // 2) % p
+        self._shrink = (h, ((1 << h) - 1) * (ones | ones << bits), (1 << h) - r)
+        # per fold, top first: block bit offset, step, mask below, fold shift
+        tops = range(2 * m - 1, m, -block)  # no product digit reaches 2m - 1
+        w = m - neg_low.count(0)
+        gains = [min(w, block, top - m) * (p - 1) for top in tops]
+        rest = sum(gains) * (p - 1)  # what the folds add, blocks in [0, p)
+        self._bounds, self._folds = bounds, folds = [m * (p - 1) ** 2], []
+        for top, gain in zip(tops, gains):
+            lo, bound = max(top - block, m), bounds[-1]
+            rest -= gain * (p - 1)
+            once = min(bound, (1 << h) - 1 + (bound >> h) * r)
+            steps = [(0, bound), (1, p - 1)] if top - lo == 1 else [
+                (0, bound), (2, once), (3, (1 << h) - 1 + (once >> h) * r),
+                (4, p - 1)] if p > 2 else [(0, bound), (4, 1)]
+            step, high = next((s, b) for s, b in steps
+                              if bound + gain * b + rest < 1 << bits)
+            bounds.append(bound + gain * high)
+            folds.append((lo * bits, step, (1 << lo * bits) - 1, (lo - m) * bits))
+        self._lazy = not any(step for _, step, _, _ in folds)
 
     def _mod_p(self, y: int) -> int:
         """y with each of its at most m digits, any value below 2^bits,
@@ -220,14 +226,20 @@ class _Residues(_Packing):
         return even | odd << bits
 
     def reduce_packed(self, acc: int) -> int:
-        """acc mod f, packed with digits in [0, p), for a packed acc of at
-        most 2m - 1 digits, each at most m(p - 1)^2: a lazy ring folds its
-        blocks unreduced and calls _mod_p once, any other before each fold."""
-        p, neg_low, lazy = self.p, self._neg_low, self._lazy
-        for lo_bits, count, mask, shift in self._folds:
+        """acc mod f for acc of at most 2m - 1 digits, each <= m(p - 1)^2."""
+        p, neg_low = self.p, self._neg_low
+        for lo_bits, step, mask, shift in self._folds:
             high = acc >> lo_bits
-            if not lazy:
-                high = high % p if count == 1 else self._mod_p(high)
+            if step:
+                if step == 4:
+                    high = self._mod_p(high)
+                elif step == 1:
+                    high %= p
+                else:
+                    h, halves, c = self._shrink
+                    high -= (high >> h & halves) * c
+                    if step == 3:
+                        high -= (high >> h & halves) * c
             acc = (acc & mask) + (high * neg_low << shift)
         return self._mod_p(acc)
 

@@ -202,7 +202,8 @@ def test_bench_layers_smoke(aa_run):
         # one byte per digit, where x^17 + x^3 + 1 folds twice unreduced:
         # every digit stays at most 17 * 3^2 = 153 < 2^8
         assert build[side] == dict(build[side], irreducible_tests=3,
-                                   digit_bytes=1, lazy=True)
+                                   digit_bytes=1, lazy=True,
+                                   steps=["none", "none"])
         assert build[side]["ms"] > 0
     (fld,) = aa_run["fields"]
     assert (fld["p"], fld["m"]) == (3, 9)
@@ -213,8 +214,11 @@ def test_bench_layers_smoke(aa_run):
         + ["inv", "frobenius_m-1_cold", "frobenius_build", "phi_map_norm"])
     assert not any("differ" in op for op in ops.values())
     for side in ("parent", "change"):
+        # x^9 + 2x^3 + x^2 + 1 on one-byte digits: each of the two blocks
+        # shrinks its digits to at most 2^4 - 1 + 15 * (2^4 mod 3) = 30 first
         assert fld["mk_field_ms"][side] == dict(
-            fld["mk_field_ms"][side], digit_bytes=1, lazy=False)
+            fld["mk_field_ms"][side], digit_bytes=1, lazy=False,
+            steps=["shrink", "shrink"])
         got = {name: op[side] for name, op in ops.items()}
         assert (got["mul"]["mults"], got["sqr"]["squarings"]) == (1, 1)
         assert got["frobenius_m-1"]["frobenius"] == 8

@@ -5,6 +5,7 @@ import runpy
 import sys
 import threading
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -788,12 +789,118 @@ def test_lane_reduction_worst_digits(p, m):
 def test_lazy_folds_on_the_benchmark_fields():
     # lazy where every fold fits unreduced below the top digit bit;
     # F_{2^127} packs one byte per digit, which holds its products but not
-    # its fold unreduced
-    lazy = {(3, 61), (3, 97)}
+    # its fold unreduced; F_{5^61}'s two folds by -(x^2 + 2x + 3) add at
+    # most min(3, count) * 4 times the block's bound: 976, 12688, 63440
+    lazy = {(3, 61), (3, 97), (5, 61)}
     for p, m in lazy | {(2, 127), (5, 61), (13, 31), (17, 21), (19, 21),
                         (29, 23)}:
         assert mk_field(p, m)._ring._lazy == ((p, m) in lazy), (p, m)
     assert mk_field(2, 127)._digit_bytes == 1
+
+
+def test_fold_plans_on_the_benchmark_fields():
+    # each fold's step, top block first: F_{13^31} and F_{17^21} shrink
+    # their wide block and take % p on the one-digit one; of the odd p
+    # fields, F_{37^19} alone keeps a Barrett reduction before a fold
+    plans = {(2, 17): "none none", (3, 9): "shrink shrink",
+             (2, 127): "barrett", (5, 61): "none none",
+             (13, 31): "shrink mod", (17, 21): "shrink mod",
+             (19, 21): "shrink", (11, 41): "shrink shrink",
+             (7, 43): "none mod", (29, 23): "shrink2",
+             (37, 19): "barrett mod"}
+    for (p, m), plan in plans.items():
+        folds = mk_field(p, m)._ring._folds
+        steps = field._Residues._STEPS
+        assert " ".join(steps[s] for _, s, _, _ in folds) == plan, (p, m)
+
+
+def _width_edges(p):
+    """m at both edges of the one- and two-byte digit widths of an odd p,
+    and the first m of four bytes; m >= 2, so every ring folds."""
+    edges = {2}
+    for width, wider in ((1, 2), (2, 4)):
+        last = (2 ** (8 * width) - 2) // (2 * p * p)  # 2mp^2 + 1 fits
+        if last >= 2:
+            assert field._digit_format(p, last)[0] == width
+        assert field._digit_format(p, last + 1)[0] == wider
+        edges |= {m for m in (last, last + 1) if m >= 2}
+    return sorted(edges)
+
+
+PLAN_GRID = [(p, m) for p in (3, 5, 7, 11, 13, 17, 19, 29, 37, 41)
+             for m in _width_edges(p)]
+
+
+def _wide_mulmod(a, b, f, p):
+    """a*b mod f, for a monic f, by long division one quotient digit at a
+    time on integers of 32-bit digits, which no digit of the grid fills
+    (each stays below 2m(p - 1)^2): the schoolbook at C speed, where
+    _poly_mul and _poly_rem take seconds."""
+    m = len(f) - 1
+
+    def pack(vec):
+        return int.from_bytes(array("I", vec).tobytes(), "little")
+
+    acc, neg_low = pack(a) * pack(b), pack([(-c) % p for c in f[:m]])
+    for i in range(2 * m - 2, m - 1, -1):
+        top = acc >> 32 * i
+        acc += (top % p * neg_low << 32 * (i - m)) - (top << 32 * i)
+    return [c % p for c in array("I", acc.to_bytes(4 * m, "little"))]
+
+
+@pytest.mark.parametrize("p,m", PLAN_GRID)
+def test_fold_plan_keeps_every_digit_in_its_width(p, m):
+    # over a sparse, a dense and a binomial modulus at both edges of each
+    # digit width: every block entering a fold, and every input to
+    # _mod_p, has its digits within the ring's tracked bound, below
+    # 2^bits; and each product agrees with the schoolbook, the all-(p - 1)
+    # operands, whose product digits are largest, included.  The sparse
+    # modulus is the canonical one up to m = 120; past it the search takes
+    # seconds, and the trinomial x^m + x + 1 has as few folds
+    rng = random.Random(p * 10007 + m)
+    sparse = (list(mk_field(p, m).modulus) if m <= 120
+              else [1, 1] + [0] * (m - 2) + [1])
+    top, one = [p - 1] * m, [1] + [0] * (m - 1)
+    pairs = [(top, top), (top, one), ([rng.randrange(p) for _ in range(m)],
+                                      [rng.randrange(p) for _ in range(m)])]
+    for f in (sparse, _dense_monic(p, m, rng), [1] + [0] * (m - 1) + [1]):
+        ring = field._Residues(p, f)
+        bits, bounds = 8 * ring._digit_bytes, ring._bounds
+        assert len(bounds) == len(ring._folds) + 1
+        assert bounds[-1] < 1 << bits
+        assert ring._lazy == (not any(s for _, s, _, _ in ring._folds))
+        peaks = []  # (tracked bound, largest digit seen)
+
+        def peak(y):
+            digits = ring._unpack(y, -(-y.bit_length() // bits))
+            return max(digits, default=0)
+
+        class Entering(int):
+            # a fold's mask, and-ed with the accumulator entering the fold
+            def __rand__(self, acc):
+                peaks.append((self.bound, peak(acc >> self.lo_bits)))
+                return acc & int(self)
+
+        folds = []
+        for (lo_bits, step, mask, shift), bound in zip(ring._folds, bounds):
+            mask = Entering(mask)
+            mask.bound, mask.lo_bits = bound, lo_bits
+            folds.append((lo_bits, step, mask, shift))
+        ring._folds, mod_p = tuple(folds), ring._mod_p
+
+        def recording_mod_p(y):
+            peaks.append((bounds[-1], peak(y)))
+            return mod_p(y)
+        ring._mod_p = recording_mod_p
+        for a, b in pairs:
+            acc = ring._pack(a) * ring._pack(b)
+            got = ring._unpack(ring.reduce_packed(acc), m)
+            if m <= 120:
+                raw = _poly_rem(_poly_mul(a, b, p), f, p)
+                assert got == raw + [0] * (m - len(raw)), (f, a, b)
+            assert got == _wide_mulmod(a, b, f, p), (f, a, b)
+        assert len(peaks) >= len(pairs) * (len(ring._folds) + 1)
+        assert all(seen <= bound for bound, seen in peaks), (f, max(peaks))
 
 
 @pytest.mark.parametrize("p,m", [(13, 1), (2, 3), (5, 5), (3, 61)])
@@ -922,8 +1029,9 @@ def test_binary_kernels_match_schoolbook(m, kind, monkeypatch):
     # all-ones and random operands, over the canonical modulus, the dense
     # all-ones one and the binomial x^m + 1 (the last two reducible, so
     # inv runs on the canonical one alone); and every digit that reaches
-    # _mod_p unreduced is at most 2m, or on a lazy ring at most its fold
-    # bound m(1 + w)^folds, w the nonzero digits of f below x^m
+    # _mod_p unreduced is at most 2m, the bound of the kernels other than
+    # a product, or the ring's tracked fold bound: the all-ones modulus on
+    # two-byte digits leaves its first one-digit blocks unreduced
     f = {"canonical": list(mk_field(2, m).modulus), "ones": [1] * (m + 1),
          "binomial": [1] + [0] * (m - 1) + [1]}[kind]
     peaks = []  # (largest digit allowed, largest digit seen)
@@ -932,8 +1040,7 @@ def test_binary_kernels_match_schoolbook(m, kind, monkeypatch):
     def recording_init(ring, p, g):
         init(ring, p, g)
         mask, bits = ring._mod_p, 8 * ring._digit_bytes
-        w = sum(c % 2 for c in g[:m])
-        limit = m * (1 + w) ** len(ring._folds) if ring._lazy else 2 * m
+        limit = max(2 * m, *ring._bounds)
 
         def mod_p(y):
             digits = ring._unpack(y, -(-y.bit_length() // bits))
