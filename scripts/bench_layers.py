@@ -26,12 +26,12 @@ path tag, at the first root degree that takes it.  frobenius_m-1_cold
 is the first call on a fresh field, through every matrix it builds;
 frobenius_build one build of j = m-1's matrix; frobenius_m-1 the warm
 path.  Per field of --build (long modulus searches, and degree 5 on both
-sides of the linear-factor sieve's cutoff on p), mk_field_ms alone with
-the irreducibility tests one build runs and the layout.  Per (p, m, r)
-of --amm (the benchmark's r^2 | N fields), uncached build_amm_context
-and _plan times, descent (true where auto descends to F_p through the
-norm), and auto against forced amm on a residue and a non-residue, each
-root checked.  Last, per (p, m, r) of KINDS, one kind per path auto
+sides of the sieve's cutoff on p), mk_field_ms alone with the
+irreducibility tests and Ben-Or gcds one build runs and the layout.
+Per (p, m, r) of --amm (the benchmark's r^2 | N fields), uncached
+build_amm_context and _plan times, descent (true where auto descends to
+F_p through the norm), and auto against forced amm on a residue and a
+non-residue, each root checked.  Last, per (p, m, r) of KINDS, one kind per path auto
 takes, one pass of rth_root over 15 constructed residues and 15 random
 elements; before any row is timed, both sides must give the same
 status, root, path tag and counters on each of them, or the run stops
@@ -276,22 +276,25 @@ def root_row(runs, flds, deltas, r: int, status: str, repeats: int) -> dict:
 
 
 def bench_build(pkgs, p: int, m: int, repeats: int) -> dict:
-    """mk_field's time, and the irreducibility tests that one build runs
-    (counted on an untimed build, through the module global the modulus
-    search calls)."""
+    """mk_field's time, and the irreducibility tests and Ben-Or gcds that
+    one build runs (counted on an untimed build, through the module global
+    the modulus search calls and through _Residues.gcd)."""
     builds = []
     for pkg in pkgs:
-        tests = []
-        test = pkg.field.is_irreducible
+        tests, gcds = [], []
+        test, gcd = pkg.field.is_irreducible, pkg.field._Residues.gcd
         pkg.field.is_irreducible = (lambda f, q, **kw: tests.append(f) or
                                     test(f, q, **kw))
+        pkg.field._Residues.gcd = (lambda ring, b: gcds.append(b) or
+                                   gcd(ring, b))
         try:
             fld = within(partial(pkg.mk_field, p, m))
         except Timeout:
             return {"p": p, "m": m, "mk_field_ms": "timeout"}
         finally:
-            pkg.field.is_irreducible = test
-        builds.append({"irreducible_tests": len(tests), **layout(fld)})
+            pkg.field.is_irreducible, pkg.field._Residues.gcd = test, gcd
+        builds.append({"irreducible_tests": len(tests), "gcds": len(gcds),
+                       **layout(fld)})
     return {"p": p, "m": m, "mk_field_ms": row(
         [batched(partial(pkg.mk_field, p, m)) for pkg in pkgs], builds,
         repeats, "ms")}

@@ -16,17 +16,18 @@ irreducible modulus polynomial (length m+1 coefficient tuple), and
 the Frobenius matrices it has built (below).
 
 Construction: without an explicit modulus, mk_field searches candidates
-in a fixed order (see _canonical_modulus).  For p <= _SIEVE_MAX_P it
-first sieves out, per block of p candidates, those with a root in F_p;
-then, for any odd p, those whose discriminant is 0 or has the quadratic
-character no irreducible has (Stickelberger's parity, Swan 1962).  The
-rest go through Ben-Or's irreducibility test, which rejects most
-reducible candidates after one or two powers x^{p^i} mod f and takes one
-gcd per batch of later steps.  The gcds and the parity's resultants are
-one Euclid on packed integers (_Residues._euclid); the powers and gcds
-compute with the ring of the candidate modulus, the one field
-multiplication and the Frobenius matrices use.  An explicit modulus
-goes through Ben-Or's test alone.  None of this is counted.
+in a fixed order (see _canonical_modulus).  For p <= _SIEVE_MAX_P one
+evaluation sieve over F_{p^2}, per block of p candidates, drops those
+with a root in F_p and, once the search is long enough to pay for it,
+those with an irreducible quadratic factor; then, for any odd p, the
+parity test drops those whose discriminant is 0 or has the quadratic
+character no irreducible has (Stickelberger, Swan 1962).  The rest go
+through Ben-Or's irreducibility test without the gcds of the steps the
+sieve settled, and it takes one gcd per batch of later steps.  The gcds
+and the parity's resultants are one Euclid on packed integers
+(_Residues._euclid), with the ring of the candidate modulus, the one
+field multiplication and the Frobenius matrices use.  An explicit
+modulus goes through Ben-Or's test alone.  None of this is counted.
 
 Cost model: full multiplications, squarings, Frobenius applications and
 inversions are tallied in a caller-supplied OpCounter.  Additions,
@@ -67,6 +68,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress, count
+from operator import not_
 
 from .periodic import factorize, is_prime
 
@@ -121,7 +123,44 @@ def _digit_format(p, m):
 class _Packing:
     """Coefficient vectors packed into one integer, one digit per
     coefficient, constant term in the lowest digit; subclasses set
-    _digit_bytes and _digit_code from _digit_format."""
+    _digit_bytes and _digit_code from _digit_format, and a reducing one
+    calls _digits.
+
+    All digits are reduced mod p at once (_mod_p): the even and the odd
+    digits each sit in lanes two digits wide, where Barrett's quotient
+    (Barrett 1986) fits without spilling into the next lane, as in
+    Harvey's multipoint Kronecker substitution (2009); its shift is the
+    digit width, so it reduces any digit that fits.  For p = 2 _mod_p is
+    one mask of each digit's low bit."""
+
+    def _digits(self, p, m, count):
+        """Digits of _digit_format(p, m), and _mod_p for count of them."""
+        self.p = p
+        self._digit_bytes, self._digit_code = _digit_format(p, m)
+        bits = 8 * self._digit_bytes
+        # Barrett in 2*bits-bit lanes, one per even (or odd) digit: a digit
+        # y < 2^bits has y * mu < 2^(2bits) inside its lane, q = y * mu >> bits
+        # is floor(y/p) or one less, and y - q*p < 2p takes one conditional
+        # subtract, flagged by the top digit bit of y - q*p + 2^(bits-1) - p
+        lane = 2 * bits
+        ones = ((1 << lane * ((count + 1) // 2)) - 1) // ((1 << lane) - 1)
+        self._lanes = (bits, ones * ((1 << bits) - 1), (1 << bits) // p,
+                       ones * ((1 << bits - 1) - p), ones)
+        if p == 2:  # a digit mod 2 is its low bit: one mask for every digit
+            self._mod_p = (ones | ones << bits).__and__
+
+    def _mod_p(self, y: int) -> int:
+        """y with each of its at most count digits, any value below
+        2^bits, reduced into [0, p); p = 2 masks."""
+        bits, low, mu, bias, ones = self._lanes
+        p = self.p
+        even = y & low
+        even -= (even * mu >> bits & low) * p
+        even -= (even + bias >> bits - 1 & ones) * p
+        odd = y >> bits & low
+        odd -= (odd * mu >> bits & low) * p
+        odd -= (odd + bias >> bits - 1 & ones) * p
+        return even | odd << bits
 
     def _pack(self, vec) -> int:
         code = self._digit_code
@@ -160,37 +199,20 @@ class _Residues(_Packing):
     _lazy if no block is reduced.  A shrink takes each digit
     y = hi*2^h + lo, h = bits/2, to lo + hi*r, r = 2^h mod p, as
     y - hi*(2^h - r) in four bigint operations: exact mod p, and carry-free
-    as hi*(2^h - r) <= y and p < 2^h (2mp^2 < 2^bits).
-
-    All digits are reduced mod p at once (_mod_p): the even and the odd
-    digits each sit in lanes two digits wide, where Barrett's quotient
-    (Barrett 1986) fits without spilling into the next lane, as in
-    Harvey's multipoint Kronecker substitution (2009); its shift is the
-    digit width, so it reduces any digit that fits.  For p = 2 _mod_p is
-    one mask of each digit's low bit, cheaper than a shrink."""
+    as hi*(2^h - r) <= y and p < 2^h (2mp^2 < 2^bits).  For p = 2 the
+    _mod_p mask is cheaper than a shrink."""
 
     _STEPS = ("none", "mod", "shrink", "shrink2", "barrett")  # cheapest first
 
     def __init__(self, p, f):
-        m = len(f) - 1
-        self.p, self.m = p, m
-        self._digit_bytes, self._digit_code = _digit_format(p, m)
-        bits = 8 * self._digit_bytes
+        self.m = m = len(f) - 1
+        self._digits(p, m, m)
+        bits, ones = self._lanes[0], self._lanes[4]
         neg_low = [(-c) % p for c in f[:m]]
         self._neg_low = self._pack(neg_low)
         self._f = self._pack([c % p for c in f])
         block = m - max((self._neg_low.bit_length() - 1) // bits, 0)
         self.x = 1 << bits
-        # Barrett in 2*bits-bit lanes, one per even (or odd) digit: a digit
-        # y < 2^bits has y * mu < 2^(2bits) inside its lane, q = y * mu >> bits
-        # is floor(y/p) or one less, and y - q*p < 2p takes one conditional
-        # subtract, flagged by the top digit bit of y - q*p + 2^(bits-1) - p
-        lane = 2 * bits
-        ones = ((1 << lane * ((m + 1) // 2)) - 1) // ((1 << lane) - 1)
-        self._lanes = (bits, ones * (self.x - 1), self.x // p,
-                       ones * ((1 << bits - 1) - p), ones)
-        if p == 2:  # a digit mod 2 is its low bit: one mask for every digit
-            self._mod_p = (ones | ones << bits).__and__
         h, r = bits // 2, (1 << bits // 2) % p
         self._shrink = (h, ((1 << h) - 1) * (ones | ones << bits), (1 << h) - r)
         # per fold, top first: block bit offset, step, mask below, fold shift
@@ -211,19 +233,6 @@ class _Residues(_Packing):
             bounds.append(bound + gain * high)
             folds.append((lo * bits, step, (1 << lo * bits) - 1, (lo - m) * bits))
         self._lazy = not any(step for _, step, _, _ in folds)
-
-    def _mod_p(self, y: int) -> int:
-        """y with each of its at most m digits, any value below 2^bits,
-        reduced into [0, p); p = 2 masks."""
-        bits, low, mu, bias, ones = self._lanes
-        p = self.p
-        even = y & low
-        even -= (even * mu >> bits & low) * p
-        even -= (even + bias >> bits - 1 & ones) * p
-        odd = y >> bits & low
-        odd -= (odd * mu >> bits & low) * p
-        odd -= (odd + bias >> bits - 1 & ones) * p
-        return even | odd << bits
 
     def reduce_packed(self, acc: int) -> int:
         """acc mod f for acc of at most 2m - 1 digits, each <= m(p - 1)^2."""
@@ -289,32 +298,34 @@ class _Residues(_Packing):
             a, b = b, self._mod_p(a & (1 << db * bits) - 1)
 
 
-def is_irreducible(f, p, *, rootless=False) -> bool:
+def is_irreducible(f, p, *, sieved=0) -> bool:
     """Ben-Or's test (Ben-Or 1981; Gao & Panario 1997): a monic f of
     degree m is irreducible iff gcd(x^{p^i} - x, f) = 1 for every
     i <= m/2, since a reducible f has an irreducible factor of some degree
     i <= m/2, which divides x^{p^i} - x.
 
-    Steps 1 and 2 take one gcd each; most reducible f fail there, but a
-    caller that knows f has no root in F_p (rootless) settles step 1
-    without its gcd, which would read 1; x^p is still computed.  Later
-    steps multiply their x^{p^i} - x mod f over batches of 2, 4, 8, ...
-    steps and take one gcd per batch, since the product is prime to f iff
-    every factor is.  A product that is 0 mod f has gcd f, so the verdict
-    is the same, but a reducible f is rejected at the end of its batch.
-    The gcds run on the packed product (_Residues.gcd), never on lists.
+    Steps 1 and 2 take one gcd each; most reducible f fail there.  A
+    caller that knows f has no irreducible factor of degree <= sieved
+    (sieved <= 2) other than f itself, as the modulus search's sieve
+    does, skips those steps' gcds, which would read 1, and starts from
+    x^{p^sieved}; for m < 2(sieved + 1) no step is left.  Later steps
+    multiply their x^{p^i} - x mod f over batches of 2, 4, 8, ... steps
+    and take one gcd per batch, since the product is prime to f iff every
+    factor is.  A product that is 0 mod f has gcd f, so the verdict is
+    the same, but a reducible f is rejected at the end of its batch.  The
+    gcds run on the packed product (_Residues.gcd), never on lists.
     """
     f = [c % p for c in f]
     m = len(f) - 1
     if m < 1 or f[-1] != 1:
         raise ValueError("modulus must be monic of degree >= 1")
-    if m == 1:
+    if m // 2 <= sieved:
         return True
     if f[0] == 0:
         return False
     ring = _Residues(p, f)
     x, bits = ring.x, 8 * ring._digit_bytes
-    h, done, batch = x, 0, 1
+    h, done, batch = ring.pow(x, p ** sieved), sieved, 1 + (sieved > 1)
     while done < m // 2:
         prod = None
         for _ in range(min(batch, m // 2 - done)):
@@ -323,15 +334,15 @@ def is_irreducible(f, p, *, rootless=False) -> bool:
             g = h - x if h >> bits & x - 1 else h + (p - 1) * x
             prod = g if prod is None else ring.mul(prod, g)
             done += 1
-        if (done > 1 or not rootless) and ring.gcd(prod) != 1:
+        if ring.gcd(prod) != 1:
             return False
         if done >= 2:
             batch *= 2
     return True
 
 
-# the largest p whose modulus search sieves out linear factors; a block
-# costs p evaluations, which larger p do not earn back
+# the largest p whose modulus search sieves; a block costs p evaluations
+# (about p^2/2 with the points of F_{p^2}), which larger p do not earn back
 _SIEVE_MAX_P = 128
 
 
@@ -352,30 +363,107 @@ def _swan_parity(ring, f: int, df: int) -> bool:
     return db == 0 and pow(d, p >> 1, p) == (1 if m & 1 else p - 1)
 
 
+class _Points(_Packing):
+    """A search block's candidates f = x^m + U(x) + c_0, evaluated in packed
+    lanes at points a of F_{p^2} = F_p[t]/(t^2 - nu), nu a non-square
+    (t^2 = t + 1 over F_2): f(a) = 0 iff a^m + U(a) lies in F_p and
+    c_0 = -(a^m + U(a)).  Row 0 holds u in F_p, in lane u; rows l = 1 ..
+    p//2 hold l(w + t), w in F_p, in lane l*p + w, one point of each
+    conjugate pair l(w + t), -l(-w + t) (both over F_2).  Row l of a^j is
+    l^j (w + t)^j, the binomial sum of C(j, k) t^k w^(j-k): scalars times
+    packed lanes of w^i, as w^i = w^((i - 1) % (p - 1) + 1) for i >= 1.
+    A lane holds a real and a t part, each summing at most m values below
+    p^2 (_digit_format)."""
+
+    def __init__(self, p, m, rows):
+        self.m, self.rows, self.count = m, rows, rows * p
+        self._digits(p, m, self.count if rows > 1 else 1)  # F_p: no _mod_p
+        self._held, self._cols = {}, {}
+
+    def _col(self, i):
+        """The lanes of u^i, u in F_p: u times those of u^(i-1) if held."""
+        if i not in self._cols:
+            p, prev = self.p, self._cols.get(i - 1)
+            digits = ([u * d % p for u, d in enumerate(prev[0])] if prev
+                      else list(range(p)) if i == 1
+                      else [pow(u, i, p) for u in range(p)])
+            self._cols[i] = (digits, self._pack(digits))
+        return self._cols[i][1]
+
+    def _power(self, j):
+        """The lanes of a^j at every point, j >= 1, real and t part."""
+        held = self._held.get(j)
+        if held:
+            return held
+        p = self.p
+        held = (self._col((j - 1) % (p - 1) + 1), 0)
+        if self.rows > 1:
+            nu = next((c for c in range(2, p) if pow(c, p >> 1, p) > 1), 1)
+            # (w + t)^j's scalars by the lanes w^i they take, from c = C(j, k)
+            # and t^k = alpha + beta*t
+            terms, c, alpha, beta = {}, 1, 1, 0
+            for k in range(j + 1):
+                i = (j - k - 1) % (p - 1) + 1 if k < j else 0
+                re, tp = terms.get(i, (0, 0))
+                terms[i] = (re + c * alpha, tp + c * beta)
+                c, alpha, beta = (c * (j - k) // (k + 1), beta * nu % p,
+                                  (alpha + beta * (p == 2)) % p)
+            size, parts = p * self._digit_bytes, []
+            for part, row0 in enumerate(held):
+                one = sum(s[part] % p * self._col(i)
+                          for i, s in sorted(terms.items()))
+                one = self._pack([x % p for x in self._unpack(one, p)])
+                parts.append(self._mod_p(int.from_bytes(b"".join(
+                    [row0.to_bytes(size, "little")]
+                    + [(pow(l, j, p) * one).to_bytes(size, "little")
+                       for l in range(1, self.rows)]), "little")))
+            held = tuple(parts)
+        self._held[j] = held
+        return held
+
+    def roots(self, upper):
+        """The c_0 for which x^m + ... + c_2 x^2 + c_1 x + c_0, upper = (c_1,
+        c_2, ...), has a root among the points."""
+        re, tp = self._power(self.m)
+        for i, c in enumerate(upper, 1):
+            if c:
+                a, b = self._power(i)
+                re, tp = re + c * a, tp + c * b
+        values = self._unpack(re, self.count)
+        if tp:  # the lanes whose t part is 0 mod p
+            values = compress(values, map(
+                not_, self._unpack(self._mod_p(tp), self.count)))
+        return {-x % self.p for x in values}
+
+
 def _canonical_modulus(p, m):
     """The smallest monic irreducible of degree m, candidates ordered by
     the base-p integer value of their non-leading coefficients.
 
     The candidates come in blocks of p that share c_1 ... c_{m-1} and
-    differ in c_0, so f(a) = s_a + c_0 with s_a = f(a) - c_0.  For m >= 2
-    and p <= _SIEVE_MAX_P, the block evaluates s_a at every a in F_p once
-    and skips each c_0 = -s_a untested: f has the root a.  That removes
-    about 1 - 1/e of the candidates.  Then, for every odd p, _swan_parity
+    differ in c_0.  For m >= 2 and p <= _SIEVE_MAX_P, one evaluation sieve
+    (_Points) skips each candidate of a block with a root in F_p, about
+    1 - 1/e of them, and for m >= 4 each with a root in F_{p^2}, that is
+    an irreducible quadratic factor: what passes has no factor of degree
+    <= 2, as for m <= 3 what has no root in F_p.  The F_{p^2} rows are
+    bought by ski rental: each Ben-Or test tallies m, as its work grows
+    with m, and the rows are built once the tally passes p^2/4, as theirs
+    grows with the p^2/2 points.  Then, for every odd p, _swan_parity
     skips about half of the others and never an irreducible; a block's
     candidates share f' and the upper digits of f.  Over F_2 the theorem
     needs a lift's discriminant mod 8, and F_2 searches are cheap.  The
-    rest go through is_irreducible, rootless where sieved, so without
-    its step-1 gcd.
+    rest go through is_irreducible without the gcds of the steps the sieve
+    settled; for m <= 5 that leaves no step.
 
     The first block holds the binomials x^m - a, and x^m - a is
     irreducible only if every prime dividing m divides the order of a, a
     divisor of p - 1 (Lidl & Niederreiter, Thm 3.75): when some prime
     factor of m does not divide p - 1, the search starts after it."""
     first = 1 if any((p - 1) % ell for ell, _ in factorize(m)) else 0
-    sieve = 1 < m and p <= _SIEVE_MAX_P
-    # a^m for every a in F_p: the leading term of each s_a
-    powers = [pow(a, m, p) for a in range(p)] if sieve else ()
+    points = _Points(p, m, 1) if 1 < m and p <= _SIEVE_MAX_P else None
+    sieved = 0 if points is None else 1 if m > 3 else 2
     ring = _Residues(p, (0,) * m + (1,)) if p > 2 else None
+    tests = 0
     for block in count(first):
         upper = []  # c_1, c_2, ... up to the highest nonzero one
         while block:
@@ -383,13 +471,7 @@ def _canonical_modulus(p, m):
             block //= p
         if len(upper) >= m:
             raise ReducibleModulus(f"no irreducible of degree {m} found over Z_{p}")
-        rooted = set()
-        if sieve:
-            for a, lead in enumerate(powers):
-                s = 0
-                for c in reversed(upper):
-                    s = (s + c) * a
-                rooted.add(-(s + lead) % p)
+        rooted = points.roots(upper) if points else ()
         tail = upper + [0] * (m - 1 - len(upper)) + [1]
         if ring:
             high = ring._pack([0] + tail)
@@ -397,8 +479,11 @@ def _canonical_modulus(p, m):
         for c0 in range(p):
             if c0 not in rooted and (not ring or _swan_parity(ring, high + c0, df)):
                 f = [c0] + tail
-                if is_irreducible(f, p, rootless=sieve):
+                if is_irreducible(f, p, sieved=sieved):
                     return tuple(f)
+                tests += 1
+        if sieved == 1 and 4 * m * tests > p * p:
+            points, sieved = _Points(p, m, p // 2 + 1), 2
 
 
 def _powers(ring, y, m):

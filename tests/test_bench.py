@@ -191,9 +191,13 @@ def aa_run(tmp_path_factory):
 
 def test_bench_layers_smoke(aa_run):
     # x^17 + x^3 + 1: candidates x^17 + x .. x^17 + x^3 + 1, the two
-    # binomials skipped; the linear-factor sieve drops the five with a
-    # root in F_2 (constant term 0, or an even number of terms), so only
-    # x^17 + x + 1, x^17 + x^2 + 1 and x^17 + x^3 + 1 are tested
+    # binomials skipped; the sieve drops the five with a root in F_2
+    # (constant term 0, or an even number of terms), so only x^17 + x + 1,
+    # x^17 + x^2 + 1 and x^17 + x^3 + 1 are tested.  The first is tested
+    # before the search buys the point w of F_4 (w^2 = w + 1, where it
+    # has a root): its step-2 gcd rejects it.  The other two have no
+    # factor of degree <= 2 and skip the gcds of steps 1 and 2, and the
+    # last is irreducible: 1 + 1 + 2 gcds (six with the step-2 gcds)
     (build,) = aa_run["builds"]
     assert (build["p"], build["m"]) == (2, 17)
     build = build["mk_field_ms"]
@@ -202,7 +206,7 @@ def test_bench_layers_smoke(aa_run):
         # one byte per digit, where x^17 + x^3 + 1 folds twice unreduced:
         # every digit stays at most 17 * 3^2 = 153 < 2^8
         assert build[side] == dict(build[side], irreducible_tests=3,
-                                   digit_bytes=1, lazy=True,
+                                   gcds=4, digit_bytes=1, lazy=True,
                                    steps=["none", "none"])
         assert build[side]["ms"] > 0
     (fld,) = aa_run["fields"]

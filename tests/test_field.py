@@ -1106,9 +1106,11 @@ def test_binary_kernels_match_schoolbook(m, kind, monkeypatch):
     assert peaks and all(seen <= limit for limit, seen in peaks), max(peaks)
 
 
-# -- the linear-factor sieve of the modulus search -------------------------------
+# -- the evaluation sieve of the modulus search -------------------------------
 
 SIEVE_PRIMES = (2, 3, 5, 7, 13, 31, 127, 131, 257)
+SIEVED = [q for q in SIEVE_PRIMES if q <= field._SIEVE_MAX_P]
+BOUGHT = {2: (10,), 7: (12,), 13: (10,)}
 
 
 def _plain_scan(p, m):
@@ -1120,23 +1122,79 @@ def _plain_scan(p, m):
             return tuple(f)
 
 
+@functools.lru_cache
+def _fp2_points(p):
+    """Every element of F_{p^2} = F_p[s]/(s^2 - g1 s - g0), for the first
+    irreducible s^2 - g1 s - g0 found by trial with g1 counted down, as
+    (u, v) for u + v s, with its multiplication."""
+    g1, g0 = next((g1, g0) for g1 in reversed(range(p)) for g0 in range(p)
+                  if all((a * a - g1 * a - g0) % p for a in range(p)))
+
+    def mul(x, y):
+        (a, b), (c, d) = x, y
+        return (a * c + b * d * g0) % p, (a * d + b * c + b * d * g1) % p
+    return list(itertools.product(range(p), repeat=2)), mul
+
+
+def _block_roots(p, m, upper):
+    """The c_0 for which x^m + ... + c_1 x + c_0, upper = (c_1, c_2, ...),
+    has a root in F_p, and those for which it has one outside F_p, by
+    Horner's rule at every point of F_{p^2}."""
+    points, mul = _fp2_points(p)
+    coeffs = list(upper) + [0] * (m - 1 - len(upper)) + [1]
+    in_fp, outside = set(), set()
+    for a in points:
+        acc = (0, 0)
+        for c in reversed(coeffs):
+            acc = mul((acc[0] + c, acc[1]), a)
+        if acc[1] == 0:
+            (outside if a[1] else in_fp).add(-acc[0] % p)
+    return in_fp, outside
+
+
 def test_sieve_cutoff_inside_the_grid():
     assert SIEVE_PRIMES[0] <= field._SIEVE_MAX_P < SIEVE_PRIMES[-1]
 
 
 @pytest.mark.parametrize("p", SIEVE_PRIMES)
 def test_sieved_search_matches_plain_scan(p):
-    for m in range(1, 8 if p < 100 else 5):
+    for m in range(1, 11 if p <= 7 else 8 if p < 100 else 5):
         assert field._canonical_modulus(p, m) == _plain_scan(p, m), (p, m)
 
 
-@pytest.mark.parametrize("p", [q for q in SIEVE_PRIMES
-                               if q <= field._SIEVE_MAX_P])
+@pytest.mark.parametrize("p", SIEVED)
+def test_points_mark_exactly_the_roots_in_fp2(p):
+    # on every block up to the canonical modulus, binomials included, and
+    # for p <= 5 on the first p^3 blocks, c_2 and c_3 included: the F_p
+    # row marks the c_0 whose candidate has a root in F_p, and all
+    # p//2 + 1 rows those with a root in F_{p^2}.  m = 3 and 6 over F_2,
+    # m = 4 over F_3 and m = 6 over F_5 have (p + 1) | m, where a^m lies
+    # in F_p at every point
+    for m in range(2, 8):
+        found = field._canonical_modulus(p, m)
+        last = sum(c * p ** i for i, c in enumerate(found[1:-1]))
+        linear = field._Points(p, m, 1)
+        points = field._Points(p, m, p // 2 + 1)
+        for block in range(max(last + 1, p ** 3 if p <= 5 else 0)):
+            upper = [block // p ** i % p for i in range(m - 1)]
+            while upper and not upper[-1]:  # as the search passes them
+                upper.pop()
+            in_fp, outside = _block_roots(p, m, upper)
+            assert linear.roots(upper) == in_fp, (p, m, upper)
+            assert points.roots(upper) == in_fp | outside, (p, m, upper)
+
+
+@pytest.mark.parametrize("p", SIEVED)
 def test_sieve_skips_exactly_the_rooted_candidates(p, monkeypatch):
     # every candidate up to the canonical modulus, binomials included
-    # unless their block is skipped, is tested iff it has no root in F_p
-    # and, for odd p, passes the parity test on its Sylvester discriminant
-    for m in range(2, 9 if p < 100 else 5):
+    # unless their block is skipped, is tested iff it has no root in F_p,
+    # no root in F_{p^2} outside F_p once the search has bought those
+    # points (m >= 4, after the first block that ends with more than
+    # p^2/(4m) tests), and, for odd p, passes the parity test on its
+    # Sylvester discriminant.  The degrees of BOUGHT run long enough to buy
+    # the F_{p^2} points and then drop a candidate with a root there
+    dropped = 0
+    for m in [*range(2, 9 if p < 100 else 5), *BOUGHT.get(p, ())]:
         tested = []
         monkeypatch.setattr(field, "is_irreducible",
                             lambda f, q, **kw: tested.append(tuple(f)) or
@@ -1144,37 +1202,53 @@ def test_sieve_skips_exactly_the_rooted_candidates(p, monkeypatch):
         found = field._canonical_modulus(p, m)
         monkeypatch.undo()
         skip_binomials = any((p - 1) % ell for ell, _ in factorize(m))
-        candidates = []
-        for c in itertools.count(p if skip_binomials else 0):
-            f = tuple(c // p ** i % p for i in range(m)) + (1,)
-            candidates.append(f)
+        expect, candidates, bought = [], 0, False
+        for block in itertools.count(1 if skip_binomials else 0):
+            upper = [block // p ** i % p for i in range(m - 1)]
+            in_fp, outside = _block_roots(p, m, upper)
+            for c0 in range(p):
+                f = (c0, *upper, 1)
+                candidates += 1
+                if c0 in in_fp or not (p == 2 or _disc_passes(f, p)):
+                    continue
+                if bought and c0 in outside:
+                    dropped += 1
+                    continue
+                expect.append(f)
+                if f == found:
+                    break
             if f == found:
                 break
-        assert tested == [f for f in candidates
-                          if not CHECKER["_has_root"](p, f)
-                          and (p == 2 or _disc_passes(f, p))], (p, m)
-        assert len(tested) < len(candidates) or len(candidates) == 1
+            bought = bought or m >= 4 and 4 * m * len(expect) > p * p
+        assert tested == expect, (p, m)
+        assert len(tested) < candidates or candidates == 1
+    assert dropped or p not in BOUGHT
 
 
-def test_rootless_hint_skips_only_step_one(monkeypatch):
-    # on f with no root in F_p, step 1's gcd reads 1: the hint skips that
-    # one gcd and keeps the verdict
+def test_sieved_hint_skips_only_its_steps(monkeypatch):
+    # on f with no irreducible factor of degree 1 .. sieved other than
+    # itself, steps 1 .. sieved read gcd 1: the hint skips exactly those
+    # gcds, min(sieved, m // 2) of them, and keeps the verdict
     gcds = []
     gcd = field._Residues.gcd
     monkeypatch.setattr(field._Residues, "gcd",
                         lambda ring, b: gcds.append(b) or gcd(ring, b))
-    for p, top in ((2, 8), (3, 6), (5, 4)):
+    for p, top in ((2, 9), (3, 6), (5, 5)):
         for m in range(2, top + 1):
             for low in itertools.product(range(p), repeat=m):
                 f = list(low) + [1]
-                if CHECKER["_has_root"](p, f):
+                in_fp, outside = _block_roots(p, m, low[1:])
+                if low[0] in in_fp:
                     continue
                 gcds.clear()
                 plain = is_irreducible(f, p)
                 calls = len(gcds)
-                assert is_irreducible(f, p, rootless=True) is plain, (p, f)
-                assert len(gcds) - calls == calls - 1, (p, f)
                 assert plain == CHECKER["is_irreducible"](p, f), (p, f)
+                quadratic = m > 2 and low[0] in outside
+                for sieved in (1, 2) if not quadratic else (1,):
+                    gcds.clear()
+                    assert is_irreducible(f, p, sieved=sieved) is plain, (p, f)
+                    assert len(gcds) == calls - min(sieved, m // 2), (p, f)
 
 
 # -- the parity test of the modulus search (Stickelberger, Swan) ---------------
