@@ -44,8 +44,9 @@ memoryview.cast at C speed; past 8 bytes (p >= 2^32) digits are sliced
 one by one.  Before its fold a block is brought only as far down as
 exact digit bounds need: not at all, % p, by one or two shrinks of four
 bigint operations, or by Barrett; a lazy ring reduces once, at the end
-(Harvey 2009).  For p = 2 the reduction masks each digit's low bit, and
-a Frobenius application sums the columns that the 0/1 digits select.
+(Harvey 2009).  For p = 2 the reduction masks each digit's low bit.
+Where p <= 3 digits select columns: a Frobenius application sums, per
+digit value v > 0, the columns whose digit is v, v times (Field._apply).
 
 A field holds one map from j to the packed columns x^{i*p^j} of the
 p^j-power map, empty until frobenius first runs; a call on a held j is
@@ -67,7 +68,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress, count
+from itertools import compress, count, product
 from operator import not_
 
 from .periodic import factorize, is_prime
@@ -91,6 +92,9 @@ class ZeroInverse(ZeroDivisionError):
 
 # array type codes by item size, for packing digits of 1, 2, 4 or 8 bytes
 _WORD_CODES = {array(code).itemsize: code for code in "BHIQ"}
+# for p <= 3, _PLANES[p][v] translates a byte d to 1 where d % p == v, else 0
+_PLANES = {p: [bytes(d % p == v for d in range(256)) for v in range(p)]
+           for p in (2, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +113,8 @@ def _digit_format(p, m):
       bit of -f_low per folded digit to any digit: at most m more;
     - a gcd division adds b's bits once per top digit it cancels, at most
       m times, to a bit: at most m + 1;
-    - a Frobenius application sums at most m columns of bits: at most m;
+    - a Frobenius application sums the columns a 0/1 plane selects, at
+      most m(p - 1) per digit: at most m;
     - inv scales a reduced element by a scalar below p: at most 1.
     A block left unreduced is bounded apart (_Residues)."""
     bound = 2 * m * (1 if p == 2 else p * p) + 1
@@ -252,9 +257,6 @@ class _Residues(_Packing):
             acc = (acc & mask) + (high * neg_low << shift)
         return self._mod_p(acc)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.reduce_packed(a * b)
-
     def pow(self, a: int, e: int) -> int:
         """a^e for e >= 1, left-to-right square and multiply."""
         acc = a
@@ -332,7 +334,7 @@ def is_irreducible(f, p, *, sieved=0) -> bool:
             h = ring.pow(h, p)
             # h - x, digit 1 kept in [0, p)
             g = h - x if h >> bits & x - 1 else h + (p - 1) * x
-            prod = g if prod is None else ring.mul(prod, g)
+            prod = g if prod is None else ring.reduce_packed(prod * g)
             done += 1
         if ring.gcd(prod) != 1:
             return False
@@ -491,7 +493,7 @@ def _powers(ring, y, m):
     ring map that sends x to y."""
     cols = [1, y]
     for _ in range(2, m):
-        cols.append(ring.mul(cols[-1], y))
+        cols.append(ring.reduce_packed(cols[-1] * y))
     return tuple(cols)
 
 
@@ -551,22 +553,14 @@ class Field(_Packing):
         return tuple(coeffs) + (0,) * (self.m - len(coeffs))
 
     def elem_from_index(self, i: int) -> tuple:
-        digits = []
-        for _ in range(self.m):
-            digits.append(i % self.p)
-            i //= self.p
-        return tuple(digits)
+        return tuple(i // self.p ** k % self.p for k in range(self.m))
 
     def elem_index(self, a) -> int:
-        i = 0
-        for c in reversed(a):
-            i = i * self.p + c
-        return i
+        return sum(c * self.p ** k for k, c in enumerate(a))
 
     def elements(self):
         """All field elements in base-p counting order."""
-        for i in range(self.order_minus_one + 1):
-            yield self.elem_from_index(i)
+        return (c[::-1] for c in product(range(self.p), repeat=self.m))
 
     def random_elem(self, rng: random.Random) -> tuple:
         return tuple(rng.randrange(self.p) for _ in range(self.m))
@@ -706,14 +700,20 @@ class Field(_Packing):
 
     def _apply(self, cols, a) -> int:
         """The linear map with packed columns cols, applied to a, packed
-        or as digits; packed.  A packed a is read from its bytes where a
-        digit is one byte, else unpacked; over F_2 the digits 0 and 1
-        select the columns at C speed."""
-        if a.__class__ is int:
-            a = (a.to_bytes(self.m, "little") if self._digit_bytes == 1
-                 else self._unpack(a, self.m))
-        if self.p == 2:
-            return self._ring._mod_p(sum(compress(cols, a)))
+        or as digits; packed.  Where p <= 3 digits select columns: v times
+        the columns the 0/1 plane _PLANES[p][v] of the digits' low bytes
+        selects, per value v > 0, at C speed; bytes(a) raises ValueError
+        outside [0, 256).  Above, a tuple's digits are reduced mod p."""
+        p, m, db = self.p, self.m, self._digit_bytes
+        if p <= 3:
+            a = (a.to_bytes(db * m, "little")[::db] if a.__class__ is int
+                 else bytes(a))
+            planes = _PLANES[p]
+            acc = sum(compress(cols, a.translate(planes[1])))
+            if p == 3:
+                acc += 2 * sum(compress(cols, a.translate(planes[2])))
+            return self._ring._mod_p(acc)
+        a = self._unpack(a, m) if a.__class__ is int else [c % p for c in a]
         acc = 0
         for coeff, col in zip(a, cols):
             if coeff:

@@ -515,7 +515,7 @@ def test_frobenius_composed_order_independent(width_field):
 
 @pytest.mark.parametrize("m", [7, 127])
 def test_binary_frobenius_matches_generic_loop(m):
-    # over F_2, _apply sums the columns its 0/1 digits select: cold (the
+    # over F_2, _apply sums the columns its 0/1 plane selects: cold (the
     # first call on a fresh field), walked and composed calls must match
     # a^(2^j) and charge j mod m, and every matrix must give what the
     # multiply-add loop with lane reduction gives
@@ -530,6 +530,48 @@ def test_binary_frobenius_matches_generic_loop(m):
         for x in (a, fld.one(), fld.zero(), (1,) * m, fld.random_elem(rng)):
             loop = sum(c * col for c, col in zip(x, cols))
             assert fld._apply(cols, x) == field._Residues._mod_p(ring, loop)
+
+
+# every digit width the bit-plane path of _apply meets (p <= 3), and the
+# multiply-add loop above it: (p, m) -> digit bytes
+PLANE_FIELDS = {(3, 5): 1, (3, 13): 1, (3, 61): 2, (2, 127): 1, (2, 131): 2,
+                (5, 5): 1, (5, 13): 2}
+
+
+@pytest.mark.parametrize("p,m", sorted(PLANE_FIELDS))
+def test_frobenius_is_power_by_p_to_the_j(p, m):
+    # on a fresh field, every j < 2m, tuple and packed: a^(p^j) by pow
+    fld = mk_field(p, m)
+    assert fld._digit_bytes == PLANE_FIELDS[p, m]
+    rng = random.Random(p * m)
+    sample = [(p - 1,) * m, fld.random_elem(rng), fld.random_elem(rng)]
+    for j in range(2 * m):
+        for a in sample:
+            want = fld.pow(a, p ** j)
+            assert fld.frobenius(a, j) == want, (j, a)
+            assert fld.frobenius(fld._pack(a), j) == fld._pack(want), (j, a)
+
+
+def test_frobenius_tuple_digits_outside_the_field():
+    # a digit of a tuple is read mod p, or refused with the error mul
+    # raises; a wrong element never comes back
+    f2 = mk_field(2, 7)
+    a = (2, 1, 0, 0, 0, 0, 0)  # 2 + x = x
+    assert f2.frobenius(a, 1) == f2.pow(a, 2) == (0, 0, 1, 0, 0, 0, 0)
+    assert f2.frobenius((3, 255, 0, 0, 0, 0, 4), 2) == f2.frobenius(
+        (1, 1, 0, 0, 0, 0, 0), 2)
+    f3 = mk_field(3, 5)
+    assert f3.frobenius((4, 1, 0, 0, 0), 1) == (1, 0, 0, 1, 0)  # 1 + x^3
+    assert f3.frobenius((5, 1, 0, 0, 0), 1) == (2, 0, 0, 1, 0)
+    for bad in ((-1, 1, 0, 0, 0), (256, 1, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            f3.mul(bad, f3.one())
+        with pytest.raises(ValueError):
+            f3.frobenius(bad, 1)
+    assert f3.frobenius(f3.elem((-1, 1)), 1) == (2, 0, 0, 1, 0)
+    f5 = mk_field(5, 13)  # the multiply-add loop reduces tuple digits
+    for a in ((-1, 1) + (0,) * 11, (7, 600) + (0,) * 11):
+        assert f5.frobenius(a, 1) == f5.pow(f5.elem(a), 5), a
 
 
 def test_frobenius_stores_shared_between_threads():
