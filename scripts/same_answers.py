@@ -9,8 +9,8 @@ Run under the PYTHONPATH of the tree to record; one JSON line per call:
     python scripts/same_answers.py --diff old.jsonl.gz new.jsonl.gz
 
 The calls are rth_root (auto, and "amm", "periodic" and "naive" for
-prime r), single_exponent_root and amm_root with their defaults, and
-is_rth_residue with a counter.  Inputs: every field with p^m <= 512,
+prime r), amm_root with its defaults, and is_rth_residue with a
+counter.  Inputs: every field with p^m <= 512,
 every r in 2..12 and every delta, zero included; then the fields and r
 of the benchmark's workloads (perfbench/workloads.py) and of the counter
 goldens (tests/test_counter_goldens.py) and the CLI goldens, each with
@@ -102,7 +102,7 @@ def seeded_deltas(fld, r):
 def calls(fld, delta, r):
     """(call, path, thunk) for every call made on one input."""
     from rootfield import (OpCounter, amm_root, is_prime, is_rth_residue,
-                           rth_root, single_exponent_root)
+                           rth_root)
 
     def residue():
         counter = OpCounter()
@@ -114,9 +114,7 @@ def calls(fld, delta, r):
         out += [("rth_root", path,
                  lambda path=path: rth_root(fld, delta, r, path=path))
                 for path in PATHS]
-    out += [("single_exponent_root", "auto",
-             lambda: single_exponent_root(fld, delta, r)),
-            ("amm_root", "plain", lambda: amm_root(fld, delta, r)),
+    out += [("amm_root", "plain", lambda: amm_root(fld, delta, r)),
             ("is_rth_residue", "-", residue)]
     return out
 
@@ -131,7 +129,7 @@ def record(fld, delta, r, emit):
         except Exception as exc:  # the class is part of the answer
             line["exc"] = type(exc).__name__
         else:
-            if isinstance(out, tuple):
+            if name == "is_rth_residue":  # (status, counter), no outcome
                 status, c = out
                 tag = root = None
             else:

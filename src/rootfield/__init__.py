@@ -22,7 +22,7 @@ from .periodic import (BaseQDecomposition, ConditionsUnmet,
 from .roots import (AmmContext, NoNonResidueFound, NoSingleExponent,
                     RNotDividingOrder, RootOutcome, RTooSmall, ZeroElement,
                     amm_root, build_amm_context, find_nonresidue,
-                    is_rth_residue, rth_root, single_exponent_root)
+                    is_rth_residue, rth_root)
 
 __all__ = [
     "AmmContext", "BaseQDecomposition", "ConditionsUnmet",
@@ -36,7 +36,7 @@ __all__ = [
     "decompose_ramified", "find_nonresidue", "format_elem", "format_field",
     "is_prime", "is_rth_residue", "mk_field", "mult_order", "parse_elem",
     "parse_field", "phi_map", "residue_count_formula", "root_table",
-    "rth_root", "single_exponent_root",
+    "rth_root",
 ]
 
 __version__ = "0.1.0"

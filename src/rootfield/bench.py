@@ -18,7 +18,7 @@ import hashlib
 import logging
 import random
 import time
-from dataclasses import astuple, dataclass
+from collections import namedtuple
 from itertools import product
 
 from .field import is_prime, mk_field
@@ -34,28 +34,15 @@ CSV_COLUMNS = ("p", "d", "m", "r", "case", "path", "mults", "squarings",
                "wall_ns")
 
 
-@dataclass
-class BenchRow:
-    p: int
-    d: int
-    m: int
-    r: int
-    case_tag: str
-    path_tag: str
-    mults: int
-    squarings: int
-    frobenius: int
-    n: int | None
-    n_prime: int | None
-    k: int | None
-    period: int | None
-    verified: bool
-    wall_ns: int
+class BenchRow(namedtuple("BenchRow", "p d m r case_tag path_tag mults "
+                          "squarings frobenius n n_prime k period verified "
+                          "wall_ns")):
+    __slots__ = ()
 
     def cells(self) -> list[str]:
         """The row under CSV_COLUMNS, which follow the field order: None
         is empty, bools are true and false, and tags are lowercase."""
-        return [("" if x is None else str(x)).lower() for x in astuple(self)]
+        return [("" if x is None else str(x)).lower() for x in self]
 
 
 def parse_sweep(text: str) -> list[tuple[int, int, int]]:

@@ -7,8 +7,9 @@ the ring's integer, one digit per coefficient with the constant term
 lowest and every digit in [0, p), the form reduce_packed returns; it is
 canonical, so == compares elements, and the packed one is 1.  mul, sqr,
 pow and frobenius take either kind and return the kind they were given
-(mul raises TypeError on a mix); a tuple costs one pack on the way in
-and one unpack on the way out.  The root layer packs delta once per
+(mul raises TypeError on a mix); a tuple is read as elem reads it
+(digits mod p, DegreeMismatch past m) and packed on the way in, and
+unpacked on the way out.  The root layer packs delta once per
 call and stays packed until it unpacks the root.
 
 A Field instance carries the prime p, the extension degree m and a monic
@@ -45,8 +46,8 @@ one by one.  Before its fold a block is brought only as far down as
 exact digit bounds need: not at all, % p, by one or two shrinks of four
 bigint operations, or by Barrett; a lazy ring reduces once, at the end
 (Harvey 2009).  For p = 2 the reduction masks each digit's low bit.
-Where p <= 3 digits select columns: a Frobenius application sums, per
-digit value v > 0, the columns whose digit is v, v times (Field._apply).
+Where p <= 3 digits select columns: a Frobenius application sums the
+columns whose digit is v, v times, per digit value v > 0 (Field._apply).
 
 A field holds one map from j to the packed columns x^{i*p^j} of the
 p^j-power map, empty until frobenius first runs; a call on a held j is
@@ -67,7 +68,6 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from dataclasses import dataclass, field
 from itertools import compress, count, product
 from operator import not_
 
@@ -92,9 +92,9 @@ class ZeroInverse(ZeroDivisionError):
 
 # array type codes by item size, for packing digits of 1, 2, 4 or 8 bytes
 _WORD_CODES = {array(code).itemsize: code for code in "BHIQ"}
-# for p <= 3, _PLANES[p][v] translates a byte d to 1 where d % p == v, else 0
-_PLANES = {p: [bytes(d % p == v for d in range(256)) for v in range(p)]
-           for p in (2, 3)}
+# for a packed F_3 digit's byte d, _PLANES[v - 1] translates d to 1 where
+# d == v, else 0
+_PLANES = [bytes(d == v for d in range(256)) for v in (1, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def _digit_format(p, m):
       bit of -f_low per folded digit to any digit: at most m more;
     - a gcd division adds b's bits once per top digit it cancels, at most
       m times, to a bit: at most m + 1;
-    - a Frobenius application sums the columns a 0/1 plane selects, at
+    - a Frobenius application sums the columns its digits select, at
       most m(p - 1) per digit: at most m;
     - inv scales a reduced element by a scalar below p: at most 1.
     A block left unreduced is bounded apart (_Residues)."""
@@ -497,42 +497,55 @@ def _powers(ring, y, m):
     return tuple(cols)
 
 
-@dataclass
 class OpCounter:
     """Tallies of counted field operations for one computation."""
 
-    mults: int = 0
-    squarings: int = 0
-    frobenius: int = 0
-    inversions: int = 0
+    __slots__ = ("mults", "squarings", "frobenius", "inversions")
+
+    def __init__(self, mults=0, squarings=0, frobenius=0, inversions=0):
+        self.mults, self.squarings = mults, squarings
+        self.frobenius, self.inversions = frobenius, inversions
+
+    def _tallies(self):
+        return self.mults, self.squarings, self.frobenius, self.inversions
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._tallies() == other._tallies()
+
+    def __repr__(self):
+        return ("OpCounter(mults={}, squarings={}, frobenius={}, "
+                "inversions={})".format(*self._tallies()))
 
 
-@dataclass(frozen=True)
 class Field(_Packing):
-    """Immutable context for F_{p^m}; all element operations live here."""
+    """Context for F_{p^m}, equal and hashed by (p, m, modulus); all
+    element operations live here."""
 
-    p: int
-    m: int
-    modulus: tuple[int, ...]
-    order_minus_one: int = field(init=False)
-
-    def __post_init__(self):
-        p, m = self.p, self.m
-        object.__setattr__(self, "order_minus_one", p ** m - 1)
-        ring = _Residues(p, self.modulus)
-        object.__setattr__(self, "_ring", ring)
-        object.__setattr__(self, "_digit_bytes", ring._digit_bytes)
-        object.__setattr__(self, "_digit_code", ring._digit_code)
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+        self.p, self.m, self.modulus = p, m, modulus
+        self.order_minus_one = p ** m - 1
+        self._ring = ring = _Residues(p, modulus)
+        self._digit_bytes, self._digit_code = ring._digit_bytes, ring._digit_code
         # Frobenius matrices by j (replaced, never mutated), the rental's
         # tally by j (a lost update only delays a build), and the cap: 18 of
         # 21 used on F_{2^127}, at most 16 MB on F_{2^521}
-        object.__setattr__(self, "_frob_maps", {})
-        object.__setattr__(self, "_frob_spent", {})
-        object.__setattr__(self, "_frob_cap", 3 * (m - 1).bit_length())
-        object.__setattr__(self, "_hash", hash((p, m, self.modulus)))
+        self._frob_maps, self._frob_spent = {}, {}
+        self._frob_cap = 3 * (m - 1).bit_length()
+        self._hash = hash((p, m, modulus))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return (f"Field(p={self.p!r}, m={self.m!r}, modulus={self.modulus!r}, "
+                f"order_minus_one={self.order_minus_one!r})")
 
     # -- element construction ------------------------------------------------
 
@@ -579,15 +592,22 @@ class Field(_Packing):
         p = self.p
         return tuple((-x) % p for x in a)
 
+    def _read(self, a) -> int:
+        """The tuple a read as elem reads it, packed: digits below the
+        packed width are packed as they are and reduced at once."""
+        if len(a) <= self.m:
+            try:
+                return self._ring._mod_p(self._pack(a))
+            except (AttributeError, OverflowError, TypeError, ValueError):
+                pass  # a digit outside [0, 2^bits), or not an int
+        return self._pack(self.elem(a))
+
     def _raw_mul(self, a, b):
-        if self.m == 1:
-            if a.__class__ is int is b.__class__:
-                return a * b % self.p
-            return (a[0] * b[0] % self.p,)
         if a.__class__ is int is b.__class__:
-            return self._ring.reduce_packed(a * b)
-        # two tuples; with one int among them, _pack raises TypeError
-        x = self._ring.reduce_packed(self._pack(a) * self._pack(b))
+            return (a * b % self.p if self.m == 1
+                    else self._ring.reduce_packed(a * b))
+        # two tuples; with one int among them, _read raises TypeError
+        x = self._raw_mul(self._read(a), self._read(b))
         return tuple(self._unpack(x, self.m))
 
     def mul(self, a, b, counter: OpCounter | None = None):
@@ -602,7 +622,7 @@ class Field(_Packing):
 
     def pow(self, a, e: int, counter: OpCounter | None = None):
         """Left-to-right square and multiply on the packed element; a
-        tuple is packed once and unpacked once at the end.  0^0 is defined
+        tuple is read once and unpacked once at the end.  0^0 is defined
         as 1.
 
         The counter is charged what the chain of sqr and mul calls would
@@ -610,17 +630,15 @@ class Field(_Packing):
         multiplication per set bit after the first."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        packed = a.__class__ is int
+        if a.__class__ is not int:
+            return tuple(self._unpack(self.pow(self._read(a), e, counter),
+                                      self.m))
         if e == 0:
-            return 1 if packed else self.one()
+            return 1
         if counter is not None:
             counter.squarings += e.bit_length() - 1
             counter.mults += e.bit_count() - 1
-        if self.m == 1:
-            return pow(a, e, self.p) if packed else (pow(a[0], e, self.p),)
-        if packed:
-            return self._ring.pow(a, e)
-        return tuple(self._unpack(self._ring.pow(self._pack(a), e), self.m))
+        return pow(a, e, self.p) if self.m == 1 else self._ring.pow(a, e)
 
     def inv(self, a, counter: OpCounter | None = None) -> tuple:
         """a^{-1} by Itoh & Tsujii (1988).  With t = (p^m - 1)/(p - 1),
@@ -628,15 +646,15 @@ class Field(_Packing):
         a^t = a^{t-1} * a lies in F_p, and a^{-1} = a^{t-1} * (a^t)^{-1}
         needs only a scalar inverse.  The counter is charged one
         inversion and nothing else."""
-        if not any(a):
+        x = self._read(a)
+        if not x:
             raise ZeroInverse("zero has no multiplicative inverse")
         if counter is not None:
             counter.inversions += 1
         p = self.p
         if self.m == 1:
-            return (pow(a[0], -1, p),)
+            return (pow(x, -1, p),)
         from .frobpow import phi_map  # frobpow imports this module
-        x = self._pack(a)
         head = phi_map(self, self.frobenius(x, 1), 1, self.m - 2)
         scale = pow(self._raw_mul(head, x), -1, p)
         return tuple(self._unpack(self._ring._mod_p(head * scale), self.m))
@@ -650,21 +668,21 @@ class Field(_Packing):
         j %= self.m
         if counter is not None:
             counter.frobenius += j
+        if a.__class__ is not int:
+            return tuple(self._unpack(self.frobenius(self._read(a), j), self.m))
         if not j:
-            return a if a.__class__ is int else tuple(a)
+            return a
         cols = self._frob_maps.get(j)
         if cols is None and j & j - 1:  # two or more set bits
             spent = self._frob_spent.get(j, 0) + j.bit_count() - 1
             self._frob_spent[j] = spent
             if 2 * spent >= self.m:
                 cols = self._frob_build(j)
-        x = self._walk(a, j) if cols is None else self._apply(cols, a)
-        return x if a.__class__ is int else tuple(self._unpack(x, self.m))
+        return self._walk(a, j) if cols is None else self._apply(cols, a)
 
-    def _walk(self, x, j: int) -> int:
-        """x raised to p^j, 0 < j < m, packed, for x packed or as digits:
-        the matrix of each set bit 2^i of j applied in turn, each built on
-        first need."""
+    def _walk(self, x: int, j: int) -> int:
+        """Packed x raised to p^j, 0 < j < m: the matrix of each set bit
+        2^i of j applied in turn, each built on first need."""
         for i in range(j.bit_length()):
             if j >> i & 1:
                 cols = self._frob_maps.get(1 << i) or self._frob_build(1 << i)
@@ -695,27 +713,26 @@ class Field(_Packing):
         store = self._frob_maps
         if full(store):
             return None
-        object.__setattr__(self, "_frob_maps", {**store, j: cols})
+        self._frob_maps = {**store, j: cols}
         return cols
 
-    def _apply(self, cols, a) -> int:
-        """The linear map with packed columns cols, applied to a, packed
-        or as digits; packed.  Where p <= 3 digits select columns: v times
-        the columns the 0/1 plane _PLANES[p][v] of the digits' low bytes
-        selects, per value v > 0, at C speed; bytes(a) raises ValueError
-        outside [0, 256).  Above, a tuple's digits are reduced mod p."""
+    def _apply(self, cols, x: int) -> int:
+        """The linear map with packed columns cols, applied to packed x.
+        Where p <= 3 digits select columns: v times the columns the 0/1
+        plane of digit value v selects, per v > 0, at C speed.  The low
+        bytes of x's digits are the plane over F_2, and _PLANES translates
+        them over F_3."""
         p, m, db = self.p, self.m, self._digit_bytes
         if p <= 3:
-            a = (a.to_bytes(db * m, "little")[::db] if a.__class__ is int
-                 else bytes(a))
-            planes = _PLANES[p]
-            acc = sum(compress(cols, a.translate(planes[1])))
-            if p == 3:
-                acc += 2 * sum(compress(cols, a.translate(planes[2])))
+            a = x.to_bytes(db * m, "little")[::db]
+            if p == 2:
+                acc = sum(compress(cols, a))
+            else:
+                acc = (sum(compress(cols, a.translate(_PLANES[0])))
+                       + 2 * sum(compress(cols, a.translate(_PLANES[1]))))
             return self._ring._mod_p(acc)
-        a = self._unpack(a, m) if a.__class__ is int else [c % p for c in a]
         acc = 0
-        for coeff, col in zip(a, cols):
+        for coeff, col in zip(self._unpack(x, m), cols):
             if coeff:
                 acc += coeff * col
         return self._ring._mod_p(acc)

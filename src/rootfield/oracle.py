@@ -7,7 +7,7 @@ against these answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .field import Field
@@ -20,13 +20,11 @@ class FieldTooLarge(ValueError):
     """Exhaustive enumeration is capped at 2^20 elements."""
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(namedtuple("OracleReport",
+                              "all_roots residue_count group_order")):
     """Every r-th root of one delta, found the honest way."""
 
-    all_roots: frozenset
-    residue_count: int
-    group_order: int
+    __slots__ = ()
 
 
 def brute_root(fld: Field, delta, r: int) -> OracleReport:

@@ -24,7 +24,7 @@ and the bench sweep.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from math import gcd
 
 
@@ -56,17 +56,12 @@ class FactorizationTooHard(ValueError):
 CASE_TAGS = ("coprime", "ramified", "higher_power")
 
 
-@dataclass(frozen=True)
-class PeriodicExponent:
+class PeriodicExponent(namedtuple("PeriodicExponent", "a b period n v")):
     """One split v = a + b * sum_{j<n} p^{j*period}, period in base-p
     digits: r*v = 1 (mod (p^m - 1)/r^alpha) for a record of decompose,
     v = N/d for one with a = 0."""
 
-    a: int
-    b: int
-    period: int
-    n: int
-    v: int
+    __slots__ = ()
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -309,21 +304,15 @@ def decompose_ramified(p: int, m: int, r: int) -> PeriodicExponent:
     return decompose(p, m, r, mult_order(p, r), 1)
 
 
-@dataclass(frozen=True)
-class BaseQDecomposition:
+class BaseQDecomposition(namedtuple("BaseQDecomposition",
+                                    "p d pe k_base k_prime n n_prime")):
     """Decomposition over an intermediate field F_q, q = p^d, plus the
     base-p comparison data: n counts periodic terms base q, n_prime the
     terms the same exponent gets when worked base p.  n_prime >= n
     always; the base-p view never loses terms.  The variant is ramified
     exactly when r | q - 1."""
 
-    p: int
-    d: int
-    pe: PeriodicExponent
-    k_base: int
-    k_prime: int
-    n: int
-    n_prime: int
+    __slots__ = ()
 
 
 def decompose_base_q(q: int, m: int, r: int) -> BaseQDecomposition:
@@ -354,5 +343,5 @@ def decompose_base_q(q: int, m: int, r: int) -> BaseQDecomposition:
     n_prime = m * d // (k_prime * r ** alpha)
     # express the period in base-p digits so the record is comparable
     # with a base-p decomposition of the same flattened field
-    pe = replace(pe_q, period=pe_q.period * d)
+    pe = pe_q._replace(period=pe_q.period * d)
     return BaseQDecomposition(p, d, pe, k, k_prime, pe.n, n_prime)

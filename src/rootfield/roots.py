@@ -29,7 +29,7 @@ where the digit loop reads them) stay packed, and only the root unpacks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -61,20 +61,16 @@ class NoSingleExponent(ValueError):
     it with a cofactor coprime to r, so no single exponent applies."""
 
 
-@dataclass
-class RootOutcome:
+class RootOutcome(namedtuple("RootOutcome",
+                             "status root verification counters path_tag")):
     """Result of one extraction: status is "root_found" or "non_residue",
     counters hold the operation tallies for the whole computation."""
 
-    status: str
-    root: tuple | None
-    verification: bool
-    counters: OpCounter
-    path_tag: str
+    __slots__ = ()
 
 
-@dataclass
-class AmmContext:
+class AmmContext(namedtuple("AmmContext", "t s alpha rho rho_s k_index test "
+                            "cof head descent", defaults=(None,) * 7)):
     """Per-(field, r) data for the one root algorithm.
 
     N = r^t * s with gcd(s, r) = 1; alpha is the least nonnegative
@@ -88,16 +84,7 @@ class AmmContext:
     rth_root reads it only for t >= 2, where the digit loop runs.  Auto's
     descent to F_p (_plan) is (F_p, a, e, norm); it reads no rho."""
 
-    t: int
-    s: int
-    alpha: int | None
-    rho: tuple | None = None
-    rho_s: int | None = None
-    k_index: dict | None = None
-    test: PeriodicExponent | None = None
-    cof: PeriodicExponent | None = None
-    head: PeriodicExponent | None = None
-    descent: tuple | None = None
+    __slots__ = ()
 
 
 def _require_divisor(fld: Field, r: int) -> None:
@@ -110,8 +97,8 @@ def _plan(fld: Field, r: int) -> AmmContext:
     """The AmmContext for (fld, r), r >= 2, without rho or its table.
     Every record needs k < m, k the order of p mod r, so k is searched
     among j < m only.  The periods k*r^i divide m for prime r; a
-    composite r gets records only for t <= 1, where the single exponent
-    takes them.  The descent's v = a + p^e*z*G, m - 1 = r*n + e - 1,
+    composite r, which no stage takes, gets records only for t <= 1, for
+    is_rth_residue, build_amm_context and the bench sweep's columns.  The descent's v = a + p^e*z*G, m - 1 = r*n + e - 1,
     G = 1 + p^r + ... + p^{r(n-1)}; norm, the record of z*G, is None for
     n = 0, where v = a."""
     p, m, order = fld.p, fld.m, fld.order_minus_one
@@ -141,7 +128,7 @@ def _plan(fld: Field, r: int) -> AmmContext:
 
 def _plain(ctx: AmmContext) -> AmmContext:
     """ctx with every record and the descent cleared: plain powering."""
-    return replace(ctx, test=None, cof=None, head=None, descent=None)
+    return ctx._replace(test=None, cof=None, head=None, descent=None)
 
 
 def _power(fld: Field, delta, rec: PeriodicExponent | None, v: int,
@@ -156,7 +143,7 @@ def is_rth_residue(fld: Field, delta, r: int,
     """Euler-style criterion: delta^{N/r} = 1, raised through Frobenius
     maps when the plan holds the test record."""
     _require_divisor(fld, r)
-    delta = fld._pack(fld.elem(delta))
+    delta = fld._read(delta)
     if not delta:
         raise ZeroElement("residue test is for nonzero elements")
     return _power(fld, delta, _plan(fld, r).test, fld.order_minus_one // r,
@@ -204,7 +191,7 @@ def build_amm_context(fld: Field, r: int, seed: int = 0,
         for i in range(r):
             k_index[w] = i
             w = fld._raw_mul(w, g)
-    return replace(plan, rho=rho, rho_s=rho_s, k_index=k_index)
+    return plan._replace(rho=rho, rho_s=rho_s, k_index=k_index)
 
 
 @lru_cache(maxsize=512)
@@ -322,32 +309,13 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
     uncounted.  Every power is plain, whatever records the plan holds: the
     baseline that auto dispatch's Frobenius splits are measured against."""
     _require_divisor(fld, r)
-    delta = fld._pack(fld.elem(delta))
+    delta = fld._read(delta)
     if not delta:
         raise ZeroElement("amm_root is for nonzero elements")
     counter = counter or OpCounter()
     rho = None if rho is None else fld.elem(rho)  # hashable for the cache
     return _outcome(fld, *_stage(fld, delta, r, seed, counter, "amm", rho),
                     counter)
-
-
-def single_exponent_root(fld: Field, delta, r: int,
-                         counter: OpCounter | None = None) -> RootOutcome:
-    """Root extraction for r coprime to N, or dividing N exactly once
-    with a cofactor coprime to r: one exponentiation by
-    alpha = r^{-1} mod N/r^t, t the multiplicity of r in N.
-
-    The verification doubles as the residue test (for t = 0 it always
-    passes) and its cost stays in the counters.  The periodic fast path
-    runs when m > k*r^t, k the order of p mod r; rth_root's path
-    "periodic" or "naive" forces one."""
-    if r < 2:
-        raise RTooSmall("r must be >= 2")
-    counter = counter or OpCounter()
-    delta = fld._pack(fld.elem(delta))
-    if _plan(fld, r).t > 1:
-        raise NoSingleExponent(f"r={r}: r^2 divides p^m - 1; use amm_root")
-    return _outcome(fld, *_stage(fld, delta, r, 0, counter), counter)
 
 
 def rth_root(fld: Field, delta, r: int, seed: int = 0,
@@ -372,7 +340,7 @@ def rth_root(fld: Field, delta, r: int, seed: int = 0,
         raise ValueError(f"unknown path {path!r}")
     if path != "auto" and not is_prime(r):
         raise ValueError("forced paths require prime r")
-    delta = fld._pack(fld.elem(delta))
+    delta = fld._read(delta)
     counter = OpCounter()
     p_mult = exact_power(fld.p, r)
     stages = factorize(r // fld.p ** p_mult)

@@ -353,10 +353,12 @@ def fresh(*args):
 
 def test_cold_import_leaves_the_sweep_harness_unloaded():
     # only `rootfield bench` needs the harness, and csv, hashlib and logging
-    # with it; a one-shot root request should not pay their import
+    # with it; a one-shot root request should not pay their import, nor
+    # that of dataclasses and inspect
     proc = fresh("-c", "import sys; before = set(sys.modules); "
-                 "import rootfield.cli; print(sorted({'csv', 'hashlib', "
-                 "'logging', 'rootfield.bench'} & (set(sys.modules) - before)))")
+                 "import rootfield.cli; print(sorted({'csv', 'dataclasses', "
+                 "'hashlib', 'inspect', 'logging', 'rootfield.bench'} & "
+                 "(set(sys.modules) - before)))")
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 

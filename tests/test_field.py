@@ -438,8 +438,7 @@ def test_frobenius_ladder_matches_matrix_squaring(width_field):
     assert sorted(ladder) == [1 << i for i in range((m - 1).bit_length())]
     for j, low in ladder.items():
         if 2 * j in ladder:
-            assert ladder[2 * j] == tuple(fld._apply(low, fld._unpack(col, m))
-                                          for col in low)
+            assert ladder[2 * j] == tuple(fld._apply(low, col) for col in low)
 
 
 def test_frobenius_ladder_order_independent(width_field):
@@ -515,7 +514,7 @@ def test_frobenius_composed_order_independent(width_field):
 
 @pytest.mark.parametrize("m", [7, 127])
 def test_binary_frobenius_matches_generic_loop(m):
-    # over F_2, _apply sums the columns its 0/1 plane selects: cold (the
+    # over F_2, _apply sums the columns the digits select: cold (the
     # first call on a fresh field), walked and composed calls must match
     # a^(2^j) and charge j mod m, and every matrix must give what the
     # multiply-add loop with lane reduction gives
@@ -529,7 +528,8 @@ def test_binary_frobenius_matches_generic_loop(m):
     for cols in fld._frob_maps.values():
         for x in (a, fld.one(), fld.zero(), (1,) * m, fld.random_elem(rng)):
             loop = sum(c * col for c, col in zip(x, cols))
-            assert fld._apply(cols, x) == field._Residues._mod_p(ring, loop)
+            assert fld._apply(cols, fld._pack(x)) == \
+                field._Residues._mod_p(ring, loop)
 
 
 # every digit width the bit-plane path of _apply meets (p <= 3), and the
@@ -553,8 +553,8 @@ def test_frobenius_is_power_by_p_to_the_j(p, m):
 
 
 def test_frobenius_tuple_digits_outside_the_field():
-    # a digit of a tuple is read mod p, or refused with the error mul
-    # raises; a wrong element never comes back
+    # a digit of a tuple is read mod p, as mul and elem read it; a wrong
+    # element never comes back
     f2 = mk_field(2, 7)
     a = (2, 1, 0, 0, 0, 0, 0)  # 2 + x = x
     assert f2.frobenius(a, 1) == f2.pow(a, 2) == (0, 0, 1, 0, 0, 0, 0)
@@ -564,14 +564,40 @@ def test_frobenius_tuple_digits_outside_the_field():
     assert f3.frobenius((4, 1, 0, 0, 0), 1) == (1, 0, 0, 1, 0)  # 1 + x^3
     assert f3.frobenius((5, 1, 0, 0, 0), 1) == (2, 0, 0, 1, 0)
     for bad in ((-1, 1, 0, 0, 0), (256, 1, 0, 0, 0)):
-        with pytest.raises(ValueError):
-            f3.mul(bad, f3.one())
-        with pytest.raises(ValueError):
-            f3.frobenius(bad, 1)
+        assert f3.mul(bad, f3.one()) == f3.elem(bad)
+        assert f3.frobenius(bad, 1) == f3.frobenius(f3.elem(bad), 1)
     assert f3.frobenius(f3.elem((-1, 1)), 1) == (2, 0, 0, 1, 0)
     f5 = mk_field(5, 13)  # the multiply-add loop reduces tuple digits
     for a in ((-1, 1) + (0,) * 11, (7, 600) + (0,) * 11):
         assert f5.frobenius(a, 1) == f5.pow(f5.elem(a), 5), a
+
+
+def test_tuple_operands_are_read_as_elem_reads_them():
+    # mul, sqr, pow, frobenius and inv read a tuple's digits mod p, pad a
+    # short one and refuse one longer than m, as elem does; 255 = 0 mod 3
+    f3, f13 = mk_field(3, 5), mk_field(13, 1)
+    big = (255, 255, 0, 0, 0)
+    assert f3.mul(big, big) == f3.sqr(big) == f3.pow(big, 3) == f3.zero()
+    assert f3.frobenius(big, 1) == f3.frobenius(big, 0) == f3.zero()
+    a = (4, -1, 7, 300)
+    for fld, x in ((f3, a), (f3, big), (f13, (14,)), (f13, (-3,))):
+        y = fld.elem(x)
+        assert fld.mul(x, x) == fld.sqr(x) == fld.mul(y, y)
+        assert fld.pow(x, 7) == fld.pow(y, 7)
+        assert fld.pow(x, 0) == fld.one()
+        for j in range(2 * fld.m):
+            assert fld.frobenius(x, j) == fld.frobenius(y, j)
+        if any(y):
+            assert fld.inv(x) == fld.inv(y)
+    with pytest.raises(ZeroInverse):
+        f3.inv(big)
+    for fld in (f3, f13):
+        long = (1,) * (fld.m + 1)
+        for call in (lambda: fld.mul(long, fld.one()), lambda: fld.sqr(long),
+                     lambda: fld.pow(long, 2), lambda: fld.pow(long, 0),
+                     lambda: fld.frobenius(long, 1), lambda: fld.inv(long)):
+            with pytest.raises(DegreeMismatch):
+                call()
 
 
 def test_frobenius_stores_shared_between_threads():

@@ -11,8 +11,7 @@ from rootfield import (DegreeMismatch, Field, NoNonResidueFound,
                        NoSingleExponent, OpCounter, PeriodTooLong,
                        RNotDividingOrder, RTooSmall, ZeroElement, amm_root,
                        build_amm_context, find_nonresidue, is_prime,
-                       is_rth_residue, mk_field, root_table, rth_root,
-                       single_exponent_root)
+                       is_rth_residue, mk_field, root_table, rth_root)
 from rootfield import roots
 from rootfield.cli import dispatch
 from rootfield.periodic import (FactorizationTooHard, PeriodicExponent,
@@ -599,7 +598,7 @@ def test_coprime_is_a_bijection(f13):
     roots = set()
     for i in range(13):
         delta = f13.elem_from_index(i)
-        out = single_exponent_root(f13, delta, 5)
+        out = rth_root(f13, delta, 5)
         assert out.status == "root_found"
         assert f13.pow(out.root, 5) == delta
         roots.add(out.root)
@@ -608,7 +607,7 @@ def test_coprime_is_a_bijection(f13):
 
 def test_coprime_fast_path_tag(f39):
     delta = f39.random_elem(random.Random(1))
-    auto = single_exponent_root(f39, delta, 5)
+    auto = rth_root(f39, delta, 5)
     fast = rth_root(f39, delta, 5, path="periodic")
     naive = rth_root(f39, delta, 5, path="naive")
     assert auto.path_tag == "coprime_fast"  # m = 9 > k = 4
@@ -624,16 +623,16 @@ def test_coprime_forced_fast_needs_long_extension(f13):
 
 def test_coprime_rejects_shared_factor(f13):
     with pytest.raises(NoSingleExponent):
-        single_exponent_root(f13, (3,), 2)
+        rth_root(f13, (3,), 2, path="naive")
 
 
 def test_coprime_r_too_small(f13):
     with pytest.raises(RTooSmall):
-        single_exponent_root(f13, (3,), 1)
+        rth_root(f13, (3,), 1)
 
 
 def test_coprime_zero(f39):
-    out = single_exponent_root(f39, f39.zero(), 5)
+    out = rth_root(f39, f39.zero(), 5)
     assert out.root == f39.zero()
     assert out.status == "root_found"
 
@@ -647,7 +646,7 @@ def test_ramified_square_root_f75(f75):
         if not any(gamma):
             continue
         delta = f75.pow(gamma, 2)
-        out = single_exponent_root(f75, delta, 2)
+        out = rth_root(f75, delta, 2)
         assert out.status == "root_found"
         assert out.path_tag == "ramified_fast"  # m = 5 > k*r = 2
         assert out.root in (gamma, f75.neg(gamma))
@@ -655,13 +654,13 @@ def test_ramified_square_root_f75(f75):
 
 def test_ramified_non_residue_f75(f75):
     rho = find_nonresidue(f75, 2)
-    out = single_exponent_root(f75, rho, 2)
+    out = rth_root(f75, rho, 2)
     assert (out.status, out.root) == ("non_residue", None)
 
 
 def test_ramified_naive_small_extension(f7):
     # k*r = 2 >= m = 1 forces plain powering; 6 = 2 * 3 so r = 2 ramifies
-    out = single_exponent_root(f7, (2,), 2)
+    out = rth_root(f7, (2,), 2)
     assert out.path_tag == "naive_fallback"
     assert f7.pow(out.root, 2) == (2,)
     with pytest.raises(PeriodTooLong):
@@ -670,11 +669,11 @@ def test_ramified_naive_small_extension(f7):
 
 def test_ramified_rejects_higher_power(f13):
     with pytest.raises(NoSingleExponent):
-        single_exponent_root(f13, (4,), 2)
+        rth_root(f13, (4,), 2, path="naive")
 
 
 def test_ramified_zero(f75):
-    out = single_exponent_root(f75, f75.zero(), 2)
+    out = rth_root(f75, f75.zero(), 2)
     assert out.root == f75.zero()
 
 
@@ -765,8 +764,6 @@ def test_zero_is_its_own_root_with_no_ops(f13, f7, f39, f75):
              (f75, 2, ("auto", "amm", "periodic", "naive"))]
     for fld, r, paths in cases:
         outs = [rth_root(fld, fld.zero(), r, path=path) for path in paths]
-        if fld is not f13:  # r^2 | 12: no single exponent
-            outs.append(single_exponent_root(fld, fld.zero(), r))
         for out in outs:
             assert (out.status, out.root, out.counters) == \
                 ("root_found", fld.zero(), OpCounter())
@@ -845,7 +842,9 @@ def test_single_stage_returns_the_stage_outcome(p, m, r, kind):
     else:
         delta = find_nonresidue(fld, r)
     auto = rth_root(fld, delta, r)
-    stage = single_exponent_root(fld, delta, r)
+    counter = OpCounter()
+    stage = roots._outcome(fld, *roots._stage(fld, fld._read(delta), r, 0,
+                                              counter), counter)
     assert auto.path_tag != "composite_chain"
     assert auto.status == ("non_residue" if kind == "non_residue"
                            else "root_found")
@@ -861,7 +860,7 @@ def test_root_layer_reads_delta_as_a_field_element(f13):
     for delta in ((3, 1) + (0,) * 59, (0, -2), (0, 1)):
         assert is_rth_residue(f361, delta, 2)
         for r, out in ((2, rth_root(f361, delta, 2)),
-                       (2, single_exponent_root(f361, delta, 2)),
+                       (2, rth_root(f361, delta, 2, path="naive")),
                        (6, rth_root(f361, delta, 6))):  # peel, then 2
             assert out.status == "root_found"
             assert f361.pow(out.root, r) == x
@@ -879,14 +878,14 @@ def test_root_layer_reads_delta_as_a_field_element(f13):
 
 @pytest.mark.parametrize("p,m,r", [(3, 61, 2), (5, 61, 2), (3, 61, 30)])
 def test_rth_root_reads_delta_once(monkeypatch, p, m, r):
-    # a single stage and a chain read delta through Field.elem once
+    # a single stage and a chain read delta through Field._read once
     fld = mk_field(p, m)
     delta = fld.pow(fld.random_elem(random.Random(f"elem/{p}^{m}")), r)
     rth_root(fld, delta, r)  # builds and caches any AMM context
     calls = []
-    elem = Field.elem
-    monkeypatch.setattr(Field, "elem",
-                        lambda self, c: calls.append(c) or elem(self, c))
+    read = Field._read
+    monkeypatch.setattr(Field, "_read",
+                        lambda self, c: calls.append(c) or read(self, c))
     assert rth_root(fld, delta, r).status == "root_found"
     assert len(calls) == 1
 
