@@ -20,15 +20,16 @@ Construction: without an explicit modulus, mk_field searches candidates
 in a fixed order (see _canonical_modulus).  For p <= _SIEVE_MAX_P one
 evaluation sieve over F_{p^2}, per block of p candidates, drops those
 with a root in F_p and, once the search is long enough to pay for it,
-those with an irreducible quadratic factor; then, for any odd p, the
-parity test drops those whose discriminant is 0 or has the quadratic
-character no irreducible has (Stickelberger, Swan 1962).  The rest go
-through Ben-Or's irreducibility test without the gcds of the steps the
-sieve settled, and it takes one gcd per batch of later steps.  The gcds
-and the parity's resultants are one Euclid on packed integers
-(_Residues._euclid), with the ring of the candidate modulus, the one
-field multiplication and the Frobenius matrices use.  An explicit
-modulus goes through Ben-Or's test alone.  None of this is counted.
+those with an irreducible quadratic factor; it raises its points to each
+power a block needs directly, by pow in F_p and square and multiply in
+F_{p^2}.  Then, for any odd p, the parity test drops those whose
+discriminant is 0 or has the quadratic character no irreducible has
+(Stickelberger, Swan 1962).  The rest go through Ben-Or's test without
+the gcds of the steps the sieve settled, and it takes one gcd per batch
+of later steps.  The gcds and the parity's resultants are one Euclid on
+packed integers (_Residues._euclid), with the ring of the candidate
+modulus, the one field multiplication and the Frobenius matrices use.
+An explicit modulus takes Ben-Or's test alone.  None of it is counted.
 
 Cost model: full multiplications, squarings, Frobenius applications and
 inversions are tallied in a caller-supplied OpCounter.  Additions,
@@ -69,8 +70,9 @@ import random
 import sys
 from array import array
 from itertools import compress, count, product
-from operator import not_
+from operator import mul, not_
 
+from .frobpow import phi_map
 from .periodic import factorize, is_prime
 
 
@@ -371,50 +373,35 @@ class _Points(_Packing):
     (t^2 = t + 1 over F_2): f(a) = 0 iff a^m + U(a) lies in F_p and
     c_0 = -(a^m + U(a)).  Row 0 holds u in F_p, in lane u; rows l = 1 ..
     p//2 hold l(w + t), w in F_p, in lane l*p + w, one point of each
-    conjugate pair l(w + t), -l(-w + t) (both over F_2).  Row l of a^j is
-    l^j (w + t)^j, the binomial sum of C(j, k) t^k w^(j-k): scalars times
-    packed lanes of w^i, as w^i = w^((i - 1) % (p - 1) + 1) for i >= 1.
-    A lane holds a real and a t part, each summing at most m values below
-    p^2 (_digit_format)."""
+    conjugate pair l(w + t), -l(-w + t) (both over F_2).  a^j is powered
+    directly: u^j by pow in row 0, (w + t)^j by square and multiply in
+    row 1, and row l is l^j times row 1.  A lane holds a real and a t
+    part, each summing at most m values below p^2 (_digit_format)."""
 
     def __init__(self, p, m, rows):
         self.m, self.rows, self.count = m, rows, rows * p
         self._digits(p, m, self.count if rows > 1 else 1)  # F_p: no _mod_p
-        self._held, self._cols = {}, {}
-
-    def _col(self, i):
-        """The lanes of u^i, u in F_p: u times those of u^(i-1) if held."""
-        if i not in self._cols:
-            p, prev = self.p, self._cols.get(i - 1)
-            digits = ([u * d % p for u, d in enumerate(prev[0])] if prev
-                      else list(range(p)) if i == 1
-                      else [pow(u, i, p) for u in range(p)])
-            self._cols[i] = (digits, self._pack(digits))
-        return self._cols[i][1]
+        self._nu = next((c for c in range(2, p) if pow(c, p >> 1, p) > 1), 1)
+        self._held = {}
 
     def _power(self, j):
         """The lanes of a^j at every point, j >= 1, real and t part."""
         held = self._held.get(j)
         if held:
             return held
-        p = self.p
-        held = (self._col((j - 1) % (p - 1) + 1), 0)
+        p, nu, s = self.p, self._nu, self.p == 2  # t^2 = nu + s*t
+        held = (self._pack([pow(u, j, p) for u in range(p)]), 0)
         if self.rows > 1:
-            nu = next((c for c in range(2, p) if pow(c, p >> 1, p) > 1), 1)
-            # (w + t)^j's scalars by the lanes w^i they take, from c = C(j, k)
-            # and t^k = alpha + beta*t
-            terms, c, alpha, beta = {}, 1, 1, 0
-            for k in range(j + 1):
-                i = (j - k - 1) % (p - 1) + 1 if k < j else 0
-                re, tp = terms.get(i, (0, 0))
-                terms[i] = (re + c * alpha, tp + c * beta)
-                c, alpha, beta = (c * (j - k) // (k + 1), beta * nu % p,
-                                  (alpha + beta * (p == 2)) % p)
+            def lane(w):  # (w + t)^j, real and t part
+                a, b = w, 1
+                for bit in bin(j)[3:]:
+                    a, b = (a * a + b * b * nu) % p, (2 * a + s * b) * b % p
+                    if bit == "1":
+                        a, b = (a * w + b * nu) % p, (a + b * (w + s)) % p
+                return a, b
             size, parts = p * self._digit_bytes, []
-            for part, row0 in enumerate(held):
-                one = sum(s[part] % p * self._col(i)
-                          for i, s in sorted(terms.items()))
-                one = self._pack([x % p for x in self._unpack(one, p)])
+            for row0, one in zip(held, zip(*map(lane, range(p)))):
+                one = self._pack(one)
                 parts.append(self._mod_p(int.from_bytes(b"".join(
                     [row0.to_bytes(size, "little")]
                     + [(pow(l, j, p) * one).to_bytes(size, "little")
@@ -654,7 +641,6 @@ class Field(_Packing):
         p = self.p
         if self.m == 1:
             return (pow(x, -1, p),)
-        from .frobpow import phi_map  # frobpow imports this module
         head = phi_map(self, self.frobenius(x, 1), 1, self.m - 2)
         scale = pow(self._raw_mul(head, x), -1, p)
         return tuple(self._unpack(self._ring._mod_p(head * scale), self.m))
@@ -717,11 +703,11 @@ class Field(_Packing):
         return cols
 
     def _apply(self, cols, x: int) -> int:
-        """The linear map with packed columns cols, applied to packed x.
-        Where p <= 3 digits select columns: v times the columns the 0/1
-        plane of digit value v selects, per v > 0, at C speed.  The low
-        bytes of x's digits are the plane over F_2, and _PLANES translates
-        them over F_3."""
+        """The linear map with packed columns cols, applied to packed x:
+        one sum of each digit times its column, at C speed.  Where p <= 3
+        digits select columns instead: v times the columns the 0/1 plane
+        of digit value v selects, per v > 0.  The low bytes of x's digits
+        are the plane over F_2, and _PLANES translates them over F_3."""
         p, m, db = self.p, self.m, self._digit_bytes
         if p <= 3:
             a = x.to_bytes(db * m, "little")[::db]
@@ -731,11 +717,7 @@ class Field(_Packing):
                 acc = (sum(compress(cols, a.translate(_PLANES[0])))
                        + 2 * sum(compress(cols, a.translate(_PLANES[1]))))
             return self._ring._mod_p(acc)
-        acc = 0
-        for coeff, col in zip(self._unpack(x, m), cols):
-            if coeff:
-                acc += coeff * col
-        return self._ring._mod_p(acc)
+        return self._ring._mod_p(sum(map(mul, self._unpack(x, m), cols)))
 
 
 def _check_shape(p: int, m: int) -> None:

@@ -14,7 +14,10 @@ tracks separately.  apply_periodic raises the root layer's split records.
 
 from __future__ import annotations
 
-from .field import Field, OpCounter
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .field import Field, OpCounter
 
 
 def phi_map(fld: Field, y, e: int, n: int,

@@ -95,12 +95,12 @@ def _require_divisor(fld: Field, r: int) -> None:
 @lru_cache(maxsize=512)
 def _plan(fld: Field, r: int) -> AmmContext:
     """The AmmContext for (fld, r), r >= 2, without rho or its table.
-    Every record needs k < m, k the order of p mod r, so k is searched
-    among j < m only.  The periods k*r^i divide m for prime r; a
-    composite r, which no stage takes, gets records only for t <= 1, for
-    is_rth_residue, build_amm_context and the bench sweep's columns.  The descent's v = a + p^e*z*G, m - 1 = r*n + e - 1,
-    G = 1 + p^r + ... + p^{r(n-1)}; norm, the record of z*G, is None for
-    n = 0, where v = a."""
+    Every record needs k < m, k the order of p mod r, so only j < m are
+    tried.  The periods k*r^i divide m for prime r; a composite r, which
+    no stage takes, gets records only for t <= 1, for is_rth_residue,
+    build_amm_context and the bench sweep's columns.  The descent's
+    v = a + p^e*z*G, m - 1 = r*n + e - 1, G = 1 + p^r + ... + p^{r(n-1)};
+    norm, the record of z*G, is None for n = 0, where v = a."""
     p, m, order = fld.p, fld.m, fld.order_minus_one
     t = exact_power(r, order)
     s = order // r ** t

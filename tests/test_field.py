@@ -1252,6 +1252,33 @@ def test_points_mark_exactly_the_roots_in_fp2(p):
             assert points.roots(upper) == in_fp | outside, (p, m, upper)
 
 
+@pytest.mark.parametrize("p, m", [(2, 127), (3, 101), (11, 41), (13, 19),
+                                  (37, 19)])
+def test_point_powers_match_repeated_multiplication(p, m):
+    # every lane's a^j, real and t part, against j - 1 multiplications by
+    # a in F_p[t]/(t^2 - nu) (t^2 = t + 1 over F_2), at the large j the
+    # search meets: square and multiply is otherwise checked only through
+    # the modulus goldens
+    for rows in (1, p // 2 + 1):
+        points = field._Points(p, m, rows)
+        nu, s = (1, 1) if p == 2 else (points._nu, 0)
+        assert p == 2 or pow(nu, p >> 1, p) == p - 1  # t^2 - nu irreducible
+        lanes = [(u, 0) for u in range(p)] + [
+            (l * w % p, l) for l in range(1, rows) for w in range(p)]
+        for j in sorted({1, 2, p - 1, p, p + 1, m}):
+            expect = []
+            for a, b in lanes:
+                x, y = a, b
+                for _ in range(j - 1):
+                    x, y = (x * a + y * b * nu) % p, (x * b + y * a
+                                                      + y * b * s) % p
+                expect.append((x, y))
+            re, tp = points._power(j)
+            got = zip(points._unpack(re, len(lanes)),
+                      points._unpack(tp, len(lanes)))
+            assert list(got) == expect, (p, m, rows, j)
+
+
 @pytest.mark.parametrize("p", SIEVED)
 def test_sieve_skips_exactly_the_rooted_candidates(p, monkeypatch):
     # every candidate up to the canonical modulus, binomials included
