@@ -21,7 +21,9 @@ Rows: per field of --field, mk_field_ms (with the layout: digit_bytes,
 the packed digit width; lazy, whether the reduction folds unreduced; and
 steps, how far each fold brings its block down); mul, sqr,
 frobenius(a, 1), frobenius(a, m-1), inv and pow, on tuples and, in the
-*_packed rows, on packed ints; phi_map; and one checked rth_root per
+*_packed rows, on packed ints; reduce, the final reduction of the
+packed product a*b once its folds have run, on the same input on both
+sides; phi_map; and one checked rth_root per
 path tag, at the first root degree that takes it.  frobenius_m-1_cold
 is the first call on a fresh field, through every matrix it builds;
 frobenius_build one build of j = m-1's matrix; frobenius_m-1 the warm
@@ -185,12 +187,29 @@ def layout(fld) -> dict:
     ring = fld._ring
     names = getattr(ring, "_STEPS", None)
     if names:
-        steps = [names[step] for _, step, _, _ in ring._folds]
+        steps = [names[fold[1]] for fold in ring._folds]
     else:  # there a fold's second field is its block's digit count
         steps = ["none" if ring._lazy else "mod" if count == 1 else "barrett"
                  for _, count, _, _ in ring._folds]
     return {"digit_bytes": fld._digit_bytes, "lazy": ring._lazy,
             "steps": steps}
+
+
+def final_reduction(ring, acc: int):
+    """The ring's final reduction of a product (_reduce, or _mod_p where
+    the tree has no _reduce) and its input: acc once its folds have run,
+    read by wrapping that reduction for one reduce_packed call."""
+    name = "_reduce" if hasattr(ring, "_reduce") else "_mod_p"
+    own, final, seen = name in vars(ring), getattr(ring, name), []
+    setattr(ring, name, lambda y: seen.append(y) or final(y))
+    try:
+        ring.reduce_packed(acc)
+    finally:
+        if own:
+            setattr(ring, name, final)
+        else:
+            delattr(ring, name)
+    return final, seen[-1]
 
 
 def field_side(pkg, p: int, m: int) -> dict:
@@ -199,7 +218,9 @@ def field_side(pkg, p: int, m: int) -> dict:
     fld = pkg.mk_field(p, m)
     rng = random.Random(p * 1000 + m)
     a, b = fld.random_elem(rng), fld.random_elem(rng)
+    final, folded = final_reduction(fld._ring, fld._pack(a) * fld._pack(b))
     ops = {"frobenius_build": lambda c=None: fld._frob_build(m - 1),
+           "reduce": lambda c=None: final(folded),
            "inv": partial(fld.inv, a),
            "phi_map_norm": partial(pkg.frobpow.phi_map, fld, a, 1, m - 1)}
     for tail, u, v in (("", a, b), ("_packed", fld._pack(a), fld._pack(b))):

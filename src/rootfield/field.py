@@ -17,19 +17,14 @@ irreducible modulus polynomial (length m+1 coefficient tuple), and
 the Frobenius matrices it has built (below).
 
 Construction: without an explicit modulus, mk_field searches candidates
-in a fixed order (see _canonical_modulus).  For p <= _SIEVE_MAX_P one
-evaluation sieve over F_{p^2}, per block of p candidates, drops those
-with a root in F_p and, once the search is long enough to pay for it,
-those with an irreducible quadratic factor; it raises its points to each
-power a block needs directly, by pow in F_p and square and multiply in
-F_{p^2}.  Then, for any odd p, the parity test drops those whose
-discriminant is 0 or has the quadratic character no irreducible has
-(Stickelberger, Swan 1962).  The rest go through Ben-Or's test without
-the gcds of the steps the sieve settled, and it takes one gcd per batch
-of later steps.  The gcds and the parity's resultants are one Euclid on
-packed integers (_Residues._euclid), with the ring of the candidate
-modulus, the one field multiplication and the Frobenius matrices use.
-An explicit modulus takes Ben-Or's test alone.  None of it is counted.
+in a fixed order (_canonical_modulus): for p <= _SIEVE_MAX_P an
+evaluation sieve at points of F_{p^2} (_Points), for odd p a parity test
+(Stickelberger, Swan 1962), then Ben-Or's test without the gcds of the
+steps the sieve settled.  The gcds and the parity's resultants are one
+Euclid on packed integers (_Residues._euclid), in the ring of the
+candidate modulus, the one field multiplication and the Frobenius
+matrices use.  An explicit modulus takes Ben-Or's test alone.  None of
+it is counted.
 
 Cost model: full multiplications, squarings, Frobenius applications and
 inversions are tallied in a caller-supplied OpCounter.  Additions,
@@ -37,16 +32,14 @@ subtractions, negations and scalar work in Z_p are free.  frobenius(a, j)
 counts j applications of the p-power map, whatever it costs to compute.
 
 Packed, a field multiplication is one bigint multiply, on a sparse
-modulus one or two bigint folds by the packed -f, and a reduction of
-every digit mod p at once by Barrett's method in parallel lanes
-(_Residues).  A packed digit is 1, 2, 4 or 8 bytes (bits) wide, the
-smallest that holds any digit a kernel leaves unreduced (_digit_format):
-2mp^2, or 2m over F_2, so packing goes through bytes, array and
-memoryview.cast at C speed; past 8 bytes (p >= 2^32) digits are sliced
-one by one.  Before its fold a block is brought only as far down as
-exact digit bounds need: not at all, % p, by one or two shrinks of four
-bigint operations, or by Barrett; a lazy ring reduces once, at the end
-(Harvey 2009).  For p = 2 the reduction masks each digit's low bit.
+modulus one or two bigint folds by the packed -f, and one reduction of
+every digit mod p at once (_Residues).  A digit is 1, 2, 4 or 8 bytes
+(bits) wide, the smallest that holds any digit a kernel leaves
+unreduced (_digit_format), so packing goes through bytes, array and
+memoryview.cast at C speed; past 8 bytes (p >= 2^32) digits are sliced.
+Each reduction goes only as far as the digit bound its caller proves
+needs (Harvey 2009): shrinks, then one Barrett quotient per digit
+(Barrett 1986) and one conditional subtract (_Packing); for p = 2 a mask.
 Where p <= 3 digits select columns: a Frobenius application sums the
 columns whose digit is v, v times, per digit value v > 0 (Field._apply).
 
@@ -69,6 +62,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
+from functools import lru_cache
 from itertools import compress, count, product
 from operator import mul, not_
 
@@ -105,20 +99,12 @@ _PLANES = [bytes(d == v for d in range(256)) for v in (1, 2)]
 def _digit_format(p, m):
     """(bytes, code): every digit a packed kernel over Z_p of degree m
     leaves unreduced fits a digit of that many bytes, packed by that array
-    type code (None: slice the bytes one by one).
-
-    For odd p a product digit sums at most m terms below p^2, and a gcd
-    division or the folds of reduced blocks add at most m more: 2mp^2 + 1.
-    Over F_2, where reduced digits are bits, 2m + 1 bounds all five kernels:
-    - a product digit sums at most m products of bits: at most m;
-    - a reduction that masks each block before its fold adds at most one
-      bit of -f_low per folded digit to any digit: at most m more;
-    - a gcd division adds b's bits once per top digit it cancels, at most
-      m times, to a bit: at most m + 1;
-    - a Frobenius application sums the columns its digits select, at
-      most m(p - 1) per digit: at most m;
-    - inv scales a reduced element by a scalar below p: at most 1.
-    A block left unreduced is bounded apart (_Residues)."""
+    type code (None: slice the bytes).  For odd p a product digit sums at
+    most m terms below p^2, and a gcd's divisions or the folds of reduced
+    blocks add at most m more: 2mp^2 + 1.  Over F_2 (bits) 2m + 1 bounds
+    every kernel: m products plus m bits of folds, m + 1 from a gcd, m
+    selected columns, one scaled bit.  A block left unreduced is bounded
+    apart (_Residues); a reduction is sized by its caller's (_Packing)."""
     bound = 2 * m * (1 if p == 2 else p * p) + 1
     digit_bytes = (bound.bit_length() + 7) // 8
     digit_bytes = next((w for w in (1, 2, 4, 8) if w >= digit_bytes),
@@ -127,47 +113,51 @@ def _digit_format(p, m):
     return digit_bytes, code
 
 
+@lru_cache(maxsize=1024)
+def _reduction(p, bits, count, bound):
+    """Reduce at most count digits, bits wide and <= bound (_Packing)."""
+    ones = ((1 << bits * count) - 1) // ((1 << bits) - 1)
+    if p == 2:
+        return ones.__and__
+    shrinks = []
+    while bound * ((1 << bound.bit_length()) // p) >> bits:
+        bound, h = min(((1 << h) - 1 + (bound >> h) * ((1 << h) % p), h)
+                       for h in range(p.bit_length(), bits))
+        shrinks.append((h, ((1 << bits - h) - 1) * ones,
+                        (1 << h) - (1 << h) % p))
+    s, top, bias = bound.bit_length(), bits - 1, ((1 << bits - 1) - p) * ones
+    mu, low = (1 << s) // p, ((1 << bits - s) - 1) * ones
+
+    def reduce(y):
+        for h, mask, c in shrinks:
+            y -= (y >> h & mask) * c
+        y -= (y * mu >> s & low) * p
+        return y - (y + bias >> top & ones) * p
+    return reduce
+
+
 class _Packing:
     """Coefficient vectors packed into one integer, one digit per
-    coefficient, constant term in the lowest digit; subclasses set
-    _digit_bytes and _digit_code from _digit_format, and a reducing one
-    calls _digits.
+    coefficient, constant term in the lowest digit; subclasses set p,
+    _digit_bytes and _digit_code from _digit_format.
 
-    All digits are reduced mod p at once (_mod_p): the even and the odd
-    digits each sit in lanes two digits wide, where Barrett's quotient
-    (Barrett 1986) fits without spilling into the next lane, as in
-    Harvey's multipoint Kronecker substitution (2009); its shift is the
-    digit width, so it reduces any digit that fits.  For p = 2 _mod_p is
-    one mask of each digit's low bit."""
+    A caller reduces its digits into [0, p) by the _reducer of their count
+    and of the largest digit it can meet: a product's last tracked bound,
+    a Barrett fold's block bound (_Residues._bounds), m(p - 1)^2 for a
+    Frobenius sum or a sieve's t parts, p - 1 + k(p - 1)^2 for a Euclid
+    remainder after k divisions, (p - 1)^2 for a scalar times reduced
+    digits, 2^bits - 1 for a tuple.  For p = 2 it masks each digit's low
+    bit.  Else it shrinks each digit y = hi*2^h + lo to lo + hi*r as
+    y - hi*(2^h - r), r = 2^h mod p: exact mod p, no borrow as hi*2^h <= y,
+    each at the h that leaves the least bound B, until B*mu < 2^bits for
+    s = B.bit_length() and mu = 2^s // p (Barrett 1986).  Then y*mu
+    carries into no other digit, and q = y*mu >> s, masked to each digit's
+    low bits - s bits, is floor(y/p) or one less, as y < 2^s; y - q*p < 2p
+    takes one subtract of p where the top bit of y + 2^(bits-1) - p is
+    set, which 2p < 2^bits keeps inside the digit."""
 
-    def _digits(self, p, m, count):
-        """Digits of _digit_format(p, m), and _mod_p for count of them."""
-        self.p = p
-        self._digit_bytes, self._digit_code = _digit_format(p, m)
-        bits = 8 * self._digit_bytes
-        # Barrett in 2*bits-bit lanes, one per even (or odd) digit: a digit
-        # y < 2^bits has y * mu < 2^(2bits) inside its lane, q = y * mu >> bits
-        # is floor(y/p) or one less, and y - q*p < 2p takes one conditional
-        # subtract, flagged by the top digit bit of y - q*p + 2^(bits-1) - p
-        lane = 2 * bits
-        ones = ((1 << lane * ((count + 1) // 2)) - 1) // ((1 << lane) - 1)
-        self._lanes = (bits, ones * ((1 << bits) - 1), (1 << bits) // p,
-                       ones * ((1 << bits - 1) - p), ones)
-        if p == 2:  # a digit mod 2 is its low bit: one mask for every digit
-            self._mod_p = (ones | ones << bits).__and__
-
-    def _mod_p(self, y: int) -> int:
-        """y with each of its at most count digits, any value below
-        2^bits, reduced into [0, p); p = 2 masks."""
-        bits, low, mu, bias, ones = self._lanes
-        p = self.p
-        even = y & low
-        even -= (even * mu >> bits & low) * p
-        even -= (even + bias >> bits - 1 & ones) * p
-        odd = y >> bits & low
-        odd -= (odd * mu >> bits & low) * p
-        odd -= (odd + bias >> bits - 1 & ones) * p
-        return even | odd << bits
+    def _reducer(self, bound, count):
+        return _reduction(self.p, 8 * self._digit_bytes, count, bound)
 
     def _pack(self, vec) -> int:
         code = self._digit_code
@@ -196,68 +186,40 @@ class _Residues(_Packing):
 
     A product is reduced top-down with the packed -f: x^m = -f_low, so a
     block of m - deg(f_low) high digits folds below itself in one bigint
-    product.  The canonical moduli are sparse, and one or two folds reduce a
-    product; a dense explicit modulus takes one fold per digit.  A product
-    digit is at most m(p-1)^2; a fold by the w nonzero digits of -f_low adds
-    at most min(w, count)(p-1)B to a digit, for a block of count digits at
-    most B.  Each block takes the first of _STEPS that keeps every digit
-    below 2^bits if later blocks are brought into [0, p), as _digit_format
-    allows; _bounds holds each B, then the final _mod_p's, and a ring is
-    _lazy if no block is reduced.  A shrink takes each digit
-    y = hi*2^h + lo, h = bits/2, to lo + hi*r, r = 2^h mod p, as
-    y - hi*(2^h - r) in four bigint operations: exact mod p, and carry-free
-    as hi*(2^h - r) <= y and p < 2^h (2mp^2 < 2^bits).  For p = 2 the
-    _mod_p mask is cheaper than a shrink."""
+    product; a sparse modulus takes one or two folds, a dense one one per
+    digit.  A product digit is at most m(p-1)^2, and a fold by the w
+    nonzero digits of -f_low adds at most min(w, count)(p-1)B to a digit,
+    for a block of count digits at most B.  Each block takes the first of
+    _STEPS that keeps every digit below 2^bits if later blocks are brought
+    into [0, p): none, % p (one digit), one or two shrinks at h = bits/2
+    (_Packing; p < 2^h), or the block's reduction.  _bounds holds each B,
+    then the product's reduction's; _lazy: no block reduces (_fold_plan)."""
 
     _STEPS = ("none", "mod", "shrink", "shrink2", "barrett")  # cheapest first
 
     def __init__(self, p, f):
         self.m = m = len(f) - 1
-        self._digits(p, m, m)
-        bits, ones = self._lanes[0], self._lanes[4]
+        self.p, (self._digit_bytes, self._digit_code) = p, _digit_format(p, m)
+        bits = 8 * self._digit_bytes
         neg_low = [(-c) % p for c in f[:m]]
         self._neg_low = self._pack(neg_low)
         self._f = self._pack([c % p for c in f])
         block = m - max((self._neg_low.bit_length() - 1) // bits, 0)
         self.x = 1 << bits
-        h, r = bits // 2, (1 << bits // 2) % p
-        self._shrink = (h, ((1 << h) - 1) * (ones | ones << bits), (1 << h) - r)
-        # per fold, top first: block bit offset, step, mask below, fold shift
-        tops = range(2 * m - 1, m, -block)  # no product digit reaches 2m - 1
-        w = m - neg_low.count(0)
-        gains = [min(w, block, top - m) * (p - 1) for top in tops]
-        rest = sum(gains) * (p - 1)  # what the folds add, blocks in [0, p)
-        self._bounds, self._folds = bounds, folds = [m * (p - 1) ** 2], []
-        for top, gain in zip(tops, gains):
-            lo, bound = max(top - block, m), bounds[-1]
-            rest -= gain * (p - 1)
-            once = min(bound, (1 << h) - 1 + (bound >> h) * r)
-            steps = [(0, bound), (1, p - 1)] if top - lo == 1 else [
-                (0, bound), (2, once), (3, (1 << h) - 1 + (once >> h) * r),
-                (4, p - 1)] if p > 2 else [(0, bound), (4, 1)]
-            step, high = next((s, b) for s, b in steps
-                              if bound + gain * b + rest < 1 << bits)
-            bounds.append(bound + gain * high)
-            folds.append((lo * bits, step, (1 << lo * bits) - 1, (lo - m) * bits))
-        self._lazy = not any(step for _, step, _, _ in folds)
+        self._bounds, self._folds, self._lazy, self._reduce = _fold_plan(
+            p, m, bits, block, m - neg_low.count(0))
 
     def reduce_packed(self, acc: int) -> int:
         """acc mod f for acc of at most 2m - 1 digits, each <= m(p - 1)^2."""
         p, neg_low = self.p, self._neg_low
-        for lo_bits, step, mask, shift in self._folds:
+        for lo_bits, step, mask, shift, bring in self._folds:
             high = acc >> lo_bits
-            if step:
-                if step == 4:
-                    high = self._mod_p(high)
-                elif step == 1:
-                    high %= p
-                else:
-                    h, halves, c = self._shrink
-                    high -= (high >> h & halves) * c
-                    if step == 3:
-                        high -= (high >> h & halves) * c
+            if step == 1:  # a dense modulus takes it once per digit
+                high %= p
+            elif step:
+                high = bring(high)
             acc = (acc & mask) + (high * neg_low << shift)
-        return self._mod_p(acc)
+        return self._reduce(acc)
 
     def pow(self, a: int, e: int) -> int:
         """a^e for e >= 1, left-to-right square and multiply."""
@@ -274,7 +236,7 @@ class _Residues(_Packing):
         if not b:
             return self._f
         *_, (b, db) = self._euclid(self._f, b)
-        return 1 if db == 0 else self._mod_p(
+        return 1 if db == 0 else self._reducer((self.p - 1) ** 2, self.m)(
             b * pow(b >> db * 8 * self._digit_bytes, -1, self.p))
 
     def _euclid(self, a: int, b: int):
@@ -283,23 +245,56 @@ class _Residues(_Packing):
         with its degree; the last one is a gcd of a and b.
 
         One division step cancels the top digit of the dividend with one
-        multiply-add, a += (p - q) * b shifted under it, and leaves the
-        digits below unreduced; a division adds at most m products below
-        p^2 (bits over F_2) to a digit, which still fits its width; one
-        _mod_p reduces the remainder, so bit_length reads its degree."""
-        p, bits = self.p, 8 * self._digit_bytes
-        digit = (1 << bits) - 1
+        multiply-add, a += (p - q) * b shifted under it; k of them add at
+        most k products below p^2 (bits over F_2) to a digit below, which
+        fits its width, and one reduction sized by k brings the remainder
+        into [0, p), so bit_length reads its degree."""
+        p, bits, digit = self.p, 8 * self._digit_bytes, self.x - 1
+        two, any_k = (self._reducer(p - 1 + k * (p - 1) ** 2, self.m)
+                      for k in (2, self.m + 1))
         while b:
             db = (b.bit_length() - 1) // bits
             yield b, db
             if db == 0:
                 return
             neg_inv = p - pow(b >> db * bits, -1, p)
-            for top in range((a.bit_length() - 1) // bits, db - 1, -1):
+            da = (a.bit_length() - 1) // bits
+            for top in range(da, db - 1, -1):
                 c = a >> top * bits & digit
                 if c % p:
                     a += c * neg_inv % p * b << (top - db) * bits
-            a, b = b, self._mod_p(a & (1 << db * bits) - 1)
+            a, b = b, (two if da - db < 2 else any_k)(a & (1 << db * bits) - 1)
+
+
+@lru_cache(maxsize=64)
+def _fold_plan(p, m, bits, block, w):
+    """A _Residues' bounds, folds, laziness and final reduction."""
+    h, r = bits // 2, (1 << bits // 2) % p
+    halves = ((1 << h) - 1) * (((1 << bits * m) - 1) // ((1 << bits) - 1))
+
+    def shrink(y, c=(1 << h) - r):
+        return y - (y >> h & halves) * c
+    brings = (None, None, shrink, lambda y: shrink(shrink(y)))
+    # per fold, top first: bit offset, step, mask, shift, shrink or reduction
+    tops = range(2 * m - 1, m, -block)  # no product digit reaches 2m - 1
+    gains = [min(w, block, top - m) * (p - 1) for top in tops]
+    rest = sum(gains) * (p - 1)  # what the folds add, blocks in [0, p)
+    bounds, folds = [m * (p - 1) ** 2], []
+    for top, gain in zip(tops, gains):
+        lo, bound = max(top - block, m), bounds[-1]
+        rest -= gain * (p - 1)
+        once = min(bound, (1 << h) - 1 + (bound >> h) * r)
+        options = [(0, bound), (1, p - 1)] if top - lo == 1 else [
+            (0, bound), (2, once), (3, (1 << h) - 1 + (once >> h) * r),
+            (4, p - 1)] if p > 2 else [(0, bound), (4, 1)]
+        step, high = next((s, b) for s, b in options
+                          if bound + gain * b + rest < 1 << bits)
+        bounds.append(bound + gain * high)
+        folds.append((lo * bits, step, (1 << lo * bits) - 1, (lo - m) * bits,
+                      _reduction(p, bits, top - lo, bound) if step == 4
+                      else brings[step]))
+    return (tuple(bounds), tuple(folds), not any(s for _, s, *_ in folds),
+            _reduction(p, bits, m, bounds[-1]))
 
 
 def is_irreducible(f, p, *, sieved=0) -> bool:
@@ -380,7 +375,7 @@ class _Points(_Packing):
 
     def __init__(self, p, m, rows):
         self.m, self.rows, self.count = m, rows, rows * p
-        self._digits(p, m, self.count if rows > 1 else 1)  # F_p: no _mod_p
+        self.p, (self._digit_bytes, self._digit_code) = p, _digit_format(p, m)
         self._nu = next((c for c in range(2, p) if pow(c, p >> 1, p) > 1), 1)
         self._held = {}
 
@@ -400,9 +395,10 @@ class _Points(_Packing):
                         a, b = (a * w + b * nu) % p, (a + b * (w + s)) % p
                 return a, b
             size, parts = p * self._digit_bytes, []
+            reduce = self._reducer((p - 1) ** 2, self.count)
             for row0, one in zip(held, zip(*map(lane, range(p)))):
                 one = self._pack(one)
-                parts.append(self._mod_p(int.from_bytes(b"".join(
+                parts.append(reduce(int.from_bytes(b"".join(
                     [row0.to_bytes(size, "little")]
                     + [(pow(l, j, p) * one).to_bytes(size, "little")
                        for l in range(1, self.rows)]), "little")))
@@ -419,9 +415,9 @@ class _Points(_Packing):
                 a, b = self._power(i)
                 re, tp = re + c * a, tp + c * b
         values = self._unpack(re, self.count)
-        if tp:  # the lanes whose t part is 0 mod p
-            values = compress(values, map(
-                not_, self._unpack(self._mod_p(tp), self.count)))
+        if tp:  # the lanes whose t part, at most m(p - 1)^2, is 0 mod p
+            tp = self._reducer(self.m * (self.p - 1) ** 2, self.count)(tp)
+            values = compress(values, map(not_, self._unpack(tp, self.count)))
         return {-x % self.p for x in values}
 
 
@@ -515,6 +511,8 @@ class Field(_Packing):
         self.order_minus_one = p ** m - 1
         self._ring = ring = _Residues(p, modulus)
         self._digit_bytes, self._digit_code = ring._digit_bytes, ring._digit_code
+        self._reduce_read = self._reducer((1 << 8 * self._digit_bytes) - 1, m)
+        self._reduce_sum = self._reducer(m * (p - 1) ** 2, m)
         # Frobenius matrices by j (replaced, never mutated), the rental's
         # tally by j (a lost update only delays a build), and the cap: 18 of
         # 21 used on F_{2^127}, at most 16 MB on F_{2^521}
@@ -584,7 +582,7 @@ class Field(_Packing):
         packed width are packed as they are and reduced at once."""
         if len(a) <= self.m:
             try:
-                return self._ring._mod_p(self._pack(a))
+                return self._reduce_read(self._pack(a))
             except (AttributeError, OverflowError, TypeError, ValueError):
                 pass  # a digit outside [0, 2^bits), or not an int
         return self._pack(self.elem(a))
@@ -643,7 +641,8 @@ class Field(_Packing):
             return (pow(x, -1, p),)
         head = phi_map(self, self.frobenius(x, 1), 1, self.m - 2)
         scale = pow(self._raw_mul(head, x), -1, p)
-        return tuple(self._unpack(self._ring._mod_p(head * scale), self.m))
+        return tuple(self._unpack(
+            self._reducer((p - 1) ** 2, self.m)(head * scale), self.m))
 
     def frobenius(self, a, j: int, counter: OpCounter | None = None):
         """Apply the p-power map j times; j is reduced mod m first.
@@ -716,8 +715,8 @@ class Field(_Packing):
             else:
                 acc = (sum(compress(cols, a.translate(_PLANES[0])))
                        + 2 * sum(compress(cols, a.translate(_PLANES[1]))))
-            return self._ring._mod_p(acc)
-        return self._ring._mod_p(sum(map(mul, self._unpack(x, m), cols)))
+            return self._reduce_sum(acc)
+        return self._reduce_sum(sum(map(mul, self._unpack(x, m), cols)))
 
 
 def _check_shape(p: int, m: int) -> None:

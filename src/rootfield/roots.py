@@ -226,12 +226,13 @@ def _root(fld: Field, delta: int, r: int, ctx: AmmContext, tag: str,
         low = ((delta & -delta).bit_length() - 1) // bits * bits  # nonzero
         scale = ((hr >> low) % (1 << bits)
                  * pow((delta >> low) % (1 << bits), -1, p) % p)
-        if fld._ring._mod_p(delta * scale) != hr:
+        reduce = fld._reducer((p - 1) ** 2, fld.m)  # a scalar times digits
+        if reduce(delta * scale) != hr:
             raise RuntimeError("h^r is not a scalar multiple of delta")
         c = _stage(base, scale, r, seed, counter)[0]
         if c is None:
             return None
-        root = fld._ring._mod_p(root * pow(c, -1, p))
+        root = reduce(root * pow(c, -1, p))
     elif tag == "amm" and _power(fld, delta, ctx.test,
                                  fld.order_minus_one // r, counter) != 1:
         return None

@@ -517,7 +517,7 @@ def test_binary_frobenius_matches_generic_loop(m):
     # over F_2, _apply sums the columns the digits select: cold (the
     # first call on a fresh field), walked and composed calls must match
     # a^(2^j) and charge j mod m, and every matrix must give what the
-    # multiply-add loop with lane reduction gives
+    # multiply-add loop with the reduction of a sum of m bits gives
     fld = mk_field(2, m)
     ring = fld._ring
     rng = random.Random(m)
@@ -528,8 +528,7 @@ def test_binary_frobenius_matches_generic_loop(m):
     for cols in fld._frob_maps.values():
         for x in (a, fld.one(), fld.zero(), (1,) * m, fld.random_elem(rng)):
             loop = sum(c * col for c, col in zip(x, cols))
-            assert fld._apply(cols, fld._pack(x)) == \
-                field._Residues._mod_p(ring, loop)
+            assert fld._apply(cols, fld._pack(x)) == ring._reducer(m, m)(loop)
 
 
 # every digit width the bit-plane path of _apply meets (p <= 3), and the
@@ -825,8 +824,8 @@ def test_reduce_matches_per_digit_reference(p, m):
 def test_lane_reduction_worst_digits(p, m):
     # every digit value the reduction may meet, up to the bound of
     # _digit_format (2mp^2 for odd p, 2m over F_2) and past it to the
-    # digit width 2^bits, the Barrett shift, where the quotient estimate
-    # is one short; a lazy ring's unreduced folds stay below it.  Over F_2
+    # top digit value 2^bits - 1, the bound of a read tuple, which takes
+    # the most shrinks; a lazy ring's unreduced folds stay below it.  Over F_2
     # the edges stop at the top digit value, since one-byte digits cannot
     # hold 2mp^2 - 1; every odd-p edge is kept
     rng = random.Random(p + m)
@@ -841,17 +840,75 @@ def test_lane_reduction_worst_digits(p, m):
         bound = 1 << 8 * ring._digit_bytes
         assert bound > (2 * m if p == 2 else 2 * m * p * p)
         top = bound - 1
+        reduce = ring._reducer(top, m)  # as _read's: any digit that fits
         edges = [min(edge, top) if p == 2 else edge for edge in (
             0, 1, p - 1, p, 2 * p - 1, 2 * p, (p - 1) ** 2,
             m * (p - 1) ** 2, 2 * m * p * p - 1, bound - 1)]
         for _ in range(60):
             digits = [rng.choice(edges) if rng.random() < 0.5
                       else rng.randrange(bound) for _ in range(m)]
-            assert ring._unpack(ring._mod_p(ring._pack(digits)), m) == [
+            assert ring._unpack(reduce(ring._pack(digits)), m) == [
                 d % p for d in digits], digits
         for d in edges:
-            assert ring._unpack(ring._mod_p(ring._pack([d] * m)), m) == [
+            assert ring._unpack(reduce(ring._pack([d] * m)), m) == [
                 d % p] * m, d
+
+
+# one prime per scale from 3 to 1000003, and one above 2^32, whose digits
+# are sliced one by one
+REDUCER_PRIMES = (3, 5, 7, 11, 13, 37, 127, 251, 257, 65521, 1000003,
+                  2 ** 32 + 15)
+
+
+def _reducer_shapes(p):
+    """(bits, m) per digit width p meets: the widest m of each array
+    width it fits (one more than that takes the next width), and, for
+    p >= 2^32, m = 1 and m = 17 on the sliced width past 8 bytes."""
+    shapes, m = [], 1
+    while True:
+        width, code = field._digit_format(p, m)
+        if code is None:
+            return shapes or [(8 * field._digit_format(p, k)[0], k)
+                              for k in (1, 17)]
+        last = (2 ** (8 * width) - 2) // (2 * p * p)
+        shapes.append((8 * width, last))
+        m = last + 1
+
+
+@pytest.mark.parametrize("p", REDUCER_PRIMES)
+def test_reductions_at_every_declared_bound(p):
+    # every digit width p meets, and every bound a caller declares: a
+    # product's and a fold's tracked bounds (of a sparse and a dense ring
+    # where m is small enough to build one), a Frobenius sum's m(p - 1)^2,
+    # a Euclid remainder's p - 1 + k(p - 1)^2 after k cancelled top digits,
+    # a scalar scaling's (p - 1)^2 and a read tuple's 2^bits - 1; digits 0,
+    # p - 1, p, the bound and random ones below it in every lane, against
+    # d % p
+    rng = random.Random(p)
+    assert field._digit_format(2 ** 32 + 15, 1)[1] is None  # sliced
+    for bits, m in _reducer_shapes(p):
+        assert 2 * m * p * p < 1 << bits
+        bounds = {(p - 1) ** 2, m * (p - 1) ** 2, (1 << bits) - 1}
+        bounds |= {p - 1 + k * (p - 1) ** 2 for k in {1, 2, 3, m, m + 1}
+                   if k <= m + 1}
+        if m <= 64:
+            for f in ([1, 1] + [0] * (m - 2) + [1] if m > 1 else [1, 1],
+                      _dense_monic(p, m, rng)):
+                bounds |= set(field._Residues(p, f)._bounds)
+        for bound in sorted(bounds):
+            for count in (1, 3, 17):
+                reduce = field._reduction(p, bits, count, bound)
+                edges = (0, p - 1, p, bound)
+                rows = [[d] * count for d in edges] + [
+                    [rng.choice(edges) if rng.random() < 0.5
+                     else rng.randrange(bound + 1) for _ in range(count)]
+                    for _ in range(20)]
+                for digits in rows:
+                    y = sum(d << bits * i for i, d in enumerate(digits))
+                    got = reduce(y)
+                    assert [got >> bits * i & (1 << bits) - 1
+                            for i in range(count)] == [d % p for d in digits]
+                    assert got >> bits * count == 0, (bits, bound, digits)
 
 
 def test_lazy_folds_on_the_benchmark_fields():
@@ -879,7 +936,27 @@ def test_fold_plans_on_the_benchmark_fields():
     for (p, m), plan in plans.items():
         folds = mk_field(p, m)._ring._folds
         steps = field._Residues._STEPS
-        assert " ".join(steps[s] for _, s, _, _ in folds) == plan, (p, m)
+        assert " ".join(steps[s] for _, s, *_ in folds) == plan, (p, m)
+
+
+def _record_reductions(monkeypatch, peaks):
+    """Build every reduction afresh, each appending (the bound it was
+    built for, the largest digit it is given) to peaks on every call and
+    refusing an input of more digits than it was built for; fold plans
+    are rebuilt too, so a ring built after this call records."""
+    build = field._reduction.__wrapped__
+
+    def recording(p, bits, count, bound):
+        reduce, digit = build(p, bits, count, bound), (1 << bits) - 1
+
+        def record(y):
+            assert y.bit_length() <= bits * count, (count, y)
+            peaks.append((bound, max((y >> i & digit for i in range(
+                0, y.bit_length(), bits)), default=0)))
+            return reduce(y)
+        return record
+    monkeypatch.setattr(field, "_reduction", recording)
+    monkeypatch.setattr(field, "_fold_plan", field._fold_plan.__wrapped__)
 
 
 def _width_edges(p):
@@ -917,10 +994,10 @@ def _wide_mulmod(a, b, f, p):
 
 
 @pytest.mark.parametrize("p,m", PLAN_GRID)
-def test_fold_plan_keeps_every_digit_in_its_width(p, m):
+def test_fold_plan_keeps_every_digit_in_its_width(p, m, monkeypatch):
     # over a sparse, a dense and a binomial modulus at both edges of each
-    # digit width: every block entering a fold, and every input to
-    # _mod_p, has its digits within the ring's tracked bound, below
+    # digit width: every block entering a fold, and every input to a
+    # reduction, has its digits within the bound it was built for, below
     # 2^bits; and each product agrees with the schoolbook, the all-(p - 1)
     # operands, whose product digits are largest, included.  The sparse
     # modulus is the canonical one up to m = 120; past it the search takes
@@ -931,13 +1008,15 @@ def test_fold_plan_keeps_every_digit_in_its_width(p, m):
     top, one = [p - 1] * m, [1] + [0] * (m - 1)
     pairs = [(top, top), (top, one), ([rng.randrange(p) for _ in range(m)],
                                       [rng.randrange(p) for _ in range(m)])]
+    peaks = []  # (tracked bound, largest digit seen)
+    _record_reductions(monkeypatch, peaks)
     for f in (sparse, _dense_monic(p, m, rng), [1] + [0] * (m - 1) + [1]):
+        peaks.clear()
         ring = field._Residues(p, f)
         bits, bounds = 8 * ring._digit_bytes, ring._bounds
         assert len(bounds) == len(ring._folds) + 1
         assert bounds[-1] < 1 << bits
-        assert ring._lazy == (not any(s for _, s, _, _ in ring._folds))
-        peaks = []  # (tracked bound, largest digit seen)
+        assert ring._lazy == (not any(s for _, s, *_ in ring._folds))
 
         def peak(y):
             digits = ring._unpack(y, -(-y.bit_length() // bits))
@@ -950,16 +1029,11 @@ def test_fold_plan_keeps_every_digit_in_its_width(p, m):
                 return acc & int(self)
 
         folds = []
-        for (lo_bits, step, mask, shift), bound in zip(ring._folds, bounds):
+        for (lo_bits, step, mask, *rest), bound in zip(ring._folds, bounds):
             mask = Entering(mask)
             mask.bound, mask.lo_bits = bound, lo_bits
-            folds.append((lo_bits, step, mask, shift))
-        ring._folds, mod_p = tuple(folds), ring._mod_p
-
-        def recording_mod_p(y):
-            peaks.append((bounds[-1], peak(y)))
-            return mod_p(y)
-        ring._mod_p = recording_mod_p
+            folds.append((lo_bits, step, mask, *rest))
+        ring._folds = tuple(folds)
         for a, b in pairs:
             acc = ring._pack(a) * ring._pack(b)
             got = ring._unpack(ring.reduce_packed(acc), m)
@@ -968,6 +1042,8 @@ def test_fold_plan_keeps_every_digit_in_its_width(p, m):
                 assert got == raw + [0] * (m - len(raw)), (f, a, b)
             assert got == _wide_mulmod(a, b, f, p), (f, a, b)
         assert len(peaks) >= len(pairs) * (len(ring._folds) + 1)
+        # one final reduction per product, built for the last tracked bound
+        assert [b for b, _ in peaks].count(bounds[-1]) >= len(pairs)
         assert all(seen <= bound for bound, seen in peaks), (f, max(peaks))
 
 
@@ -1097,26 +1173,15 @@ def test_binary_kernels_match_schoolbook(m, kind, monkeypatch):
     # all-ones and random operands, over the canonical modulus, the dense
     # all-ones one and the binomial x^m + 1 (the last two reducible, so
     # inv runs on the canonical one alone); and every digit that reaches
-    # _mod_p unreduced is at most 2m, the bound of the kernels other than
-    # a product, or the ring's tracked fold bound: the all-ones modulus on
-    # two-byte digits leaves its first one-digit blocks unreduced
+    # a reduction unreduced is at most the bound it was built for, and at
+    # most 2m, the bound of the kernels other than a product, or the
+    # ring's tracked fold bound: the all-ones modulus on two-byte digits
+    # leaves its first one-digit blocks unreduced
     f = {"canonical": list(mk_field(2, m).modulus), "ones": [1] * (m + 1),
          "binomial": [1] + [0] * (m - 1) + [1]}[kind]
-    peaks = []  # (largest digit allowed, largest digit seen)
-    init = field._Residues.__init__
-
-    def recording_init(ring, p, g):
-        init(ring, p, g)
-        mask, bits = ring._mod_p, 8 * ring._digit_bytes
-        limit = max(2 * m, *ring._bounds)
-
-        def mod_p(y):
-            digits = ring._unpack(y, -(-y.bit_length() // bits))
-            peaks.append((limit, max(digits, default=0)))
-            return mask(y)
-        ring._mod_p = mod_p
-
-    monkeypatch.setattr(field._Residues, "__init__", recording_init)
+    peaks = []  # (bound built for, largest digit seen)
+    limit = max(2 * m, *field._Residues(2, f)._bounds)  # every ring's f
+    _record_reductions(monkeypatch, peaks)
 
     def elem(raw):
         return tuple(raw + [0] * (m - len(raw)))
@@ -1171,7 +1236,8 @@ def test_binary_kernels_match_schoolbook(m, kind, monkeypatch):
         assert got == expect + [0] * (m + 1 - len(expect)), h
     assert is_irreducible(f, 2) == (kind == "canonical")
     assert CHECKER["is_irreducible"](2, f) == (kind == "canonical")
-    assert peaks and all(seen <= limit for limit, seen in peaks), max(peaks)
+    assert peaks and all(seen <= bound for bound, seen in peaks), max(peaks)
+    assert max(seen for _, seen in peaks) <= limit
 
 
 # -- the evaluation sieve of the modulus search -------------------------------
