@@ -21,9 +21,13 @@ Rows: per field of --field, mk_field_ms (with the layout: digit_bytes,
 the packed digit width; lazy, whether the reduction folds unreduced; and
 steps, how far each fold brings its block down); mul, sqr,
 frobenius(a, 1), frobenius(a, m-1), inv and pow, on tuples and, in the
-*_packed rows, on packed ints; reduce, the final reduction of the
-packed product a*b once its folds have run, on the same input on both
-sides; phi_map; and one checked rth_root per
+*_packed rows, on packed ints, through whichever kernel the field runs by
+then; mul_interpreted and mul_compiled, the packed product a*b reduced by
+the ring's interpreter and by its compiled kernel (a tree without a
+compiler runs its interpreter in both); reduce, the interpreted final
+reduction of a*b once its folds have run, on the same input on both
+sides, and reduce_compiled, that reduction written out (on a tree
+without a compiler, interpreted); phi_map; and one checked rth_root per
 path tag, at the first root degree that takes it.  frobenius_m-1_cold
 is the first call on a fresh field, through every matrix it builds;
 frobenius_build one build of j = m-1's matrix; frobenius_m-1 the warm
@@ -198,12 +202,12 @@ def layout(fld) -> dict:
 def final_reduction(ring, acc: int):
     """The ring's final reduction of a product (_reduce, or _mod_p where
     the tree has no _reduce) and its input: acc once its folds have run,
-    read by wrapping that reduction for one reduce_packed call."""
+    read by wrapping that reduction for one interpreted reduce_packed."""
     name = "_reduce" if hasattr(ring, "_reduce") else "_mod_p"
     own, final, seen = name in vars(ring), getattr(ring, name), []
     setattr(ring, name, lambda y: seen.append(y) or final(y))
     try:
-        ring.reduce_packed(acc)
+        type(ring).reduce_packed(ring, acc)
     finally:
         if own:
             setattr(ring, name, final)
@@ -212,15 +216,39 @@ def final_reduction(ring, acc: int):
     return final, seen[-1]
 
 
+def kernels(pkg, ring, final):
+    """The ring's product kernels and final reductions: (interpreted,
+    compiled) each; the interpreter runs on a bare ring of the same
+    modulus, which never compiles.  A tree without the _kernel module has
+    its interpreter and final reduction alone, which stand for both."""
+    interpret = pkg.field._Residues(ring.p, ring._unpack(
+        ring._f, ring.m + 1)).reduce_packed
+    try:
+        kernel = importlib.import_module(f"{pkg.__name__}._kernel")
+    except ModuleNotFoundError:
+        return (interpret, interpret), (final, final)
+    lines = kernel.lines(ring.p, 8 * ring._digit_bytes, ring.m,
+                         ring._bounds[-1], "y")
+    scope = {}
+    exec("def written_out(y):\n " + "\n ".join(lines + ["return y"]), scope)
+    compiled = kernel.compiled(*ring._shape)(ring._neg_low)[0]
+    return (interpret, compiled), (final, scope["written_out"])
+
+
 def field_side(pkg, p: int, m: int) -> dict:
     """One side's field, its seeded generator, its element-layer calls,
     and the cold frobenius(a, m-1) call with the fresh field it takes."""
     fld = pkg.mk_field(p, m)
     rng = random.Random(p * 1000 + m)
     a, b = fld.random_elem(rng), fld.random_elem(rng)
-    final, folded = final_reduction(fld._ring, fld._pack(a) * fld._pack(b))
+    x, y = fld._pack(a), fld._pack(b)
+    final, folded = final_reduction(fld._ring, x * y)
+    products, finals = kernels(pkg, fld._ring, final)
     ops = {"frobenius_build": lambda c=None: fld._frob_build(m - 1),
-           "reduce": lambda c=None: final(folded),
+           "mul_interpreted": lambda c=None: products[0](x * y),
+           "mul_compiled": lambda c=None: products[1](x * y),
+           "reduce": lambda c=None: finals[0](folded),
+           "reduce_compiled": lambda c=None: finals[1](folded),
            "inv": partial(fld.inv, a),
            "phi_map_norm": partial(pkg.frobpow.phi_map, fld, a, 1, m - 1)}
     for tail, u, v in (("", a, b), ("_packed", fld._pack(a), fld._pack(b))):

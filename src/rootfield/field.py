@@ -40,6 +40,9 @@ memoryview.cast at C speed; past 8 bytes (p >= 2^32) digits are sliced.
 Each reduction goes only as far as the digit bound its caller proves
 needs (Harvey 2009): shrinks, then one Barrett quotient per digit
 (Barrett 1986) and one conditional subtract (_Packing); for p = 2 a mask.
+A loop interprets a ring's fold plan; a field's ring that has reduced
+_Residues._RENT products runs the plan compiled into one loop-free
+function instead (_kernel).
 Where p <= 3 digits select columns: a Frobenius application sums the
 columns whose digit is v, v times, per digit value v > 0 (Field._apply).
 
@@ -114,8 +117,9 @@ def _digit_format(p, m):
 
 
 @lru_cache(maxsize=1024)
-def _reduction(p, bits, count, bound):
-    """Reduce at most count digits, bits wide and <= bound (_Packing)."""
+def _reduction(p, bits, count, bound, parts=False):
+    """Reduce at most count digits, bits wide and <= bound (_Packing); with
+    parts, the constants of its steps instead, for the source (_kernel)."""
     ones = ((1 << bits * count) - 1) // ((1 << bits) - 1)
     if p == 2:
         return ones.__and__
@@ -127,6 +131,8 @@ def _reduction(p, bits, count, bound):
                         (1 << h) - (1 << h) % p))
     s, top, bias = bound.bit_length(), bits - 1, ((1 << bits - 1) - p) * ones
     mu, low = (1 << s) // p, ((1 << bits - s) - 1) * ones
+    if parts:
+        return shrinks, mu, s, low, bias, top, ones
 
     def reduce(y):
         for h, mask, c in shrinks:
@@ -189,15 +195,22 @@ class _Residues(_Packing):
     product; a sparse modulus takes one or two folds, a dense one one per
     digit.  A product digit is at most m(p-1)^2, and a fold by the w
     nonzero digits of -f_low adds at most min(w, count)(p-1)B to a digit,
-    for a block of count digits at most B.  Each block takes the first of
-    _STEPS that keeps every digit below 2^bits if later blocks are brought
-    into [0, p): none, % p (one digit), one or two shrinks at h = bits/2
-    (_Packing; p < 2^h), or the block's reduction.  _bounds holds each B,
-    then the product's reduction's; _lazy: no block reduces (_fold_plan)."""
+    for a block of count digits at most B.  The plan (_fold_plan, one per
+    shape) gives each block the first of _STEPS that keeps every digit
+    below 2^bits if later blocks are brought into [0, p): none, % p (one
+    digit), one or two shrinks at h = bits/2 (_Packing; p < 2^h), or the
+    block's reduction; _bounds holds each B, then the final reduction's;
+    _lazy: no block reduces.  reduce_packed interprets the plan until the
+    ring has reduced rent products, then runs it compiled (_kernel).  A
+    Field's rent, _RENT, is about what a process's first compile, which
+    also imports _kernel, costs in interpreted products: the rent matters
+    to short-lived work, where that compile is the only one, and hardly
+    to long-lived work.  A search candidate's rent is infinite."""
 
     _STEPS = ("none", "mod", "shrink", "shrink2", "barrett")  # cheapest first
+    _RENT = 1500  # products a Field's ring interprets before it compiles
 
-    def __init__(self, p, f):
+    def __init__(self, p, f, rent=float("inf")):
         self.m = m = len(f) - 1
         self.p, (self._digit_bytes, self._digit_code) = p, _digit_format(p, m)
         bits = 8 * self._digit_bytes
@@ -206,11 +219,19 @@ class _Residues(_Packing):
         self._f = self._pack([c % p for c in f])
         block = m - max((self._neg_low.bit_length() - 1) // bits, 0)
         self.x = 1 << bits
+        self._shape = p, m, bits, block, m - neg_low.count(0)
         self._bounds, self._folds, self._lazy, self._reduce = _fold_plan(
-            p, m, bits, block, m - neg_low.count(0))
+            *self._shape)
+        self._rent = rent  # products to interpret; a race only delays
+        self.reduce_sum = self._reducer(m * (p - 1) ** 2, m)  # Field._apply
 
     def reduce_packed(self, acc: int) -> int:
         """acc mod f for acc of at most 2m - 1 digits, each <= m(p - 1)^2."""
+        self._rent -= 1
+        if self._rent <= 0:  # the plan compiled shadows its interpreter
+            from ._kernel import compiled
+            self.reduce_packed, self.reduce_sum = compiled(
+                *self._shape)(self._neg_low)
         p, neg_low = self.p, self._neg_low
         for lo_bits, step, mask, shift, bring in self._folds:
             high = acc >> lo_bits
@@ -245,10 +266,11 @@ class _Residues(_Packing):
         with its degree; the last one is a gcd of a and b.
 
         One division step cancels the top digit of the dividend with one
-        multiply-add, a += (p - q) * b shifted under it; k of them add at
-        most k products below p^2 (bits over F_2) to a digit below, which
-        fits its width, and one reduction sized by k brings the remainder
-        into [0, p), so bit_length reads its degree."""
+        multiply-add, a += (p - q) * b shifted under it, or two with one
+        where a is one digit longer; k steps add at most k products below
+        p^2 (bits over F_2) to a digit below, which fits its width, and one
+        reduction sized by k brings the remainder into [0, p), so
+        bit_length reads its degree."""
         p, bits, digit = self.p, 8 * self._digit_bytes, self.x - 1
         two, any_k = (self._reducer(p - 1 + k * (p - 1) ** 2, self.m)
                       for k in (2, self.m + 1))
@@ -259,10 +281,15 @@ class _Residues(_Packing):
                 return
             neg_inv = p - pow(b >> db * bits, -1, p)
             da = (a.bit_length() - 1) // bits
-            for top in range(da, db - 1, -1):
-                c = a >> top * bits & digit
-                if c % p:
-                    a += c * neg_inv % p * b << (top - db) * bits
+            if da == db + 1:  # both quotient digits from scalar top digits
+                q = (a >> da * bits) * neg_inv % p
+                a += ((q << bits) + ((a >> db * bits & digit) + q * (
+                    b >> (db - 1) * bits & digit)) * neg_inv % p) * b
+            else:
+                for top in range(da, db - 1, -1):
+                    c = a >> top * bits & digit
+                    if c % p:
+                        a += c * neg_inv % p * b << (top - db) * bits
             a, b = b, (two if da - db < 2 else any_k)(a & (1 << db * bits) - 1)
 
 
@@ -509,10 +536,9 @@ class Field(_Packing):
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p, self.m, self.modulus = p, m, modulus
         self.order_minus_one = p ** m - 1
-        self._ring = ring = _Residues(p, modulus)
+        self._ring = ring = _Residues(p, modulus, _Residues._RENT)
         self._digit_bytes, self._digit_code = ring._digit_bytes, ring._digit_code
         self._reduce_read = self._reducer((1 << 8 * self._digit_bytes) - 1, m)
-        self._reduce_sum = self._reducer(m * (p - 1) ** 2, m)
         # Frobenius matrices by j (replaced, never mutated), the rental's
         # tally by j (a lost update only delays a build), and the cap: 18 of
         # 21 used on F_{2^127}, at most 16 MB on F_{2^521}
@@ -715,8 +741,8 @@ class Field(_Packing):
             else:
                 acc = (sum(compress(cols, a.translate(_PLANES[0])))
                        + 2 * sum(compress(cols, a.translate(_PLANES[1]))))
-            return self._reduce_sum(acc)
-        return self._reduce_sum(sum(map(mul, self._unpack(x, m), cols)))
+            return self._ring.reduce_sum(acc)
+        return self._ring.reduce_sum(sum(map(mul, self._unpack(x, m), cols)))
 
 
 def _check_shape(p: int, m: int) -> None:

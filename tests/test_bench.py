@@ -216,7 +216,7 @@ def test_bench_layers_smoke(aa_run):
     assert sorted(ops) == sorted(
         tuple_rows + [f"{row}_packed" for row in tuple_rows]
         + ["inv", "frobenius_m-1_cold", "frobenius_build", "phi_map_norm",
-           "reduce"])
+           "mul_interpreted", "mul_compiled", "reduce", "reduce_compiled"])
     assert not any("differ" in op for op in ops.values())
     for side in ("parent", "change"):
         # x^9 + 2x^3 + x^2 + 1 on one-byte digits: each of the two blocks
@@ -233,9 +233,12 @@ def test_bench_layers_smoke(aa_run):
         assert got["frobenius_build"] == dict(
             got["frobenius_build"], mults=0, squarings=0, frobenius=0)
         assert got["inv"]["inversions"] == 1
-        # a product's final reduction is no counted operation
-        assert got["reduce"] == dict(got["reduce"], mults=0, squarings=0,
-                                     frobenius=0, inversions=0)
+        # a product's final reduction is no counted operation, and a
+        # product reduced by either kernel directly none either
+        for row in ("reduce", "reduce_compiled", "mul_interpreted",
+                    "mul_compiled"):
+            assert got[row] == dict(got[row], mults=0, squarings=0,
+                                    frobenius=0, inversions=0), row
         assert all(op["us"] > 0 for op in got.values())
         for row in tuple_rows:
             # a packed call is charged exactly what the tuple call is

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from rootfield import (DegreeMismatch, NotPrime, OpCounter, ReducibleModulus,
                        ZeroInverse, format_elem, format_field, is_prime,
                        mk_field, parse_elem, parse_field, rth_root)
-from rootfield import field
+from rootfield import _kernel, field
 from rootfield.field import is_irreducible
 from rootfield.periodic import factorize
 
@@ -883,7 +883,8 @@ def test_reductions_at_every_declared_bound(p):
     # a Euclid remainder's p - 1 + k(p - 1)^2 after k cancelled top digits,
     # a scalar scaling's (p - 1)^2 and a read tuple's 2^bits - 1; digits 0,
     # p - 1, p, the bound and random ones below it in every lane, against
-    # d % p
+    # d % p; each reduction's compiled lines, and each ring's compiled
+    # kernels, give what the interpreter gives
     rng = random.Random(p)
     assert field._digit_format(2 ** 32 + 15, 1)[1] is None  # sliced
     for bits, m in _reducer_shapes(p):
@@ -891,10 +892,11 @@ def test_reductions_at_every_declared_bound(p):
         bounds = {(p - 1) ** 2, m * (p - 1) ** 2, (1 << bits) - 1}
         bounds |= {p - 1 + k * (p - 1) ** 2 for k in {1, 2, 3, m, m + 1}
                    if k <= m + 1}
-        if m <= 64:
-            for f in ([1, 1] + [0] * (m - 2) + [1] if m > 1 else [1, 1],
-                      _dense_monic(p, m, rng)):
-                bounds |= set(field._Residues(p, f)._bounds)
+        rings = [field._Residues(p, f) for f in (
+            [1, 1] + [0] * (m - 2) + [1] if m > 1 else [1, 1],
+            _dense_monic(p, m, rng))] if m <= 64 else []
+        for ring in rings:
+            bounds |= set(ring._bounds)
         for bound in sorted(bounds):
             for count in (1, 3, 17):
                 reduce = field._reduction(p, bits, count, bound)
@@ -903,12 +905,45 @@ def test_reductions_at_every_declared_bound(p):
                     [rng.choice(edges) if rng.random() < 0.5
                      else rng.randrange(bound + 1) for _ in range(count)]
                     for _ in range(20)]
+                inline = _straight(_kernel.lines(p, bits, count, bound, "y"))
                 for digits in rows:
                     y = sum(d << bits * i for i, d in enumerate(digits))
                     got = reduce(y)
                     assert [got >> bits * i & (1 << bits) - 1
                             for i in range(count)] == [d % p for d in digits]
                     assert got >> bits * count == 0, (bits, bound, digits)
+                    assert inline(y) == got, (bits, bound, digits)
+        for ring in rings:
+            _kernels_agree(ring, rng)
+
+
+def _straight(lines):
+    """Source lines on y (_kernel.lines) as a function of y."""
+    scope = {}
+    exec("def f(y):\n " + "\n ".join(lines + ["return y"]), scope)
+    return scope["f"]
+
+
+def _kernels_agree(ring, rng):
+    """The ring's compiled kernels (_kernel) give what its interpreter
+    gives: the product's reduction on random products and on every input
+    digit at its declared bound m(p - 1)^2, or at 0 or p, and the
+    Frobenius sum's reduction on every digit at m(p - 1)^2."""
+    p, m = ring.p, ring.m
+    kernel, reduce_sum = _kernel.compiled(*ring._shape)(ring._neg_low)
+    top = m * (p - 1) ** 2
+    inputs = [ring._pack([d] * (2 * m - 1)) for d in (0, p, top)]
+    inputs += [ring._pack([rng.choice((0, p - 1, p, top)) for _ in range(
+        2 * m - 1)]) for _ in range(5)]
+    inputs += [ring._pack([rng.randrange(p) for _ in range(m)])
+               * ring._pack([rng.randrange(p) for _ in range(m)])
+               for _ in range(10)]
+    for acc in inputs:
+        assert kernel(acc) == field._Residues.reduce_packed(ring, acc), (
+            ring._shape, acc)
+    acc = ring._pack([top] * m)
+    assert reduce_sum(acc) == ring.reduce_sum(acc) == ring._pack(
+        [top % p] * m)
 
 
 def test_lazy_folds_on_the_benchmark_fields():
@@ -939,11 +974,112 @@ def test_fold_plans_on_the_benchmark_fields():
         assert " ".join(steps[s] for _, s, *_ in folds) == plan, (p, m)
 
 
+def _count_compiles(monkeypatch):
+    """The shapes _kernel.compiled is called on from now on, in order."""
+    calls, compile_ = [], _kernel.compiled
+
+    def counting(*shape):
+        calls.append(shape)
+        return compile_(*shape)
+    monkeypatch.setattr(_kernel, "compiled", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p,m", [(2, 127), (13, 31), (29, 23), (3, 9)])
+def test_field_compiles_once_its_rent_is_spent(p, m, monkeypatch):
+    # a fresh field's ring interprets its first _RENT - 1 products and
+    # compiles at the _RENT-th, once; the modulus search's rings, and a
+    # bare ring, never compile, however many products they reduce
+    calls = _count_compiles(monkeypatch)
+    fld = mk_field(p, m)
+    assert calls == []
+    ring, rng = fld._ring, random.Random(p + m)
+    a, b = (fld._pack(fld.random_elem(rng)) for _ in range(2))
+    expect = field._Residues.reduce_packed(ring, a * b)
+    ring._rent = field._Residues._RENT  # as built; the line above spent one
+    for _ in range(field._Residues._RENT - 1):
+        assert fld.mul(a, b) == expect
+    assert "reduce_packed" not in vars(ring) and calls == []
+    assert fld.mul(a, b) == expect
+    assert "reduce_packed" in vars(ring) and calls == [ring._shape]
+    for _ in range(2 * field._Residues._RENT):
+        assert fld.mul(a, b) == expect
+        assert fld.frobenius(a, 1) == fld.pow(a, p)
+    assert calls == [ring._shape]
+    bare = field._Residues(p, fld.modulus)
+    for _ in range(2 * field._Residues._RENT):
+        assert bare.reduce_packed(a * b) == expect
+    assert calls == [ring._shape] and "reduce_packed" not in vars(bare)
+
+
+def test_rent_races_only_delay_the_compile():
+    # threads on one ring, switching often, race on its rent while it runs
+    # out: every product is right, and a lost update of the tally at most
+    # delays the compile, which _RENT more products on one thread reach
+    fld = mk_field(13, 31)
+    ring, rng = fld._ring, random.Random(5)
+    pairs = [tuple(fld._pack(fld.random_elem(rng)) for _ in range(2))
+             for _ in range(8)]
+    want = [field._Residues.reduce_packed(ring, a * b) for a, b in pairs]
+    wrong = []
+
+    def work(k):  # twice the rent in all
+        for _ in range(field._Residues._RENT // 4):
+            if fld.mul(*pairs[k]) != want[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and wrong == []
+    for _ in range(field._Residues._RENT):
+        assert fld.mul(*pairs[0]) == want[0]
+    assert "reduce_packed" in vars(ring)
+    # two racing decrements can take the tally from 1 to -1 before either
+    # thread reads it: a tally past zero compiles at the next product
+    fresh = field.Field(13, 31, fld.modulus)
+    fresh._ring._rent = -1
+    assert fresh.mul(*pairs[1]) == want[1]
+    assert "reduce_packed" in vars(fresh._ring)
+
+
+def test_compiled_kernels_live_in_the_bounded_cache():
+    # a field that compiled a shape again after cache_clear() compiles it
+    # anew: no other store keeps a kernel, so a process that clears the
+    # library's caches pays what a fresh one pays
+    def spent():
+        fld = field.Field(5, 7, modulus)
+        x = fld._pack(fld.random_elem(random.Random(7)))
+        for _ in range(field._Residues._RENT):
+            x = fld.sqr(x)
+        assert "reduce_packed" in vars(fld._ring)
+
+    modulus = mk_field(5, 7).modulus
+    spent()
+    assert 0 < _kernel.compiled.cache_info().currsize
+    assert _kernel.compiled.cache_info().maxsize is not None
+    _kernel.compiled.cache_clear()
+    assert _kernel.compiled.cache_info().currsize == 0
+    spent()
+    assert _kernel.compiled.cache_info()[1:] == (1, 256, 1)  # one miss
+    spent()
+    assert _kernel.compiled.cache_info()[:2] == (1, 1)  # then one hit
+
+
 def _record_reductions(monkeypatch, peaks):
     """Build every reduction afresh, each appending (the bound it was
     built for, the largest digit it is given) to peaks on every call and
     refusing an input of more digits than it was built for; fold plans
-    are rebuilt too, so a ring built after this call records."""
+    are rebuilt too, so a ring built after this call records, and a
+    Field's ring interprets every product: a compiled kernel inlines its
+    reductions, which records none of them."""
     build = field._reduction.__wrapped__
 
     def recording(p, bits, count, bound):
@@ -957,6 +1093,8 @@ def _record_reductions(monkeypatch, peaks):
         return record
     monkeypatch.setattr(field, "_reduction", recording)
     monkeypatch.setattr(field, "_fold_plan", field._fold_plan.__wrapped__)
+    monkeypatch.setattr(_kernel, "compiled", _kernel.compiled.__wrapped__)
+    monkeypatch.setattr(field._Residues, "_RENT", float("inf"))
 
 
 def _width_edges(p):
@@ -1044,6 +1182,7 @@ def test_fold_plan_keeps_every_digit_in_its_width(p, m, monkeypatch):
         assert len(peaks) >= len(pairs) * (len(ring._folds) + 1)
         # one final reduction per product, built for the last tracked bound
         assert [b for b, _ in peaks].count(bounds[-1]) >= len(pairs)
+        _kernels_agree(ring, rng)  # its inputs at the bound record too
         assert all(seen <= bound for bound, seen in peaks), (f, max(peaks))
 
 
@@ -1198,12 +1337,17 @@ def test_binary_kernels_match_schoolbook(m, kind, monkeypatch):
         return acc
 
     def ring_field():  # on Z_2[x]/(f), f irreducible or not: no modulus test
-        return field.Field(2, m, tuple(f))
+        fld = field.Field(2, m, tuple(f))
+        fld._ring._rent = compiled or float("inf")  # 1: compiles at once
+        return fld
 
     rng = random.Random(m)
-    fld = ring_field()
-    operands = [(1,) * m] + [fld.random_elem(rng) for _ in range(2)]
-    for a in operands:
+    operands = [(1,) * m] + [field.Field(2, m, tuple(f)).random_elem(rng)
+                             for _ in range(2)]
+    # the interpreter, whose every reduction records, and the compiled
+    # kernels, which inline a product's and record the others
+    for compiled, a in itertools.product((0, 1), operands):
+        fld = ring_field()
         x = fld._pack(a)
         for b in operands:
             want = ref_mul(a, b)
