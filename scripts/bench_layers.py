@@ -40,8 +40,8 @@ F_p through the norm), and auto against forced amm on a residue and a
 non-residue, each root checked.  Last, per (p, m, r) of KINDS, one kind per path auto
 takes, one pass of rth_root over 15 constructed residues and 15 random
 elements; before any row is timed, both sides must give the same
-status, root, path tag and counters on each of them, or the run stops
-and names the kind.
+status, root and path tag on each of them, or the run stops and names
+the kind; each side's summed counters go in the row.
 
 A timed call or batch past TIMEOUT_S seconds records "timeout".  Times
 are wall-clock seconds of one Python thread: compare the two sides of
@@ -377,8 +377,9 @@ def bench_amm(pkgs, p: int, m: int, r: int, repeats: int) -> dict:
 
 def prepare(pkgs, kind) -> tuple:
     """Each side's one pass of rth_root over the elements of kind, and
-    its summed counters, once both sides agree on every answer;
-    SystemExit names the kind and the first element where they differ."""
+    each side's summed counters, once both sides agree on every status,
+    root and path tag; SystemExit names the kind and the first element
+    where they differ.  Counters may differ, and the row marks it."""
     p, m, r = kind
     rng = random.Random(f"{p}^{m} {r}")
     digits = [[rng.randrange(p) for _ in range(m)]
@@ -393,11 +394,11 @@ def prepare(pkgs, kind) -> tuple:
         answers.append([(out.status, out.root, facts(out))
                         for out in passes[-1]()])
     for i, (a, b) in enumerate(zip(*answers)):
-        if a != b:
+        if (a[0], a[1], a[2]["path"]) != (b[0], b[1], b[2]["path"]):
             raise SystemExit(f"rth_root answers differ on F_{{{p}^{m}}}, "
                              f"r={r}, element {i}: parent {a} != change {b}")
-    total = {name: sum(a[2][name] for a in answers[0]) for name in COUNTERS}
-    return passes, [total, total]
+    return passes, [{name: sum(a[2][name] for a in side) for name in COUNTERS}
+                    for side in answers]
 
 
 def int_tuple(size: int):

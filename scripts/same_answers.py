@@ -30,7 +30,8 @@ path, zero delta, m > 1) group of answer moves, split by the fields that
 moved (the root alone, or status, tag, exception and the rest), and of
 counter moves, and per wording class of stderr moves (digits read as #);
 it exits 1 if any status, tag, root,
-exception, decompose stdout or exit code, or sweep row differs, or if
+exception, decompose stdout or exit code, or sweep cell differs (a sweep
+row's mults, squarings and frobenius cells count as its counters), or if
 the two records do not hold the same calls in the same order.  A .gz
 name is read and written through gzip.
 """
@@ -209,6 +210,10 @@ def diff(path_a, path_b) -> int:
                 print("records hold different numbers of calls")
                 return 1
             a, b = json.loads(text_a), json.loads(text_b)
+            if a["call"] == "sweep":  # its mults, squarings, frobenius cells
+                a, b = ({**x, "row": x["row"][:6] + x["row"][9:],
+                         "counters": [int(c) for c in x["row"][6:9]]}
+                        for x in (a, b))
             key = tuple(a[f] for f in KEY if f in a)
             if key != tuple(b[f] for f in KEY if f in b):
                 print(f"records differ in order at {key}")

@@ -274,12 +274,14 @@ class _Residues(_Packing):
         p, bits, digit = self.p, 8 * self._digit_bytes, self.x - 1
         two, any_k = (self._reducer(p - 1 + k * (p - 1) ** 2, self.m)
                       for k in (2, self.m + 1))
+        invs = _neg_inverses(p) if p < 1 << 12 else None
         while b:
             db = (b.bit_length() - 1) // bits
             yield b, db
             if db == 0:
                 return
-            neg_inv = p - pow(b >> db * bits, -1, p)
+            lead = b >> db * bits
+            neg_inv = invs[lead] if invs else p - pow(lead, -1, p)
             da = (a.bit_length() - 1) // bits
             if da == db + 1:  # both quotient digits from scalar top digits
                 q = (a >> da * bits) * neg_inv % p
@@ -291,6 +293,12 @@ class _Residues(_Packing):
                     if c % p:
                         a += c * neg_inv % p * b << (top - db) * bits
             a, b = b, (two if da - db < 2 else any_k)(a & (1 << db * bits) - 1)
+
+
+@lru_cache(maxsize=16)
+def _neg_inverses(p):
+    """p - c^{-1} mod p at index c, 0 < c < p: _euclid's, for p < 2^12."""
+    return [0] + [p - pow(c, -1, p) for c in range(1, p)]
 
 
 @lru_cache(maxsize=64)
@@ -469,9 +477,10 @@ def _canonical_modulus(p, m):
 
     The first block holds the binomials x^m - a, and x^m - a is
     irreducible only if every prime dividing m divides the order of a, a
-    divisor of p - 1 (Lidl & Niederreiter, Thm 3.75): when some prime
-    factor of m does not divide p - 1, the search starts after it."""
-    first = 1 if any((p - 1) % ell for ell, _ in factorize(m)) else 0
+    divisor of p - 1, and p = 1 (mod 4) where 4 | m (Lidl & Niederreiter,
+    Thm 3.75): when either fails, the search starts after it."""
+    first = 1 if any((p - 1) % ell for ell, _ in factorize(m)) or (
+        m % 4 == 0 and p % 4 == 3) else 0
     points = _Points(p, m, 1) if 1 < m and p <= _SIEVE_MAX_P else None
     sieved = 0 if points is None else 1 if m > 3 else 2
     ring = _Residues(p, (0,) * m + (1,)) if p > 2 else None

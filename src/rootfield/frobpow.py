@@ -1,54 +1,79 @@
 """Raising field elements to geometric-series exponents via Frobenius.
 
-The target exponent is B = 1 + s + s^2 + ... + s^n with s = p^e.  Since
-y -> y^s is e Frobenius applications, y^B can be built with a doubling
-chain on the term count instead of generic powering:
-
-    y^{B_{2t}}   = y^{B_t} * (y^{B_t})^{s^t}
-    y^{B_{2t+1}} = y^{B_{2t}} * y^{s^{2t}}
-
-Reading the term count's binary expansion left to right gives at most
-2*ceil(log2(n+1)) multiplications, plus Frobenius work that the counter
-tracks separately.  apply_periodic raises the root layer's split records.
+With s = p^e and B_N = 1 + s + ... + s^{N-1}, B_{i+j} = B_i + s^i * B_j,
+so y^{B_{i+j}} = y^{B_i} * (y^{B_j})^{s^i}: each step of an addition
+chain on the term count N is one multiplication and one Frobenius call
+of i*e applications (von zur Gathen & Shoup 1992).  _chain is the factor
+method (Brauer 1939; Knuth, TAOCP vol. 2, 4.6.3), never longer than
+binary doubling (Itoh & Tsujii 1988), and shorter for N = 15, 30, 31, 63
+and 127: 5, 6, 7, 8 and 10 steps against 6, 7, 8, 10 and 12.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import isqrt
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .field import Field, OpCounter
 
 
+@lru_cache(maxsize=512)
+def _chain(n: int) -> tuple:
+    """Steps (i, j) from 1 to n, each adding a value i reached to the last
+    one j >= i: a prime n extends n - 1's chain by one; n = d*q, d its
+    least prime factor, walks q's chain, then d's scaled by q, as
+    B_{dq}(s) = B_q(s) * B_d(s^q); an odd composite n takes the shorter."""
+    if n == 1:
+        return ()
+    d = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    q = n // d
+    ways = ([_chain(q) + tuple((i * q, j * q) for i, j in _chain(d))]
+            if q > 1 else [])
+    if n % 2 or q == 1:
+        ways.append(_chain(n - 1) + ((1, n - 1),))
+    return min(ways, key=len)
+
+
 def phi_map(fld: Field, y, e: int, n: int,
             counter: OpCounter | None = None):
-    """y^{1 + s + ... + s^n} with s = p^e, in at most 2*ceil(log2(n+1))
-    multiplications."""
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    t = 1
-    acc = y
-    for bit in bin(n + 1)[3:]:
-        acc = fld.mul(acc, fld.frobenius(acc, t * e, counter), counter)
-        t *= 2
-        if bit == "1":
-            acc = fld.mul(acc, fld.frobenius(y, t * e, counter), counter)
-            t += 1
+    """y^{1 + s + ... + s^n} with s = p^e, along _chain(n + 1)."""
+    if e < 1 or n < 0:
+        raise ValueError("e must be >= 1 and n >= 0")
+    acc, powers = y, {1: y}
+    for i, j in _chain(n + 1):  # acc is y^{B_j}
+        acc = fld.mul(powers[i], fld.frobenius(acc, i * e, counter), counter)
+        powers[i + j] = acc
     return acc
 
 
 def apply_periodic(fld: Field, delta, pe,
                    counter: OpCounter | None = None):
-    """delta^{pe.v} through the split v = a + b*(geometric series).
-
-    Two short exponentiations (a and b are below p^{2*period}) and one
-    phi_map; total multiplications stay within
-    2*ceil(log2(pe.n)) + 4*pe.period*ceil(log2(p)) + 1; a = 0 skips
-    delta^a and the product by it.
-    """
-    geo = phi_map(fld, fld.pow(delta, pe.b, counter), pe.period, pe.n - 1,
-                  counter)
-    return (fld.mul(fld.pow(delta, pe.a, counter), geo, counter) if pe.a
-            else geo)
+    """delta^{pe.v} through the split v = a + b*(geometric series): where
+    a > 1, delta^a and delta^b come off one right-to-left chain of
+    squarings, charged as two Field.pow calls less the bitlen(min(a, b))
+    - 1 squarings they share; else each is one Field.pow.  Then one
+    phi_map; a = 0 skips delta^a and the product by it.  A tuple is packed
+    once and the result unpacked once."""
+    if delta.__class__ is not int:
+        return tuple(fld._unpack(apply_periodic(fld, fld._read(delta), pe,
+                                                counter), fld.m))
+    a, b = pe.a, pe.b
+    if a > 1 and b:
+        top, reduce = max(a, b).bit_length(), fld._ring.reduce_packed
+        if counter is not None:
+            counter.squarings += top - 1
+            counter.mults += a.bit_count() + b.bit_count() - 2
+        head = base = None
+        for i in range(top):
+            delta = reduce(delta * delta) if i else delta
+            if a >> i & 1:
+                head = delta if head is None else reduce(head * delta)
+            if b >> i & 1:
+                base = delta if base is None else reduce(base * delta)
+    else:
+        head = fld.pow(delta, a, counter) if a else None
+        base = fld.pow(delta, b, counter)
+    geo = phi_map(fld, base, pe.period, pe.n - 1, counter)
+    return fld.mul(head, geo, counter) if a else geo

@@ -57,7 +57,7 @@ def test_ramified_pair_7_5_2():
     assert [r.path_tag for r in rows] == ["ramified_fast", "naive_fallback"]
     fast, naive = rows
     assert fast.cells()[:-1] == ["7", "1", "5", "2", "ramified",
-                                 "ramified_fast", "4", "8", "2", "2", "2",
+                                 "ramified_fast", "4", "7", "2", "2", "2",
                                  "1", "2", "true"]
     assert naive.cells()[:-1] == ["7", "1", "5", "2", "ramified",
                                   "naive_fallback", "4", "13", "0", "2", "2",
@@ -157,7 +157,7 @@ def test_csv_row_shape():
     lines = buf.getvalue().splitlines()
     assert len(lines) == 3
     assert lines[0].split(",") == list(CSV_COLUMNS)
-    assert lines[1].startswith("7,1,5,2,ramified,ramified_fast,4,8,2,2,2,1,2,true,")
+    assert lines[1].startswith("7,1,5,2,ramified,ramified_fast,4,7,2,2,2,1,2,true,")
     assert int(lines[1].rsplit(",", 1)[1]) > 0
 
 
@@ -290,29 +290,50 @@ def test_bench_layers_rows_alternate_sides():
 
 
 def test_bench_layers_stops_on_a_different_answer(tmp_path, monkeypatch):
-    # one more mult on the change side for r = 5 stops the run before
+    # another path tag on the change side for r = 5 stops the run before
     # anything is timed, naming the kind
     main = bench_layers()
     load = main.__globals__["load"]
 
-    def load_with_an_extra_mult(tree, name, tmp):
+    def load_with_another_tag(tree, name, tmp):
         pkg = load(tree, name, tmp)
         if name == "rf_change":
             real = pkg.rth_root
 
             def rth_root(fld, delta, r, *args, **kwargs):
                 out = real(fld, delta, r, *args, **kwargs)
-                out.counters.mults += r == 5
-                return out
+                return out._replace(path_tag="amm") if r == 5 else out
             monkeypatch.setattr(pkg, "rth_root", rth_root)
         return pkg
 
-    monkeypatch.setitem(main.__globals__, "load", load_with_an_extra_mult)
+    monkeypatch.setitem(main.__globals__, "load", load_with_another_tag)
     out = tmp_path / "bench.json"
     with pytest.raises(SystemExit, match=r"F_\{3\^97\}, r=5, element 0"):
         main([str(ROOT), str(ROOT), "--repeats", "1", "--out", str(out)])
     assert not out.exists()
     assert not any(name.startswith("rf_") for name in sys.modules)
+
+
+def test_bench_layers_keeps_each_sides_counters(tmp_path, monkeypatch):
+    # counters that move on purpose do not stop the run: each side's sum
+    # goes in its half of the kind's row
+    main = bench_layers()
+    prepare, load = main.__globals__["prepare"], main.__globals__["load"]
+    monkeypatch.syspath_prepend(str(tmp_path))
+    pkgs = [load(ROOT, name, tmp_path) for name in ("rf_parent", "rf_change")]
+    try:
+        real = pkgs[1].rth_root
+
+        def rth_root(fld, delta, r, *args, **kwargs):
+            out = real(fld, delta, r, *args, **kwargs)
+            out.counters.mults += 1
+            return out
+        monkeypatch.setattr(pkgs[1], "rth_root", rth_root)
+        _, (parent, change) = prepare(pkgs, (3, 9, 5))
+    finally:
+        for name in [name for name in sys.modules if name.startswith("rf_")]:
+            del sys.modules[name]
+    assert change == {**parent, "mults": parent["mults"] + 30}
 
 
 def test_bench_layers_timeout(tmp_path, monkeypatch):

@@ -224,7 +224,7 @@ def test_bench_stdout(capsys):
     lines = out.splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("p,d,m,r,case,path,")
-    assert lines[1].startswith("7,1,5,2,ramified,ramified_fast,4,8,2,2,2,1,2,true,")
+    assert lines[1].startswith("7,1,5,2,ramified,ramified_fast,4,7,2,2,2,1,2,true,")
     assert lines[2].startswith("7,1,5,2,ramified,naive_fallback,4,13,0,2,2,1,2,true,")
 
 

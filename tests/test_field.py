@@ -202,12 +202,26 @@ def test_skipped_binomials_are_reducible():
     skipped = 0
     for p in filter(is_prime, range(2, 32)):
         for m in range(2, 13):
-            if all((p - 1) % ell == 0 for ell, _ in factorize(m)):
+            if all((p - 1) % ell == 0 for ell, _ in factorize(m)) and (
+                    m % 4 or p % 4 == 1):
                 continue
             skipped += 1
             for c in range(p):
                 assert not is_irreducible([c] + [0] * (m - 1) + [1], p)
     assert skipped > 50
+
+
+@pytest.mark.parametrize("p,m", [(1000003, 4), (2 ** 31 - 1, 4),
+                                 (1000003, 8), (2 ** 127 - 1, 4)])
+def test_binomial_block_skipped_where_4_divides_m(p, m):
+    # every prime factor of m divides p - 1, but p = 3 (mod 4) and 4 | m,
+    # so no x^m - a is irreducible (Lidl & Niederreiter, Thm 3.75); a
+    # search that tried them would test all p binomials, about 28 s for
+    # (1000003, 4)
+    start = time.monotonic()
+    fld = mk_field(p, m)
+    assert time.monotonic() - start < 1
+    assert any(fld.modulus[1:m]) and is_irreducible(fld.modulus, p)
 
 
 def test_elem_validation(f8):
@@ -1388,7 +1402,7 @@ def test_binary_kernels_match_schoolbook(m, kind, monkeypatch):
 
 SIEVE_PRIMES = (2, 3, 5, 7, 13, 31, 127, 131, 257)
 SIEVED = [q for q in SIEVE_PRIMES if q <= field._SIEVE_MAX_P]
-BOUGHT = {2: (10,), 7: (12,), 13: (10,)}
+BOUGHT = {2: (10,), 7: (20,), 13: (10,)}
 
 
 def _plain_scan(p, m):
@@ -1506,7 +1520,8 @@ def test_sieve_skips_exactly_the_rooted_candidates(p, monkeypatch):
                             is_irreducible(f, q, **kw))
         found = field._canonical_modulus(p, m)
         monkeypatch.undo()
-        skip_binomials = any((p - 1) % ell for ell, _ in factorize(m))
+        skip_binomials = any((p - 1) % ell for ell, _ in factorize(m)) or (
+            m % 4 == 0 and p % 4 == 3)
         expect, candidates, bought = [], 0, False
         for block in itertools.count(1 if skip_binomials else 0):
             upper = [block // p ** i % p for i in range(m - 1)]
