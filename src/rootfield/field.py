@@ -274,14 +274,12 @@ class _Residues(_Packing):
         p, bits, digit = self.p, 8 * self._digit_bytes, self.x - 1
         two, any_k = (self._reducer(p - 1 + k * (p - 1) ** 2, self.m)
                       for k in (2, self.m + 1))
-        invs = _neg_inverses(p) if p < 1 << 12 else None
         while b:
             db = (b.bit_length() - 1) // bits
             yield b, db
             if db == 0:
                 return
-            lead = b >> db * bits
-            neg_inv = invs[lead] if invs else p - pow(lead, -1, p)
+            neg_inv = p - pow(b >> db * bits, -1, p)
             da = (a.bit_length() - 1) // bits
             if da == db + 1:  # both quotient digits from scalar top digits
                 q = (a >> da * bits) * neg_inv % p
@@ -293,12 +291,6 @@ class _Residues(_Packing):
                     if c % p:
                         a += c * neg_inv % p * b << (top - db) * bits
             a, b = b, (two if da - db < 2 else any_k)(a & (1 << db * bits) - 1)
-
-
-@lru_cache(maxsize=16)
-def _neg_inverses(p):
-    """p - c^{-1} mod p at index c, 0 < c < p: _euclid's, for p < 2^12."""
-    return [0] + [p - pow(c, -1, p) for c in range(1, p)]
 
 
 @lru_cache(maxsize=64)

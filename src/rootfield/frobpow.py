@@ -6,8 +6,8 @@ chain on the term count N is one multiplication and one Frobenius call
 of i*e applications (von zur Gathen & Shoup 1992).  _chain is the factor
 method (Brauer 1939; Knuth, TAOCP vol. 2, 4.6.3), never longer than
 binary doubling (Itoh & Tsujii 1988), and shorter for N = 15, 30, 31, 63
-and 127: 5, 6, 7, 8 and 10 steps against 6, 7, 8, 10 and 12.
-"""
+and 127: 5, 6, 7, 8 and 10 steps against 6, 7, 8, 10 and 12.  A split
+record's delta^a and delta^b share one chain of squarings."""
 
 from __future__ import annotations
 
@@ -21,10 +21,17 @@ if TYPE_CHECKING:
 
 @lru_cache(maxsize=512)
 def _chain(n: int) -> tuple:
-    """Steps (i, j) from 1 to n, each adding a value i reached to the last
-    one j >= i: a prime n extends n - 1's chain by one; n = d*q, d its
-    least prime factor, walks q's chain, then d's scaled by q, as
-    B_{dq}(s) = B_q(s) * B_d(s^q); an odd composite n takes the shorter."""
+    """Steps (i, j) from 1 to n, each adding a reached i to the last j >= i:
+    n = d*q, d its least prime factor, walks q's chain, then d's scaled by
+    q (B_{dq}(s) = B_q(s) * B_d(s^q)); a prime n, or an odd one where it
+    is shorter, extends n - 1's chain by a step.  Past 2^12, where the
+    factor method's subproblems multiply, n extends n >> 1's chain."""
+    if n > 4096:  # binary doubling's rule down to the top 12 bits
+        k, steps = n.bit_length() - 12, []
+        for i in range(k, 0, -1):  # from n >> i to n >> (i - 1)
+            t = n >> i
+            steps += [(t, t)] + ([(1, 2 * t)] if n >> i - 1 & 1 else [])
+        return _chain(n >> k) + tuple(steps)
     if n == 1:
         return ()
     d = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
@@ -51,11 +58,12 @@ def phi_map(fld: Field, y, e: int, n: int,
 def apply_periodic(fld: Field, delta, pe,
                    counter: OpCounter | None = None):
     """delta^{pe.v} through the split v = a + b*(geometric series): where
-    a > 1, delta^a and delta^b come off one right-to-left chain of
-    squarings, charged as two Field.pow calls less the bitlen(min(a, b))
-    - 1 squarings they share; else each is one Field.pow.  Then one
-    phi_map; a = 0 skips delta^a and the product by it.  A tuple is packed
-    once and the result unpacked once."""
+    a > 1 and b > 0, delta^a and delta^b come off one right-to-left chain
+    of squarings, charged as two Field.pow calls less the
+    bitlen(min(a, b)) - 1 squarings they share; else each is one
+    Field.pow, whose loop costs less Python where there is nothing to
+    share.  Then one phi_map; a = 0 skips delta^a and the product by it.
+    A tuple is packed once and the result unpacked once."""
     if delta.__class__ is not int:
         return tuple(fld._unpack(apply_periodic(fld, fld._read(delta), pe,
                                                 counter), fld.m))

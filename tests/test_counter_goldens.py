@@ -22,7 +22,7 @@ residue test in F_5.  F_{19^21}, r = 3 (3 | 21) keeps AMM in F_{19^21}.
 Moved on purpose a fourth time.  phi_map walks the factor method's
 addition chain on the term count instead of binary doubling, shifting by
 the smaller addend, and apply_periodic reads delta^a and delta^b off one
-chain of squarings where a > 1; the 13 entries below moved, as
+chain of squarings; the 13 entries below moved, as
 (mults, squarings, frobenius) old -> new, and no status, path or root did:
     (2, 127, 3) residue          (12, 3, 342) -> (10, 3, 124)
     (2, 127, 6) residue          (13, 5, 468) -> (11, 5, 250)

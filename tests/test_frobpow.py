@@ -88,6 +88,35 @@ def test_chain_is_an_addition_chain_never_longer_than_binary():
     assert _chain.cache_info().maxsize is not None
 
 
+@given(st.integers(4097, 1 << 80))
+def test_chain_for_large_counts(n):
+    # past 2^12 the chain doubles down from the top 12 bits: a valid
+    # chain within binary's length, built in O(log n) steps where the
+    # factor method would factor n and branch at every odd composite
+    reached = [1]
+    for i, j in _chain(n):
+        assert i <= j == reached[-1] and i in reached
+        reached.append(i + j)
+    assert reached[-1] == n
+    assert len(_chain(n)) <= n.bit_length() - 1 + n.bit_count() - 1
+
+
+@pytest.mark.parametrize("term_count", [
+    (1 << 61) - 1, 10 ** 18 + 9, 67 * 71 * (10 ** 9 + 7), 3 ** 40,
+    (1 << 3000) + 1])
+def test_phi_map_on_large_term_counts(f8, term_count):
+    # large primes (2^61 - 1, 10^18 + 9), a composite without small
+    # factors, a smooth count and one of 3001 bits: each is y^B, B reduced
+    # mod 7, at one product per step
+    y = (0, 1, 0)
+    counter = OpCounter()
+    got = phi_map(f8, y, 1, term_count - 1, counter)
+    b = (pow(2, term_count, 7) - 1) % 7  # B = 2^N - 1 for s = 2
+    assert got == f8.pow(y, b)
+    assert counter.mults == len(_chain(term_count)) <= 2 * ceil_log2(
+        term_count + 1)
+
+
 @given(st.integers(1, 4096))
 def test_plan_replay_and_cost(term_count):
     # replaying the chain reaches the term count: the result is y^B for the
@@ -232,19 +261,18 @@ def test_apply_periodic_mult_bound(p, m, r, make):
 
 # -- counts in closed form ---------------------------------------------------
 #
-# apply_periodic's tallies follow from (a, b) and the chain alone: where
-# a > 1 and b > 0, one right-to-left chain of squarings serves delta^a
-# and delta^b; else each is charged as Field.pow charges it.
+# apply_periodic's tallies follow from (a, b) and the chain alone: it is
+# charged bitlen(max(a, b)) - 1 squarings whether one chain serves delta^a
+# and delta^b (a > 1, b > 0) or Field.pow raises each (delta^a, a <= 1,
+# costs none).
 
 def closed_form(pe, m):
     """(mults, squarings, frobenius) apply_periodic is charged for pe."""
     a, b = pe.a, pe.b
-    exps = [e for e in (a, b) if e]
-    squarings = (max(a, b).bit_length() - 1 if a > 1 and b
-                 else sum(e.bit_length() - 1 for e in exps))
-    mults = (sum(e.bit_count() - 1 for e in exps) + factor_length(pe.n)
-             + (a > 0))
-    return mults, squarings, chain_shifts(pe.n, pe.period, m)
+    mults = (sum(e.bit_count() - 1 for e in (a, b) if e)
+             + factor_length(pe.n) + (a > 0))
+    return (mults, max(a, b).bit_length() - 1,
+            chain_shifts(pe.n, pe.period, m))
 
 
 def split_records(p, m, r):
