@@ -350,6 +350,20 @@ def bench_build(pkgs, p: int, m: int, repeats: int) -> dict:
         repeats, "ms")}
 
 
+def uncached_plan(pkg):
+    """The side's plan build with nothing kept: a tree that caches plans in
+    a module lru_cache has the builder as _plan.__wrapped__; a tree that
+    keeps them on the field builds afresh from an emptied store."""
+    plan = pkg.roots._plan
+    if hasattr(plan, "__wrapped__"):
+        return plan.__wrapped__
+
+    def fresh(fld, r):
+        fld._plans = {}
+        return plan(fld, r)
+    return fresh
+
+
 def bench_amm(pkgs, p: int, m: int, r: int, repeats: int) -> dict:
     """Auto against forced amm on one field, for a constructed residue
     and a seeded non-residue; each root is checked."""
@@ -358,8 +372,7 @@ def bench_amm(pkgs, p: int, m: int, r: int, repeats: int) -> dict:
     out = {"p": p, "m": m, "r": r, "amm_context_us": row(
         [batched(partial(pkg.build_amm_context, fld, r))
          for pkg, fld in sides], [{}, {}], repeats), "plan_us": row(
-        [batched(partial(pkg.roots._plan.__wrapped__, fld, r))
-         for pkg, fld in sides],
+        [batched(partial(uncached_plan(pkg), fld, r)) for pkg, fld in sides],
         [{"descent": pkg.roots._plan(fld, r).descent is not None}
          for pkg, fld in sides], repeats)}
     residues = [fld.pow(fld.random_elem(random.Random(f"{p}^{m}/{r}")), r)

@@ -3,9 +3,9 @@
 The library splits into field arithmetic with operation counting
 (field), the one periodic split of the inverted exponent (periodic),
 the Frobenius-assisted geometric powering map (frobpow), root
-extraction by one algorithm on one cached plan per (field, r) (roots),
-a brute-force oracle for small fields (oracle), a counter-collecting
-sweep harness (bench) and a CLI (cli).
+extraction by one algorithm on one plan per (field, r), kept on the
+field (roots), a brute-force oracle for small fields (oracle), a
+counter-collecting sweep harness (bench) and a CLI (cli).
 """
 
 from .field import (DegreeMismatch, Field, NotPrime, OpCounter,

@@ -13,18 +13,16 @@ unpacked on the way out.  The root layer packs delta once per
 call and stays packed until it unpacks the root.
 
 A Field instance carries the prime p, the extension degree m and a monic
-irreducible modulus polynomial (length m+1 coefficient tuple), and
-the Frobenius matrices it has built (below).
+irreducible modulus polynomial (length m+1 coefficient tuple), the
+Frobenius matrices it has built (below), and the root layer's plans
+for it (roots._plan), which die with it.
 
 Construction: without an explicit modulus, mk_field searches candidates
 in a fixed order (_canonical_modulus): for p <= _SIEVE_MAX_P an
 evaluation sieve at points of F_{p^2} (_Points), for odd p a parity test
 (Stickelberger, Swan 1962), then Ben-Or's test without the gcds of the
-steps the sieve settled.  The gcds and the parity's resultants are one
-Euclid on packed integers (_Residues._euclid), in the ring of the
-candidate modulus, the one field multiplication and the Frobenius
-matrices use.  An explicit modulus takes Ben-Or's test alone.  None of
-it is counted.
+steps the sieve settled, each candidate in its own ring (_Residues).  An
+explicit modulus takes Ben-Or's test alone.  None of it is counted.
 
 Cost model: full multiplications, squarings, Frobenius applications and
 inversions are tallied in a caller-supplied OpCounter.  Additions,
@@ -41,7 +39,7 @@ Each reduction goes only as far as the digit bound its caller proves
 needs (Harvey 2009): shrinks, then one Barrett quotient per digit
 (Barrett 1986) and one conditional subtract (_Packing); for p = 2 a mask.
 A loop interprets a ring's fold plan; a field's ring that has reduced
-_Residues._RENT products runs the plan compiled into one loop-free
+_FieldRing._rent products runs the plan compiled into one loop-free
 function instead (_kernel).
 Where p <= 3 digits select columns: a Frobenius application sums the
 columns whose digit is v, v times, per digit value v > 0 (Field._apply).
@@ -200,17 +198,11 @@ class _Residues(_Packing):
     below 2^bits if later blocks are brought into [0, p): none, % p (one
     digit), one or two shrinks at h = bits/2 (_Packing; p < 2^h), or the
     block's reduction; _bounds holds each B, then the final reduction's;
-    _lazy: no block reduces.  reduce_packed interprets the plan until the
-    ring has reduced rent products, then runs it compiled (_kernel).  A
-    Field's rent, _RENT, is about what a process's first compile, which
-    also imports _kernel, costs in interpreted products: the rent matters
-    to short-lived work, where that compile is the only one, and hardly
-    to long-lived work.  A search candidate's rent is infinite."""
+    _lazy: no block reduces.  Only a Field's ring compiles (_FieldRing)."""
 
     _STEPS = ("none", "mod", "shrink", "shrink2", "barrett")  # cheapest first
-    _RENT = 1500  # products a Field's ring interprets before it compiles
 
-    def __init__(self, p, f, rent=float("inf")):
+    def __init__(self, p, f):
         self.m = m = len(f) - 1
         self.p, (self._digit_bytes, self._digit_code) = p, _digit_format(p, m)
         bits = 8 * self._digit_bytes
@@ -222,16 +214,9 @@ class _Residues(_Packing):
         self._shape = p, m, bits, block, m - neg_low.count(0)
         self._bounds, self._folds, self._lazy, self._reduce = _fold_plan(
             *self._shape)
-        self._rent = rent  # products to interpret; a race only delays
-        self.reduce_sum = self._reducer(m * (p - 1) ** 2, m)  # Field._apply
 
     def reduce_packed(self, acc: int) -> int:
         """acc mod f for acc of at most 2m - 1 digits, each <= m(p - 1)^2."""
-        self._rent -= 1
-        if self._rent <= 0:  # the plan compiled shadows its interpreter
-            from ._kernel import compiled
-            self.reduce_packed, self.reduce_sum = compiled(
-                *self._shape)(self._neg_low)
         p, neg_low = self.p, self._neg_low
         for lo_bits, step, mask, shift, bring in self._folds:
             high = acc >> lo_bits
@@ -291,6 +276,30 @@ class _Residues(_Packing):
                     if c % p:
                         a += c * neg_inv % p * b << (top - db) * bits
             a, b = b, (two if da - db < 2 else any_k)(a & (1 << db * bits) - 1)
+
+
+class _FieldRing(_Residues):
+    """A Field's ring: _Residues' loop with the rent inline (no call added
+    per product) until _rent products, about what a process's first
+    compile costs, are spent; then it and reduce_sum run compiled."""
+
+    _rent = 1500  # a race on the count only delays the compile
+
+    def reduce_packed(self, acc: int) -> int:
+        self._rent -= 1
+        if self._rent <= 0:  # the plan compiled shadows its interpreter
+            from ._kernel import compiled
+            self.reduce_packed, self.reduce_sum = compiled(
+                *self._shape)(self._neg_low)
+        p, neg_low = self.p, self._neg_low
+        for lo_bits, step, mask, shift, bring in self._folds:
+            high = acc >> lo_bits
+            if step == 1:
+                high %= p
+            elif step:
+                high = bring(high)
+            acc = (acc & mask) + (high * neg_low << shift)
+        return self._reduce(acc)
 
 
 @lru_cache(maxsize=64)
@@ -537,7 +546,8 @@ class Field(_Packing):
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p, self.m, self.modulus = p, m, modulus
         self.order_minus_one = p ** m - 1
-        self._ring = ring = _Residues(p, modulus, _Residues._RENT)
+        self._ring = ring = _FieldRing(p, modulus)
+        ring.reduce_sum = ring._reducer(m * (p - 1) ** 2, m)  # till compiled
         self._digit_bytes, self._digit_code = ring._digit_bytes, ring._digit_code
         self._reduce_read = self._reducer((1 << 8 * self._digit_bytes) - 1, m)
         # Frobenius matrices by j (replaced, never mutated), the rental's
@@ -545,7 +555,7 @@ class Field(_Packing):
         # 21 used on F_{2^127}, at most 16 MB on F_{2^521}
         self._frob_maps, self._frob_spent = {}, {}
         self._frob_cap = 3 * (m - 1).bit_length()
-        self._hash = hash((p, m, modulus))
+        self._plans = {}  # the root layer's, kept as _frob_maps is (roots)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -553,7 +563,7 @@ class Field(_Packing):
         return (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.p, self.m, self.modulus))
 
     def __repr__(self):
         return (f"Field(p={self.p!r}, m={self.m!r}, modulus={self.modulus!r}, "

@@ -13,12 +13,13 @@ with S = (p^m - 1)/(p - 1) and x = -m^{-1} mod r, h = delta^v for
 v = r^{-1} mod S has h^r = N(delta)^x * delta, N(delta) = delta^S in
 F_p, and h over an r-th root of N(delta)^x in F_p is a root of delta.
 
-_plan derives t, s, alpha and the split records once per (field, r),
-the one classification of (p, m, r): test for delta^{N/r}, cof for
-delta^s and rho^s, head for delta^alpha and norm for the descent, each
-a + b*(1 + p^l + ...) raised by apply_periodic through Frobenius maps.
-One body, _root, runs every prime stage on its context; forced paths
-"naive" and "amm", and amm_root, clear the records for plain powering.
+_plan derives t, s, alpha and the split records of (field, r), the one
+classification of (p, m, r): test for delta^{N/r}, cof for delta^s and
+rho^s, head for delta^alpha and norm for the descent, each
+a + b*(1 + p^l + ...) raised by apply_periodic through Frobenius maps,
+kept on the field with its AMM contexts.  One body, _root, runs every
+prime stage on its context; forced paths "naive" and "amm", and
+amm_root, clear the records for plain powering.
 
 rth_root dispatches prime by prime for composite r and peels factors of
 p off r first, since the p-th power map is the Frobenius bijection.  It
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from functools import lru_cache
 from math import gcd
 
 from .field import Field, OpCounter, is_prime, mk_field
@@ -92,15 +92,17 @@ def _require_divisor(fld: Field, r: int) -> None:
         raise RNotDividingOrder(f"r={r} does not divide the group order")
 
 
-@lru_cache(maxsize=512)
 def _plan(fld: Field, r: int) -> AmmContext:
     """The AmmContext for (fld, r), r >= 2, without rho or its table.
-    Every record needs k < m, k the order of p mod r, so only j < m are
-    tried.  The periods k*r^i divide m for prime r; a composite r, which
-    no stage takes, gets records only for t <= 1, for is_rth_residue,
+    Every record needs k < m (AmmContext), so only j < m are tried.  The
+    periods k*r^i divide m for prime r; a composite r, which no stage
+    takes, gets records only for t <= 1, for is_rth_residue,
     build_amm_context and the bench sweep's columns.  The descent's
     v = a + p^e*z*G, m - 1 = r*n + e - 1, G = 1 + p^r + ... + p^{r(n-1)};
-    norm, the record of z*G, is None for n = 0, where v = a."""
+    norm, the record of z*G, is None for n = 0, where v = a.  fld keeps
+    it under r, as _frob_maps is kept: a lost race rebuilds an equal one."""
+    if plan := fld._plans.get(r):  # one read: the dict may be replaced
+        return plan
     p, m, order = fld.p, fld.m, fld.order_minus_one
     t = exact_power(r, order)
     s = order // r ** t
@@ -122,13 +124,10 @@ def _plan(fld: Field, r: int) -> AmmContext:
             norm = PeriodicExponent(0, z, r, n, z * geometric_sum(p, r, n))
         a = (1 + x * (p ** e - 1) // (p - 1)) // r
         descent = (mk_field(p, 1), a, e, norm)
-    return AmmContext(t, s, alpha, test=test, cof=cof, head=head,
+    plan = AmmContext(t, s, alpha, test=test, cof=cof, head=head,
                       descent=descent)
-
-
-def _plain(ctx: AmmContext) -> AmmContext:
-    """ctx with every record and the descent cleared: plain powering."""
-    return ctx._replace(test=None, cof=None, head=None, descent=None)
+    fld._plans = {**fld._plans, r: plan}
+    return plan
 
 
 def _power(fld: Field, delta, rec: PeriodicExponent | None, v: int,
@@ -194,27 +193,18 @@ def build_amm_context(fld: Field, r: int, seed: int = 0,
     return plan._replace(rho=rho, rho_s=rho_s, k_index=k_index)
 
 
-@lru_cache(maxsize=512)
-def _cached_amm_context(fld, r, seed, rho):
-    return build_amm_context(fld, r, seed, rho)
-
-
 def _root(fld: Field, delta: int, r: int, ctx: AmmContext, tag: str,
           counter: OpCounter, seed: int) -> int | None:
-    """One prime stage on packed, nonzero delta: the packed root, or
-    None for a non-residue.  Every long power takes the record ctx holds.
-
-    The descent takes h = delta^a * (delta^{zG})^{p^e} = delta^v, reads
-    the scalar N(delta)^x = h^r / delta from one digit, and divides h by
-    its r-th root, found or refused by the stage over F_p.  Otherwise tag
-    "amm" tests delta^{N/r} = 1 first.  The head delta^alpha is the root
-    when t <= 1.  For t >= 2, acc = (delta^s)^c with
+    """One prime stage on packed, nonzero delta, in the module docstring's
+    order: the packed root, or None for a non-residue.  Every long power
+    takes the record ctx holds.  The descent's h = delta^a *
+    (delta^{zG})^{p^e} = delta^v gives the scalar N(delta)^x = h^r / delta
+    from one digit, and h is divided by its r-th root, found or refused by
+    the stage over F_p.  For t >= 2, acc = (delta^s)^c with
     c = ((r*alpha - 1)/s) mod r^t, -1 when s = 1, is delta^{r*alpha - 1}
     in the subgroup of order r^{t-1}.  For i = 1 .. t-1, acc^{r^{t-1-i}}
     is an r-th root of unity, and the table says which (rho^s)^{j_i*r^i}
-    cancels it; head * (rho^s)^J, J from the digits j_i, is a root.  One
-    verification comes last: without the test (t <= 1) it is the
-    residue test, which a t = 0 root always passes."""
+    cancels it; head * (rho^s)^J, J from the digits j_i, is a root."""
     t = ctx.t
     if ctx.descent:
         base, a, e, norm = ctx.descent
@@ -289,9 +279,12 @@ def _stage(fld: Field, delta: int, r: int, seed: int, counter: OpCounter,
         return 0, tag
     if tag == "amm" and (path == "amm" or not ctx.descent) and (
             ctx.t > 1 or rho is not None or ctx.alpha is None):
-        ctx = _cached_amm_context(fld, r, seed, rho)
-    if path in ("amm", "naive"):
-        ctx = _plain(ctx)
+        ctx = fld._plans.get((r, seed, rho))
+        if ctx is None:  # kept on fld as _plan keeps a plan
+            ctx = build_amm_context(fld, r, seed, rho)
+            fld._plans = {**fld._plans, (r, seed, rho): ctx}
+    if path in ("amm", "naive"):  # plain powering
+        ctx = ctx._replace(test=None, cof=None, head=None, descent=None)
     return _root(fld, delta, r, ctx, tag, counter, seed), tag
 
 
@@ -314,24 +307,20 @@ def amm_root(fld: Field, delta, r: int, seed: int = 0,
     if not delta:
         raise ZeroElement("amm_root is for nonzero elements")
     counter = counter or OpCounter()
-    rho = None if rho is None else fld.elem(rho)  # hashable for the cache
+    rho = None if rho is None else fld.elem(rho)  # hashable, a context's key
     return _outcome(fld, *_stage(fld, delta, r, seed, counter, "amm", rho),
                     counter)
 
 
 def rth_root(fld: Field, delta, r: int, seed: int = 0,
              path: str = "auto") -> RootOutcome:
-    """Extract an r-th root of delta, dispatching on the structure of r.
-
-    delta is packed once, the stages pass packed elements, and only the
-    returned root is unpacked.  Factors of p in r are peeled off through
-    inverse Frobenius (the p-th power map is a bijection), then each
-    prime factor of what remains is handled in increasing order, one
-    stage per multiplicity; a non_residue at any stage settles the
-    question.  A single stage (a forced path, or a prime r other than p)
-    returns its own outcome, verified by the stage; a chain (a p-peel,
-    or two or more prime stages) is tagged composite_chain and ends with
-    one check of the composed root.
+    """Extract an r-th root of delta, dispatching on the structure of r
+    as the module docstring says: after the p-peel, each prime factor of
+    what remains in increasing order, one stage per multiplicity; a
+    non_residue at any stage settles the question.  A single stage (a
+    forced path, or a prime r other than p) returns its own outcome,
+    verified by the stage; a chain (a p-peel, or two or more stages) is
+    tagged composite_chain and ends with one check of the whole root.
 
     path overrides dispatch for prime r: "amm", "periodic" or "naive".
     """

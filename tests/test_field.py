@@ -956,7 +956,7 @@ def _kernels_agree(ring, rng):
         assert kernel(acc) == field._Residues.reduce_packed(ring, acc), (
             ring._shape, acc)
     acc = ring._pack([top] * m)
-    assert reduce_sum(acc) == ring.reduce_sum(acc) == ring._pack(
+    assert reduce_sum(acc) == ring._reducer(top, m)(acc) == ring._pack(
         [top % p] * m)
 
 
@@ -1001,35 +1001,36 @@ def _count_compiles(monkeypatch):
 
 @pytest.mark.parametrize("p,m", [(2, 127), (13, 31), (29, 23), (3, 9)])
 def test_field_compiles_once_its_rent_is_spent(p, m, monkeypatch):
-    # a fresh field's ring interprets its first _RENT - 1 products and
-    # compiles at the _RENT-th, once; the modulus search's rings, and a
+    # a fresh field's ring interprets its first _rent - 1 products and
+    # compiles at the _rent-th, once; the modulus search's rings, and a
     # bare ring, never compile, however many products they reduce
     calls = _count_compiles(monkeypatch)
     fld = mk_field(p, m)
     assert calls == []
     ring, rng = fld._ring, random.Random(p + m)
     a, b = (fld._pack(fld.random_elem(rng)) for _ in range(2))
-    expect = field._Residues.reduce_packed(ring, a * b)
-    ring._rent = field._Residues._RENT  # as built; the line above spent one
-    for _ in range(field._Residues._RENT - 1):
+    expect = field._Residues.reduce_packed(ring, a * b)  # spends no rent
+    assert "_rent" not in vars(ring)  # as built: nothing spent it yet
+    for _ in range(field._FieldRing._rent - 1):
         assert fld.mul(a, b) == expect
     assert "reduce_packed" not in vars(ring) and calls == []
     assert fld.mul(a, b) == expect
     assert "reduce_packed" in vars(ring) and calls == [ring._shape]
-    for _ in range(2 * field._Residues._RENT):
+    for _ in range(2 * field._FieldRing._rent):
         assert fld.mul(a, b) == expect
         assert fld.frobenius(a, 1) == fld.pow(a, p)
     assert calls == [ring._shape]
     bare = field._Residues(p, fld.modulus)
-    for _ in range(2 * field._Residues._RENT):
+    for _ in range(2 * field._FieldRing._rent):
         assert bare.reduce_packed(a * b) == expect
     assert calls == [ring._shape] and "reduce_packed" not in vars(bare)
+    assert not hasattr(bare, "_rent")  # only a Field's ring keeps a rent
 
 
 def test_rent_races_only_delay_the_compile():
     # threads on one ring, switching often, race on its rent while it runs
     # out: every product is right, and a lost update of the tally at most
-    # delays the compile, which _RENT more products on one thread reach
+    # delays the compile, which _rent more products on one thread reach
     fld = mk_field(13, 31)
     ring, rng = fld._ring, random.Random(5)
     pairs = [tuple(fld._pack(fld.random_elem(rng)) for _ in range(2))
@@ -1038,7 +1039,7 @@ def test_rent_races_only_delay_the_compile():
     wrong = []
 
     def work(k):  # twice the rent in all
-        for _ in range(field._Residues._RENT // 4):
+        for _ in range(field._FieldRing._rent // 4):
             if fld.mul(*pairs[k]) != want[k]:
                 wrong.append(k)
 
@@ -1053,7 +1054,7 @@ def test_rent_races_only_delay_the_compile():
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads) and wrong == []
-    for _ in range(field._Residues._RENT):
+    for _ in range(field._FieldRing._rent):
         assert fld.mul(*pairs[0]) == want[0]
     assert "reduce_packed" in vars(ring)
     # two racing decrements can take the tally from 1 to -1 before either
@@ -1071,7 +1072,7 @@ def test_compiled_kernels_live_in_the_bounded_cache():
     def spent():
         fld = field.Field(5, 7, modulus)
         x = fld._pack(fld.random_elem(random.Random(7)))
-        for _ in range(field._Residues._RENT):
+        for _ in range(field._FieldRing._rent):
             x = fld.sqr(x)
         assert "reduce_packed" in vars(fld._ring)
 
@@ -1108,7 +1109,7 @@ def _record_reductions(monkeypatch, peaks):
     monkeypatch.setattr(field, "_reduction", recording)
     monkeypatch.setattr(field, "_fold_plan", field._fold_plan.__wrapped__)
     monkeypatch.setattr(_kernel, "compiled", _kernel.compiled.__wrapped__)
-    monkeypatch.setattr(field._Residues, "_RENT", float("inf"))
+    monkeypatch.setattr(field._FieldRing, "_rent", float("inf"))
 
 
 def _width_edges(p):

@@ -1,5 +1,10 @@
+import gc
 import random
+import sys
+import threading
 import time
+import tracemalloc
+import weakref
 from math import gcd
 from pathlib import Path
 
@@ -134,25 +139,25 @@ def test_amm_rejects_zero_rho(f13):
             amm_root(f13, (d,), 2, rho=(0,))
 
 
-def test_amm_root_draws_rho_only_for_the_digit_loop(f13, monkeypatch):
+def test_amm_root_draws_rho_only_for_the_digit_loop(monkeypatch):
     # 12 = 2^2 * 3: r = 3 has t = 1, so no digit loop reads rho and none
     # is drawn; an explicit rho, or an r sharing a factor with s, still
-    # fails as before
+    # fails as before.  A fresh field holds no context that hides a draw
     calls = []
     search = roots.find_nonresidue
     monkeypatch.setattr(roots, "find_nonresidue",
                         lambda *args: calls.append(args) or search(*args))
-    roots._cached_amm_context.cache_clear()
-    out = amm_root(f13, (5,), 3)
+    fld = mk_field(13, 1)
+    out = amm_root(fld, (5,), 3)
     assert (out.status, out.root, out.path_tag) == ("root_found", (8,), "amm")
     assert out.counters == OpCounter(mults=2, squarings=4)
-    assert calls == []
+    assert calls == [] and list(fld._plans) == [3]  # no context
     with pytest.raises(ValueError, match="rho"):
-        amm_root(f13, (5,), 3, rho=(1,))
+        amm_root(fld, (5,), 3, rho=(1,))
     with pytest.raises(ZeroElement):
-        amm_root(f13, (5,), 3, rho=(0,))
+        amm_root(fld, (5,), 3, rho=(0,))
     with pytest.raises(ValueError, match="shares a factor with s=2"):
-        amm_root(f13, (4,), 6)
+        amm_root(fld, (4,), 6)
 
 
 def test_amm_rejects_zero(f13):
@@ -369,6 +374,77 @@ def test_descent_on_a_wide_sample():
                     assert i % 2 == 0 or out.status == "root_found"
 
 
+def test_dropped_fields_take_their_plans_with_them():
+    # plans and AMM contexts live on their field, so a field dropped after
+    # its roots frees them and the Frobenius matrices it built, with no
+    # cache_clear(): coprime_fast on 20 fields F_{2^m}, 16 MB of matrices,
+    # and amm with a unity table on 4 fields F_{5^m}, m even (no descent)
+    kinds = [(2, m, 3) for m in range(201, 281, 4)]
+    kinds += [(5, m, 2) for m in (10, 12, 14, 16)]
+    moduli = [mk_field(p, m).modulus for p, m, _ in kinds]  # untraced
+    tracemalloc.start()
+    try:
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        refs, tags = [], set()
+        for (p, m, r), modulus in zip(kinds, moduli):
+            fld, rng = Field(p, m, modulus), random.Random(m)
+            for _ in range(2):
+                gamma = fld.random_elem(rng)
+                out = rth_root(fld, fld.pow(gamma, r), r)
+                assert out.status == "root_found"
+                tags.add(out.path_tag)
+            refs.append(weakref.ref(fld))
+        del fld
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert tags == {"coprime_fast", "amm"}
+    assert held < 2_000_000, held
+    assert not any(ref() for ref in refs)
+
+
+def test_plan_races_only_rebuild_equal_plans():
+    # threads on one fresh field, switching often, race to keep plans and
+    # a context on it: a lost update only rebuilds, so every root is right
+    # and what the field keeps at the end is what a fresh field builds.
+    # On F_{13^31}, r = 2 descends (and amm_root builds a context), 3 is
+    # ramified, 5 and 7 coprime
+    fld = mk_field(13, 31)
+    wrong, done, start = [], [], threading.Barrier(8)
+
+    def work(k):
+        rng = random.Random(k)
+        start.wait(timeout=60)
+        for i in range(12):
+            r = (2, 3, 5, 7)[(i + k) % 4]
+            delta = fld.pow(fld.random_elem(rng), r)
+            outs = [rth_root(fld, delta, r)]
+            if r == 2:
+                outs.append(amm_root(fld, delta, r))
+            wrong.extend((k, i, r) for out in outs
+                         if fld.pow(out.root, r) != delta)
+        done.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(done) == list(range(8)) and wrong == []
+    fresh = mk_field(13, 31)
+    assert set(fld._plans) == {2, 3, 5, 7, (2, 0, None)}
+    for r in (2, 3, 5, 7):
+        assert fld._plans[r] == roots._plan(fresh, r)
+    assert fld._plans[2, 0, None] == build_amm_context(fresh, 2)
+
+
 def test_descent_builds_no_extension_field_context(monkeypatch):
     # the descent runs AMM in F_p: the only context it builds is F_5's
     built = []
@@ -376,14 +452,12 @@ def test_descent_builds_no_extension_field_context(monkeypatch):
     monkeypatch.setattr(roots, "build_amm_context",
                         lambda fld, *args: built.append(fld.m)
                         or real(fld, *args))
-    roots._cached_amm_context.cache_clear()
     fld = mk_field(5, 61)
     for seed in range(3):
         rth_root(fld, fld.pow(fld.random_elem(random.Random(seed)), 2), 2,
                  seed=seed)
         rth_root(fld, find_nonresidue(fld, 2, seed), 2, seed=seed)
     assert built == [1, 1, 1]
-    roots._cached_amm_context.cache_clear()
 
 
 @pytest.mark.parametrize("p,m,r", [(5, 2, 2), (7, 2, 2), (31, 25, 5)])
@@ -527,7 +601,7 @@ def test_plan_matches_the_exact_order_reference(monkeypatch):
     kinds = set()
     for p, m, r in grid + cli:
         fld = mk_field(p, m)
-        plan = roots._plan.__wrapped__(fld, r)
+        plan = roots._plan(fld, r)
         assert plan == reference_plan(fld, r), (p, m, r)
         if plan.descent:
             kinds.add(("descent", plan.descent[3] is not None))
@@ -578,17 +652,15 @@ def test_descent_plan_with_no_norm_record_is_fast():
     p = 28 * r * r + 1
     fld = mk_field(p, 3)
     start = time.monotonic()
-    plan = roots._plan.__wrapped__(fld, r)
+    plan = roots._plan(fld, r)
     assert time.monotonic() - start < 0.1
     assert plan.t == 2 and plan.descent[3] is None
     delta = fld.pow(fld.random_elem(random.Random(3)), r)
-    roots._cached_amm_context.cache_clear()
     start = time.monotonic()
     out = rth_root(fld, delta, r)
     assert time.monotonic() - start < 5
     assert (out.status, out.path_tag) == ("root_found", "amm")
     assert fld.pow(out.root, r) == delta
-    roots._cached_amm_context.cache_clear()
 
 
 # -- coprime case -----------------------------------------------------------------
