@@ -23,12 +23,12 @@ steps, how far each fold brings its block down); mul, sqr,
 frobenius(a, 1), frobenius(a, m-1), inv and pow, on tuples and, in the
 *_packed rows, on packed ints, through whichever kernel the field runs by
 then; mul_interpreted and mul_compiled, the packed product a*b reduced by
-the ring's interpreter and by its compiled kernel (a tree without a
-compiler runs its interpreter in both); reduce, the interpreted final
-reduction of a*b once its folds have run, on the same input on both
-sides, and reduce_compiled, that reduction written out (on a tree
-without a compiler, interpreted); phi_map; and one checked rth_root per
-path tag, at the first root degree that takes it.  frobenius_m-1_cold
+the ring's interpreter and by its compiled kernel (a tree whose compile
+also gave a Frobenius sum's reduction has its product's kernel taken);
+reduce, the interpreted final reduction of a*b once its folds have run,
+on the same input on both sides, and reduce_compiled, that reduction
+written out; phi_map; and one checked rth_root per path tag, at the
+first root degree that takes it.  frobenius_m-1_cold
 is the first call on a fresh field, through every matrix it builds;
 frobenius_build one build of j = m-1's matrix; frobenius_m-1 the warm
 path.  Per field of --build (long modulus searches, and degree 5 on both
@@ -185,53 +185,40 @@ def facts(out) -> dict:
 
 def layout(fld) -> dict:
     """The packed digit width in bytes, whether the reduction is lazy, and
-    each fold's step, top block first (_Residues._STEPS).  A tree without
-    _STEPS reduced every block of a ring that is not lazy, a one-digit
-    block by % p and any other by _mod_p; its steps are named that way."""
+    each fold's step, top block first (_Residues._STEPS)."""
     ring = fld._ring
-    names = getattr(ring, "_STEPS", None)
-    if names:
-        steps = [names[fold[1]] for fold in ring._folds]
-    else:  # there a fold's second field is its block's digit count
-        steps = ["none" if ring._lazy else "mod" if count == 1 else "barrett"
-                 for _, count, _, _ in ring._folds]
     return {"digit_bytes": fld._digit_bytes, "lazy": ring._lazy,
-            "steps": steps}
+            "steps": [ring._STEPS[fold[1]] for fold in ring._folds]}
 
 
 def final_reduction(ring, acc: int):
-    """The ring's final reduction of a product (_reduce, or _mod_p where
-    the tree has no _reduce) and its input: acc once its folds have run,
-    read by wrapping that reduction for one interpreted reduce_packed."""
-    name = "_reduce" if hasattr(ring, "_reduce") else "_mod_p"
-    own, final, seen = name in vars(ring), getattr(ring, name), []
-    setattr(ring, name, lambda y: seen.append(y) or final(y))
+    """The ring's final reduction of a product (_reduce) and its input:
+    acc once its folds have run, read by wrapping that reduction for one
+    interpreted reduce_packed."""
+    final, seen = ring._reduce, []
+    ring._reduce = lambda y: seen.append(y) or final(y)
     try:
         type(ring).reduce_packed(ring, acc)
     finally:
-        if own:
-            setattr(ring, name, final)
-        else:
-            delattr(ring, name)
+        ring._reduce = final
     return final, seen[-1]
 
 
 def kernels(pkg, ring, final):
     """The ring's product kernels and final reductions: (interpreted,
     compiled) each; the interpreter runs on a bare ring of the same
-    modulus, which never compiles.  A tree without the _kernel module has
-    its interpreter and final reduction alone, which stand for both."""
+    modulus, which never compiles.  A tree whose compile gives a
+    (product, Frobenius sum) pair of reductions has its first taken."""
     interpret = pkg.field._Residues(ring.p, ring._unpack(
         ring._f, ring.m + 1)).reduce_packed
-    try:
-        kernel = importlib.import_module(f"{pkg.__name__}._kernel")
-    except ModuleNotFoundError:
-        return (interpret, interpret), (final, final)
+    kernel = importlib.import_module(f"{pkg.__name__}._kernel")
     lines = kernel.lines(ring.p, 8 * ring._digit_bytes, ring.m,
                          ring._bounds[-1], "y")
     scope = {}
     exec("def written_out(y):\n " + "\n ".join(lines + ["return y"]), scope)
-    compiled = kernel.compiled(*ring._shape)(ring._neg_low)[0]
+    compiled = kernel.compiled(*ring._shape)(ring._neg_low)
+    if isinstance(compiled, tuple):
+        compiled = compiled[0]
     return (interpret, compiled), (final, scope["written_out"])
 
 
@@ -351,12 +338,9 @@ def bench_build(pkgs, p: int, m: int, repeats: int) -> dict:
 
 
 def uncached_plan(pkg):
-    """The side's plan build with nothing kept: a tree that caches plans in
-    a module lru_cache has the builder as _plan.__wrapped__; a tree that
-    keeps them on the field builds afresh from an emptied store."""
+    """The side's plan build with nothing kept: _plan on a field emptied
+    of its plans."""
     plan = pkg.roots._plan
-    if hasattr(plan, "__wrapped__"):
-        return plan.__wrapped__
 
     def fresh(fld, r):
         fld._plans = {}

@@ -1,4 +1,4 @@
-"""Fold plans written out as straight-line source, for _Residues' compile.
+"""Fold plans written out as straight-line source, for _FieldRing's compile.
 
 The first ring whose rent runs out imports this module, so a process
 whose rings all stay interpreted never compiles it.
@@ -14,8 +14,8 @@ def lines(p, bits, count, bound, y):
     the name y."""
     if p == 2:
         return [f"{y} &= {((1 << bits * count) - 1) // ((1 << bits) - 1):#x}"]
-    shrinks, mu, s, low, bias, top, ones = _reduction(p, bits, count, bound,
-                                                      True)
+    shrinks, mu, s, low, bias, top, ones = _reduction(p, bits, count,
+                                                      bound).steps
     return [f"{y} -= ({y} >> {h} & {mask:#x}) * {c}"
             for h, mask, c in shrinks] + [
         f"{y} -= ({y} * {mu} >> {s} & {low:#x}) * {p}",
@@ -26,8 +26,7 @@ def lines(p, bits, count, bound, y):
 def compiled(p, m, bits, block, w):
     """The fold plan of that shape written out as source, every fold,
     shrink and reduction inline, exec'd into one loop-free function;
-    bind(n) makes it for a ring's packed -f n, with a Frobenius sum's
-    reduction."""
+    bind(n) makes it for a ring's packed -f n."""
     bounds, folds, *_ = _fold_plan(p, m, bits, block, w)
     h, ones = bits // 2, ((1 << bits * m) - 1) // ((1 << bits) - 1)
     shrink = [f"y -= (y >> {h} & {((1 << h) - 1) * ones:#x})"
@@ -38,9 +37,7 @@ def compiled(p, m, bits, block, w):
             lines(p, bits, m, bound, "y") if step == 4 else
             [f"y %= {p}"] * (step == 1) + shrink * (step - 1)),
             f"a = (a & {mask:#x}) + (y * n << {shift})"]
-    head, tail = ("\n  ".join(lines(p, bits, m, b, "a") + ["return a"])
-                  for b in (bounds[-1], m * (p - 1) ** 2))
+    body += lines(p, bits, m, bounds[-1], "a") + ["return a"]
     exec("def bind(n):\n def reduce_packed(a):\n  " + "\n  ".join(body)
-         + f"\n  {head}\n def reduce_sum(a):\n  {tail}\n"
-         " return reduce_packed, reduce_sum", scope)
+         + "\n return reduce_packed", scope)
     return scope["bind"]

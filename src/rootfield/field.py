@@ -38,9 +38,9 @@ memoryview.cast at C speed; past 8 bytes (p >= 2^32) digits are sliced.
 Each reduction goes only as far as the digit bound its caller proves
 needs (Harvey 2009): shrinks, then one Barrett quotient per digit
 (Barrett 1986) and one conditional subtract (_Packing); for p = 2 a mask.
-A loop interprets a ring's fold plan; a field's ring that has reduced
-_FieldRing._rent products runs the plan compiled into one loop-free
-function instead (_kernel).
+One loop interprets every ring's fold plan; a field's ring that has
+reduced _FieldRing._rent products runs the plan compiled into one
+loop-free function instead (_kernel).
 Where p <= 3 digits select columns: a Frobenius application sums the
 columns whose digit is v, v times, per digit value v > 0 (Field._apply).
 
@@ -115,9 +115,10 @@ def _digit_format(p, m):
 
 
 @lru_cache(maxsize=1024)
-def _reduction(p, bits, count, bound, parts=False):
-    """Reduce at most count digits, bits wide and <= bound (_Packing); with
-    parts, the constants of its steps instead, for the source (_kernel)."""
+def _reduction(p, bits, count, bound):
+    """Reduce at most count digits, bits wide and <= bound (_Packing); for
+    p > 2 the function carries its steps' constants as .steps, for the
+    source (_kernel)."""
     ones = ((1 << bits * count) - 1) // ((1 << bits) - 1)
     if p == 2:
         return ones.__and__
@@ -129,14 +130,13 @@ def _reduction(p, bits, count, bound, parts=False):
                         (1 << h) - (1 << h) % p))
     s, top, bias = bound.bit_length(), bits - 1, ((1 << bits - 1) - p) * ones
     mu, low = (1 << s) // p, ((1 << bits - s) - 1) * ones
-    if parts:
-        return shrinks, mu, s, low, bias, top, ones
 
     def reduce(y):
         for h, mask, c in shrinks:
             y -= (y >> h & mask) * c
         y -= (y * mu >> s & low) * p
         return y - (y + bias >> top & ones) * p
+    reduce.steps = shrinks, mu, s, low, bias, top, ones
     return reduce
 
 
@@ -198,7 +198,8 @@ class _Residues(_Packing):
     below 2^bits if later blocks are brought into [0, p): none, % p (one
     digit), one or two shrinks at h = bits/2 (_Packing; p < 2^h), or the
     block's reduction; _bounds holds each B, then the final reduction's;
-    _lazy: no block reduces.  Only a Field's ring compiles (_FieldRing)."""
+    _lazy: no block reduces.  reduce_packed is the one loop that runs a
+    plan; a Field's ring runs it until its rent is spent (_FieldRing)."""
 
     _STEPS = ("none", "mod", "shrink", "shrink2", "barrett")  # cheapest first
 
@@ -279,9 +280,8 @@ class _Residues(_Packing):
 
 
 class _FieldRing(_Residues):
-    """A Field's ring: _Residues' loop with the rent inline (no call added
-    per product) until _rent products, about what a process's first
-    compile costs, are spent; then it and reduce_sum run compiled."""
+    """A Field's ring: _Residues' loop until _rent products, about what a
+    process's first compile costs, are spent; then the plan compiled."""
 
     _rent = 1500  # a race on the count only delays the compile
 
@@ -289,17 +289,8 @@ class _FieldRing(_Residues):
         self._rent -= 1
         if self._rent <= 0:  # the plan compiled shadows its interpreter
             from ._kernel import compiled
-            self.reduce_packed, self.reduce_sum = compiled(
-                *self._shape)(self._neg_low)
-        p, neg_low = self.p, self._neg_low
-        for lo_bits, step, mask, shift, bring in self._folds:
-            high = acc >> lo_bits
-            if step == 1:
-                high %= p
-            elif step:
-                high = bring(high)
-            acc = (acc & mask) + (high * neg_low << shift)
-        return self._reduce(acc)
+            self.reduce_packed = compiled(*self._shape)(self._neg_low)
+        return _Residues.reduce_packed(self, acc)
 
 
 @lru_cache(maxsize=64)
@@ -547,9 +538,9 @@ class Field(_Packing):
         self.p, self.m, self.modulus = p, m, modulus
         self.order_minus_one = p ** m - 1
         self._ring = ring = _FieldRing(p, modulus)
-        ring.reduce_sum = ring._reducer(m * (p - 1) ** 2, m)  # till compiled
         self._digit_bytes, self._digit_code = ring._digit_bytes, ring._digit_code
         self._reduce_read = self._reducer((1 << 8 * self._digit_bytes) - 1, m)
+        self._reduce_sum = self._reducer(m * (p - 1) ** 2, m)  # for _apply
         # Frobenius matrices by j (replaced, never mutated), the rental's
         # tally by j (a lost update only delays a build), and the cap: 18 of
         # 21 used on F_{2^127}, at most 16 MB on F_{2^521}
@@ -752,8 +743,8 @@ class Field(_Packing):
             else:
                 acc = (sum(compress(cols, a.translate(_PLANES[0])))
                        + 2 * sum(compress(cols, a.translate(_PLANES[1]))))
-            return self._ring.reduce_sum(acc)
-        return self._ring.reduce_sum(sum(map(mul, self._unpack(x, m), cols)))
+            return self._reduce_sum(acc)
+        return self._reduce_sum(sum(map(mul, self._unpack(x, m), cols)))
 
 
 def _check_shape(p: int, m: int) -> None:

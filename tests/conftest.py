@@ -1,3 +1,7 @@
+import signal
+import time
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -9,6 +13,40 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repo")
+
+
+class DeadlineExceeded(AssertionError):
+    """A block under deadline() ran past its bound."""
+
+
+@contextmanager
+def deadline(seconds):
+    """Run the block under a wall-clock bound: SIGALRM raises
+    DeadlineExceeded inside it once seconds have passed, so a shape that
+    regresses to unbounded fails at its bound, not minutes later.  The
+    error names the frame it stopped and is raised anew from here: a
+    traceback entered by a signal can hold a frame with no line number,
+    which pytest cannot format.  The previous handler and timer are
+    restored on exit; a timer that fell due meanwhile fires at once.
+    Main thread only, as signals are."""
+    def expire(_signum, frame):
+        code = frame.f_code
+        raise DeadlineExceeded(f"past the {seconds} s deadline, in "
+                               f"{code.co_name} ({code.co_filename})")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    start = time.monotonic()
+    due, interval = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except DeadlineExceeded as exc:
+        raise DeadlineExceeded(*exc.args) from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        if due:
+            signal.setitimer(signal.ITIMER_REAL, max(
+                due - (time.monotonic() - start), 1e-6), interval)
 
 
 @pytest.fixture(scope="session")

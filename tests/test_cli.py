@@ -354,12 +354,19 @@ def fresh(*args):
 def test_cold_import_leaves_the_sweep_harness_unloaded():
     # only `rootfield bench` needs the harness, and csv, hashlib and logging
     # with it; a one-shot root request should not pay their import, nor
-    # that of dataclasses and inspect
+    # that of dataclasses and inspect, nor the compiler's: the ring of its
+    # field reduces fewer products than the rent, so it never compiles.
+    # The delta is (1 + 2x + 3x^2)^2 in F_{5^61}
     proc = fresh("-c", "import sys; before = set(sys.modules); "
                  "import rootfield.cli; print(sorted({'csv', 'dataclasses', "
-                 "'hashlib', 'inspect', 'logging', 'rootfield.bench'} & "
-                 "(set(sys.modules) - before)))")
-    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+                 "'hashlib', 'inspect', 'logging', 'rootfield.bench', "
+                 "'rootfield._kernel'} & (set(sys.modules) - before))); "
+                 "code = rootfield.cli.dispatch(['root', '--p', '5', '--m', "
+                 "'61', '--r', '2', '--delta', '1,4,0,2,4']); "
+                 "print(code, 'rootfield._kernel' in sys.modules)")
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, lines[0], lines[-1]) == (0, "[]", "0 False")
+    assert lines[1].startswith("status=root_found ") and len(lines) == 3
 
 
 def test_bench_in_a_fresh_process_matches_dispatch(capsys):

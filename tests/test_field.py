@@ -4,7 +4,6 @@ import random
 import runpy
 import sys
 import threading
-import time
 from array import array
 from pathlib import Path
 
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import deadline
 from rootfield import (DegreeMismatch, NotPrime, OpCounter, ReducibleModulus,
                        ZeroInverse, format_elem, format_field, is_prime,
                        mk_field, parse_elem, parse_field, rth_root)
@@ -184,9 +184,8 @@ def test_binomial_block_skipped(monkeypatch):
     monkeypatch.setattr(field, "is_irreducible",
                         lambda f, q, **kw: tested.append(list(f)) or
                         is_irreducible(f, q, **kw))
-    start = time.monotonic()
-    fld = mk_field(p, m)
-    assert time.monotonic() - start < 5
+    with deadline(5):
+        fld = mk_field(p, m)
     assert fld.modulus == (14, 1) + (0,) * 15 + (1,)  # x^17 + x + 14
     candidates = [[c, 1] + [0] * 15 + [1] for c in range(15)]
     assert tested == [f for f in candidates if _disc_passes(f, p)]
@@ -218,9 +217,8 @@ def test_binomial_block_skipped_where_4_divides_m(p, m):
     # so no x^m - a is irreducible (Lidl & Niederreiter, Thm 3.75); a
     # search that tried them would test all p binomials, about 28 s for
     # (1000003, 4)
-    start = time.monotonic()
-    fld = mk_field(p, m)
-    assert time.monotonic() - start < 1
+    with deadline(1):
+        fld = mk_field(p, m)
     assert any(fld.modulus[1:m]) and is_irreducible(fld.modulus, p)
 
 
@@ -939,12 +937,12 @@ def _straight(lines):
 
 
 def _kernels_agree(ring, rng):
-    """The ring's compiled kernels (_kernel) give what its interpreter
-    gives: the product's reduction on random products and on every input
-    digit at its declared bound m(p - 1)^2, or at 0 or p, and the
-    Frobenius sum's reduction on every digit at m(p - 1)^2."""
+    """The ring's compiled kernel (_kernel) gives what its interpreter
+    gives on random products and on every input digit at its declared
+    bound m(p - 1)^2, or at 0 or p; and a Frobenius sum's reduction
+    brings every digit at m(p - 1)^2 into [0, p)."""
     p, m = ring.p, ring.m
-    kernel, reduce_sum = _kernel.compiled(*ring._shape)(ring._neg_low)
+    kernel = _kernel.compiled(*ring._shape)(ring._neg_low)
     top = m * (p - 1) ** 2
     inputs = [ring._pack([d] * (2 * m - 1)) for d in (0, p, top)]
     inputs += [ring._pack([rng.choice((0, p - 1, p, top)) for _ in range(
@@ -956,8 +954,7 @@ def _kernels_agree(ring, rng):
         assert kernel(acc) == field._Residues.reduce_packed(ring, acc), (
             ring._shape, acc)
     acc = ring._pack([top] * m)
-    assert reduce_sum(acc) == ring._reducer(top, m)(acc) == ring._pack(
-        [top % p] * m)
+    assert ring._reducer(top, m)(acc) == ring._pack([top % p] * m)
 
 
 def test_lazy_folds_on_the_benchmark_fields():
