@@ -23,13 +23,12 @@ steps, how far each fold brings its block down); mul, sqr,
 frobenius(a, 1), frobenius(a, m-1), inv and pow, on tuples and, in the
 *_packed rows, on packed ints, through whichever kernel the field runs by
 then; mul_interpreted and mul_compiled, the packed product a*b reduced by
-the ring's interpreter and by its compiled kernel (a tree whose compile
-also gave a Frobenius sum's reduction has its product's kernel taken);
-reduce, the interpreted final reduction of a*b once its folds have run,
-on the same input on both sides, and reduce_compiled, that reduction
-written out; phi_map; and one checked rth_root per path tag, at the
-first root degree that takes it.  frobenius_m-1_cold
-is the first call on a fresh field, through every matrix it builds;
+the ring's interpreter and by its compiled kernel; reduce, the
+interpreted final reduction of a*b once its folds have run, on the same
+input on both sides, and reduce_compiled, that reduction written out;
+phi_map; and one checked rth_root per path tag, at the first root degree
+that takes it.  frobenius_m-1_cold is the first call on a fresh field,
+through every matrix it builds;
 frobenius_build one build of j = m-1's matrix; frobenius_m-1 the warm
 path.  Per field of --build (long modulus searches, and degree 5 on both
 sides of the sieve's cutoff on p), mk_field_ms alone with the
@@ -186,7 +185,7 @@ def facts(out) -> dict:
 def layout(fld) -> dict:
     """The packed digit width in bytes, whether the reduction is lazy, and
     each fold's step, top block first (_Residues._STEPS)."""
-    ring = fld._ring
+    ring = getattr(fld, "_ring", fld)  # older trees keep the ring apart
     return {"digit_bytes": fld._digit_bytes, "lazy": ring._lazy,
             "steps": [ring._STEPS[fold[1]] for fold in ring._folds]}
 
@@ -207,8 +206,7 @@ def final_reduction(ring, acc: int):
 def kernels(pkg, ring, final):
     """The ring's product kernels and final reductions: (interpreted,
     compiled) each; the interpreter runs on a bare ring of the same
-    modulus, which never compiles.  A tree whose compile gives a
-    (product, Frobenius sum) pair of reductions has its first taken."""
+    modulus, which never compiles."""
     interpret = pkg.field._Residues(ring.p, ring._unpack(
         ring._f, ring.m + 1)).reduce_packed
     kernel = importlib.import_module(f"{pkg.__name__}._kernel")
@@ -217,8 +215,6 @@ def kernels(pkg, ring, final):
     scope = {}
     exec("def written_out(y):\n " + "\n ".join(lines + ["return y"]), scope)
     compiled = kernel.compiled(*ring._shape)(ring._neg_low)
-    if isinstance(compiled, tuple):
-        compiled = compiled[0]
     return (interpret, compiled), (final, scope["written_out"])
 
 
@@ -229,8 +225,9 @@ def field_side(pkg, p: int, m: int) -> dict:
     rng = random.Random(p * 1000 + m)
     a, b = fld.random_elem(rng), fld.random_elem(rng)
     x, y = fld._pack(a), fld._pack(b)
-    final, folded = final_reduction(fld._ring, x * y)
-    products, finals = kernels(pkg, fld._ring, final)
+    ring = getattr(fld, "_ring", fld)  # as in layout()
+    final, folded = final_reduction(ring, x * y)
+    products, finals = kernels(pkg, ring, final)
     ops = {"frobenius_build": lambda c=None: fld._frob_build(m - 1),
            "mul_interpreted": lambda c=None: products[0](x * y),
            "mul_compiled": lambda c=None: products[1](x * y),

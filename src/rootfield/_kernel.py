@@ -1,7 +1,7 @@
-"""Fold plans written out as straight-line source, for _FieldRing's compile.
+"""Fold plans written out as straight-line source, for a Field's compile.
 
-The first ring whose rent runs out imports this module, so a process
-whose rings all stay interpreted never compiles it.
+The first field whose rent runs out imports this module, so a process
+whose fields all stay interpreted never compiles it.
 """
 
 from functools import lru_cache

@@ -57,7 +57,10 @@ def parse_sweep(text: str) -> list[tuple[int, int, int]]:
             if ".." in item:
                 lo, _, rest = item.partition("..")
                 hi, _, step = rest.partition(":")
-                out.extend(range(int(lo), int(hi) + 1, int(step or 1)))
+                lo, hi, step = int(lo), int(hi), int(step or 1)
+                if step < 1 or hi < lo:
+                    raise ValueError(f"bad sweep range {item!r}")
+                out.extend(range(lo, hi + 1, step))
             else:
                 out.append(int(item))
         return out

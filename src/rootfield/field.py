@@ -26,23 +26,14 @@ explicit modulus takes Ben-Or's test alone.  None of it is counted.
 
 Cost model: full multiplications, squarings, Frobenius applications and
 inversions are tallied in a caller-supplied OpCounter.  Additions,
-subtractions, negations and scalar work in Z_p are free.  frobenius(a, j)
-counts j applications of the p-power map, whatever it costs to compute.
+subtractions, negations and scalar work in Z_p are free.
 
-Packed, a field multiplication is one bigint multiply, on a sparse
-modulus one or two bigint folds by the packed -f, and one reduction of
-every digit mod p at once (_Residues).  A digit is 1, 2, 4 or 8 bytes
-(bits) wide, the smallest that holds any digit a kernel leaves
-unreduced (_digit_format), so packing goes through bytes, array and
-memoryview.cast at C speed; past 8 bytes (p >= 2^32) digits are sliced.
-Each reduction goes only as far as the digit bound its caller proves
-needs (Harvey 2009): shrinks, then one Barrett quotient per digit
-(Barrett 1986) and one conditional subtract (_Packing); for p = 2 a mask.
-One loop interprets every ring's fold plan; a field's ring that has
-reduced _FieldRing._rent products runs the plan compiled into one
-loop-free function instead (_kernel).
-Where p <= 3 digits select columns: a Frobenius application sums the
-columns whose digit is v, v times, per digit value v > 0 (Field._apply).
+Packed, a field multiplication is one bigint multiply, the bigint folds
+of a fold plan (_Residues) and one reduction of every digit mod p at
+once, only as far as the digit bound its caller proves needs (Harvey
+2009; _Packing).  Digits are 1, 2, 4 or 8 bytes wide (_digit_format), so
+packing runs through bytes, array and memoryview.cast at C speed; past
+8 bytes (p >= 2^32) digits are sliced.
 
 A field holds one map from j to the packed columns x^{i*p^j} of the
 p^j-power map, empty until frobenius first runs; a call on a held j is
@@ -104,8 +95,7 @@ def _digit_format(p, m):
     most m terms below p^2, and a gcd's divisions or the folds of reduced
     blocks add at most m more: 2mp^2 + 1.  Over F_2 (bits) 2m + 1 bounds
     every kernel: m products plus m bits of folds, m + 1 from a gcd, m
-    selected columns, one scaled bit.  A block left unreduced is bounded
-    apart (_Residues); a reduction is sized by its caller's (_Packing)."""
+    selected columns, one scaled bit."""
     bound = 2 * m * (1 if p == 2 else p * p) + 1
     digit_bytes = (bound.bit_length() + 7) // 8
     digit_bytes = next((w for w in (1, 2, 4, 8) if w >= digit_bytes),
@@ -199,7 +189,7 @@ class _Residues(_Packing):
     digit), one or two shrinks at h = bits/2 (_Packing; p < 2^h), or the
     block's reduction; _bounds holds each B, then the final reduction's;
     _lazy: no block reduces.  reduce_packed is the one loop that runs a
-    plan; a Field's ring runs it until its rent is spent (_FieldRing)."""
+    plan; a Field compiles its own (Field._rent)."""
 
     _STEPS = ("none", "mod", "shrink", "shrink2", "barrett")  # cheapest first
 
@@ -277,20 +267,6 @@ class _Residues(_Packing):
                     if c % p:
                         a += c * neg_inv % p * b << (top - db) * bits
             a, b = b, (two if da - db < 2 else any_k)(a & (1 << db * bits) - 1)
-
-
-class _FieldRing(_Residues):
-    """A Field's ring: _Residues' loop until _rent products, about what a
-    process's first compile costs, are spent; then the plan compiled."""
-
-    _rent = 1500  # a race on the count only delays the compile
-
-    def reduce_packed(self, acc: int) -> int:
-        self._rent -= 1
-        if self._rent <= 0:  # the plan compiled shadows its interpreter
-            from ._kernel import compiled
-            self.reduce_packed = compiled(*self._shape)(self._neg_low)
-        return _Residues.reduce_packed(self, acc)
 
 
 @lru_cache(maxsize=64)
@@ -499,15 +475,6 @@ def _canonical_modulus(p, m):
             points, sieved = _Points(p, m, p // 2 + 1), 2
 
 
-def _powers(ring, y, m):
-    """(1, y, y^2, ..., y^(m-1)) for m >= 2, packed: the columns of the
-    ring map that sends x to y."""
-    cols = [1, y]
-    for _ in range(2, m):
-        cols.append(ring.reduce_packed(cols[-1] * y))
-    return tuple(cols)
-
-
 class OpCounter:
     """Tallies of counted field operations for one computation."""
 
@@ -530,15 +497,17 @@ class OpCounter:
                 "inversions={})".format(*self._tallies()))
 
 
-class Field(_Packing):
+class Field(_Residues):
     """Context for F_{p^m}, equal and hashed by (p, m, modulus); all
-    element operations live here."""
+    element operations live here.  Its fold plan runs interpreted until
+    _rent products, about what a process's first compile costs, are
+    spent; then compiled into one loop-free function (_kernel)."""
+
+    _rent = 1500  # a race on the count only delays the compile
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
-        self.p, self.m, self.modulus = p, m, modulus
-        self.order_minus_one = p ** m - 1
-        self._ring = ring = _FieldRing(p, modulus)
-        self._digit_bytes, self._digit_code = ring._digit_bytes, ring._digit_code
+        _Residues.__init__(self, p, modulus)
+        self.modulus, self.order_minus_one = modulus, p ** m - 1
         self._reduce_read = self._reducer((1 << 8 * self._digit_bytes) - 1, m)
         self._reduce_sum = self._reducer(m * (p - 1) ** 2, m)  # for _apply
         # Frobenius matrices by j (replaced, never mutated), the rental's
@@ -559,6 +528,13 @@ class Field(_Packing):
     def __repr__(self):
         return (f"Field(p={self.p!r}, m={self.m!r}, modulus={self.modulus!r}, "
                 f"order_minus_one={self.order_minus_one!r})")
+
+    def reduce_packed(self, acc: int) -> int:
+        self._rent -= 1
+        if self._rent <= 0:  # the plan compiled shadows its interpreter
+            from ._kernel import compiled
+            self.reduce_packed = compiled(*self._shape)(self._neg_low)
+        return _Residues.reduce_packed(self, acc)
 
     # -- element construction ------------------------------------------------
 
@@ -617,8 +593,7 @@ class Field(_Packing):
 
     def _raw_mul(self, a, b):
         if a.__class__ is int is b.__class__:
-            return (a * b % self.p if self.m == 1
-                    else self._ring.reduce_packed(a * b))
+            return a * b % self.p if self.m == 1 else self.reduce_packed(a * b)
         # two tuples; with one int among them, _read raises TypeError
         x = self._raw_mul(self._read(a), self._read(b))
         return tuple(self._unpack(x, self.m))
@@ -651,7 +626,7 @@ class Field(_Packing):
         if counter is not None:
             counter.squarings += e.bit_length() - 1
             counter.mults += e.bit_count() - 1
-        return pow(a, e, self.p) if self.m == 1 else self._ring.pow(a, e)
+        return pow(a, e, self.p) if self.m == 1 else _Residues.pow(self, a, e)
 
     def inv(self, a, counter: OpCounter | None = None) -> tuple:
         """a^{-1} by Itoh & Tsujii (1988).  With t = (p^m - 1)/(p - 1),
@@ -709,7 +684,7 @@ class Field(_Packing):
         on the snapshot published, and that snapshot plus the matrix
         replaces the map, so racing builds keep the cap and readers see
         whole matrices; a build lost to a race is redone."""
-        composed, ring, cap = j & j - 1, self._ring, self._frob_cap
+        composed, cap = j & j - 1, self._frob_cap
 
         def full(store):
             return composed and sum(k & k - 1 > 0 for k in store) >= cap
@@ -717,12 +692,15 @@ class Field(_Packing):
         if full(self._frob_maps):
             return None
         if j == 1:
-            y = ring.pow(ring.x, self.p)
+            y = _Residues.pow(self, self.x, self.p)
         else:
             h = j & -j if composed else j >> 1
             low = self._frob_maps.get(h) or self._frob_build(h)
             y = self._walk(low[1], j - h)
-        cols = _powers(ring, y, self.m)
+        cols = [1, y]  # y^i for i < m
+        for _ in range(2, self.m):
+            cols.append(self.reduce_packed(cols[-1] * y))
+        cols = tuple(cols)
         store = self._frob_maps
         if full(store):
             return None

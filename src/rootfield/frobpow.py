@@ -69,7 +69,7 @@ def apply_periodic(fld: Field, delta, pe,
                                                 counter), fld.m))
     a, b = pe.a, pe.b
     if a > 1 and b:
-        top, reduce = max(a, b).bit_length(), fld._ring.reduce_packed
+        top, reduce = max(a, b).bit_length(), fld.reduce_packed
         if counter is not None:
             counter.squarings += top - 1
             counter.mults += a.bit_count() + b.bit_count() - 2

@@ -73,16 +73,15 @@ class AmmContext(namedtuple("AmmContext", "t s alpha rho rho_s k_index test "
                             "cof head descent", defaults=(None,) * 7)):
     """Per-(field, r) data for the one root algorithm.
 
-    N = r^t * s with gcd(s, r) = 1; alpha is the least nonnegative
-    integer with s | r*alpha - 1, or None when r shares a factor with s.
-    The split records, each None where it does not exist: test (N/r) and
-    cof (s) for t >= 1 and k < m, k the order of p mod r (composite r:
-    t <= 1 only); head (alpha) when s > 1 and m exceeds its period, the
-    least k*r^i with r^{t+1} | p^{k*r^i} - 1.  build_amm_context adds
-    rho, a fixed nonzero non-residue, packed rho_s = rho^s and k_index,
-    which maps each packed r-th root of unity g^i, g = rho^{N/r}, to i;
-    rth_root reads it only for t >= 2, where the digit loop runs.  Auto's
-    descent to F_p (_plan) is (F_p, a, e, norm); it reads no rho."""
+    t, s and alpha are the module docstring's; alpha is None where r
+    shares a factor with s.  The split records, each None where it does
+    not exist: test (N/r) and cof (s) for t >= 1 and k < m, k the order
+    of p mod r (composite r: t <= 1 only); head (alpha) when s > 1 and m
+    exceeds its period, the least k*r^i with r^{t+1} | p^{k*r^i} - 1.
+    build_amm_context adds rho, a fixed nonzero non-residue, packed
+    rho_s = rho^s and k_index, which maps each packed r-th root of unity
+    g^i, g = rho^{N/r}, to i, for t >= 2.  Auto's descent to F_p (_plan)
+    is (F_p, a, e, norm); it reads no rho."""
 
     __slots__ = ()
 
@@ -97,10 +96,10 @@ def _plan(fld: Field, r: int) -> AmmContext:
     Every record needs k < m (AmmContext), so only j < m are tried.  The
     periods k*r^i divide m for prime r; a composite r, which no stage
     takes, gets records only for t <= 1, for is_rth_residue,
-    build_amm_context and the bench sweep's columns.  The descent's
+    build_amm_context and the bench sweep's columns.  The descent splits
     v = a + p^e*z*G, m - 1 = r*n + e - 1, G = 1 + p^r + ... + p^{r(n-1)};
-    norm, the record of z*G, is None for n = 0, where v = a.  fld keeps
-    it under r, as _frob_maps is kept: a lost race rebuilds an equal one."""
+    norm, the record of z*G, is None for n = 0.  fld keeps the plan under
+    r, as _frob_maps is kept: a lost race rebuilds an equal one."""
     if plan := fld._plans.get(r):  # one read: the dict may be replaced
         return plan
     p, m, order = fld.p, fld.m, fld.order_minus_one
@@ -197,14 +196,13 @@ def _root(fld: Field, delta: int, r: int, ctx: AmmContext, tag: str,
           counter: OpCounter, seed: int) -> int | None:
     """One prime stage on packed, nonzero delta, in the module docstring's
     order: the packed root, or None for a non-residue.  Every long power
-    takes the record ctx holds.  The descent's h = delta^a *
-    (delta^{zG})^{p^e} = delta^v gives the scalar N(delta)^x = h^r / delta
-    from one digit, and h is divided by its r-th root, found or refused by
-    the stage over F_p.  For t >= 2, acc = (delta^s)^c with
-    c = ((r*alpha - 1)/s) mod r^t, -1 when s = 1, is delta^{r*alpha - 1}
-    in the subgroup of order r^{t-1}.  For i = 1 .. t-1, acc^{r^{t-1-i}}
-    is an r-th root of unity, and the table says which (rho^s)^{j_i*r^i}
-    cancels it; head * (rho^s)^J, J from the digits j_i, is a root."""
+    takes the record ctx holds.  The descent reads N(delta)^x = h^r/delta
+    from one digit, and the stage over F_p finds or refuses its r-th root.
+    For t >= 2, acc = (delta^s)^c with c = ((r*alpha - 1)/s) mod r^t, -1
+    when s = 1, is delta^{r*alpha - 1} in the subgroup of order r^{t-1}.
+    For i = 1 .. t-1, acc^{r^{t-1-i}} is an r-th root of unity, and the
+    table says which (rho^s)^{j_i*r^i} cancels it; head * (rho^s)^J, J
+    from the digits j_i, is a root."""
     t = ctx.t
     if ctx.descent:
         base, a, e, norm = ctx.descent

@@ -42,6 +42,11 @@ def test_parse_errors():
         parse_sweep("q=3 m=9")
     with pytest.raises(ValueError, match="bad sweep token"):
         parse_sweep("q=3 m=9 junk r=5")
+    # a range that would drop values or yield none names its token
+    for bad in ("9..7:-1", "5..2", "2..5:0"):
+        with pytest.raises(ValueError, match=f"bad sweep range '{bad}'"):
+            parse_sweep(f"q=3 m={bad} r=5")
+    assert parse_sweep("q=3 m=5..5 r=5") == [(3, 5, 5)]
 
 
 def test_load_sweep(tmp_path):

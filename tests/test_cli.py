@@ -1,12 +1,12 @@
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 import rootfield
+from conftest import deadline
 from rootfield import cli, mk_field, parse_elem
 from rootfield.cli import COMMANDS, dispatch
 
@@ -111,10 +111,9 @@ def test_decompose_entangled_cofactor(capsys):
 
 def test_decompose_large_prime_r_fails_fast(capsys):
     # the order of 3 mod 2^31 - 1 is about 7 * 10^8, far beyond m = 61
-    start = time.monotonic()
-    code, out, err = run(capsys, "decompose", "--p", "3", "--m", "61",
-                         "--r", str(2 ** 31 - 1))
-    assert time.monotonic() - start < 5
+    with deadline(5):
+        code, out, err = run(capsys, "decompose", "--p", "3", "--m", "61",
+                             "--r", str(2 ** 31 - 1))
     assert (code, out) == (1, "")
     assert err == "error: need m > period, got m=61, period=715827882\n"
 
@@ -122,10 +121,9 @@ def test_decompose_large_prime_r_fails_fast(capsys):
 def test_root_prime_r_beyond_trial_division(capsys):
     # r = 2^61 - 1 is prime: trial division up to sqrt(r) never finished
     r = 2 ** 61 - 1
-    start = time.monotonic()
-    code, out, _ = run(capsys, "root", "--p", "3", "--m", "61", "--r", str(r),
-                       "--delta", "1,2")
-    assert time.monotonic() - start < 5
+    with deadline(5):
+        code, out, _ = run(capsys, "root", "--p", "3", "--m", "61",
+                           "--r", str(r), "--delta", "1,2")
     assert code == 0
     fields = dict(tok.split("=") for tok in out.split())
     assert fields["status"] == "root_found"
@@ -139,10 +137,9 @@ def test_root_126_bit_prime_r_factors_nothing(capsys):
     # P with r prime: the plan looks for the order of 3 mod r below m = 5
     # only, where factoring r - 1 = 2PQ never finished
     r = 2 * 4611686018427388039 * 4611686018427392159 + 1
-    start = time.monotonic()
-    code, out, _ = run(capsys, "root", "--p", "3", "--m", "5", "--r", str(r),
-                       "--delta", "1,2")
-    assert time.monotonic() - start < 5
+    with deadline(5):
+        code, out, _ = run(capsys, "root", "--p", "3", "--m", "5",
+                           "--r", str(r), "--delta", "1,2")
     assert (code, out) == (0, "status=root_found root=2,2,0,1,1 "
                            "path=naive_fallback mults=18 squarings=130 "
                            "frobenius=0\n")
@@ -153,10 +150,9 @@ def test_root_r_with_two_large_prime_factors(capsys):
     # reach the smaller factor; Pollard's rho splits it in about 2^16
     r = (2 ** 31 - 1) * (2 ** 31 + 11)
     assert r == 4611686039902224373
-    start = time.monotonic()
-    code, out, _ = run(capsys, "root", "--p", "3", "--m", "61", "--r", str(r),
-                       "--delta", "1,2")
-    assert time.monotonic() - start < 5
+    with deadline(5):
+        code, out, _ = run(capsys, "root", "--p", "3", "--m", "61",
+                           "--r", str(r), "--delta", "1,2")
     assert code == 0
     fields = dict(tok.split("=") for tok in out.split())
     assert fields["status"] == "root_found"
@@ -168,10 +164,9 @@ def test_root_r_with_two_large_prime_factors(capsys):
 def test_decompose_safe_prime_r_fails_fast(capsys):
     # r is a safe prime near 2^51: lambda(r) = r - 1 = 2 * 1125899906843669,
     # and trial division of r - 1 stops once the cofactor is prime
-    start = time.monotonic()
-    code, out, err = run(capsys, "decompose", "--p", "3", "--m", "61",
-                         "--r", "2251799813687339")
-    assert time.monotonic() - start < 2
+    with deadline(2):
+        code, out, err = run(capsys, "decompose", "--p", "3", "--m", "61",
+                             "--r", "2251799813687339")
     assert (code, out) == (1, "")
     assert err == ("error: need m > period, got m=61, "
                    "period=1125899906843669\n")
@@ -181,10 +176,9 @@ def test_decompose_r_whose_order_needs_a_hard_factoring_fails_fast(capsys):
     # r = 2PQ + 1 as above: the order of 3 mod r is not below m = 5, and
     # mult_order, naming the period, would factor r - 1 = 2PQ; rho's step
     # budget ends that with an error
-    start = time.monotonic()
-    code, out, err = run(capsys, "decompose", "--p", "3", "--m", "5",
-                         "--r", "42535295865117348423525067721437972403")
-    assert time.monotonic() - start < 5
+    with deadline(5):
+        code, out, err = run(capsys, "decompose", "--p", "3", "--m", "5",
+                             "--r", "42535295865117348423525067721437972403")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "rho" in err
 

@@ -166,7 +166,7 @@ def test_dense_explicit_modulus():
     assert CHECKER["is_irreducible"](p, f)
     fld = mk_field(p, m, f)
     # too many folds to run unreduced, where the canonical modulus can
-    assert mk_field(p, m)._ring._lazy and not fld._ring._lazy
+    assert mk_field(p, m)._lazy and not fld._lazy
     for _ in range(5):
         a = fld.random_elem(rng)
         assert fld.frobenius(a, 1) == fld.pow(a, p)
@@ -423,8 +423,11 @@ def _composed(fld):
 
 def _x_to_the(fld, e):
     """The columns of the ring map sending x to x^e, computed directly."""
-    ring = fld._ring
-    return field._powers(ring, ring.pow(ring.x, e), fld.m)
+    y = fld.pow(fld.x, e)
+    cols = [1, y]
+    for _ in range(2, fld.m):
+        cols.append(fld.mul(cols[-1], y))
+    return tuple(cols)
 
 
 def test_frobenius_ladder_matches_pow(width_field):
@@ -531,7 +534,6 @@ def test_binary_frobenius_matches_generic_loop(m):
     # a^(2^j) and charge j mod m, and every matrix must give what the
     # multiply-add loop with the reduction of a sum of m bits gives
     fld = mk_field(2, m)
-    ring = fld._ring
     rng = random.Random(m)
     a = fld.random_elem(rng)
     for j in (m - 1, 1, 3, m + 2):
@@ -540,7 +542,7 @@ def test_binary_frobenius_matches_generic_loop(m):
     for cols in fld._frob_maps.values():
         for x in (a, fld.one(), fld.zero(), (1,) * m, fld.random_elem(rng)):
             loop = sum(c * col for c, col in zip(x, cols))
-            assert fld._apply(cols, fld._pack(x)) == ring._reducer(m, m)(loop)
+            assert fld._apply(cols, fld._pack(x)) == fld._reducer(m, m)(loop)
 
 
 # every digit width the bit-plane path of _apply meets (p <= 3), and the
@@ -965,7 +967,7 @@ def test_lazy_folds_on_the_benchmark_fields():
     lazy = {(3, 61), (3, 97), (5, 61)}
     for p, m in lazy | {(2, 127), (5, 61), (13, 31), (17, 21), (19, 21),
                         (29, 23)}:
-        assert mk_field(p, m)._ring._lazy == ((p, m) in lazy), (p, m)
+        assert mk_field(p, m)._lazy == ((p, m) in lazy), (p, m)
     assert mk_field(2, 127)._digit_bytes == 1
 
 
@@ -980,7 +982,7 @@ def test_fold_plans_on_the_benchmark_fields():
              (7, 43): "none mod", (29, 23): "shrink2",
              (37, 19): "barrett mod"}
     for (p, m), plan in plans.items():
-        folds = mk_field(p, m)._ring._folds
+        folds = mk_field(p, m)._folds
         steps = field._Residues._STEPS
         assert " ".join(steps[s] for _, s, *_ in folds) == plan, (p, m)
 
@@ -998,45 +1000,45 @@ def _count_compiles(monkeypatch):
 
 @pytest.mark.parametrize("p,m", [(2, 127), (13, 31), (29, 23), (3, 9)])
 def test_field_compiles_once_its_rent_is_spent(p, m, monkeypatch):
-    # a fresh field's ring interprets its first _rent - 1 products and
+    # a fresh field interprets its first _rent - 1 products and
     # compiles at the _rent-th, once; the modulus search's rings, and a
     # bare ring, never compile, however many products they reduce
     calls = _count_compiles(monkeypatch)
     fld = mk_field(p, m)
     assert calls == []
-    ring, rng = fld._ring, random.Random(p + m)
+    rng = random.Random(p + m)
     a, b = (fld._pack(fld.random_elem(rng)) for _ in range(2))
-    expect = field._Residues.reduce_packed(ring, a * b)  # spends no rent
-    assert "_rent" not in vars(ring)  # as built: nothing spent it yet
-    for _ in range(field._FieldRing._rent - 1):
+    expect = field._Residues.reduce_packed(fld, a * b)  # spends no rent
+    assert "_rent" not in vars(fld)  # as built: nothing spent it yet
+    for _ in range(field.Field._rent - 1):
         assert fld.mul(a, b) == expect
-    assert "reduce_packed" not in vars(ring) and calls == []
+    assert "reduce_packed" not in vars(fld) and calls == []
     assert fld.mul(a, b) == expect
-    assert "reduce_packed" in vars(ring) and calls == [ring._shape]
-    for _ in range(2 * field._FieldRing._rent):
+    assert "reduce_packed" in vars(fld) and calls == [fld._shape]
+    for _ in range(2 * field.Field._rent):
         assert fld.mul(a, b) == expect
         assert fld.frobenius(a, 1) == fld.pow(a, p)
-    assert calls == [ring._shape]
+    assert calls == [fld._shape]
     bare = field._Residues(p, fld.modulus)
-    for _ in range(2 * field._FieldRing._rent):
+    for _ in range(2 * field.Field._rent):
         assert bare.reduce_packed(a * b) == expect
-    assert calls == [ring._shape] and "reduce_packed" not in vars(bare)
-    assert not hasattr(bare, "_rent")  # only a Field's ring keeps a rent
+    assert calls == [fld._shape] and "reduce_packed" not in vars(bare)
+    assert not hasattr(bare, "_rent")  # only a Field keeps a rent
 
 
 def test_rent_races_only_delay_the_compile():
-    # threads on one ring, switching often, race on its rent while it runs
+    # threads on one field, switching often, race on its rent while it runs
     # out: every product is right, and a lost update of the tally at most
     # delays the compile, which _rent more products on one thread reach
     fld = mk_field(13, 31)
-    ring, rng = fld._ring, random.Random(5)
+    rng = random.Random(5)
     pairs = [tuple(fld._pack(fld.random_elem(rng)) for _ in range(2))
              for _ in range(8)]
-    want = [field._Residues.reduce_packed(ring, a * b) for a, b in pairs]
+    want = [field._Residues.reduce_packed(fld, a * b) for a, b in pairs]
     wrong = []
 
     def work(k):  # twice the rent in all
-        for _ in range(field._FieldRing._rent // 4):
+        for _ in range(field.Field._rent // 4):
             if fld.mul(*pairs[k]) != want[k]:
                 wrong.append(k)
 
@@ -1051,15 +1053,15 @@ def test_rent_races_only_delay_the_compile():
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads) and wrong == []
-    for _ in range(field._FieldRing._rent):
+    for _ in range(field.Field._rent):
         assert fld.mul(*pairs[0]) == want[0]
-    assert "reduce_packed" in vars(ring)
+    assert "reduce_packed" in vars(fld)
     # two racing decrements can take the tally from 1 to -1 before either
     # thread reads it: a tally past zero compiles at the next product
     fresh = field.Field(13, 31, fld.modulus)
-    fresh._ring._rent = -1
+    fresh._rent = -1
     assert fresh.mul(*pairs[1]) == want[1]
-    assert "reduce_packed" in vars(fresh._ring)
+    assert "reduce_packed" in vars(fresh)
 
 
 def test_compiled_kernels_live_in_the_bounded_cache():
@@ -1069,9 +1071,9 @@ def test_compiled_kernels_live_in_the_bounded_cache():
     def spent():
         fld = field.Field(5, 7, modulus)
         x = fld._pack(fld.random_elem(random.Random(7)))
-        for _ in range(field._FieldRing._rent):
+        for _ in range(field.Field._rent):
             x = fld.sqr(x)
-        assert "reduce_packed" in vars(fld._ring)
+        assert "reduce_packed" in vars(fld)
 
     modulus = mk_field(5, 7).modulus
     spent()
@@ -1090,7 +1092,7 @@ def _record_reductions(monkeypatch, peaks):
     built for, the largest digit it is given) to peaks on every call and
     refusing an input of more digits than it was built for; fold plans
     are rebuilt too, so a ring built after this call records, and a
-    Field's ring interprets every product: a compiled kernel inlines its
+    Field interprets every product: a compiled kernel inlines its
     reductions, which records none of them."""
     build = field._reduction.__wrapped__
 
@@ -1106,7 +1108,7 @@ def _record_reductions(monkeypatch, peaks):
     monkeypatch.setattr(field, "_reduction", recording)
     monkeypatch.setattr(field, "_fold_plan", field._fold_plan.__wrapped__)
     monkeypatch.setattr(_kernel, "compiled", _kernel.compiled.__wrapped__)
-    monkeypatch.setattr(field._FieldRing, "_rent", float("inf"))
+    monkeypatch.setattr(field.Field, "_rent", float("inf"))
 
 
 def _width_edges(p):
@@ -1350,7 +1352,7 @@ def test_binary_kernels_match_schoolbook(m, kind, monkeypatch):
 
     def ring_field():  # on Z_2[x]/(f), f irreducible or not: no modulus test
         fld = field.Field(2, m, tuple(f))
-        fld._ring._rent = compiled or float("inf")  # 1: compiles at once
+        fld._rent = compiled or float("inf")  # 1: compiles at once
         return fld
 
     rng = random.Random(m)
