@@ -67,7 +67,9 @@ GRID = ((3, 61), (2, 127), (3, 97), (5, 61), (13, 31), (29, 23))
 BUILD_GRID = ((3, 101), (11, 41), (7, 41), (37, 19), (13, 19), (3, 163),
               (5, 101), (1000003, 17), (2, 521), (127, 5), (257, 5),
               (1021, 5))
-AMM_GRID = ((5, 61, 2), (13, 31, 2), (17, 21, 2), (29, 23, 2), (19, 21, 3))
+# the amm_sqrt kinds, and F_{29^21}, r = 7: t >= 2 with no split of alpha
+AMM_GRID = ((5, 61, 2), (13, 31, 2), (17, 21, 2), (29, 23, 2), (19, 21, 3),
+            (29, 21, 7))
 ROOT_DEGREES = (2, 3, 5, 7, 11, 13)
 # the Baseline kinds of ROADMAP.md: every path auto takes, one kind each
 KINDS = [(2, 127, 3), (3, 97, 5), (3, 61, 2), (5, 61, 2), (17, 21, 2),

@@ -120,12 +120,23 @@ def _reduction(p, bits, count, bound):
                         (1 << h) - (1 << h) % p))
     s, top, bias = bound.bit_length(), bits - 1, ((1 << bits - 1) - p) * ones
     mu, low = (1 << s) // p, ((1 << bits - s) - 1) * ones
+    if len(shrinks) > 1:  # zero or one shrink is written out below
+        def reduce(y):
+            for h, mask, c in shrinks:
+                y -= (y >> h & mask) * c
+            y -= (y * mu >> s & low) * p
+            return y - (y + bias >> top & ones) * p
+    elif shrinks:
+        (h, mask, c), = shrinks
 
-    def reduce(y):
-        for h, mask, c in shrinks:
+        def reduce(y):
             y -= (y >> h & mask) * c
-        y -= (y * mu >> s & low) * p
-        return y - (y + bias >> top & ones) * p
+            y -= (y * mu >> s & low) * p
+            return y - (y + bias >> top & ones) * p
+    else:
+        def reduce(y):
+            y -= (y * mu >> s & low) * p
+            return y - (y + bias >> top & ones) * p
     reduce.steps = shrinks, mu, s, low, bias, top, ones
     return reduce
 

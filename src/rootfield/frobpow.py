@@ -7,7 +7,8 @@ of i*e applications (von zur Gathen & Shoup 1992).  _chain is the factor
 method (Brauer 1939; Knuth, TAOCP vol. 2, 4.6.3), never longer than
 binary doubling (Itoh & Tsujii 1988), and shorter for N = 15, 30, 31, 63
 and 127: 5, 6, 7, 8 and 10 steps against 6, 7, 8, 10 and 12.  A split
-record's delta^a and delta^b share one chain of squarings."""
+record's delta^a and delta^b share one chain of squarings (powers);
+horner walks the root layer's shared AMM power."""
 
 from __future__ import annotations
 
@@ -55,31 +56,57 @@ def phi_map(fld: Field, y, e: int, n: int,
     return acc
 
 
+def horner(fld: Field, w, e: int, n: int,
+           counter: OpCounter | None = None):
+    """w^{(n-1) + (n-2)s + ... + s^{n-2}}, s = p^e and n >= 2: n - 2 steps
+    acc <- acc^s * w^{j+1}, one Frobenius call and two products each."""
+    acc = power = w
+    for _ in range(n - 2):
+        power = fld.mul(power, w, counter)
+        acc = fld.mul(fld.frobenius(acc, e, counter), power, counter)
+    return acc
+
+
+def chain_cost(a: int, b: int) -> tuple:
+    """(squarings, mults) that powers charges for delta^a and delta^b: two
+    Field.pow calls less the bitlen(min(a, b)) - 1 squarings they share;
+    an exponent 0 costs nothing."""
+    return (max(max(a, b).bit_length() - 1, 0),
+            max(a.bit_count() - 1, 0) + max(b.bit_count() - 1, 0))
+
+
+def powers(fld: Field, delta: int, a: int, b: int,
+           counter: OpCounter | None = None):
+    """delta^a and delta^b, packed, off one right-to-left chain of
+    squarings; an exponent 0 gives 1."""
+    if counter is not None:
+        squarings, mults = chain_cost(a, b)
+        counter.squarings += squarings
+        counter.mults += mults
+    head = base = 1
+    reduce = fld.reduce_packed
+    for i in range(max(a, b).bit_length()):
+        delta = reduce(delta * delta) if i else delta
+        if a >> i & 1:
+            head = delta if head == 1 else reduce(head * delta)
+        if b >> i & 1:
+            base = delta if base == 1 else reduce(base * delta)
+    return head, base
+
+
 def apply_periodic(fld: Field, delta, pe,
                    counter: OpCounter | None = None):
     """delta^{pe.v} through the split v = a + b*(geometric series): where
-    a > 1 and b > 0, delta^a and delta^b come off one right-to-left chain
-    of squarings, charged as two Field.pow calls less the
-    bitlen(min(a, b)) - 1 squarings they share; else each is one
-    Field.pow, whose loop costs less Python where there is nothing to
-    share.  Then one phi_map; a = 0 skips delta^a and the product by it.
-    A tuple is packed once and the result unpacked once."""
+    a > 1 and b > 0, delta^a and delta^b come off powers' one chain; else
+    each is one Field.pow, whose loop costs less Python where there is
+    nothing to share.  Then one phi_map; a = 0 skips delta^a and the
+    product by it.  A tuple is packed once and the result unpacked once."""
     if delta.__class__ is not int:
         return tuple(fld._unpack(apply_periodic(fld, fld._read(delta), pe,
                                                 counter), fld.m))
     a, b = pe.a, pe.b
     if a > 1 and b:
-        top, reduce = max(a, b).bit_length(), fld.reduce_packed
-        if counter is not None:
-            counter.squarings += top - 1
-            counter.mults += a.bit_count() + b.bit_count() - 2
-        head = base = None
-        for i in range(top):
-            delta = reduce(delta * delta) if i else delta
-            if a >> i & 1:
-                head = delta if head is None else reduce(head * delta)
-            if b >> i & 1:
-                base = delta if base is None else reduce(base * delta)
+        head, base = powers(fld, delta, a, b, counter)
     else:
         head = fld.pow(delta, a, counter) if a else None
         base = fld.pow(delta, b, counter)

@@ -17,7 +17,10 @@ _plan derives t, s, alpha and the split records of (field, r), the one
 classification of (p, m, r): test for delta^{N/r}, cof for delta^s and
 rho^s, head for delta^alpha and norm for the descent, each
 a + b*(1 + p^l + ...) raised by apply_periodic through Frobenius maps,
-kept on the field with its AMM contexts.  One body, _root, runs every
+kept on the field with its AMM contexts.  Where it prices lower, a t >= 2
+stage reads delta^alpha and delta^s off one shared power z =
+delta^{floor(s/r)} instead (Tonelli 1891; Shanks 1973), raised through
+cof's split where it has one (AmmContext).  One body, _root, runs every
 prime stage on its context; forced paths "naive" and "amm", and
 amm_root, clear the records for plain powering.
 
@@ -34,7 +37,8 @@ from collections import namedtuple
 from math import gcd
 
 from .field import Field, OpCounter, is_prime, mk_field
-from .frobpow import apply_periodic
+from .frobpow import (_chain, apply_periodic, chain_cost, horner, phi_map,
+                      powers)
 from .periodic import (PeriodicExponent, PeriodTooLong, decompose,
                        exact_power, factorize, geometric_sum, lifted_order)
 
@@ -70,7 +74,7 @@ class RootOutcome(namedtuple("RootOutcome",
 
 
 class AmmContext(namedtuple("AmmContext", "t s alpha rho rho_s k_index test "
-                            "cof head descent", defaults=(None,) * 7)):
+                            "cof head descent shared", defaults=(None,) * 8)):
     """Per-(field, r) data for the one root algorithm.
 
     t, s and alpha are the module docstring's; alpha is None where r
@@ -81,7 +85,13 @@ class AmmContext(namedtuple("AmmContext", "t s alpha rho rho_s k_index test "
     build_amm_context adds rho, a fixed nonzero non-residue, packed
     rho_s = rho^s and k_index, which maps each packed r-th root of unity
     g^i, g = rho^{N/r}, to i, for t >= 2.  Auto's descent to F_p (_plan)
-    is (F_p, a, e, norm); it reads no rho."""
+    is (F_p, a, e, norm); it reads no rho.  shared, where _cost prices it
+    lower (t >= 2, m > 1, s > 1, no descent), is (c, u, rho0, lam, b):
+    with s = r*q0 + rho0, c = (r*alpha - 1)/s < r, u = (1 + c*rho0)/r,
+    z = delta^q0 gives delta^alpha = z^c*delta^u, delta^s = z^r*delta^rho0.
+    Where cof splits s = b*(1 + P + ... + P^{n-1}) with n >= 2, z = delta^lam
+    * w^H, lam = (b*n - rho0)/r and H horner's sum on P, w = delta^{b(P-1)/r}
+    the phi_map over l/k terms of delta to b*test.b; else lam = q0, b = 0."""
 
     __slots__ = ()
 
@@ -125,8 +135,49 @@ def _plan(fld: Field, r: int) -> AmmContext:
         descent = (mk_field(p, 1), a, e, norm)
     plan = AmmContext(t, s, alpha, test=test, cof=cof, head=head,
                       descent=descent)
+    if t > 1 and alpha and m > 1 and not descent:  # a tie keeps plan
+        (q0, rho0), c = divmod(s, r), (r * alpha - 1) // s
+        split = cof and cof.n > 1
+        shared = (c, (1 + c * rho0) // r, rho0,
+                  (cof.b * cof.n - rho0) // r if split else q0,
+                  cof.b * test.b if split else 0)
+        plan = min(plan, plan._replace(shared=shared),
+                   key=lambda x: _cost(x, r))
     fld._plans = {**fld._plans, r: plan}
     return plan
+
+
+def _cost(plan: AmmContext, r: int, call: int = 3) -> int:
+    """The products _long_powers charges a t >= 2 plan, plus call per
+    Frobenius call: one on a held matrix took 1.9-3.1 products' time."""
+    def cost(a, b, terms=1):  # powers' chain, then phi_map's steps
+        return sum(chain_cost(a, b)) + (call + 1) * len(_chain(terms))
+    if not plan.shared:
+        return sum(cost(rec.a, rec.b, rec.n) + (rec.a > 0) if rec
+                   else cost(v, 0)
+                   for rec, v in ((plan.head, plan.alpha), (plan.cof, plan.s)))
+    (c, u, rho0, lam, b), cof = plan.shared, plan.cof
+    return (cost(lam, b) + cost(u, rho0) + cost(c, 0) + cost(r, 0) + 2
+            + (b and cost(0, 0, cof.period // plan.test.period)
+               + (call + 2) * (cof.n - 2) + 1))
+
+
+def _long_powers(fld: Field, delta: int, ctx: AmmContext, r: int,
+                 counter: OpCounter):
+    """delta^alpha and, for t >= 2, delta^s (else False), through ctx's
+    records or its shared route (AmmContext)."""
+    if not ctx.shared:
+        return (_power(fld, delta, ctx.head, ctx.alpha, counter),
+                ctx.t > 1 and _power(fld, delta, ctx.cof, ctx.s, counter))
+    (c, u, rho0, lam, b), cof = ctx.shared, ctx.cof
+    z, w = powers(fld, delta, lam, b, counter)
+    head, tail = powers(fld, delta, u, rho0, counter)
+    if b:
+        k = ctx.test.period
+        w = phi_map(fld, w, k, cof.period // k - 1, counter)
+        z = fld.mul(z, horner(fld, w, cof.period, cof.n, counter), counter)
+    return (fld.mul(fld.pow(z, c, counter), head, counter),
+            fld.mul(fld.pow(z, r, counter), tail, counter))
 
 
 def _power(fld: Field, delta, rec: PeriodicExponent | None, v: int,
@@ -196,7 +247,7 @@ def _root(fld: Field, delta: int, r: int, ctx: AmmContext, tag: str,
           counter: OpCounter, seed: int) -> int | None:
     """One prime stage on packed, nonzero delta, in the module docstring's
     order: the packed root, or None for a non-residue.  Every long power
-    takes the record ctx holds.  The descent reads N(delta)^x = h^r/delta
+    takes the route ctx holds.  The descent reads N(delta)^x = h^r/delta
     from one digit, and the stage over F_p finds or refuses its r-th root.
     For t >= 2, acc = (delta^s)^c with c = ((r*alpha - 1)/s) mod r^t, -1
     when s = 1, is delta^{r*alpha - 1} in the subgroup of order r^{t-1}.
@@ -225,9 +276,8 @@ def _root(fld: Field, delta: int, r: int, ctx: AmmContext, tag: str,
                                  fld.order_minus_one // r, counter) != 1:
         return None
     else:
-        root = _power(fld, delta, ctx.head, ctx.alpha, counter)
+        root, delta_s = _long_powers(fld, delta, ctx, r, counter)
     if t > 1 and not ctx.descent:
-        delta_s = _power(fld, delta, ctx.cof, ctx.s, counter)
         acc = fld.pow(delta_s, (r * ctx.alpha - 1) // ctx.s % r ** t,
                       counter)
         j_total = 0
@@ -282,7 +332,8 @@ def _stage(fld: Field, delta: int, r: int, seed: int, counter: OpCounter,
             ctx = build_amm_context(fld, r, seed, rho)
             fld._plans = {**fld._plans, (r, seed, rho): ctx}
     if path in ("amm", "naive"):  # plain powering
-        ctx = ctx._replace(test=None, cof=None, head=None, descent=None)
+        ctx = ctx._replace(test=None, cof=None, head=None, descent=None,
+                           shared=None)
     return _root(fld, delta, r, ctx, tag, counter, seed), tag
 
 

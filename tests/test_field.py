@@ -931,6 +931,45 @@ def test_reductions_at_every_declared_bound(p):
             _kernels_agree(ring, rng)
 
 
+def _looped(p, steps):
+    """A reduction's .steps run as one loop over its shrinks."""
+    shrinks, mu, s, low, bias, top, ones = steps
+
+    def reduce(y):
+        for h, mask, c in shrinks:
+            y -= (y >> h & mask) * c
+        y -= (y * mu >> s & low) * p
+        return y - (y + bias >> top & ones) * p
+    return reduce
+
+
+def test_written_out_reductions_match_the_loop():
+    # _reduction writes zero or one shrink out and loops over two or more;
+    # at every caller's bound (a Frobenius sum's, a Euclid remainder's
+    # after 2 and m + 1 steps, a scalar scaling's, a read tuple's and a
+    # dense ring's folds), on 17 random digits up to it, each form gives
+    # what one loop over its .steps gives, and all three forms occur
+    rng = random.Random(35)
+    shrink_counts = set()
+    for p in REDUCER_PRIMES:
+        for bits, m in _reducer_shapes(p):
+            bounds = {m * (p - 1) ** 2, p - 1 + 2 * (p - 1) ** 2,
+                      p - 1 + (m + 1) * (p - 1) ** 2, (p - 1) ** 2,
+                      (1 << bits) - 1}
+            if m <= 64:
+                bounds |= set(field._Residues(
+                    p, _dense_monic(p, m, rng))._bounds)
+            for bound in sorted(bounds):
+                reduce = field._reduction(p, bits, 17, bound)
+                looped = _looped(p, reduce.steps)
+                shrink_counts.add(len(reduce.steps[0]))
+                for _ in range(20):
+                    y = sum(rng.randrange(bound + 1) << bits * i
+                            for i in range(17))
+                    assert reduce(y) == looped(y), (p, bits, m, bound)
+    assert shrink_counts == {0, 1, 2}
+
+
 def _straight(lines):
     """Source lines on y (_kernel.lines) as a function of y."""
     scope = {}

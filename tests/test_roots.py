@@ -484,12 +484,16 @@ def test_amm_auto_takes_k_splits_below_the_period(p, m, r):
 def test_amm_auto_counters_without_alpha_split():
     # F_{29^21}, r = 7, a cli_oneshot field: 7^2 divides N, k = 1 and
     # l_t = 7, but alpha's period 49 exceeds m; plain powering took 152
-    # products per non-residue and 456 for this residue
+    # products per non-residue and 456 for this residue.  The residue
+    # cost 216 products while alpha was one plain power beside cof's
+    # split of s; it reads both off delta^{floor(s/7)}, through cof's
+    # split, and costs 105
     fld = mk_field(29, 21)
     assert build_amm_context(fld, 7).head is None
+    assert build_amm_context(fld, 7).shared is not None
     residue = fld.pow(fld.random_elem(random.Random("29^21/7")), 7)
     for delta, expected in ((find_nonresidue(fld, 7), (6, 2, 20, 0)),
-                            (residue, (80, 136, 34, 0))):
+                            (residue, (56, 49, 33, 0))):
         c = rth_root(fld, delta, 7).counters
         assert (c.mults, c.squarings, c.frobenius, c.inversions) == expected
 
@@ -566,8 +570,33 @@ def reference_plan(fld, r):
             norm = PeriodicExponent(0, z, r, n, z * geometric_sum(p, r, n))
         a = (1 + x * (p ** e - 1) // (p - 1)) // r
         descent = (mk_field(p, 1), a, e, norm)
-    return roots.AmmContext(t, s, alpha, test=test, cof=cof, head=head,
+    plan = roots.AmmContext(t, s, alpha, test=test, cof=cof, head=head,
                             descent=descent)
+    if t > 1 and alpha and m > 1 and not descent:  # as _plan takes
+        shared = plan._replace(shared=shared_record(p, plan, r))
+        plan = min(plan, shared, key=lambda x: roots._cost(x, r))
+    return plan
+
+
+def shared_record(p, plan, r):
+    """The shared route's record built from its definition, with the
+    identities it rests on checked: z = delta^{s // r}, and where cof
+    splits s into n >= 2 blocks of P = p^l, s // r = lam + B*H with
+    B = b(P - 1)/r, H = sum (n - 1 - j)*P^j, and B = b*test.b*(1 + p^k +
+    ... + p^{l-k})."""
+    s, cof = plan.s, plan.cof
+    q0, rho0 = divmod(s, r)
+    c = (r * plan.alpha - 1) // s
+    assert 1 <= c < r and r * plan.alpha - 1 == c * s
+    assert (1 + c * rho0) % r == 0
+    if not (cof and cof.n > 1):
+        return (c, (1 + c * rho0) // r, rho0, q0, 0)
+    big, n, b, k = p ** cof.period, cof.n, cof.b, plan.test.period
+    lam, weight = (b * n - rho0) // r, b * (big - 1) // r
+    assert lam + weight * sum((n - 1 - j) * big ** j
+                              for j in range(n - 1)) == q0
+    assert weight == b * plan.test.b * geometric_sum(p, k, cof.period // k)
+    return (c, (1 + c * rho0) // r, rho0, lam, b * plan.test.b)
 
 
 def plan_grid():
@@ -614,6 +643,96 @@ def test_plan_matches_the_exact_order_reference(monkeypatch):
     assert kinds == {("descent", False), ("descent", True),
                      ("t >= 2", False), ("t >= 2", True),
                      ("composite", 0), ("composite", 1)}
+
+
+# -- the shared long power of a t >= 2 stage ---------------------------------------
+
+def assert_routes(fld, plan, r, draws=2):
+    """Both routes of a t >= 2 stage, today's head and cof records and the
+    shared power, give delta^alpha and delta^s exactly and are charged the
+    products _cost predicts; returns those products, today's first."""
+    old = plan._replace(shared=None)
+    routes = (old, old._replace(shared=shared_record(fld.p, plan, r)))
+    rng = random.Random(f"{fld.p}^{fld.m}/{r}")
+    for route in routes:
+        for _ in range(draws):
+            delta = fld._pack(fld.random_elem(rng)) or 1
+            counter = OpCounter()
+            assert roots._long_powers(fld, delta, route, r, counter) == (
+                fld.pow(delta, plan.alpha), fld.pow(delta, plan.s))
+            assert counter.mults + counter.squarings == roots._cost(
+                route, r, 0), (fld.p, fld.m, r, route.shared)
+            assert counter.inversions == 0
+    return tuple(roots._cost(route, r, 0) for route in routes)
+
+
+def test_shared_power_is_exact_on_every_small_stage_shape():
+    # every prime r <= 13 whose auto stage runs AMM in the field itself
+    # with t >= 2 and s > 1, on the fields p^m < 3*10^5, p < 60
+    kinds = set()
+    with deadline(20):
+        for p in filter(is_prime, range(2, 60)):
+            for m in range(1, 13):
+                if p ** m >= 3 * 10 ** 5:
+                    break
+                fld = mk_field(p, m)
+                for r in filter(is_prime, range(2, 14)):
+                    plan = roots._plan(fld, r)
+                    if plan.t < 2 or not plan.alpha or plan.descent:
+                        continue
+                    assert_routes(fld, plan, r)
+                    cof = plan.cof
+                    kinds |= {("m = 1", m == 1),
+                              ("n = 1", bool(cof) and cof.n == 1),
+                              ("n >= 2", bool(cof) and cof.n > 1),
+                              ("r | m, no alpha split",
+                               m % r == 0 and plan.head is None),
+                              ("k > 1", bool(cof) and plan.test.period > 1),
+                              ("shared taken", plan.shared is not None)}
+    assert {kind for kind, seen in kinds if seen} == {
+        "m = 1", "n = 1", "n >= 2", "r | m, no alpha split", "k > 1",
+        "shared taken"}
+
+
+# the AMM stage of every amm_sqrt kind (over F_p where the kind descends)
+# and cli_oneshot's F_{29^21}, r = 7: predicted products of today's head
+# and cof records and of the shared power; s = 1 leaves one route.  Over
+# F_p each long power is one builtin pow, and six of them with two
+# products took longer than two on F_29 (2.9 against 0.8 us), so F_p
+# stages keep the plain powers even where the shared power counts fewer
+@pytest.mark.parametrize("p,m,r,old,new,taken", [
+    (5, 61, 2, 0, None, False), (13, 31, 2, 3, 3, False),
+    (17, 21, 2, 0, None, False), (29, 23, 2, 6, 5, False),
+    (19, 21, 3, 81, 36, True), (29, 21, 7, 190, 79, True)])
+def test_shared_power_prices_the_benchmark_stages(p, m, r, old, new, taken):
+    fld = mk_field(p, m)
+    plan = roots._plan(fld, r)
+    if plan.descent:
+        fld = plan.descent[0]
+        plan = roots._plan(fld, r)
+    assert (plan.shared is not None) == taken
+    if new is None:
+        counter = OpCounter()
+        delta = fld._pack(fld.random_elem(random.Random(p)))
+        assert plan.s == 1 and roots._long_powers(
+            fld, delta, plan, r, counter) == (1, delta)  # alpha = 0
+        assert counter.mults + counter.squarings == roots._cost(plan, r, 0)
+        assert roots._cost(plan, r, 0) == old
+    else:
+        assert assert_routes(fld, plan, r) == (old, new)
+
+
+def test_shared_power_keeps_the_split_where_the_walk_is_long():
+    # F_{3^50}, r = 2: l_t = 2, so the walk takes n - 2 = 23 steps of a
+    # Frobenius call and two products; today's records price 19 products
+    # and 10 calls, the shared power 55 and 24, and the plan keeps today's
+    fld = mk_field(3, 50)
+    plan = roots._plan(fld, 2)
+    assert (plan.t, plan.cof.period, plan.cof.n) == (3, 2, 25)
+    assert plan.shared is None and plan.head is not None
+    assert assert_routes(fld, plan, 2) == (19, 55)
+    shared = plan._replace(shared=shared_record(3, plan, 2))
+    assert (roots._cost(plan, 2), roots._cost(shared, 2)) == (49, 127)
 
 
 # P is the first prime above 2^62, Q the least prime above P with 2PQ + 1
