@@ -34,13 +34,15 @@ path.  Per field of --build (long modulus searches, and degree 5 on both
 sides of the sieve's cutoff on p), mk_field_ms alone with the
 irreducibility tests and Ben-Or gcds one build runs and the layout.
 Per (p, m, r) of --amm (the benchmark's r^2 | N fields), uncached
-build_amm_context and _plan times, descent (true where auto descends to
-F_p through the norm), and auto against forced amm on a residue and a
-non-residue, each root checked.  Last, per (p, m, r) of KINDS, one kind per path auto
-takes, one pass of rth_root over 15 constructed residues and 15 random
-elements; before any row is timed, both sides must give the same
-status, root and path tag on each of them, or the run stops and names
-the kind; each side's summed counters go in the row.
+build_amm_context and _plan times, the plan's route (descent, true where
+auto descends to F_p through the norm, and shared, true where the long
+powers come off one shared power), and auto against forced amm on a
+residue and a non-residue, each root checked.  Last, per (p, m, r) of
+KINDS, one kind per path auto takes, one pass of rth_root over 15
+constructed residues and 15 random elements; before any row is timed,
+both sides must give the same status, root and path tag on each of
+them, or the run stops and names the kind; each side's summed counters
+go in the row.
 
 A timed call or batch past TIMEOUT_S seconds records "timeout".  Times
 are wall-clock seconds of one Python thread: compare the two sides of
@@ -347,6 +349,14 @@ def uncached_plan(pkg):
     return fresh
 
 
+def route(plan) -> dict:
+    """The route a plan takes: descent, true where auto descends to F_p
+    through the norm; shared, true where a t >= 2 stage reads its long
+    powers off one shared power (False on trees without one)."""
+    return {"descent": plan.descent is not None,
+            "shared": getattr(plan, "shared", None) is not None}
+
+
 def bench_amm(pkgs, p: int, m: int, r: int, repeats: int) -> dict:
     """Auto against forced amm on one field, for a constructed residue
     and a seeded non-residue; each root is checked."""
@@ -356,8 +366,7 @@ def bench_amm(pkgs, p: int, m: int, r: int, repeats: int) -> dict:
         [batched(partial(pkg.build_amm_context, fld, r))
          for pkg, fld in sides], [{}, {}], repeats), "plan_us": row(
         [batched(partial(uncached_plan(pkg), fld, r)) for pkg, fld in sides],
-        [{"descent": pkg.roots._plan(fld, r).descent is not None}
-         for pkg, fld in sides], repeats)}
+        [route(pkg.roots._plan(fld, r)) for pkg, fld in sides], repeats)}
     residues = [fld.pow(fld.random_elem(random.Random(f"{p}^{m}/{r}")), r)
                 for fld in flds]
     nonresidues = [pkg.find_nonresidue(fld, r, 1) for pkg, fld in sides]

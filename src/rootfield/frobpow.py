@@ -67,22 +67,17 @@ def horner(fld: Field, w, e: int, n: int,
     return acc
 
 
-def chain_cost(a: int, b: int) -> tuple:
-    """(squarings, mults) that powers charges for delta^a and delta^b: two
-    Field.pow calls less the bitlen(min(a, b)) - 1 squarings they share;
-    an exponent 0 costs nothing."""
-    return (max(max(a, b).bit_length() - 1, 0),
-            max(a.bit_count() - 1, 0) + max(b.bit_count() - 1, 0))
-
-
 def powers(fld: Field, delta: int, a: int, b: int,
            counter: OpCounter | None = None):
     """delta^a and delta^b, packed, off one right-to-left chain of
-    squarings; an exponent 0 gives 1."""
+    squarings, or two builtin pows over F_p; an exponent 0 gives 1.  The
+    counter is charged two Field.pow calls less the bitlen(min(a, b)) - 1
+    squarings they share."""
     if counter is not None:
-        squarings, mults = chain_cost(a, b)
-        counter.squarings += squarings
-        counter.mults += mults
+        counter.squarings += max(max(a, b).bit_length() - 1, 0)
+        counter.mults += max(a.bit_count() - 1, 0) + max(b.bit_count() - 1, 0)
+    if fld.m == 1:
+        return pow(delta, a, fld.p), pow(delta, b, fld.p)
     head = base = 1
     reduce = fld.reduce_packed
     for i in range(max(a, b).bit_length()):

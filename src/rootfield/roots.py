@@ -17,12 +17,12 @@ _plan derives t, s, alpha and the split records of (field, r), the one
 classification of (p, m, r): test for delta^{N/r}, cof for delta^s and
 rho^s, head for delta^alpha and norm for the descent, each
 a + b*(1 + p^l + ...) raised by apply_periodic through Frobenius maps,
-kept on the field with its AMM contexts.  Where it prices lower, a t >= 2
-stage reads delta^alpha and delta^s off one shared power z =
-delta^{floor(s/r)} instead (Tonelli 1891; Shanks 1973), raised through
-cof's split where it has one (AmmContext).  One body, _root, runs every
-prime stage on its context; forced paths "naive" and "amm", and
-amm_root, clear the records for plain powering.
+kept on the field with its AMM contexts.  Where a dry run over F_2
+(_price) prices it lower, a t >= 2 stage reads delta^alpha and delta^s
+off one shared power z = delta^{floor(s/r)} instead (Tonelli 1891;
+Shanks 1973), raised through cof's split where it has one (AmmContext).
+One body, _root, runs every prime stage on its context; forced paths
+"naive" and "amm", and amm_root, clear the records for plain powering.
 
 rth_root dispatches prime by prime for composite r and peels factors of
 p off r first, since the p-th power map is the Frobenius bijection.  It
@@ -37,8 +37,7 @@ from collections import namedtuple
 from math import gcd
 
 from .field import Field, OpCounter, is_prime, mk_field
-from .frobpow import (_chain, apply_periodic, chain_cost, horner, phi_map,
-                      powers)
+from .frobpow import apply_periodic, horner, phi_map, powers
 from .periodic import (PeriodicExponent, PeriodTooLong, decompose,
                        exact_power, factorize, geometric_sum, lifted_order)
 
@@ -85,7 +84,7 @@ class AmmContext(namedtuple("AmmContext", "t s alpha rho rho_s k_index test "
     build_amm_context adds rho, a fixed nonzero non-residue, packed
     rho_s = rho^s and k_index, which maps each packed r-th root of unity
     g^i, g = rho^{N/r}, to i, for t >= 2.  Auto's descent to F_p (_plan)
-    is (F_p, a, e, norm); it reads no rho.  shared, where _cost prices it
+    is (F_p, a, e, norm); it reads no rho.  shared, where _price prices it
     lower (t >= 2, m > 1, s > 1, no descent), is (c, u, rho0, lam, b):
     with s = r*q0 + rho0, c = (r*alpha - 1)/s < r, u = (1 + c*rho0)/r,
     z = delta^q0 gives delta^alpha = z^c*delta^u, delta^s = z^r*delta^rho0.
@@ -142,24 +141,24 @@ def _plan(fld: Field, r: int) -> AmmContext:
                   (cof.b * cof.n - rho0) // r if split else q0,
                   cof.b * test.b if split else 0)
         plan = min(plan, plan._replace(shared=shared),
-                   key=lambda x: _cost(x, r))
+                   key=lambda x: _price(x, r))
     fld._plans = {**fld._plans, r: plan}
     return plan
 
 
-def _cost(plan: AmmContext, r: int, call: int = 3) -> int:
-    """The products _long_powers charges a t >= 2 plan, plus call per
-    Frobenius call: one on a held matrix took 1.9-3.1 products' time."""
-    def cost(a, b, terms=1):  # powers' chain, then phi_map's steps
-        return sum(chain_cost(a, b)) + (call + 1) * len(_chain(terms))
-    if not plan.shared:
-        return sum(cost(rec.a, rec.b, rec.n) + (rec.a > 0) if rec
-                   else cost(v, 0)
-                   for rec, v in ((plan.head, plan.alpha), (plan.cof, plan.s)))
-    (c, u, rho0, lam, b), cof = plan.shared, plan.cof
-    return (cost(lam, b) + cost(u, rho0) + cost(c, 0) + cost(r, 0) + 2
-            + (b and cost(0, 0, cof.period // plan.test.period)
-               + (call + 2) * (cof.n - 2) + 1))
+class _DryRun(Field):
+    """F_2 as _price runs it: Frobenius, the identity, charged per call."""
+
+    def frobenius(self, a, j, counter):
+        counter.frobenius += 1
+        return a
+
+
+def _price(plan: AmmContext, r: int, fld=_DryRun(2, 1, (0, 1))) -> int:
+    """Products _long_powers charges a t >= 2 plan on fld (one per process),
+    plus 3 per Frobenius call, 1.9-3.1 products' time on a held matrix."""
+    _long_powers(fld, 1, plan, r, counter := OpCounter())
+    return counter.mults + counter.squarings + 3 * counter.frobenius
 
 
 def _long_powers(fld: Field, delta: int, ctx: AmmContext, r: int,

@@ -57,7 +57,8 @@ import random
 
 import pytest
 
-from rootfield import RNotDividingOrder, find_nonresidue, mk_field, rth_root
+from rootfield import (NoSingleExponent, PeriodTooLong, RNotDividingOrder,
+                       find_nonresidue, mk_field, roots, rth_root)
 
 # (p, m, r, path, delta): delta is "residue" for a constructed r-th
 # power, or a prime ell for a seeded non-ell-th-residue
@@ -153,3 +154,83 @@ def test_forced_amm_needs_a_divisor():
     fld = field(3, 9)
     with pytest.raises(RNotDividingOrder):
         rth_root(fld, make_delta(fld, 5, "residue"), 5, path="amm")
+
+
+# -- the charged products are the executed products ---------------------------
+#
+# Every product a root runs on its field goes through reduce_packed, so on
+# a warm field the calls it makes there are the mults + squarings charged.
+# Three things run products that are not charged, or charge products that
+# do not run there, and the test steps around each:
+# - a fresh field interprets its first products and then compiles, which
+#   rebinds reduce_packed on the instance: the wrapper goes on afterwards;
+# - a Frobenius matrix built mid-call runs uncounted products: a call
+#   during which _frob_maps (or _plans, for a context) changed is run
+#   again, until one leaves them as they were;
+# - the descent's stage over F_p is charged, but runs as builtin pow,
+#   outside the field: its charge is taken apart.
+
+COUNTED_FIELDS = [(2, 127), (3, 61), (3, 97), (5, 61), (13, 31), (17, 21),
+                  (29, 23), (19, 21), (29, 21), (3, 50)]
+
+
+def executed(fld, delta, r, path, on_base):
+    """rth_root's outcome with the products it ran on fld, once a run
+    builds nothing; None where the path does not apply."""
+    held, calls = None, []
+    kernel = fld.reduce_packed
+    fld.reduce_packed = lambda acc: calls.append(acc) or kernel(acc)
+    try:
+        for _ in range(30):
+            if held and held[0] is fld._frob_maps and held[1] is fld._plans:
+                return out, len(calls)
+            held = fld._frob_maps, fld._plans  # replaced, never mutated
+            del calls[:], on_base[:]
+            try:
+                out = rth_root(fld, delta, r, path=path)
+            except (NoSingleExponent, PeriodTooLong, RNotDividingOrder):
+                return None
+    finally:
+        fld.reduce_packed = kernel
+    raise AssertionError(f"F_{{{fld.p}^{fld.m}}} kept building, r={r}")
+
+
+def test_charged_products_are_executed_products(monkeypatch):
+    stage, on_base = roots._stage, []
+
+    def charged_on_base(fld, delta, r, seed, counter, *rest):
+        before = counter.mults + counter.squarings
+        out = stage(fld, delta, r, seed, counter, *rest)
+        if fld.m == 1:
+            on_base.append(counter.mults + counter.squarings - before)
+        return out
+    monkeypatch.setattr(roots, "_stage", charged_on_base)
+    kinds = set()
+    for p, m in COUNTED_FIELDS:
+        fld = mk_field(p, m)
+        while "reduce_packed" not in vars(fld):  # spend the rent
+            fld.reduce_packed(0)
+        rng = random.Random(f"{p}^{m}")
+        for r, path in [(30, "auto")] + [  # forced paths take prime r only
+                (r, path) for r in (2, 3, 5, 7)
+                for path in ("auto", "amm", "periodic", "naive")]:
+            elems = [fld.random_elem(rng) for _ in range(4)]
+            for delta in [fld.pow(x, r) for x in elems[:2]] + elems[2:]:
+                run = executed(fld, delta, r, path, on_base)
+                if run is None:
+                    break
+                c = run[0].counters
+                assert c.mults + c.squarings - sum(on_base) == run[1], (
+                    p, m, r, path, delta)
+                kinds.add((run[0].path_tag, bool(on_base),
+                           path == "auto" and bool(
+                               roots._plan(fld, r).shared)))
+    # every tag; AMM over F_p through the descent, alone or in a chain, and
+    # in the field through the head and cofactor records or the shared power
+    assert kinds == {("coprime_fast", False, False),
+                     ("ramified_fast", False, False),
+                     ("naive_fallback", False, False),
+                     ("composite_chain", False, False),
+                     ("composite_chain", True, False),
+                     ("amm", True, False), ("amm", False, False),
+                     ("amm", False, True)}

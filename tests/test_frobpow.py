@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from rootfield import OpCounter, apply_periodic, decompose_coprime, \
     decompose_ramified, mk_field, phi_map
-from rootfield.frobpow import _chain
+from rootfield.frobpow import _chain, powers
 from rootfield.periodic import PeriodicExponent, exact_power, geometric_sum
 from rootfield.roots import _plan
 
@@ -178,6 +179,41 @@ def test_phi_map_mult_count_exact(f8):
     counter = OpCounter()
     phi_map(f8, (0, 1, 0), 1, 5, counter)
     assert counter.mults == 3
+
+
+# -- powers ----------------------------------------------------------------------
+
+def test_powers_charges_the_products_it_runs():
+    # x^a and x^b off one chain of squarings, on F_{2^127}: N = 2^127 - 1
+    # is prime, so no partial power of x = t + t^2 below x^N is 1 and the
+    # head == 1 start skips no product.  A product is a squaring where the
+    # reduction's input is a perfect square, which no product of two
+    # distinct powers of x is here
+    fld = mk_field(2, 127)
+    while "reduce_packed" not in vars(fld):  # spend the rent: compile
+        fld.reduce_packed(0)
+    kernel, ran = fld.reduce_packed, []
+    fld.reduce_packed = lambda acc: ran.append(acc) or kernel(acc)
+    x = fld._pack((0, 1, 1))
+    exponents = [0, 1, 2, 3, 1 << 64, 0xDEADBEEF, (1 << 100) + 0x5DEECE66D,
+                 (1 << 126) + 3 ** 79]
+    f13 = mk_field(13, 1)
+    try:
+        for a in exponents:
+            for b in exponents:
+                del ran[:]
+                counter, over_f13 = OpCounter(), OpCounter()
+                got = powers(fld, x, a, b, counter)
+                squarings = sum(isqrt(acc) ** 2 == acc for acc in ran)
+                assert (counter.squarings, counter.mults) == (
+                    squarings, len(ran) - squarings), (a, b)
+                assert got == (fld.pow(x, a), fld.pow(x, b))
+                # over F_p, two builtin pows charged the same
+                assert powers(f13, 5, a, b, over_f13) == (
+                    pow(5, a, 13), pow(5, b, 13))
+                assert over_f13 == counter
+    finally:
+        fld.reduce_packed = kernel
 
 
 # -- apply_periodic ---------------------------------------------------------------

@@ -574,7 +574,7 @@ def reference_plan(fld, r):
                             descent=descent)
     if t > 1 and alpha and m > 1 and not descent:  # as _plan takes
         shared = plan._replace(shared=shared_record(p, plan, r))
-        plan = min(plan, shared, key=lambda x: roots._cost(x, r))
+        plan = min(plan, shared, key=lambda x: roots._price(x, r))
     return plan
 
 
@@ -647,23 +647,48 @@ def test_plan_matches_the_exact_order_reference(monkeypatch):
 
 # -- the shared long power of a t >= 2 stage ---------------------------------------
 
+def dry_run(route, r):
+    """The tallies of _long_powers run on _price's stand-in field."""
+    counter = OpCounter()
+    roots._long_powers(roots._DryRun(2, 1, (0, 1)), 1, route, r, counter)
+    return counter
+
+
+def long_powers(fld, delta, route, r):
+    """_long_powers' result and tallies, with its Frobenius calls."""
+    counter, calls = OpCounter(), []
+    frobenius = fld.frobenius
+    fld.frobenius = lambda a, j, c: calls.append(j) or frobenius(a, j, c)
+    try:
+        got = roots._long_powers(fld, delta, route, r, counter)
+    finally:
+        del fld.frobenius
+    return got, counter, len(calls)
+
+
 def assert_routes(fld, plan, r, draws=2):
     """Both routes of a t >= 2 stage, today's head and cof records and the
-    shared power, give delta^alpha and delta^s exactly and are charged the
-    products _cost predicts; returns those products, today's first."""
+    shared power, give delta^alpha and delta^s exactly, are charged the
+    products and run the Frobenius calls of the dry run, and are priced
+    at those products plus 3 per call; returns the products, today's
+    first."""
     old = plan._replace(shared=None)
     routes = (old, old._replace(shared=shared_record(fld.p, plan, r)))
     rng = random.Random(f"{fld.p}^{fld.m}/{r}")
+    products = []
     for route in routes:
+        dry = dry_run(route, r)
         for _ in range(draws):
             delta = fld._pack(fld.random_elem(rng)) or 1
-            counter = OpCounter()
-            assert roots._long_powers(fld, delta, route, r, counter) == (
-                fld.pow(delta, plan.alpha), fld.pow(delta, plan.s))
-            assert counter.mults + counter.squarings == roots._cost(
-                route, r, 0), (fld.p, fld.m, r, route.shared)
+            got, counter, calls = long_powers(fld, delta, route, r)
+            assert got == (fld.pow(delta, plan.alpha), fld.pow(delta, plan.s))
+            assert (counter.mults, counter.squarings, calls) == (
+                dry.mults, dry.squarings, dry.frobenius), (
+                fld.p, fld.m, r, route.shared)
             assert counter.inversions == 0
-    return tuple(roots._cost(route, r, 0) for route in routes)
+        products.append(dry.mults + dry.squarings)
+        assert roots._price(route, r) == products[-1] + 3 * dry.frobenius
+    return tuple(products)
 
 
 def test_shared_power_is_exact_on_every_small_stage_shape():
@@ -716,8 +741,10 @@ def test_shared_power_prices_the_benchmark_stages(p, m, r, old, new, taken):
         delta = fld._pack(fld.random_elem(random.Random(p)))
         assert plan.s == 1 and roots._long_powers(
             fld, delta, plan, r, counter) == (1, delta)  # alpha = 0
-        assert counter.mults + counter.squarings == roots._cost(plan, r, 0)
-        assert roots._cost(plan, r, 0) == old
+        dry = dry_run(plan, r)
+        assert (counter.mults, counter.squarings) == (dry.mults,
+                                                      dry.squarings)
+        assert dry.mults + dry.squarings == old
     else:
         assert assert_routes(fld, plan, r) == (old, new)
 
@@ -732,7 +759,7 @@ def test_shared_power_keeps_the_split_where_the_walk_is_long():
     assert plan.shared is None and plan.head is not None
     assert assert_routes(fld, plan, 2) == (19, 55)
     shared = plan._replace(shared=shared_record(3, plan, 2))
-    assert (roots._cost(plan, 2), roots._cost(shared, 2)) == (49, 127)
+    assert (roots._price(plan, 2), roots._price(shared, 2)) == (49, 127)
 
 
 # P is the first prime above 2^62, Q the least prime above P with 2PQ + 1
